@@ -7,21 +7,14 @@ are emitted as a JSON object instead.
 """
 
 import argparse
+import inspect
 import json
 import sys
 
 import numpy as np
 
-from qutritmap import (
-    haar_unitary,
-    random_qutrit,
-    scheme_entangler,
-    scheme_kerr_forward,
-    scheme_kerr_inverse,
-    scheme_linear_forward,
-    scheme_linear_inverse,
-    u3_biphotonic,
-)
+from qutritmap import haar_unitary, random_qutrit
+from qutritmap.schemes import SCHEMES
 
 
 def collect_rows(seed, qubus_alpha, theta):
@@ -30,15 +23,11 @@ def collect_rows(seed, qubus_alpha, theta):
     u = haar_unitary(rng)
     probe = {"qubus_alpha": qubus_alpha, "theta": theta}
 
-    reports = [
-        scheme_linear_forward(c),
-        scheme_linear_inverse(c),
-        scheme_kerr_forward(c, **probe),
-        scheme_kerr_inverse(c, **probe),
-        scheme_entangler(c, pattern="reflected", **probe),
-        u3_biphotonic(c, u, backend="linear"),
-        u3_biphotonic(c, u, backend="kerr", **probe),
-    ]
+    reports = []
+    for fn in SCHEMES.values():
+        accepted = inspect.signature(fn).parameters
+        args = (c, u) if "u" in accepted else (c,)
+        reports.append(fn(*args, **{k: v for k, v in probe.items() if k in accepted}))
     return [
         {
             "scheme": r.scheme,

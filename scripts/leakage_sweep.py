@@ -19,7 +19,7 @@ from qutritmap import QutritCoefficients, scheme_entangler, scheme_kerr_forward
 COEFFS = QutritCoefficients.normalize(0.5, 0.5 + 0.5j, -0.5)
 
 
-def sweep_point(alpha_theta, theta, cap):
+def sweep_point(alpha_theta, theta):
     alpha = alpha_theta / theta
     forward = scheme_kerr_forward(
         COEFFS, meas_mode="physical", qubus_alpha=alpha, theta=theta
@@ -30,7 +30,6 @@ def sweep_point(alpha_theta, theta, cap):
         meas_mode="physical",
         qubus_alpha=alpha,
         theta=theta,
-        cap=cap,
     )
     mu = math.sqrt(2.0) * alpha * math.sin(theta)
     return {
@@ -51,12 +50,11 @@ def main(argv=None):
         default="0.5,1,2,4",
         help="comma-separated values of |alpha| * theta to sweep",
     )
-    parser.add_argument("--number-cap", type=int, default=25)
     parser.add_argument("--csv", metavar="PATH", help="write rows to a CSV file")
     args = parser.parse_args(argv)
 
     points = [float(v) for v in args.alpha_theta.split(",") if v.strip()]
-    rows = [sweep_point(v, args.theta, args.number_cap) for v in points]
+    rows = [sweep_point(v, args.theta) for v in points]
 
     if args.csv:
         with open(args.csv, "w", newline="") as handle:

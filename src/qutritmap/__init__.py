@@ -56,6 +56,7 @@ from .measurement import (
     Outcome,
     apply_feed_forward,
     detect_non_resolving,
+    erase_and_merge,
     merge_branches,
     path_modes,
     post_select_coincidence,

@@ -68,19 +68,17 @@ class CriterionResult:
     details: tuple[str, ...] = field(default=())
 
 
+def _worst(reports, p_target: float) -> tuple[float, float]:
+    """Largest relative error of P against ``p_target`` and lowest fidelity."""
+    worst_rel = max(abs(r.success_probability - p_target) / p_target for r in reports)
+    return worst_rel, min(r.output_fidelity for r in reports)
+
+
 def _criterion_1(seed) -> CriterionResult:
     rng = np.random.default_rng([seed, 1])
     start = time.perf_counter()
-    worst_rel = 0.0
-    worst_fid = 1.0
-    for _ in range(50):
-        r = scheme_linear_forward(random_qutrit(rng))
-        worst_rel = max(
-            worst_rel,
-            abs(r.success_probability - ROUNDED_P_LINEAR_FORWARD)
-            / ROUNDED_P_LINEAR_FORWARD,
-        )
-        worst_fid = min(worst_fid, r.output_fidelity)
+    reports = [scheme_linear_forward(random_qutrit(rng)) for _ in range(50)]
+    worst_rel, worst_fid = _worst(reports, ROUNDED_P_LINEAR_FORWARD)
     elapsed = time.perf_counter() - start
     passed = worst_rel <= 0.02 and worst_fid >= 1 - 1e-10 and elapsed < 1.0
     return CriterionResult(
@@ -96,19 +94,10 @@ def _criterion_1(seed) -> CriterionResult:
 
 def _criterion_2(seed) -> CriterionResult:
     rng = np.random.default_rng([seed, 2])
-    worst_rel = 0.0
-    worst_fid = 1.0
-    d2_p = d2_f = float("nan")
-    for _ in range(10):
-        r = scheme_linear_inverse(random_qutrit(rng))
-        worst_rel = max(
-            worst_rel,
-            abs(r.success_probability - ROUNDED_P_LINEAR_INVERSE)
-            / ROUNDED_P_LINEAR_INVERSE,
-        )
-        worst_fid = min(worst_fid, r.output_fidelity)
-        d2_p = r.checks.get("discarded_d2_probability", float("nan"))
-        d2_f = r.checks.get("discarded_d2_fidelity", float("nan"))
+    reports = [scheme_linear_inverse(random_qutrit(rng)) for _ in range(10)]
+    worst_rel, worst_fid = _worst(reports, ROUNDED_P_LINEAR_INVERSE)
+    d2_p = reports[-1].checks.get("discarded_d2_probability", float("nan"))
+    d2_f = reports[-1].checks.get("discarded_d2_fidelity", float("nan"))
     passed = worst_rel <= 0.02 and worst_fid >= 1 - 1e-10
     return CriterionResult(
         2,
@@ -126,17 +115,11 @@ def _criterion_2(seed) -> CriterionResult:
 
 def _criterion_3(seed) -> CriterionResult:
     rng = np.random.default_rng([seed, 3])
-    worst_rel = 0.0
-    worst_fid = 1.0
-    for _ in range(50):
-        c = random_qutrit(rng)
-        u = haar_unitary(rng)
-        r = u3_biphotonic(c, u, backend="linear")
-        worst_rel = max(
-            worst_rel,
-            abs(r.success_probability - ROUNDED_P_U3_LINEAR) / ROUNDED_P_U3_LINEAR,
-        )
-        worst_fid = min(worst_fid, r.output_fidelity)
+    reports = [
+        u3_biphotonic(random_qutrit(rng), haar_unitary(rng), backend="linear")
+        for _ in range(50)
+    ]
+    worst_rel, worst_fid = _worst(reports, ROUNDED_P_U3_LINEAR)
     passed = worst_rel <= 0.02 and worst_fid >= 1 - 1e-9
     return CriterionResult(
         3,
@@ -179,26 +162,15 @@ def _criterion_4(seed) -> CriterionResult:
 
 def _criterion_5(seed) -> CriterionResult:
     rng = np.random.default_rng([seed, 5])
-    worst_rel = 0.0
-    worst_fid = 1.0
-    determinism = 1.0
-    for _ in range(10):
-        c = random_qutrit(rng)
-        r = scheme_kerr_inverse(c)
-        worst_rel = max(
-            worst_rel, abs(r.success_probability - P_KERR_INVERSE) / P_KERR_INVERSE
-        )
-        worst_fid = min(worst_fid, r.output_fidelity)
-    ent = scheme_entangler(
-        random_qutrit(rng), qubus_alpha=2.0, theta=0.3, cap=25
-    )
-    mass = 0.0
+    reports = [scheme_kerr_inverse(random_qutrit(rng)) for _ in range(10)]
+    worst_rel, worst_fid = _worst(reports, P_KERR_INVERSE)
+    ent = scheme_entangler(random_qutrit(rng), qubus_alpha=2.0, theta=0.3)
+    determinism = 0.0
     for k, p in ent.checks.items():
         if k.startswith("branch_n") and k.endswith("_probability"):
             f = ent.checks[k.replace("_probability", "_fidelity")]
             if f > 1 - 1e-9:
-                mass += p
-    determinism = mass
+                determinism += p
     passed = worst_rel <= 0.02 and determinism >= 1 - 1e-6 and worst_fid >= 1 - 1e-10
     return CriterionResult(
         5,
@@ -213,15 +185,11 @@ def _criterion_5(seed) -> CriterionResult:
 
 def _criterion_6(seed) -> CriterionResult:
     rng = np.random.default_rng([seed, 6])
-    target = P_KERR_FORWARD * P_KERR_INVERSE
-    worst_rel = 0.0
-    worst_fid = 1.0
-    for _ in range(50):
-        c = random_qutrit(rng)
-        u = haar_unitary(rng)
-        r = u3_biphotonic(c, u, backend="kerr")
-        worst_rel = max(worst_rel, abs(r.success_probability - target) / target)
-        worst_fid = min(worst_fid, r.output_fidelity)
+    reports = [
+        u3_biphotonic(random_qutrit(rng), haar_unitary(rng), backend="kerr")
+        for _ in range(50)
+    ]
+    worst_rel, worst_fid = _worst(reports, P_KERR_FORWARD * P_KERR_INVERSE)
     passed = worst_rel <= 0.02 and worst_fid >= 1 - 1e-9
     return CriterionResult(
         6,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -26,28 +27,9 @@ import numpy as np
 from .acceptance import run_all
 from .fock import InvalidInput, QutritCoefficients, SimulationError
 from .sampling import haar_unitary, random_qutrit
-from .schemes import (
-    SchemeReport,
-    scheme_entangler,
-    scheme_kerr_forward,
-    scheme_kerr_inverse,
-    scheme_linear_forward,
-    scheme_linear_inverse,
-    u3_biphotonic,
-)
-
-SCHEMES = (
-    "linear-forward",
-    "linear-inverse",
-    "kerr-forward",
-    "kerr-inverse",
-    "entangler",
-    "u3-linear",
-    "u3-kerr",
-)
+from .schemes import SCHEMES, SchemeReport
 
 _FLOAT_PARAMS = ("t", "t1", "t2", "t3", "theta", "qubus_alpha")
-_INT_PARAMS = ("number_cap",)
 _STR_PARAMS = ("variant", "meas_mode", "pattern")
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
@@ -142,12 +124,10 @@ def _parse_params(items) -> dict:
         raw = raw.strip()
         if key in _FLOAT_PARAMS:
             params[key] = float(raw)
-        elif key in _INT_PARAMS:
-            params[key] = int(raw)
         elif key in _STR_PARAMS:
             params[key] = raw
         else:
-            known = ", ".join(_FLOAT_PARAMS + _INT_PARAMS + _STR_PARAMS)
+            known = ", ".join(_FLOAT_PARAMS + _STR_PARAMS)
             raise InvalidInput(f"unknown parameter {key!r} (known: {known})")
     return params
 
@@ -189,45 +169,22 @@ def _resolve_qutrit(args, rng) -> QutritCoefficients:
 
 
 def _dispatch(scheme: str, c, params: dict, matrix) -> SchemeReport:
-    params = dict(params)
-
-    def take(*names):
-        return {k: params.pop(k) for k in names if k in params}
-
-    if matrix is not None and not scheme.startswith("u3-"):
-        raise InvalidInput(f"--matrix is only meaningful for u3 schemes, not {scheme}")
-    if scheme == "linear-forward":
-        rep = scheme_linear_forward(c, **take("t"))
-    elif scheme == "linear-inverse":
-        rep = scheme_linear_inverse(c, **take("t1", "t2", "t3"))
-    elif scheme == "kerr-forward":
-        rep = scheme_kerr_forward(
-            c, **take("t", "variant", "meas_mode", "qubus_alpha", "theta", "number_cap")
-        )
-    elif scheme == "kerr-inverse":
-        rep = scheme_kerr_inverse(
-            c, **take("qubus_alpha", "theta", "meas_mode", "number_cap")
-        )
-    elif scheme == "entangler":
-        kwargs = take("pattern", "qubus_alpha", "theta", "meas_mode", "number_cap")
-        if "number_cap" in kwargs:
-            kwargs["cap"] = kwargs.pop("number_cap")
-        rep = scheme_entangler(c, **kwargs)
-    elif scheme in ("u3-linear", "u3-kerr"):
-        if matrix is None:
-            raise InvalidInput(f"{scheme} needs --matrix <file>|random")
-        backend = scheme.split("-", 1)[1]
-        if backend == "linear":
-            kwargs = take("t", "t1", "t2", "t3")
-        else:
-            kwargs = take("t", "qubus_alpha", "theta", "meas_mode", "number_cap")
-        rep = u3_biphotonic(c, matrix, backend=backend, **kwargs)
-    else:
+    if scheme not in SCHEMES:
         raise InvalidInput(f"unknown scheme {scheme!r} (known: {', '.join(SCHEMES)})")
-    if params:
-        raise InvalidInput(
-            f"parameters not used by {scheme}: {', '.join(sorted(params))}"
-        )
+    fn = SCHEMES[scheme]
+    accepted = inspect.signature(fn).parameters
+    if "u" not in accepted:
+        if matrix is not None:
+            raise InvalidInput(f"--matrix is only meaningful for u3 schemes, not {scheme}")
+        args = (c,)
+    elif matrix is None:
+        raise InvalidInput(f"{scheme} needs --matrix <file>|random")
+    else:
+        args = (c, matrix)
+    rep = fn(*args, **{k: v for k, v in params.items() if k in accepted})
+    unused = sorted(k for k in params if k not in accepted)
+    if unused:
+        raise InvalidInput(f"parameters not used by {scheme}: {', '.join(unused)}")
     return rep
 
 
@@ -300,15 +257,15 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     axis = args.axis
-    if axis not in _FLOAT_PARAMS + _INT_PARAMS:
+    if axis not in _FLOAT_PARAMS:
         raise InvalidInput(
             f"axis must name a numeric parameter, got {axis!r} "
-            f"(known: {', '.join(_FLOAT_PARAMS + _INT_PARAMS)})"
+            f"(known: {', '.join(_FLOAT_PARAMS)})"
         )
     raw_values = [v for v in str(args.values).split(",") if v.strip()]
     if not raw_values:
         raise InvalidInput("--values must list at least one value")
-    values = [int(v) if axis in _INT_PARAMS else float(v) for v in raw_values]
+    values = [float(v) for v in raw_values]
 
     seed = 0 if args.seed is None else int(args.seed)
     rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ and multiplied into ``born_weight`` of the renormalized branch state.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -21,7 +22,6 @@ from .fock import (
     build_state,
     fidelity,
     norm_sq,
-    normalized,
     scaled,
 )
 
@@ -68,27 +68,41 @@ def _photons_in(term: FockTerm, watched: frozenset[Mode]) -> int:
     return sum(n for m, n in term.occ if m in watched)
 
 
-def _branch(state: PhotonicState, terms, norm_in: float) -> tuple[float, PhotonicState]:
-    kept = build_state(state.registers, terms, state.born_weight)
-    p = norm_sq(kept) / norm_in
+def _norm_in(state: PhotonicState, action: str) -> float:
+    """Squared norm of a state about to be measured; refuses a zero state."""
+    n2 = norm_sq(state)
+    if n2 <= PROB_EPS:
+        raise InvalidInput(f"cannot {action} a zero state")
+    return n2
+
+
+def _branch(
+    registers: tuple[str, ...], terms, born_weight: float, norm_in: float
+) -> tuple[float, PhotonicState]:
+    """Renormalize the kept ``terms`` of a state whose squared norm is ``norm_in``.
+
+    Returns ``(p, branch)``: ``p`` is the kept share of the norm and the
+    branch's born weight is ``born_weight * p``.  A share at or below
+    ``PROB_EPS`` gives ``(0.0, empty state)``.
+    """
+    kept = build_state(registers, terms, born_weight)
+    n2 = norm_sq(kept)
+    p = n2 / norm_in
     if p <= PROB_EPS:
-        empty = build_state(state.registers, (), 0.0)
-        return 0.0, empty
-    out = scaled(kept, 1.0 / (norm_sq(kept) ** 0.5))
-    return p, dataclasses.replace(out, born_weight=state.born_weight * p)
+        return 0.0, build_state(registers, (), 0.0)
+    out = scaled(kept, 1.0 / math.sqrt(n2))
+    return p, dataclasses.replace(out, born_weight=born_weight * p)
 
 
 def detect_non_resolving(state: PhotonicState, modes: Iterable[Mode]) -> BranchDistribution:
     """Split a state into click / no-click branches over the watched modes."""
     watched = frozenset(modes)
-    norm_in = norm_sq(state)
-    if norm_in <= PROB_EPS:
-        raise InvalidInput("cannot measure a zero state")
+    norm_in = _norm_in(state, "measure")
     click_terms = [t for t in state.terms if _photons_in(t, watched) > 0]
     quiet_terms = [t for t in state.terms if _photons_in(t, watched) == 0]
     outcomes = []
     for label, terms in (("click", click_terms), ("no-click", quiet_terms)):
-        p, branch = _branch(state, terms, norm_in)
+        p, branch = _branch(state.registers, terms, state.born_weight, norm_in)
         if p > 0.0:
             outcomes.append(Outcome(label, None, p, branch))
     return BranchDistribution(tuple(outcomes))
@@ -112,9 +126,7 @@ def post_select_coincidence(
         for j in range(i + 1, len(sets)):
             if sets[i][0] & sets[j][0]:
                 raise WiringError("post-selection mode groups overlap")
-    norm_in = norm_sq(state)
-    if norm_in <= PROB_EPS:
-        raise InvalidInput("cannot post-select a zero state")
+    norm_in = _norm_in(state, "post-select")
 
     def matches(term):
         for watched, want in sets:
@@ -126,7 +138,7 @@ def post_select_coincidence(
         return True
 
     kept = [t for t in state.terms if matches(t)]
-    return _branch(state, kept, norm_in)
+    return _branch(state.registers, kept, state.born_weight, norm_in)
 
 
 def project_total_photons(
@@ -134,11 +146,9 @@ def project_total_photons(
 ) -> tuple[float, PhotonicState]:
     """Project onto exactly ``n`` photons in the watched modes."""
     watched = frozenset(modes)
-    norm_in = norm_sq(state)
-    if norm_in <= PROB_EPS:
-        raise InvalidInput("cannot project a zero state")
+    norm_in = _norm_in(state, "project")
     kept = [t for t in state.terms if _photons_in(t, watched) == n]
-    return _branch(state, kept, norm_in)
+    return _branch(state.registers, kept, state.born_weight, norm_in)
 
 
 def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
@@ -205,23 +215,24 @@ class FeedForwardRule:
 
     corrections: Mapping[str, tuple[Correction, ...]]
 
+    def apply(self, label: str, state: PhotonicState) -> PhotonicState:
+        """Run the correction chain of outcome ``label`` on ``state``."""
+        from .elements import apply_phase_shift, apply_sigma_x
+
+        if label not in self.corrections:
+            raise WiringError(f"no feed-forward entry for outcome {label!r}")
+        for corr in self.corrections[label]:
+            if corr.kind == "phase":
+                state = apply_phase_shift(state, corr.target, corr.value)
+            else:
+                state = apply_sigma_x(state, corr.target)
+        return state
+
 
 def apply_feed_forward(
     dist: BranchDistribution, rule: FeedForwardRule
 ) -> BranchDistribution:
-    from .elements import apply_phase_shift, apply_sigma_x
-
-    out = []
-    for o in dist.outcomes:
-        if o.label not in rule.corrections:
-            raise WiringError(f"no feed-forward entry for outcome {o.label!r}")
-        s = o.state
-        for corr in rule.corrections[o.label]:
-            if corr.kind == "phase":
-                s = apply_phase_shift(s, corr.target, corr.value)
-            else:
-                s = apply_sigma_x(s, corr.target)
-        out.append(dataclasses.replace(o, state=s))
+    out = (dataclasses.replace(o, state=rule.apply(o.label, o.state)) for o in dist.outcomes)
     return BranchDistribution(tuple(out))
 
 
@@ -249,3 +260,45 @@ def merge_branches(
         first, born_weight=sum(s.born_weight for _, s in live)
     )
     return total, merged, min_fid
+
+
+def erase_and_merge(
+    state: PhotonicState,
+    ports: Mapping[str, str],
+    rule: FeedForwardRule,
+    keep: Iterable[Mode] | None = None,
+    strip: Iterable[Mode] = (),
+    tol: float = 1e-9,
+) -> tuple[float, PhotonicState, float, dict[str, float]]:
+    """Which-path eraser: keep each single-detector click, correct it, merge.
+
+    ``ports`` maps every outcome label to the path its detector watches.  For
+    each label the branch where that detector alone clicks is kept; with
+    ``keep`` it is further projected onto exactly one photon (the output
+    photon) in those modes.  The label's chain from ``rule`` is applied, the
+    fired detector and the ``strip`` modes are factored out, and the branches
+    are combined by :func:`merge_branches` at ``tol``.
+
+    Returns ``(probability, merged state, minimum branch fidelity,
+    probability of each label)``; a label that never occurs has probability 0
+    and no branch.
+    """
+    strip = tuple(strip)
+    probabilities: dict[str, float] = {}
+    branches = []
+    for label, fired in ports.items():
+        pattern = [
+            (path_modes(path), "click" if path == fired else "no-click")
+            for path in ports.values()
+        ]
+        p, branch = post_select_coincidence(state, pattern)
+        if p > 0.0 and keep is not None:
+            q, branch = project_total_photons(branch, keep, 1)
+            p *= q
+        probabilities[label] = p
+        if p == 0.0:
+            continue
+        branch = rule.apply(label, branch)
+        branches.append((p, strip_modes(branch, path_modes(fired) + strip)))
+    total, merged, min_fid = merge_branches(branches, tol=tol)
+    return total, merged, min_fid, probabilities

@@ -10,7 +10,6 @@ measurement branches.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,10 +23,8 @@ from .fock import (
     UnsupportedMode,
     WiringError,
     build_state,
-    norm_sq,
-    scaled,
 )
-from .measurement import PROB_EPS, BranchDistribution, Outcome
+from .measurement import BranchDistribution, Outcome, _branch, _norm_in
 
 NUMBER_CAP = 25
 
@@ -133,9 +130,7 @@ def project_photon_number(
     if mode not in ("ideal", "physical"):
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
-    norm_in = norm_sq(state)
-    if norm_in <= PROB_EPS:
-        raise InvalidInput("cannot measure a zero state")
+    norm_in = _norm_in(state, "measure")
     outcomes = []
     for n in range(cap + 1):
         def weight(term, n=n):
@@ -150,13 +145,9 @@ def project_photon_number(
             return term.amplitude * coherent_number_overlap(beta, n)
 
         regs, terms = _without_register(state, idx, weight)
-        branch = build_state(regs, terms, state.born_weight)
-        p = norm_sq(branch) / norm_in
-        if p <= PROB_EPS:
-            continue
-        branch = scaled(branch, 1.0 / math.sqrt(norm_sq(branch)))
-        branch = dataclasses.replace(branch, born_weight=state.born_weight * p)
-        outcomes.append(Outcome(str(n), float(n), p, branch))
+        p, branch = _branch(regs, terms, state.born_weight, norm_in)
+        if p > 0.0:
+            outcomes.append(Outcome(str(n), float(n), p, branch))
     return BranchDistribution(tuple(outcomes))
 
 
@@ -175,9 +166,7 @@ def project_quadrature_x(
     if mode != "ideal":
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
-    norm_in = norm_sq(state)
-    if norm_in <= PROB_EPS:
-        raise InvalidInput("cannot measure a zero state")
+    norm_in = _norm_in(state, "measure")
     centers: list[float] = []
     for t in state.terms:
         x = t.coherent[idx].real
@@ -191,13 +180,9 @@ def project_quadrature_x(
             return None
 
         regs, terms = _without_register(state, idx, keep)
-        branch = build_state(regs, terms, state.born_weight)
-        p = norm_sq(branch) / norm_in
-        if p <= PROB_EPS:
-            continue
-        branch = scaled(branch, 1.0 / math.sqrt(norm_sq(branch)))
-        branch = dataclasses.replace(branch, born_weight=state.born_weight * p)
-        outcomes.append(Outcome(f"x={x0:.9g}", float(x0), p, branch))
+        p, branch = _branch(regs, terms, state.born_weight, norm_in)
+        if p > 0.0:
+            outcomes.append(Outcome(f"x={x0:.9g}", float(x0), p, branch))
     return BranchDistribution(tuple(outcomes))
 
 

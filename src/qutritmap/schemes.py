@@ -61,11 +61,10 @@ from .elements import (
     route_pbs,
 )
 from .measurement import (
-    BranchDistribution,
     Correction,
     FeedForwardRule,
-    Outcome,
     apply_feed_forward,
+    erase_and_merge,
     merge_branches,
     path_modes,
     post_select_coincidence,
@@ -73,7 +72,6 @@ from .measurement import (
     strip_modes,
 )
 from .qubus import (
-    NUMBER_CAP,
     XpmCoupling,
     add_register,
     apply_xpm,
@@ -138,9 +136,7 @@ class SchemeReport:
     checks: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        prod = 1.0
-        for entry in self.branch_log:
-            prod *= entry.probability
+        prod = _log_product(self.branch_log)
         if abs(prod - self.success_probability) > _LOG_TOL * max(1.0, prod):
             raise WiringError(
                 "branch log probabilities do not multiply to the quoted "
@@ -178,15 +174,41 @@ def _check_probe(alpha: float, theta: float):
         )
 
 
-def _check_meas_mode(meas_mode: str):
+def _merge_tol(meas_mode: str) -> float:
+    """Validate ``meas_mode``; return the fidelity tolerance for merging branches.
+
+    Physical readouts leave branches that genuinely differ, so there the
+    merge only sums their probabilities.
+    """
     if meas_mode not in ("ideal", "physical"):
         raise InvalidInput(f"unknown measurement mode {meas_mode!r}")
+    return 1e-9 if meas_mode == "ideal" else math.inf
 
 
-def _output_fidelity(state: PhotonicState, target: PhotonicState) -> float:
-    if state.registers:
-        return traced_fidelity(state, target)
-    return fidelity(state, target)
+def _probe_pair(state, prefix, alpha, theta, modes1, modes2) -> PhotonicState:
+    """Couple probes ``<prefix>-1`` and ``<prefix>-2`` and interfere them.
+
+    Each probe starts at ``alpha`` and picks up ``theta`` per photon in its
+    modes; both are then rotated back by ``theta``, so a probe that saw
+    exactly one photon returns to ``alpha``, and the pair meets on a 50:50
+    coupler.
+    """
+    reg1, reg2 = f"{prefix}-1", f"{prefix}-2"
+    s = add_register(state, reg1, alpha)
+    s = add_register(s, reg2, alpha)
+    s = apply_xpm(s, XpmCoupling(reg1, modes1, theta))
+    s = apply_xpm(s, XpmCoupling(reg2, modes2, theta))
+    s = coherent_phase(s, reg1, -theta)
+    s = coherent_phase(s, reg2, -theta)
+    return coherent_bs50(s, reg1, reg2)
+
+
+def _quadrature_group(dist, register: str, value: float):
+    """The outcome of ``register``'s x-quadrature readout centred on ``value``."""
+    kept = dist.closest(value)
+    if abs(kept.value - value) > 1e-6:
+        raise WiringError(f"no quadrature group near {value!r} for {register}")
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +237,23 @@ def _linear_forward_premeasure(c: QutritCoefficients, t: float) -> PhotonicState
     return s
 
 
-# Eraser corrections, keyed by which QFT output fires.  QFT order is
-# (P1, P3, P2), so detector k imprints exp(2 pi i j k / 3) on input j.
-_FORWARD_ERASER_TABLE = {
-    "D3": (),
-    "D4": (("6", 2.0 * math.pi / 3.0), ("7", 4.0 * math.pi / 3.0)),
-    "D5": (("6", 4.0 * math.pi / 3.0), ("7", 8.0 * math.pi / 3.0)),
-}
-_FORWARD_ERASER_PATHS = {"D3": "P1", "D4": "P3", "D5": "P2"}
+# Eraser detectors and their corrections, keyed by which QFT output fires.
+# QFT order is (P1, P3, P2), so detector k imprints exp(2 pi i j k / 3) on
+# input j.
+_FORWARD_ERASER_PORTS = {"D3": "P1", "D4": "P3", "D5": "P2"}
+_FORWARD_ERASER_RULE = FeedForwardRule(
+    {
+        "D3": (),
+        "D4": (
+            Correction("phase", "6", 2.0 * math.pi / 3.0),
+            Correction("phase", "7", 4.0 * math.pi / 3.0),
+        ),
+        "D5": (
+            Correction("phase", "6", 4.0 * math.pi / 3.0),
+            Correction("phase", "7", 8.0 * math.pi / 3.0),
+        ),
+    }
+)
 
 
 def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
@@ -246,46 +277,20 @@ def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
     if p_herald == 0.0:
         raise WiringError("heralding coincidence has zero probability")
     s = apply_qft(s, ("P1", "P3", "P2"))
-
-    outcomes = []
-    for label in ("D3", "D4", "D5"):
-        fired = _FORWARD_ERASER_PATHS[label]
-        quiet = [p for k, p in _FORWARD_ERASER_PATHS.items() if k != label]
-        pattern = [(path_modes(fired), "click")]
-        pattern += [(path_modes(p), "no-click") for p in quiet]
-        p_k, st = post_select_coincidence(s, pattern)
-        outcomes.append(Outcome(label, None, p_k, st))
-    dist = BranchDistribution(tuple(outcomes))
-    rule = FeedForwardRule(
-        {
-            label: tuple(Correction("phase", path, phi) for path, phi in fixes)
-            for label, fixes in _FORWARD_ERASER_TABLE.items()
-        }
+    p_eraser, merged, min_fid, p_ports = erase_and_merge(
+        s,
+        _FORWARD_ERASER_PORTS,
+        _FORWARD_ERASER_RULE,
+        keep=path_modes("6") + path_modes("3") + path_modes("7"),
+        strip=path_modes("D1") + path_modes("D2"),
     )
-    dist = apply_feed_forward(dist, rule)
-
-    out_modes = path_modes("6") + path_modes("3") + path_modes("7")
-    branches = []
-    checks: dict[str, float] = {}
-    for o in dist.outcomes:
-        q_k, st = project_total_photons(o.state, out_modes, 1)
-        checks[f"eraser_{o.label}_probability"] = o.probability * q_k
-        if o.probability * q_k == 0.0:
-            continue
-        detectors = (
-            path_modes("D1")
-            + path_modes("D2")
-            + path_modes(_FORWARD_ERASER_PATHS[o.label])
-        )
-        st = strip_modes(st, detectors)
-        branches.append((o.probability * q_k, st))
-    p_eraser, merged, min_fid = merge_branches(branches)
 
     target = make_spatial_qutrit(c, ("6", "3", "7"))
     log = (
         BranchLogEntry("heralding-coincidence", "D1&D2", p_herald),
         BranchLogEntry("which-path-eraser", "D3|D4|D5", p_eraser),
     )
+    checks = {f"eraser_{k}_probability": p for k, p in p_ports.items()}
     checks["eraser_min_branch_fidelity"] = min_fid
     checks["output_born_weight"] = merged.born_weight
     return SchemeReport(
@@ -333,10 +338,24 @@ def _linear_inverse_premeasure(
     return s
 
 
-def _linear_inverse_downstream(state: PhotonicState):
-    s = apply_beam_splitter(state, "4", "7", "out1", "out2", _FIFTY)
+def _linear_inverse_branch(pre: PhotonicState, fired: str, dark: str):
+    """One eraser outcome: ``fired`` clicks, ``dark`` does not, and two
+    photons then bunch on path ``out``.
+
+    Returns ``(p_eraser, p_two, state)``; ``state`` is None when either
+    probability is zero.
+    """
+    p_eraser, s = post_select_coincidence(
+        pre, [(path_modes(fired), "click"), (path_modes(dark), "no-click")]
+    )
+    if p_eraser == 0.0:
+        return 0.0, 0.0, None
+    s = apply_beam_splitter(s, "4", "7", "out1", "out2", _FIFTY)
     p_two, s = project_total_photons(s, path_modes("out1"), 2)
-    return p_two, s
+    if p_two == 0.0:
+        return p_eraser, 0.0, None
+    s = strip_modes(s, path_modes(fired))
+    return p_eraser, p_two, relabel_paths(s, {"out1": "out"})
 
 
 def _linear_inverse_run(
@@ -347,12 +366,9 @@ def _linear_inverse_run(
     t3: float,
 ):
     pre = _linear_inverse_premeasure(state, paths, t1, t2, t3)
-    p_eraser, s = post_select_coincidence(
-        pre, [(path_modes("eD1"), "click"), (path_modes("eD2"), "no-click")]
-    )
-    p_two, s = _linear_inverse_downstream(s)
-    s = strip_modes(s, path_modes("eD1"))
-    s = relabel_paths(s, {"out1": "out"})
+    p_eraser, p_two, s = _linear_inverse_branch(pre, "eD1", "eD2")
+    if s is None:
+        raise InvalidInput("the heralded eraser outcome has zero probability")
     log = (
         BranchLogEntry("two-path-eraser", "D1&not-D2", p_eraser),
         BranchLogEntry("output-coincidence", "2 photons on out", p_two),
@@ -360,14 +376,19 @@ def _linear_inverse_run(
     return pre, log, s
 
 
-def default_linear_inverse_params() -> dict[str, float]:
-    t1 = math.sqrt(T1_SQ_LINEAR_INVERSE)
-    r1 = math.sqrt(R1_SQ_LINEAR_INVERSE)
-    return {
-        "t1": t1,
-        "t2": r1 / t1,
+def default_linear_inverse_params(
+    t1: float | None = None, t2: float | None = None, t3: float | None = None
+) -> dict[str, float]:
+    """Splitter transmissivities of the inverse map: each given value as a
+    float, each omitted one at the balanced working point."""
+    t1_0 = math.sqrt(T1_SQ_LINEAR_INVERSE)
+    defaults = {
+        "t1": t1_0,
+        "t2": math.sqrt(R1_SQ_LINEAR_INVERSE) / t1_0,
         "t3": math.sqrt(T3_SQ_LINEAR_INVERSE),
     }
+    given = {"t1": t1, "t2": t2, "t3": t3}
+    return {k: defaults[k] if v is None else float(v) for k, v in given.items()}
 
 
 def scheme_linear_inverse(
@@ -385,29 +406,21 @@ def scheme_linear_inverse(
     pattern, hence its lower output fidelity.
     """
     c = _coeffs(c)
-    defaults = default_linear_inverse_params()
-    t1 = defaults["t1"] if t1 is None else float(t1)
-    t2 = defaults["t2"] if t2 is None else float(t2)
-    t3 = defaults["t3"] if t3 is None else float(t3)
-    for name, val in (("t1", t1), ("t2", t2), ("t3", t3)):
+    params = default_linear_inverse_params(t1, t2, t3)
+    for name, val in params.items():
         _check_unit_interval(name, val)
 
     paths = ("s0", "s1", "s2")
     state = make_spatial_qutrit(c, paths)
-    pre, log, s = _linear_inverse_run(state, paths, t1, t2, t3)
+    pre, log, s = _linear_inverse_run(state, paths, **params)
     target = make_biphotonic_qutrit(c, "out")
 
-    p_d2, s_d2 = post_select_coincidence(
-        pre, [(path_modes("eD2"), "click"), (path_modes("eD1"), "no-click")]
-    )
+    p_d2, q_d2, s_d2 = _linear_inverse_branch(pre, "eD2", "eD1")
     checks = {"output_born_weight": s.born_weight}
     if p_d2 > 0.0:
-        q_d2, s_d2 = _linear_inverse_downstream(s_d2)
         checks["discarded_d2_probability"] = p_d2 * q_d2
-        if p_d2 * q_d2 > 0.0:
-            s_d2 = strip_modes(s_d2, path_modes("eD2"))
-            s_d2 = relabel_paths(s_d2, {"out1": "out"})
-            checks["discarded_d2_fidelity"] = fidelity(s_d2, target)
+    if s_d2 is not None:
+        checks["discarded_d2_fidelity"] = fidelity(s_d2, target)
 
     return SchemeReport(
         scheme="linear-inverse",
@@ -415,7 +428,7 @@ def scheme_linear_inverse(
         output_fidelity=fidelity(s, target),
         output_state=s,
         branch_log=log,
-        parameters={"t1": t1, "t2": t2, "t3": t3},
+        parameters=params,
         checks=checks,
     )
 
@@ -438,26 +451,10 @@ def _kerr_forward_routed(c: QutritCoefficients, t: float) -> PhotonicState:
     return s
 
 
-def _kerr_forward_coupled(
-    c: QutritCoefficients, t: float, alpha: float, theta: float
-) -> PhotonicState:
-    """Routed state with both probes coupled, interfered, and phase-fixed.
-
-    This is the double-XPM variant right before the photon-number projection
-    on ``probe-1``: every wanted component leaves probe-1 in vacuum, while
-    single-route components imprint +/- theta on it.
-    """
-    s = _kerr_forward_routed(c, t)
-    s = add_register(s, "probe-1", alpha)
-    s = add_register(s, "probe-2", alpha)
-    s = apply_xpm(s, XpmCoupling("probe-1", (Mode("1", H), Mode("7", V)), theta))
-    s = apply_xpm(
-        s, XpmCoupling("probe-2", (Mode("1l", V), Mode("5", H), Mode("6", V)), theta)
-    )
-    s = coherent_phase(s, "probe-1", -theta)
-    s = coherent_phase(s, "probe-2", -theta)
-    s = coherent_bs50(s, "probe-1", "probe-2")
-    return s
+_PAIR_ERASER_PORTS = {"dp": "dp", "dm": "dm"}
+_PAIR_ERASER_RULE = FeedForwardRule(
+    {"dp": (), "dm": (Correction("phase", "7", math.pi),)}
+)
 
 
 def _kerr_forward_postselect(s: PhotonicState, tol: float):
@@ -465,27 +462,16 @@ def _kerr_forward_postselect(s: PhotonicState, tol: float):
     s = apply_beam_splitter(s, "5", None, "5", "tap5", _FIFTY)
     s = route_pbs(s, ("1", "1l"), ("m", "mjunk"))
     s = route_pbs(s, ("m", None), ("dp", "dm"), basis="diag")
-    out_modes = path_modes("5") + path_modes("6") + path_modes("7")
-    branches = []
-    detail = {}
-    for fired, quiet, fixes in (
-        ("dp", "dm", ()),
-        ("dm", "dp", (("7", math.pi),)),
-    ):
-        p_b, st = post_select_coincidence(
-            s, [(path_modes(fired), "click"), (path_modes(quiet), "no-click")]
-        )
-        q_b, st = project_total_photons(st, out_modes, 1)
-        detail[f"eraser_{fired}_probability"] = p_b * q_b
-        if p_b * q_b == 0.0:
-            continue
-        st = strip_modes(st, path_modes(fired))
-        for path, phi in fixes:
-            st = apply_phase_shift(st, path, phi)
-        branches.append((p_b * q_b, st))
-    p_det, merged, min_fid = merge_branches(branches, tol=tol)
+    p_det, merged, min_fid, p_ports = erase_and_merge(
+        s,
+        _PAIR_ERASER_PORTS,
+        _PAIR_ERASER_RULE,
+        keep=path_modes("5") + path_modes("6") + path_modes("7"),
+        tol=tol,
+    )
     merged = apply_sigma_x(merged, "6")
     merged = apply_sigma_x(merged, "7")
+    detail = {f"eraser_{k}_probability": p for k, p in p_ports.items()}
     detail["eraser_min_branch_fidelity"] = min_fid
     return p_det, merged, detail
 
@@ -497,7 +483,6 @@ def scheme_kerr_forward(
     meas_mode: str = "ideal",
     qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
     theta: float = DEFAULT_THETA,
-    number_cap: int = NUMBER_CAP,
 ) -> SchemeReport:
     """Convert a two-photon polarization qutrit to a spatial one via probes.
 
@@ -520,14 +505,13 @@ def scheme_kerr_forward(
     alpha = float(qubus_alpha)
     theta = float(theta)
     _check_probe(alpha, theta)
-    _check_meas_mode(meas_mode)
+    tol = _merge_tol(meas_mode)
     if variant not in ("separate-qnd", "double-xpm"):
         raise InvalidInput(f"unknown variant {variant!r}")
-    tol = 1e-9 if meas_mode == "ideal" else math.inf
 
     checks: dict[str, float] = {}
+    s = _kerr_forward_routed(c, t)
     if variant == "separate-qnd":
-        s = _kerr_forward_routed(c, t)
         s = add_register(s, "probe-1", alpha)
         s = add_register(s, "probe-2", alpha)
         s = apply_xpm(s, XpmCoupling("probe-1", (Mode("1", H),), theta))
@@ -537,19 +521,19 @@ def scheme_kerr_forward(
         log_entries = []
         for reg in ("probe-1", "probe-2"):
             dist = project_quadrature_x(s, reg, mode=meas_mode)
-            kept = dist.closest(alpha)
-            if abs(kept.value - alpha) > 1e-6:
-                raise WiringError(
-                    f"no unshifted quadrature group found for {reg}"
-                )
+            kept = _quadrature_group(dist, reg, alpha)
             log_entries.append(
                 BranchLogEntry(f"quadrature-{reg}", kept.label, kept.probability)
             )
             s = kept.state
         p_meas_log = tuple(log_entries)
     else:
-        s = _kerr_forward_coupled(c, t, alpha, theta)
-        dist = project_photon_number(s, "probe-1", mode=meas_mode, cap=number_cap)
+        # After the coupler every wanted component leaves probe-1 in vacuum,
+        # while single-route components imprint +/- theta on it.
+        probe1 = (Mode("1", H), Mode("7", V))
+        probe2 = (Mode("1l", V), Mode("5", H), Mode("6", V))
+        s = _probe_pair(s, "probe", alpha, theta, probe1, probe2)
+        dist = project_photon_number(s, "probe-1", mode=meas_mode)
         kept = dist.get("0")
         if kept is None or kept.probability == 0.0:
             raise WiringError("vacuum outcome of the probe readout is empty")
@@ -571,7 +555,7 @@ def scheme_kerr_forward(
     return SchemeReport(
         scheme="kerr-forward",
         success_probability=_log_product(log),
-        output_fidelity=_output_fidelity(merged, target),
+        output_fidelity=traced_fidelity(merged, target),
         output_state=merged,
         branch_log=log,
         parameters={
@@ -588,18 +572,13 @@ def scheme_kerr_forward(
 # entangling block (used standalone and inside the Kerr inverse map)
 
 
-def _entangler_couplings(paths, ancilla, pattern):
+def _entangler_paths(paths, pattern):
+    """Split the qutrit paths into those whose H and whose V photon couples."""
     if pattern == "reflected":
-        h_active = (paths[0],)
-        v_active = (paths[1], paths[2])
-    elif pattern == "transmitted":
-        h_active = (paths[0], paths[1])
-        v_active = (paths[2],)
-    else:
-        raise InvalidInput(f"unknown entangler pattern {pattern!r}")
-    beam1 = tuple(Mode(p, V) for p in v_active) + (Mode(ancilla, H),)
-    beam2 = tuple(Mode(p, H) for p in h_active) + (Mode(ancilla, V),)
-    return h_active, beam1, beam2
+        return tuple(paths[:1]), tuple(paths[1:])
+    if pattern == "transmitted":
+        return tuple(paths[:2]), tuple(paths[2:])
+    raise InvalidInput(f"unknown entangler pattern {pattern!r}")
 
 
 def _entangler_reference(
@@ -648,7 +627,6 @@ def entangler_branches(
     qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
     theta: float = DEFAULT_THETA,
     meas_mode: str = "ideal",
-    cap: int = NUMBER_CAP,
     register_prefix: str = "probe",
 ) -> list[tuple[int, float, PhotonicState]]:
     """All corrected outcomes of one entangling block, as (n, p, state).
@@ -663,19 +641,11 @@ def entangler_branches(
     alpha = float(qubus_alpha)
     theta = float(theta)
     _check_probe(alpha, theta)
-    _check_meas_mode(meas_mode)
-    h_active, beam1, beam2 = _entangler_couplings(paths, ancilla, pattern)
-    reg1 = f"{register_prefix}-1"
-    reg2 = f"{register_prefix}-2"
-
-    s = add_register(state, reg1, alpha)
-    s = add_register(s, reg2, alpha)
-    s = apply_xpm(s, XpmCoupling(reg1, beam1, theta))
-    s = apply_xpm(s, XpmCoupling(reg2, beam2, theta))
-    s = coherent_phase(s, reg1, -theta)
-    s = coherent_phase(s, reg2, -theta)
-    s = coherent_bs50(s, reg1, reg2)
-    dist = project_photon_number(s, reg1, mode=meas_mode, cap=cap)
+    h_active, v_active = _entangler_paths(paths, pattern)
+    beam1 = tuple(Mode(p, V) for p in v_active) + (Mode(ancilla, H),)
+    beam2 = tuple(Mode(p, H) for p in h_active) + (Mode(ancilla, V),)
+    s = _probe_pair(state, register_prefix, alpha, theta, beam1, beam2)
+    dist = project_photon_number(s, f"{register_prefix}-1", mode=meas_mode)
 
     rule = {}
     for o in dist.outcomes:
@@ -693,7 +663,7 @@ def entangler_branches(
     dropped = []
     for n, p, st in corrected:
         try:
-            dropped.append((n, p, drop_register(st, reg2)))
+            dropped.append((n, p, drop_register(st, f"{register_prefix}-2")))
         except WiringError:
             return corrected
     return dropped
@@ -707,7 +677,6 @@ def entangler(
     qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
     theta: float = DEFAULT_THETA,
     meas_mode: str = "ideal",
-    cap: int = NUMBER_CAP,
 ) -> SchemeReport:
     """Run one entangling block and merge all corrected outcomes.
 
@@ -718,21 +687,20 @@ def entangler(
     """
     reference = _entangler_reference(state, paths, ancilla)
     branches = entangler_branches(
-        state, paths, ancilla, pattern, qubus_alpha, theta, meas_mode, cap
+        state, paths, ancilla, pattern, qubus_alpha, theta, meas_mode
     )
     checks: dict[str, float] = {}
     total = 0.0
     mean_fid = 0.0
     merged_input = []
     for n, p, st in branches:
-        f = _output_fidelity(st, reference) if st.registers else fidelity(st, reference)
+        f = traced_fidelity(st, reference)
         checks[f"branch_n{n}_probability"] = p
         checks[f"branch_n{n}_fidelity"] = f
         total += p
         mean_fid += p * f
         merged_input.append((p, st))
-    tol = 1e-9 if meas_mode == "ideal" else math.inf
-    p_all, merged, min_fid = merge_branches(merged_input, tol=tol)
+    p_all, merged, min_fid = merge_branches(merged_input, tol=_merge_tol(meas_mode))
     checks["merge_min_fidelity"] = min_fid
     checks["output_born_weight"] = merged.born_weight
     log = (BranchLogEntry("probe-number", "all n merged", p_all),)
@@ -753,7 +721,6 @@ def scheme_entangler(
     qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
     theta: float = DEFAULT_THETA,
     meas_mode: str = "ideal",
-    cap: int = NUMBER_CAP,
 ) -> SchemeReport:
     """Entangling block on a freshly prepared spatial qutrit and |+> ancilla.
 
@@ -763,15 +730,10 @@ def scheme_entangler(
     c = _coeffs(c)
     paths = ("0", "1", "2")
     s = make_spatial_qutrit(c, paths)
-    if pattern == "reflected":
-        s = apply_sigma_x(s, "1")
-        s = apply_sigma_x(s, "2")
-    elif pattern == "transmitted":
-        s = apply_sigma_x(s, "2")
-    else:
-        raise InvalidInput(f"unknown entangler pattern {pattern!r}")
+    for path in _entangler_paths(paths, pattern)[1]:
+        s = apply_sigma_x(s, path)
     s = tensor(s, ancilla_plus("a"))
-    return entangler(s, paths, "a", pattern, qubus_alpha, theta, meas_mode, cap)
+    return entangler(s, paths, "a", pattern, qubus_alpha, theta, meas_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -794,12 +756,18 @@ def _attenuate_mode(
     return route_pbs(s, (sh, sv), (path, f"{path}-junk"))
 
 
-_KERR_ERASER_RULES = {
-    "5": (),
-    "6": (("b", V),),
-    "7": (("a", V),),
-    "8": (("a", V), ("b", V)),
-}
+_PATH_ERASER_PORTS = {p: p for p in ("5", "6", "7", "8")}
+_PATH_ERASER_RULE = FeedForwardRule(
+    {
+        "5": (),
+        "6": (Correction("phase", Mode("b", V), math.pi),),
+        "7": (Correction("phase", Mode("a", V), math.pi),),
+        "8": (
+            Correction("phase", Mode("a", V), math.pi),
+            Correction("phase", Mode("b", V), math.pi),
+        ),
+    }
+)
 
 
 def _kerr_inverse_run(
@@ -808,9 +776,8 @@ def _kerr_inverse_run(
     alpha: float,
     theta: float,
     meas_mode: str,
-    cap: int,
 ):
-    tol = 1e-9 if meas_mode == "ideal" else math.inf
+    tol = _merge_tol(meas_mode)
     checks: dict[str, float] = {}
 
     s = tensor(state, ancilla_plus("a"))
@@ -818,14 +785,14 @@ def _kerr_inverse_run(
     s = apply_sigma_x(s, paths[1])
     s = apply_sigma_x(s, paths[2])
     branches = entangler_branches(
-        s, paths, "a", "reflected", alpha, theta, meas_mode, cap, "ent1"
+        s, paths, "a", "reflected", alpha, theta, meas_mode, "ent1"
     )
     p_e1, s, fid_e1 = merge_branches([(p, st) for _, p, st in branches], tol=tol)
     checks["entangler1_merge_fidelity"] = fid_e1
 
     s = apply_sigma_x(s, paths[1])
     branches = entangler_branches(
-        s, paths, "b", "transmitted", alpha, theta, meas_mode, cap, "ent2"
+        s, paths, "b", "transmitted", alpha, theta, meas_mode, "ent2"
     )
     p_e2, s, fid_e2 = merge_branches([(p, st) for _, p, st in branches], tol=tol)
     checks["entangler2_merge_fidelity"] = fid_e2
@@ -835,20 +802,10 @@ def _kerr_inverse_run(
     s = apply_beam_splitter(s, paths[0], "merge12", "e3", "e4", _FIFTY)
     s = route_pbs(s, ("e3", None), ("5", "6"), basis="diag")
     s = route_pbs(s, ("e4", None), ("7", "8"), basis="diag")
-    eraser = []
-    for fired, fixes in _KERR_ERASER_RULES.items():
-        quiet = [p for p in _KERR_ERASER_RULES if p != fired]
-        pattern = [(path_modes(fired), "click")]
-        pattern += [(path_modes(q), "no-click") for q in quiet]
-        p_b, st = post_select_coincidence(s, pattern)
-        checks[f"eraser_{fired}_probability"] = p_b
-        if p_b == 0.0:
-            continue
-        st = strip_modes(st, path_modes(fired))
-        for anc, pol in fixes:
-            st = apply_phase_shift(st, Mode(anc, pol), math.pi)
-        eraser.append((p_b, st))
-    p_eraser, s, fid_eraser = merge_branches(eraser, tol=tol)
+    p_eraser, s, fid_eraser, p_ports = erase_and_merge(
+        s, _PATH_ERASER_PORTS, _PATH_ERASER_RULE, tol=tol
+    )
+    checks.update({f"eraser_{k}_probability": p for k, p in p_ports.items()})
     checks["eraser_merge_fidelity"] = fid_eraser
 
     # Rebalance the two-H and two-V components, then merge the ancilla pair
@@ -865,11 +822,7 @@ def _kerr_inverse_run(
     bunched = []
     seen = set()
     for value, out_path in ((alpha * math.cos(2.0 * theta), "m1"), (alpha, "m2")):
-        kept = dist.closest(value)
-        if abs(kept.value - value) > 1e-6:
-            raise WiringError(
-                f"no quadrature group near {value!r} for the merge probe"
-            )
+        kept = _quadrature_group(dist, "merge-probe", value)
         if kept.label in seen:
             raise WiringError("merge-probe quadrature groups are unresolved")
         seen.add(kept.label)
@@ -899,7 +852,6 @@ def scheme_kerr_inverse(
     qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
     theta: float = DEFAULT_THETA,
     meas_mode: str = "ideal",
-    number_cap: int = NUMBER_CAP,
 ) -> SchemeReport:
     """Convert a spatial qutrit to the two-photon encoding via two
     entangling blocks.
@@ -917,17 +869,16 @@ def scheme_kerr_inverse(
         raise InvalidInput(
             "qubus amplitude cannot resolve the merge-probe groups"
         )
-    _check_meas_mode(meas_mode)
 
     paths = ("s0", "s1", "s2")
     state = make_spatial_qutrit(c, paths)
-    log, s, checks = _kerr_inverse_run(state, paths, alpha, theta, meas_mode, number_cap)
+    log, s, checks = _kerr_inverse_run(state, paths, alpha, theta, meas_mode)
     target = make_biphotonic_qutrit(c, "out")
     checks["output_born_weight"] = s.born_weight
     return SchemeReport(
         scheme="kerr-inverse",
         success_probability=_log_product(log),
-        output_fidelity=_output_fidelity(s, target),
+        output_fidelity=traced_fidelity(s, target),
         output_state=s,
         branch_log=log,
         parameters={"qubus_alpha": alpha, "theta": theta},
@@ -950,7 +901,6 @@ def u3_biphotonic(
     qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
     theta: float = DEFAULT_THETA,
     meas_mode: str = "ideal",
-    number_cap: int = NUMBER_CAP,
 ) -> SchemeReport:
     """Apply a 3x3 unitary to a two-photon qutrit by round-tripping through
     the spatial encoding.
@@ -981,7 +931,6 @@ def u3_biphotonic(
             meas_mode=meas_mode,
             qubus_alpha=qubus_alpha,
             theta=theta,
-            number_cap=number_cap,
         )
         s = relabel_paths(fwd.output_state, {"5": "s0", "6": "s1", "7": "s2"})
 
@@ -990,15 +939,12 @@ def u3_biphotonic(
     checks = {f"forward_{k}": v for k, v in fwd.checks.items()}
     checks["forward_fidelity"] = fwd.output_fidelity
     if backend == "linear":
-        defaults = default_linear_inverse_params()
-        t1 = defaults["t1"] if t1 is None else float(t1)
-        t2 = defaults["t2"] if t2 is None else float(t2)
-        t3 = defaults["t3"] if t3 is None else float(t3)
-        _, inv_log, s = _linear_inverse_run(s, spatial, t1, t2, t3)
-        parameters = {"t": fwd.parameters["t"], "t1": t1, "t2": t2, "t3": t3}
+        params = default_linear_inverse_params(t1, t2, t3)
+        _, inv_log, s = _linear_inverse_run(s, spatial, **params)
+        parameters = {"t": fwd.parameters["t"], **params}
     else:
         inv_log, s, inv_checks = _kerr_inverse_run(
-            s, spatial, float(qubus_alpha), float(theta), meas_mode, number_cap
+            s, spatial, float(qubus_alpha), float(theta), meas_mode
         )
         checks.update({f"inverse_{k}": v for k, v in inv_checks.items()})
         parameters = {
@@ -1014,9 +960,35 @@ def u3_biphotonic(
     return SchemeReport(
         scheme=f"u3-{backend}",
         success_probability=_log_product(log),
-        output_fidelity=_output_fidelity(s, target),
+        output_fidelity=traced_fidelity(s, target),
         output_state=s,
         branch_log=log,
         parameters=parameters,
         checks=checks,
     )
+
+
+def _u3_linear(c, u, t=None, t1=None, t2=None, t3=None) -> SchemeReport:
+    return u3_biphotonic(c, u, "linear", t, t1, t2, t3)
+
+
+def _u3_kerr(
+    c, u, t=None, qubus_alpha=DEFAULT_QUBUS_ALPHA, theta=DEFAULT_THETA, meas_mode="ideal"
+) -> SchemeReport:
+    return u3_biphotonic(
+        c, u, "kerr", t, qubus_alpha=qubus_alpha, theta=theta, meas_mode=meas_mode
+    )
+
+
+# Every scheme by name.  Each takes the input qutrit first and, for the u3
+# gates, the 3x3 unitary ``u`` second; its other parameters (read with
+# ``inspect.signature``) are the ones a caller may set.
+SCHEMES = {
+    "linear-forward": scheme_linear_forward,
+    "linear-inverse": scheme_linear_inverse,
+    "kerr-forward": scheme_kerr_forward,
+    "kerr-inverse": scheme_kerr_inverse,
+    "entangler": scheme_entangler,
+    "u3-linear": _u3_linear,
+    "u3-kerr": _u3_kerr,
+}

@@ -202,6 +202,15 @@ def test_errors_exit_nonzero_with_diagnostics(capsys, tmp_path):
         ["run", "--scheme", "linear-forward", "--param", "theta=0.3"], capsys
     )
     assert code == 2 and "not used" in err
+    code, _, err = run_cli(
+        ["run", "--scheme", "u3-linear", "--matrix", "random", "--param", "qubus_alpha=3"],
+        capsys,
+    )
+    assert code == 2 and "not used by u3-linear: qubus_alpha" in err
+    code, _, err = run_cli(
+        ["run", "--scheme", "entangler", "--param", "number_cap=25"], capsys
+    )
+    assert code == 2 and "unknown parameter 'number_cap'" in err
     code, _, err = run_cli(["run", "--scheme", "linear-forward", "--alpha", "1"], capsys)
     assert code == 2 and "together" in err
     bad = tmp_path / "bad.json"

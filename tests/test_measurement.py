@@ -16,6 +16,7 @@ from qutritmap.fock import (
     make_spatial_qutrit,
     norm_sq,
     single_photon,
+    state_paths,
     tensor,
 )
 from qutritmap.measurement import (
@@ -23,6 +24,7 @@ from qutritmap.measurement import (
     FeedForwardRule,
     apply_feed_forward,
     detect_non_resolving,
+    erase_and_merge,
     merge_branches,
     path_modes,
     post_select_coincidence,
@@ -183,3 +185,58 @@ def test_merge_branches_rejects_disagreement():
 def test_merge_branches_rejects_all_zero():
     with pytest.raises(InvalidInput):
         merge_branches([(0.0, single_photon("a"))])
+
+
+def which_path_state(idle=0.0):
+    """0.6 |o1>|w1> + 0.8 |o2>|w2> (scaled by sqrt(1 - idle^2)) plus
+    ``idle`` |w1> with no output photon, the which-path ports w1/w2 mixed
+    on a 50:50 splitter onto detectors e1/e2."""
+    k = math.sqrt(1.0 - idle * idle)
+    terms = [
+        FockTerm.from_occupations({Mode("o1", "H"): 1, Mode("w1", "H"): 1}, (), 0.6 * k),
+        FockTerm.from_occupations({Mode("o2", "H"): 1, Mode("w2", "H"): 1}, (), 0.8 * k),
+    ]
+    if idle:
+        terms.append(FockTerm.from_occupations({Mode("w1", "H"): 1}, (), idle))
+    s = build_state((), terms)
+    return apply_beam_splitter(s, "w1", "w2", "e1", "e2", BeamSplitterSpec.fifty_fifty())
+
+
+ERASER_PORTS = {"plus": "e1", "minus": "e2"}
+ERASER_RULE = FeedForwardRule({"plus": (), "minus": (Correction("phase", "o2", math.pi),)})
+
+
+def test_erase_and_merge_corrects_then_merges_each_port():
+    total, merged, min_fid, probs = erase_and_merge(
+        which_path_state(), ERASER_PORTS, ERASER_RULE
+    )
+    assert probs == {"plus": pytest.approx(0.5), "minus": pytest.approx(0.5)}
+    assert total == pytest.approx(1.0)
+    assert min_fid == pytest.approx(1.0)
+    want = make_spatial_qutrit(QutritCoefficients(0.6, 0.8, 0.0), ("o1", "o2", "o3"))
+    assert fidelity(merged, want) == pytest.approx(1.0)
+    assert state_paths(merged) == {"o1", "o2"}
+
+
+def test_erase_and_merge_keep_projects_onto_one_output_photon():
+    state = which_path_state(idle=0.6)
+    total, _, _, probs = erase_and_merge(state, ERASER_PORTS, ERASER_RULE)
+    assert total == pytest.approx(1.0)
+    total, merged, _, probs = erase_and_merge(
+        state, ERASER_PORTS, ERASER_RULE, keep=path_modes("o1") + path_modes("o2")
+    )
+    assert probs == {"plus": pytest.approx(0.32), "minus": pytest.approx(0.32)}
+    assert total == pytest.approx(0.64)
+    assert all(t.total_photons == 1 for t in merged.terms)
+
+
+def test_erase_and_merge_rejects_a_wrong_or_missing_correction():
+    state = which_path_state()
+    uncorrected = FeedForwardRule({"plus": (), "minus": ()})
+    with pytest.raises(WiringError, match="fidelity"):
+        erase_and_merge(state, ERASER_PORTS, uncorrected)
+    # the uncorrected branches overlap with fidelity (0.36 - 0.64)^2
+    _, _, min_fid, _ = erase_and_merge(state, ERASER_PORTS, uncorrected, tol=0.95)
+    assert min_fid == pytest.approx(0.0784)
+    with pytest.raises(WiringError, match="no feed-forward entry"):
+        erase_and_merge(state, ERASER_PORTS, FeedForwardRule({"plus": ()}))
