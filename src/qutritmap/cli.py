@@ -181,11 +181,10 @@ def _dispatch(scheme: str, c, params: dict, matrix) -> SchemeReport:
         raise InvalidInput(f"{scheme} needs --matrix <file>|random")
     else:
         args = (c, matrix)
-    rep = fn(*args, **{k: v for k, v in params.items() if k in accepted})
     unused = sorted(k for k in params if k not in accepted)
     if unused:
         raise InvalidInput(f"parameters not used by {scheme}: {', '.join(unused)}")
-    return rep
+    return fn(*args, **params)
 
 
 def _report_payload(rep: SchemeReport, seed: int, c, params: dict, matrix) -> dict:

@@ -25,6 +25,7 @@ from .fock import (
     POLS,
     WiringError,
     build_state,
+    sorted_state,
     state_paths,
 )
 
@@ -83,6 +84,7 @@ def substitute_modes(
     ``(sum_i c_i b_i^dag)^n`` is expanded with multinomial coefficients;
     contributions landing on the same output mode accumulate occupation.
     """
+    expansions_of: dict[tuple[Mode, int], list] = {}
     new_terms = []
     for term in state.terms:
         partials: list[tuple[dict[Mode, int], complex]] = [({}, term.amplitude)]
@@ -92,19 +94,21 @@ def substitute_modes(
                 for occ, _ in partials:
                     occ[mode] = occ.get(mode, 0) + n
                 continue
-            expansions = []
-            for pick in itertools.combinations_with_replacement(range(len(targets)), n):
-                counts: dict[int, int] = {}
-                for i in pick:
-                    counts[i] = counts.get(i, 0) + 1
-                coeff = math.factorial(n)
-                add: dict[Mode, int] = {}
-                for i, k in counts.items():
-                    coeff /= math.factorial(k)
-                    tmode, c = targets[i]
-                    coeff *= c**k
-                    add[tmode] = add.get(tmode, 0) + k
-                expansions.append((add, coeff))
+            expansions = expansions_of.get((mode, n))
+            if expansions is None:
+                expansions = expansions_of[mode, n] = []
+                for pick in itertools.combinations_with_replacement(range(len(targets)), n):
+                    counts: dict[int, int] = {}
+                    for i in pick:
+                        counts[i] = counts.get(i, 0) + 1
+                    coeff = math.factorial(n)
+                    add: dict[Mode, int] = {}
+                    for i, k in counts.items():
+                        coeff /= math.factorial(k)
+                        tmode, c = targets[i]
+                        coeff *= c**k
+                        add[tmode] = add.get(tmode, 0) + k
+                    expansions.append((add, coeff))
             grown = []
             for occ, amp in partials:
                 for add, coeff in expansions:
@@ -114,7 +118,7 @@ def substitute_modes(
                     grown.append((merged, amp * coeff))
             partials = grown
         for occ, amp in partials:
-            new_terms.append(FockTerm.from_occupations(occ, term.coherent, amp))
+            new_terms.append(FockTerm(tuple(sorted(occ.items())), term.coherent, amp))
     return build_state(state.registers, new_terms, state.born_weight)
 
 
@@ -158,7 +162,7 @@ def apply_beam_splitter(
 
 
 def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> PhotonicState:
-    """Multiply by exp(i*n*phi); a path string targets both polarizations."""
+    """Multiply a canonical state by exp(i*n*phi); a path targets both pols."""
     if isinstance(target, Mode):
         watched = {target}
     else:
@@ -167,20 +171,17 @@ def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> P
     for t in state.terms:
         n = sum(k for m, k in t.occ if m in watched)
         terms.append(FockTerm(t.occ, t.coherent, t.amplitude * cmath.exp(1j * n * phi)))
-    return build_state(state.registers, terms, state.born_weight)
+    return PhotonicState(state.registers, tuple(terms), state.born_weight)
 
 
 def apply_sigma_x(state: PhotonicState, path: str) -> PhotonicState:
-    """Swap H and V occupation on one path (half-wave plate at 45 degrees)."""
+    """Swap H and V on one path of a canonical state (half-wave plate at 45 deg)."""
     flip = {"H": "V", "V": "H"}
     terms = []
     for t in state.terms:
-        occ = {}
-        for m, n in t.occ:
-            mode = Mode(m.path, flip[m.pol]) if m.path == path else m
-            occ[mode] = occ.get(mode, 0) + n
-        terms.append(FockTerm.from_occupations(occ, t.coherent, t.amplitude))
-    return build_state(state.registers, terms, state.born_weight)
+        occ = sorted((Mode(path, flip[m.pol]) if m.path == path else m, n) for m, n in t.occ)
+        terms.append(FockTerm(tuple(occ), t.coherent, t.amplitude))
+    return sorted_state(state, terms)
 
 
 def route_pbs(

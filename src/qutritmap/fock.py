@@ -19,9 +19,11 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 H = "H"
 V = "V"
@@ -53,20 +55,26 @@ class UnsupportedMode(SimulationError):
     """Requested behaviour exists physically but is not modelled."""
 
 
-@dataclass(frozen=True, order=True)
-class Mode:
-    """A single bosonic slot: spatial path label plus polarization."""
+class Mode(tuple):
+    """A bosonic slot as a ``(path, pol)`` tuple: hashing and ordering run in C."""
 
-    path: str
-    pol: str
+    __slots__ = ()
+    path = property(operator.itemgetter(0))
+    pol = property(operator.itemgetter(1))
 
-    def __post_init__(self):
-        if self.pol not in POLS:
-            raise InvalidInput(f"unknown polarization {self.pol!r}")
+    def __new__(cls, path: str, pol: str):
+        if pol not in POLS:
+            raise InvalidInput(f"unknown polarization {pol!r}")
+        return tuple.__new__(cls, (path, pol))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Mode(path={self.path!r}, pol={self.pol!r})"
 
 
-@dataclass(frozen=True)
-class FockTerm:
+class FockTerm(NamedTuple):
     """One monomial: amplitude * prod (a_m^dag)^n |vac>, times register labels."""
 
     occ: tuple[tuple[Mode, int], ...]
@@ -112,7 +120,7 @@ class FockTerm:
 
 @dataclass(frozen=True)
 class PhotonicState:
-    """Canonical term list plus register labels and a Born bookkeeping weight.
+    """Canonical (merged, pruned, sorted) terms, register labels and a Born weight.
 
     ``born_weight`` tracks the probability of the measurement record that led
     to this (renormalized) branch; it never enters overlaps.
@@ -127,9 +135,13 @@ def _coherent_close(a: tuple[complex, ...], b: tuple[complex, ...]) -> bool:
     return all(abs(x - y) <= COHERENT_MERGE_EPS for x, y in zip(a, b))
 
 
-def _term_sort_key(term: FockTerm):
-    coh = tuple((round(c.real, 9), round(c.imag, 9)) for c in term.coherent)
-    return (term.occ, coh)
+@functools.lru_cache(maxsize=1024)
+def _rounded(c: complex) -> tuple[float, float]:
+    return round(c.real, 9), round(c.imag, 9)
+
+
+def _sorted_terms(terms: Iterable[FockTerm]) -> tuple[FockTerm, ...]:
+    return tuple(sorted(terms, key=lambda t: (t.occ, tuple(map(_rounded, t.coherent)))))
 
 
 def _canonical_terms(terms: Iterable[FockTerm]) -> tuple[FockTerm, ...]:
@@ -144,13 +156,12 @@ def _canonical_terms(terms: Iterable[FockTerm]) -> tuple[FockTerm, ...]:
                 break
         else:
             bucket.append([t.coherent, t.amplitude])
-    out = []
-    for occ, bucket in groups.items():
-        for coh, amp in bucket:
-            if abs(amp) > PRUNE_EPS:
-                out.append(FockTerm(occ, coh, amp))
-    out.sort(key=_term_sort_key)
-    return tuple(out)
+    return _sorted_terms(
+        FockTerm(occ, coh, amp)
+        for occ, bucket in groups.items()
+        for coh, amp in bucket
+        if abs(amp) > PRUNE_EPS
+    )
 
 
 def build_state(
@@ -167,6 +178,11 @@ def build_state(
                 f"state declares {len(regs)} registers"
             )
     return PhotonicState(regs, _canonical_terms(terms), float(born_weight))
+
+
+def sorted_state(state: PhotonicState, terms: Iterable[FockTerm]) -> PhotonicState:
+    """Sorted, unmerged ``terms``: one-to-one maps keeping labels COHERENT_MERGE_EPS apart."""
+    return PhotonicState(state.registers, _sorted_terms(terms), state.born_weight)
 
 
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
@@ -192,6 +208,8 @@ def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
     by_occ: dict[tuple, list[FockTerm]] = {}
     for t in ket.terms:
         by_occ.setdefault(t.occ, []).append(t)
+    # Terms share labels: each label-pair overlap is computed once per call.
+    overlaps: dict[tuple[complex, complex], complex] = {}
     total = 0j
     for tb in bra.terms:
         group = by_occ.get(tb.occ)
@@ -200,8 +218,11 @@ def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
         fac = _occ_norm(tb.occ)
         for tk in group:
             val = tb.amplitude.conjugate() * tk.amplitude * fac
-            for cb, ck in zip(tb.coherent, tk.coherent):
-                val *= coherent_overlap(cb, ck)
+            for pair in zip(tb.coherent, tk.coherent):
+                ov = overlaps.get(pair)
+                if ov is None:
+                    ov = overlaps[pair] = coherent_overlap(*pair)
+                val *= ov
             total += val
     return total
 

@@ -23,6 +23,7 @@ from .fock import (
     UnsupportedMode,
     WiringError,
     build_state,
+    sorted_state,
 )
 from .measurement import BranchDistribution, Outcome, _branch, _norm_in
 
@@ -30,13 +31,14 @@ NUMBER_CAP = 25
 
 
 def add_register(state: PhotonicState, register: str, alpha0: complex) -> PhotonicState:
+    """Attach a register at ``alpha0`` to every term of a canonical state."""
     if register in state.registers:
         raise WiringError(f"register {register!r} already attached")
-    terms = [
+    terms = tuple(
         FockTerm(t.occ, t.coherent + (complex(alpha0),), t.amplitude)
         for t in state.terms
-    ]
-    return build_state(state.registers + (register,), terms, state.born_weight)
+    )
+    return PhotonicState(state.registers + (register,), terms, state.born_weight)
 
 
 def _register_index(state: PhotonicState, register: str) -> int:
@@ -69,6 +71,7 @@ class XpmCoupling:
 
 
 def apply_xpm(state: PhotonicState, coupling: XpmCoupling) -> PhotonicState:
+    """Rotate the coupled register's label by theta per photon; canonical input."""
     idx = _register_index(state, coupling.register)
     watched = frozenset(coupling.modes)
     terms = []
@@ -77,21 +80,22 @@ def apply_xpm(state: PhotonicState, coupling: XpmCoupling) -> PhotonicState:
         coh = list(t.coherent)
         coh[idx] = coh[idx] * cmath.exp(1j * n * coupling.theta)
         terms.append(FockTerm(t.occ, tuple(coh), t.amplitude))
-    return build_state(state.registers, terms, state.born_weight)
+    return sorted_state(state, terms)
 
 
 def coherent_phase(state: PhotonicState, register: str, phi: float) -> PhotonicState:
+    """Rotate one register's label by ``phi``; canonical input."""
     idx = _register_index(state, register)
     terms = []
     for t in state.terms:
         coh = list(t.coherent)
         coh[idx] = coh[idx] * cmath.exp(1j * phi)
         terms.append(FockTerm(t.occ, tuple(coh), t.amplitude))
-    return build_state(state.registers, terms, state.born_weight)
+    return sorted_state(state, terms)
 
 
 def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState:
-    """Interfere two probe beams: (a, b) -> ((a-b)/sqrt2, (a+b)/sqrt2)."""
+    """Interfere two probes of a canonical state: (a, b) -> ((a-b), (a+b))/sqrt2."""
     ia = _register_index(state, reg_a)
     ib = _register_index(state, reg_b)
     if ia == ib:
@@ -104,7 +108,7 @@ def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState
         coh[ia] = (a - b) * s
         coh[ib] = (a + b) * s
         terms.append(FockTerm(t.occ, tuple(coh), t.amplitude))
-    return build_state(state.registers, terms, state.born_weight)
+    return sorted_state(state, terms)
 
 
 def coherent_number_overlap(beta: complex, n: int) -> complex:

@@ -24,7 +24,6 @@ typed in as decimals.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -611,11 +610,7 @@ def _entangler_reference(
         if qutrit_pol is None or anc_pol is None:
             raise WiringError("entangler input misses the photon or the ancilla")
         if anc_pol == qutrit_pol:
-            terms.append(
-                dataclasses.replace(
-                    term, amplitude=term.amplitude * math.sqrt(2.0)
-                )
-            )
+            terms.append(term._replace(amplitude=term.amplitude * math.sqrt(2.0)))
     return build_state(state.registers, terms, state.born_weight)
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: report schema, determinism, sweeps, config."""
 
 import csv
+import functools
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import jsonschema
 import pytest
 
 from qutritmap.cli import REPORT_SCHEMA, main
+from qutritmap.schemes import SCHEMES
 
 
 def run_cli(argv, capsys):
@@ -228,6 +230,22 @@ def test_errors_exit_nonzero_with_diagnostics(capsys, tmp_path):
         ["sweep", "--scheme", "kerr-forward", "--axis", "t", "--values", ","], capsys
     )
     assert code == 2 and "at least one" in err
+
+
+def test_unused_param_is_rejected_before_the_scheme_runs(capsys, monkeypatch):
+    original = SCHEMES["u3-linear"]
+
+    @functools.wraps(original)  # keeps the signature the CLI reads
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("u3-linear ran despite an unused parameter")
+
+    monkeypatch.setitem(SCHEMES, "u3-linear", must_not_run)
+    code, out, err = run_cli(
+        ["run", "--scheme", "u3-linear", "--matrix", "random", "--param", "qubus_alpha=3"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: parameters not used by u3-linear: qubus_alpha\n"
 
 
 def test_verify_json_reports_all_criteria(capsys):

@@ -8,6 +8,7 @@ the implementation under test.
 
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from qutritmap.fock import (
     traced_fidelity,
     vacuum_state,
 )
+from qutritmap.elements import apply_phase_shift, apply_sigma_x
+from qutritmap.qubus import XpmCoupling, apply_xpm, coherent_bs50, coherent_phase
 
 NMAX = 60
 
@@ -103,6 +106,14 @@ small_label = st.complex_numbers(
 )
 
 
+# Labels on a 1/4 lattice: distinct labels stay far apart under every label
+# map, so a one-to-one operation can never bring two of them within the
+# merge tolerance.
+lattice_label = st.builds(complex, st.integers(-8, 8), st.integers(-8, 8)).map(
+    lambda z: z / 4
+)
+
+
 def random_state(amps, labels, nregs):
     modes = [Mode("a", "H"), Mode("a", "V"), Mode("b", "H")]
     occs = [{modes[0]: 2}, {modes[0]: 1, modes[2]: 1}, {modes[1]: 1}, {}]
@@ -135,6 +146,51 @@ def test_coherent_overlap_matches_series(beta, gamma):
     got = coherent_overlap(beta, gamma)
     want = oracle_overlap(beta, gamma)
     assert abs(got - want) <= 1e-10
+
+
+@given(
+    amps=st.lists(complex_amp.filter(lambda z: abs(z) > 1e-3), min_size=1, max_size=12),
+    labels=st.lists(lattice_label, min_size=2, max_size=6),
+    phi=st.floats(min_value=-2 * math.pi, max_value=2 * math.pi),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_to_one_operations_skip_the_merge_exactly(amps, labels, phi):
+    # Several labels share each occupation; the fast paths must return
+    # exactly what build_state makes of the same mapped terms.
+    s = random_state(amps, labels, 2)
+    for out in (
+        apply_phase_shift(s, "a", phi),
+        apply_phase_shift(s, Mode("a", "H"), phi),
+        apply_sigma_x(s, "a"),
+        apply_xpm(s, XpmCoupling("r0", (Mode("a", "H"), Mode("b", "H")), phi)),
+        coherent_phase(s, "r1", phi),
+        coherent_bs50(s, "r0", "r1"),
+    ):
+        assert len(out.terms) == len(s.terms)
+        assert build_state(out.registers, out.terms, out.born_weight) == out
+
+
+def test_mode_rejects_unknown_polarization():
+    with pytest.raises(InvalidInput):
+        Mode("p", "D")
+
+
+def test_mode_orders_hashes_and_prints_as_its_fields():
+    modes = [Mode("b", "H"), Mode("a", "V"), Mode("b", "V"), Mode("a", "H")]
+    pairs = [(m.path, m.pol) for m in modes]
+    assert [(m.path, m.pol) for m in sorted(modes)] == sorted(pairs)
+    twin = Mode("a", "V")
+    assert twin == modes[1] and hash(twin) == hash(modes[1])
+    assert repr(Mode("p", "H")) == "Mode(path='p', pol='H')"
+    copied = pickle.loads(pickle.dumps(twin))
+    assert copied == twin and type(copied) is Mode
+    assert not hasattr(twin, "_replace")
+
+
+def test_fock_term_fields_are_read_only():
+    term = FockTerm.from_occupations({Mode("p", "H"): 1})
+    with pytest.raises(AttributeError):
+        term.amplitude = 2.0
 
 
 def test_monomial_norm_counts_factorials():
