@@ -184,7 +184,10 @@ def _dispatch(scheme: str, c, params: dict, matrix) -> SchemeReport:
     unused = sorted(k for k in params if k not in accepted)
     if unused:
         raise InvalidInput(f"parameters not used by {scheme}: {', '.join(unused)}")
-    return fn(*args, **params)
+    try:
+        return fn(*args, **params)
+    except OverflowError as exc:  # from huge probe amplitudes
+        raise InvalidInput(f"probe arithmetic overflows at these parameters: {exc}") from exc
 
 
 def _report_payload(rep: SchemeReport, seed: int, c, params: dict, matrix) -> dict:

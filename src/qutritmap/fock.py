@@ -130,6 +130,10 @@ class PhotonicState:
     terms: tuple[FockTerm, ...]
     born_weight: float = 1.0
 
+    @functools.cached_property
+    def _norm_sq(self) -> float:  # frozen, with immutable terms: computed once
+        return inner_product(self, self).real
+
 
 def _coherent_close(a: tuple[complex, ...], b: tuple[complex, ...]) -> bool:
     return all(abs(x - y) <= COHERENT_MERGE_EPS for x, y in zip(a, b))
@@ -228,7 +232,56 @@ def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
 
 
 def norm_sq(state: PhotonicState) -> float:
-    return inner_product(state, state).real
+    return state._norm_sq
+
+
+class CanonicalLayout:
+    """:func:`build_state` and :func:`norm_sq` for terms that differ only in amplitude.
+
+    Merges, sort order and the norm's same-occupation pairs depend only on the
+    ``(occ, coherent)`` keys, so they are worked out once; :meth:`apply` maps one
+    amplitude per key to exactly ``build_state(...).terms`` and their ``norm_sq``.
+    """
+
+    def __init__(self, keys: Iterable[tuple[tuple, tuple[complex, ...]]]):
+        groups: dict[tuple, list[list]] = {}
+        for i, (occ, coh) in enumerate(keys):
+            bucket = groups.setdefault(occ, [])
+            for entry in bucket:
+                if _coherent_close(entry[1], coh):
+                    entry[2].append(i)
+                    break
+            else:
+                bucket.append([occ, coh, [i]])
+        entries = [e for bucket in groups.values() for e in bucket]
+        entries.sort(key=lambda e: (e[0], tuple(map(_rounded, e[1]))))
+        self._keys = [(occ, coh) for occ, coh, _ in entries]
+        self._members = [(m[0], m[1:]) for _, _, m in entries]
+        # (bra, ket, occupation norm, label overlaps) in inner_product's order
+        self._pairs = [
+            (a, b, _occ_norm(occ), tuple(coherent_overlap(*p) for p in zip(coh, coh_b)))
+            for a, (occ, coh) in enumerate(self._keys)
+            for b, (occ_b, coh_b) in enumerate(self._keys)
+            if occ_b == occ
+        ]
+
+    def apply(self, amplitudes) -> tuple[tuple[FockTerm, ...], float]:
+        sums = []
+        for first, rest in self._members:
+            amp = amplitudes[first]
+            for i in rest:
+                amp += amplitudes[i]
+            sums.append(amp)
+        live = [abs(amp) > PRUNE_EPS for amp in sums]
+        total = 0j
+        for a, b, fac, overlaps in self._pairs:
+            if live[a] and live[b]:
+                val = sums[a].conjugate() * sums[b] * fac
+                for ov in overlaps:
+                    val *= ov
+                total += val
+        terms = (FockTerm(*key, amp) for key, amp, ok in zip(self._keys, sums, live) if ok)
+        return tuple(terms), total.real
 
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:

@@ -86,12 +86,16 @@ def _branch(
     ``PROB_EPS`` gives ``(0.0, empty state)``.
     """
     kept = build_state(registers, terms, born_weight)
-    n2 = norm_sq(kept)
+    return _renormalized(kept, norm_sq(kept), norm_in)
+
+
+def _renormalized(kept: PhotonicState, n2: float, norm_in: float):
+    """The step of :func:`_branch` after the norm: ``kept`` has squared norm ``n2``."""
     p = n2 / norm_in
     if p <= PROB_EPS:
-        return 0.0, build_state(registers, (), 0.0)
+        return 0.0, PhotonicState(kept.registers, (), 0.0)
     out = scaled(kept, 1.0 / math.sqrt(n2))
-    return p, dataclasses.replace(out, born_weight=born_weight * p)
+    return p, PhotonicState(out.registers, out.terms, kept.born_weight * p)
 
 
 def detect_non_resolving(state: PhotonicState, modes: Iterable[Mode]) -> BranchDistribution:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .fock import (
     COHERENT_MERGE_EPS,
+    CanonicalLayout,
     FockTerm,
     InvalidInput,
     Mode,
@@ -25,7 +26,7 @@ from .fock import (
     build_state,
     sorted_state,
 )
-from .measurement import BranchDistribution, Outcome, _branch, _norm_in
+from .measurement import BranchDistribution, Outcome, _branch, _norm_in, _renormalized
 
 NUMBER_CAP = 25
 
@@ -135,21 +136,30 @@ def project_photon_number(
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
+    regs = state.registers[:idx] + state.registers[idx + 1 :]
+    ideal = mode == "ideal"
+    quiet, lit = [], []  # ideally n = 0 reads only the undisplaced terms
+    for t in state.terms:
+        (quiet if ideal and abs(t.coherent[idx]) <= COHERENT_MERGE_EPS else lit).append(t)
+    # Merges, order and norm pairs do not depend on n: one layout serves all.
+    quiet_layout, lit_layout = (
+        CanonicalLayout((t.occ, t.coherent[:idx] + t.coherent[idx + 1 :]) for t in terms)
+        for terms in (quiet, lit)
+    )
+    betas = [t.coherent[idx] for t in lit]
+    vacuum = [cmath.exp(-0.5 * abs(b) ** 2) for b in betas]
+    rescale = [math.sqrt(1.0 - math.exp(-abs(b) ** 2)) for b in betas] if ideal else None
     outcomes = []
     for n in range(cap + 1):
-        def weight(term, n=n):
-            beta = term.coherent[idx]
-            if mode == "ideal":
-                if abs(beta) <= COHERENT_MERGE_EPS:
-                    return term.amplitude if n == 0 else None
-                if n == 0:
-                    return None
-                excess = 1.0 - math.exp(-abs(beta) ** 2)
-                return term.amplitude * coherent_number_overlap(beta, n) / math.sqrt(excess)
-            return term.amplitude * coherent_number_overlap(beta, n)
-
-        regs, terms = _without_register(state, idx, weight)
-        p, branch = _branch(regs, terms, state.born_weight, norm_in)
+        if ideal and n == 0:
+            terms, n2 = quiet_layout.apply([t.amplitude for t in quiet])
+        else:
+            root = math.sqrt(math.factorial(n))
+            amps = [t.amplitude * (v * b**n / root) for t, b, v in zip(lit, betas, vacuum)]
+            if ideal:
+                amps = [a / r for a, r in zip(amps, rescale)]
+            terms, n2 = lit_layout.apply(amps)
+        p, branch = _renormalized(PhotonicState(regs, terms, state.born_weight), n2, norm_in)
         if p > 0.0:
             outcomes.append(Outcome(str(n), float(n), p, branch))
     return BranchDistribution(tuple(outcomes))

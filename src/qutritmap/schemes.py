@@ -162,10 +162,10 @@ def _check_unit_interval(name: str, value: float):
 
 
 def _check_probe(alpha: float, theta: float):
-    if alpha <= 0.0:
-        raise InvalidInput(f"qubus amplitude must be positive, got {alpha!r}")
-    if theta <= 0.0:
-        raise InvalidInput(f"cross-phase angle must be positive, got {theta!r}")
+    if not 0.0 < alpha < math.inf:
+        raise InvalidInput(f"qubus amplitude must be positive and finite, got {alpha!r}")
+    if not 0.0 < theta < math.inf:
+        raise InvalidInput(f"cross-phase angle must be positive and finite, got {theta!r}")
     if alpha * (1.0 - math.cos(theta)) < _PHASE_RESOLUTION:
         raise InvalidInput(
             "qubus amplitude times (1 - cos theta) is too small to resolve "

@@ -1,0 +1,34 @@
+"""The benchmark runs and its oracles still accept the package.
+
+``benchmarks/run.py`` checks every evaluation against closed forms and reads
+names from the package (``branch_n*_probability``, ``probe_total_probability``,
+the ``entangler-1``/``entangler-2`` log steps, the readout's ``cap``
+parameter).  A short run of each qubus workload must end correct, with no
+more failures than the seed state records in ``benchmarks/workloads.json``.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = json.loads((ROOT / "benchmarks" / "workloads.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", ["qubus-ideal", "qubus-physical"])
+def test_short_benchmark_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seconds", "0.01"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    seed_share = WORKLOADS["workloads"][workload]["seed_state"]["failed_share"]
+    assert result["failed"] / result["attempted"] <= seed_share + 1e-12

@@ -215,6 +215,18 @@ def test_errors_exit_nonzero_with_diagnostics(capsys, tmp_path):
     assert code == 2 and "unknown parameter 'number_cap'" in err
     code, _, err = run_cli(["run", "--scheme", "linear-forward", "--alpha", "1"], capsys)
     assert code == 2 and "together" in err
+    for param in ("qubus_alpha=nan", "qubus_alpha=inf", "theta=inf", "theta=nan"):
+        code, _, err = run_cli(
+            ["run", "--scheme", "kerr-forward", "--param", param], capsys
+        )
+        assert code == 2 and "must be positive and finite" in err
+    for scheme, alpha in (
+        ("entangler", "1e13"), ("entangler", "1e200"), ("kerr-forward", "1e200"),
+    ):
+        code, _, err = run_cli(
+            ["run", "--scheme", scheme, "--param", f"qubus_alpha={alpha}"], capsys
+        )
+        assert code == 2 and "probe arithmetic overflows" in err
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([[1, 0], [0, 1]]))
     code, _, err = run_cli(

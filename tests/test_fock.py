@@ -7,6 +7,7 @@ the implementation under test.
 """
 
 import cmath
+import dataclasses
 import math
 import pickle
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qutritmap import fock
 from qutritmap.fock import (
     FockTerm,
     InvalidInput,
@@ -340,3 +342,35 @@ def test_inner_product_register_mismatch():
     s2 = build_state(("r",), [FockTerm.from_occupations({Mode("a", "H"): 1}, (0j,))])
     with pytest.raises(InvalidInput):
         inner_product(s1, s2)
+
+
+def test_norm_is_computed_once_per_state(monkeypatch):
+    s = random_state([0.5 + 0.25j, -0.75j, 0.5, 0.25], [0.25, -0.5j, 1.0], 2)
+    want = inner_product(s, s).real
+    calls = []
+
+    def counted(bra, ket):
+        calls.append((bra, ket))
+        return inner_product(bra, ket)
+
+    monkeypatch.setattr(fock, "inner_product", counted)
+    assert norm_sq(s) == want
+    assert norm_sq(s) == want
+    assert len(calls) == 1
+
+
+def test_cached_norm_leaves_value_semantics_alone():
+    def make():
+        return random_state([0.5 + 0.25j, -0.75j, 0.5], [0.25, -0.5j], 1)
+
+    s, twin = make(), make()
+    n2 = norm_sq(s)  # cached on s only
+    assert s == twin and hash(s) == hash(twin) and repr(s) == repr(twin)
+    reweighted = dataclasses.replace(s, born_weight=0.25)
+    assert reweighted.born_weight == 0.25 and reweighted.terms == s.terms
+    assert norm_sq(reweighted) == n2
+    doubled = dataclasses.replace(s, terms=fock.scaled(s, 2.0).terms)
+    assert norm_sq(doubled) == inner_product(doubled, doubled).real != n2
+    for obj in (s, twin):
+        copied = pickle.loads(pickle.dumps(obj))
+        assert copied == obj and hash(copied) == hash(obj) and norm_sq(copied) == n2

@@ -29,7 +29,7 @@ SEEDS = (0, 7)
 OPTIONS = {
     "variant": ("double-xpm", "separate-qnd"),
     "meas_mode": ("ideal", "physical"),
-    "qubus_alpha": (1.0, 2.0, 5.0),
+    "qubus_alpha": (1.0, 2.0, 5.0, 10.0, 40.0),
 }
 
 
