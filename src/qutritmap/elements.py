@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,14 +19,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fock import (
+    PRUNE_EPS,
+    CanonicalLayout,
     FockTerm,
     InvalidInput,
     Mode,
     PhotonicState,
     POLS,
     WiringError,
-    build_state,
-    sorted_state,
     state_paths,
 )
 
@@ -75,6 +76,69 @@ class BeamSplitterSpec:
         return ((self.t, self.r), (-self.r, self.t))
 
 
+# Distinct (input keys, mapping shape) pairs the benchmark workloads reach and
+# keep: 24 (linear optics), 60 (ideal qubus) and 96 (physical qubus), so one
+# process running all three keeps every plan; run_all()'s random circuits
+# make about 700 one-off plans, which the bound evicts instead of keeping.
+_PLAN_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _substitution_plan(keys, shape):
+    """What :func:`substitute_modes` computes that depends on no value.
+
+    ``keys`` are the input's ``(occ, coherent)`` pairs and ``shape`` the
+    ``(mode, target modes)`` of the mapping.  Returns, as tuples:
+
+    * ``expansions``: ``(slot, n!, picks)`` per mapped (mode, n), ``picks``
+      listing each multinomial term's ``(target index, count, count!)``;
+      their coefficients are numbered in this order;
+    * ``raw``: ``(input term, coefficient numbers)`` per unmerged output term;
+    * ``members``: the merged groups of raw terms (``CanonicalLayout``);
+    * ``outs``: each group's occupation and the input term whose labels it
+      carries, which the caller reads from its own input.
+    """
+    slot_of = {mode: slot for slot, (mode, _) in enumerate(shape)}
+    expansions, expansion_of = [], {}
+    raw, raw_keys = [], []
+    for src, (occ_in, coh) in enumerate(keys):
+        partials: list[tuple[dict[Mode, int], tuple[int, ...]]] = [({}, ())]
+        for mode, n in occ_in:
+            slot = slot_of.get(mode)
+            if slot is None:
+                for occ, _ in partials:
+                    occ[mode] = occ.get(mode, 0) + n
+                continue
+            targets = shape[slot][1]
+            if (slot, n) not in expansion_of:
+                picks = []
+                for pick in itertools.combinations_with_replacement(range(len(targets)), n):
+                    counts: dict[int, int] = {}
+                    for i in pick:
+                        counts[i] = counts.get(i, 0) + 1
+                    picks.append(tuple((i, k, math.factorial(k)) for i, k in counts.items()))
+                base = sum(len(p) for _, _, p in expansions)
+                expansion_of[slot, n] = (base, picks)
+                expansions.append((slot, math.factorial(n), tuple(picks)))
+            base, picks = expansion_of[slot, n]
+            grown = []
+            for occ, path in partials:
+                for j, pick in enumerate(picks):
+                    merged = dict(occ)
+                    for i, k, _ in pick:
+                        merged[targets[i]] = merged.get(targets[i], 0) + k
+                    grown.append((merged, path + (base + j,)))
+            partials = grown
+        for occ, path in partials:
+            raw.append((src, path))
+            raw_keys.append((tuple(sorted(occ.items())), coh))
+    layout = CanonicalLayout(raw_keys)
+    outs = tuple(
+        (occ, raw[first][0]) for (occ, _), (first, _) in zip(layout.keys, layout.members)
+    )
+    return tuple(expansions), tuple(raw), layout.members, outs
+
+
 def substitute_modes(
     state: PhotonicState,
     mapping: Mapping[Mode, Sequence[tuple[Mode, complex]]],
@@ -83,43 +147,37 @@ def substitute_modes(
 
     ``(sum_i c_i b_i^dag)^n`` is expanded with multinomial coefficients;
     contributions landing on the same output mode accumulate occupation.
+    Which terms arise, merge and in what order depends only on the input's
+    keys and the mapped and target modes (:func:`_substitution_plan`, cached);
+    each call computes the coefficients and amplitudes.
     """
-    expansions_of: dict[tuple[Mode, int], list] = {}
-    new_terms = []
-    for term in state.terms:
-        partials: list[tuple[dict[Mode, int], complex]] = [({}, term.amplitude)]
-        for mode, n in term.occ:
-            targets = mapping.get(mode)
-            if targets is None:
-                for occ, _ in partials:
-                    occ[mode] = occ.get(mode, 0) + n
-                continue
-            expansions = expansions_of.get((mode, n))
-            if expansions is None:
-                expansions = expansions_of[mode, n] = []
-                for pick in itertools.combinations_with_replacement(range(len(targets)), n):
-                    counts: dict[int, int] = {}
-                    for i in pick:
-                        counts[i] = counts.get(i, 0) + 1
-                    coeff = math.factorial(n)
-                    add: dict[Mode, int] = {}
-                    for i, k in counts.items():
-                        coeff /= math.factorial(k)
-                        tmode, c = targets[i]
-                        coeff *= c**k
-                        add[tmode] = add.get(tmode, 0) + k
-                    expansions.append((add, coeff))
-            grown = []
-            for occ, amp in partials:
-                for add, coeff in expansions:
-                    merged = dict(occ)
-                    for m, k in add.items():
-                        merged[m] = merged.get(m, 0) + k
-                    grown.append((merged, amp * coeff))
-            partials = grown
-        for occ, amp in partials:
-            new_terms.append(FockTerm(tuple(sorted(occ.items())), term.coherent, amp))
-    return build_state(state.registers, new_terms, state.born_weight)
+    targets = tuple(mapping.values())
+    shape = tuple((mode, tuple(m for m, _ in t)) for mode, t in zip(mapping, targets))
+    inputs = state.terms
+    expansions, raw, members, outs = _substitution_plan(
+        tuple((t.occ, t.coherent) for t in inputs), shape
+    )
+    coeffs = []
+    for slot, n_fact, picks in expansions:
+        for pick in picks:
+            coeff = n_fact
+            for i, k, k_fact in pick:
+                coeff /= k_fact
+                coeff *= targets[slot][i][1] ** k
+            coeffs.append(coeff)
+    amps = []
+    for src, path in raw:
+        amp = inputs[src].amplitude
+        for j in path:
+            amp = amp * coeffs[j]
+        amps.append(amp)
+    sums = CanonicalLayout.sums(members, amps)
+    terms = tuple(
+        FockTerm(occ, inputs[src].coherent, amp)
+        for (occ, src), amp in zip(outs, sums)
+        if abs(amp) > PRUNE_EPS
+    )
+    return PhotonicState(state.registers, terms, float(state.born_weight))
 
 
 def _check_outputs(state, inputs, outputs):
@@ -175,13 +233,9 @@ def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> P
 
 
 def apply_sigma_x(state: PhotonicState, path: str) -> PhotonicState:
-    """Swap H and V on one path of a canonical state (half-wave plate at 45 deg)."""
-    flip = {"H": "V", "V": "H"}
-    terms = []
-    for t in state.terms:
-        occ = sorted((Mode(path, flip[m.pol]) if m.path == path else m, n) for m, n in t.occ)
-        terms.append(FockTerm(tuple(occ), t.coherent, t.amplitude))
-    return sorted_state(state, terms)
+    """Swap H and V on one path (half-wave plate at 45 deg)."""
+    h, v = Mode(path, "H"), Mode(path, "V")
+    return substitute_modes(state, {h: [(v, 1.0)], v: [(h, 1.0)]})
 
 
 def route_pbs(

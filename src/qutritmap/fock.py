@@ -185,7 +185,10 @@ def build_state(
 
 
 def sorted_state(state: PhotonicState, terms: Iterable[FockTerm]) -> PhotonicState:
-    """Sorted, unmerged ``terms``: one-to-one maps keeping labels COHERENT_MERGE_EPS apart."""
+    """Sorted, unmerged ``terms``: one-to-one maps keeping labels COHERENT_MERGE_EPS apart.
+
+    Serves ``apply_xpm``, ``coherent_phase`` and ``coherent_bs50``.
+    """
     return PhotonicState(state.registers, _sorted_terms(terms), state.born_weight)
 
 
@@ -241,6 +244,8 @@ class CanonicalLayout:
     Merges, sort order and the norm's same-occupation pairs depend only on the
     ``(occ, coherent)`` keys, so they are worked out once; :meth:`apply` maps one
     amplitude per key to exactly ``build_state(...).terms`` and their ``norm_sq``.
+    ``keys`` and ``members`` give each merged term's key (its first member's)
+    and its ``(first, rest)`` key indices, in sorted order.
     """
 
     def __init__(self, keys: Iterable[tuple[tuple, tuple[complex, ...]]]):
@@ -255,23 +260,33 @@ class CanonicalLayout:
                 bucket.append([occ, coh, [i]])
         entries = [e for bucket in groups.values() for e in bucket]
         entries.sort(key=lambda e: (e[0], tuple(map(_rounded, e[1]))))
-        self._keys = [(occ, coh) for occ, coh, _ in entries]
-        self._members = [(m[0], m[1:]) for _, _, m in entries]
-        # (bra, ket, occupation norm, label overlaps) in inner_product's order
-        self._pairs = [
+        self.keys = tuple((occ, coh) for occ, coh, _ in entries)
+        self.members = tuple((m[0], tuple(m[1:])) for _, _, m in entries)
+
+    @functools.cached_property
+    def _pairs(self):
+        # (bra, ket, occupation norm, label overlaps) in inner_product's order;
+        # built on first use, since substitution plans never read the norm
+        return [
             (a, b, _occ_norm(occ), tuple(coherent_overlap(*p) for p in zip(coh, coh_b)))
-            for a, (occ, coh) in enumerate(self._keys)
-            for b, (occ_b, coh_b) in enumerate(self._keys)
+            for a, (occ, coh) in enumerate(self.keys)
+            for b, (occ_b, coh_b) in enumerate(self.keys)
             if occ_b == occ
         ]
 
-    def apply(self, amplitudes) -> tuple[tuple[FockTerm, ...], float]:
+    @staticmethod
+    def sums(members, amplitudes) -> list[complex]:
+        """Each group's amplitudes summed in key order, from its first member."""
         sums = []
-        for first, rest in self._members:
+        for first, rest in members:
             amp = amplitudes[first]
             for i in rest:
                 amp += amplitudes[i]
             sums.append(amp)
+        return sums
+
+    def apply(self, amplitudes) -> tuple[tuple[FockTerm, ...], float]:
+        sums = self.sums(self.members, amplitudes)
         live = [abs(amp) > PRUNE_EPS for amp in sums]
         total = 0j
         for a, b, fac, overlaps in self._pairs:
@@ -280,7 +295,7 @@ class CanonicalLayout:
                 for ov in overlaps:
                     val *= ov
                 total += val
-        terms = (FockTerm(*key, amp) for key, amp, ok in zip(self._keys, sums, live) if ok)
+        terms = (FockTerm(*key, amp) for key, amp, ok in zip(self.keys, sums, live) if ok)
         return tuple(terms), total.real
 
 

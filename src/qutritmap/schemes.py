@@ -25,6 +25,7 @@ typed in as decimals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -106,6 +107,10 @@ DEFAULT_THETA = 0.3
 _FIFTY = BeamSplitterSpec.fifty_fifty()
 _LOG_TOL = 1e-12
 _PHASE_RESOLUTION = 1e-6
+# Probe labels reach sqrt(2) alpha and fock.coherent_overlap sums exponent
+# terms of size |label|^2, so its rounding error is about 2 alpha^2 epsilon;
+# above this amplitude that error exceeds 1e-9 (alpha ~ 1500).
+_MAX_PROBE_ALPHA = math.sqrt(1e-9 / (2.0 * sys.float_info.epsilon))
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,11 @@ def _check_unit_interval(name: str, value: float):
 def _check_probe(alpha: float, theta: float):
     if not 0.0 < alpha < math.inf:
         raise InvalidInput(f"qubus amplitude must be positive and finite, got {alpha!r}")
+    if alpha > _MAX_PROBE_ALPHA:
+        raise InvalidInput(
+            f"qubus amplitude {alpha!r} exceeds {_MAX_PROBE_ALPHA:.0f}: coherent-state "
+            "overlaps would lose more than 1e-9 to rounding"
+        )
     if not 0.0 < theta < math.inf:
         raise InvalidInput(f"cross-phase angle must be positive and finite, got {theta!r}")
     if alpha * (1.0 - math.cos(theta)) < _PHASE_RESOLUTION:

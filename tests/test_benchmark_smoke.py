@@ -3,8 +3,9 @@
 ``benchmarks/run.py`` checks every evaluation against closed forms and reads
 names from the package (``branch_n*_probability``, ``probe_total_probability``,
 the ``entangler-1``/``entangler-2`` log steps, the readout's ``cap``
-parameter).  A short run of each qubus workload must end correct, with no
-more failures than the seed state records in ``benchmarks/workloads.json``.
+parameter).  A short run of each workload, the linear-optics one included,
+must end correct, with no more failures than the seed state records in
+``benchmarks/workloads.json``.
 """
 
 import json
@@ -18,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = json.loads((ROOT / "benchmarks" / "workloads.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("workload", ["qubus-ideal", "qubus-physical"])
+@pytest.mark.parametrize("workload", ["linear-optics", "qubus-ideal", "qubus-physical"])
 def test_short_benchmark_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seconds", "0.01"],

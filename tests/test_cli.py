@@ -226,7 +226,16 @@ def test_errors_exit_nonzero_with_diagnostics(capsys, tmp_path):
         code, _, err = run_cli(
             ["run", "--scheme", scheme, "--param", f"qubus_alpha={alpha}"], capsys
         )
-        assert code == 2 and "probe arithmetic overflows" in err
+        assert code == 2 and "overlaps would lose more than 1e-9" in err
+    code, out, err = run_cli(
+        [
+            "run", "--scheme", "entangler", "--param", "meas_mode=physical",
+            "--param", "qubus_alpha=1e9", "--seed", "5", "--format", "csv",
+        ],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "qubus amplitude 1000000000.0 exceeds 1501" in err
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([[1, 0], [0, 1]]))
     code, _, err = run_cli(
@@ -258,6 +267,19 @@ def test_unused_param_is_rejected_before_the_scheme_runs(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert err == "error: parameters not used by u3-linear: qubus_alpha\n"
+
+
+def test_overflow_in_a_scheme_exits_with_a_diagnostic(capsys, monkeypatch):
+    original = SCHEMES["entangler"]
+
+    @functools.wraps(original)  # keeps the signature the CLI reads
+    def overflows(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(SCHEMES, "entangler", overflows)
+    code, out, err = run_cli(["run", "--scheme", "entangler"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: probe arithmetic overflows at these parameters: math range error\n"
 
 
 def test_verify_json_reports_all_criteria(capsys):
