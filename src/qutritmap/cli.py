@@ -50,7 +50,7 @@ REPORT_SCHEMA = {
         "checks",
     ],
     "properties": {
-        "schema": {"const": "qutritmap-report/1"},
+        "schema": {"const": "qutritmap-report/2"},
         "scheme": {"type": "string"},
         "seed": {"type": "integer"},
         "input": {
@@ -193,7 +193,7 @@ def _dispatch(scheme: str, c, params: dict, matrix) -> SchemeReport:
 def _report_payload(rep: SchemeReport, seed: int, c, params: dict, matrix) -> dict:
     a, b, g = c.as_tuple()
     payload = {
-        "schema": "qutritmap-report/1",
+        "schema": "qutritmap-report/2",
         "scheme": rep.scheme,
         "seed": int(seed),
         "input": {"alpha": _pair(a), "beta": _pair(b), "gamma": _pair(g)},

@@ -30,10 +30,13 @@ PROB_EPS = 1e-15
 
 @dataclass(frozen=True)
 class Outcome:
+    """One result and its renormalized branch; ``state`` is None where that
+    branch is a mixture, which is not modelled (its probability is exact)."""
+
     label: str
     value: float | None
     probability: float
-    state: PhotonicState
+    state: PhotonicState | None
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,10 @@ from .fock import (
     UnsupportedMode,
     WiringError,
     build_state,
+    inner_product,
     sorted_state,
 )
 from .measurement import BranchDistribution, Outcome, _branch, _norm_in, _renormalized
-
-NUMBER_CAP = 25
 
 
 def add_register(state: PhotonicState, register: str, alpha0: complex) -> PhotonicState:
@@ -117,52 +116,81 @@ def coherent_number_overlap(beta: complex, n: int) -> complex:
     return cmath.exp(-0.5 * abs(beta) ** 2) * beta**n / math.sqrt(math.factorial(n))
 
 
-def project_photon_number(
-    state: PhotonicState,
-    register: str,
-    mode: str = "ideal",
-    cap: int = NUMBER_CAP,
-) -> BranchDistribution:
-    """Count photons in a probe register, destroying it.
+def _rescaled(terms, idx: int, factor) -> list[FockTerm]:
+    """``terms`` with each amplitude times ``factor(|b|^2)``, b its label in ``idx``."""
+    return [t._replace(amplitude=t.amplitude * factor(abs(t.coherent[idx]) ** 2)) for t in terms]
 
-    ``physical`` uses the exact Poissonian overlaps ``<n|beta>`` for every
-    outcome 0..cap, so a displaced register leaks weight into n=0.  ``ideal``
-    treats any register with |beta| above the merge tolerance as reliably
-    flagged: its vacuum overlap is dropped and the n>=1 weights are rescaled
-    by 1/sqrt(1 - e^{-|beta|^2}), while only genuinely undisplaced registers
-    feed the n=0 branch.
+
+def project_photon_number(
+    state: PhotonicState, register: str, mode: str = "ideal"
+) -> BranchDistribution:
+    """Count photons in a probe register, destroying it, by outcome class.
+
+    Feed-forward tells apart only ``"0"``, ``"odd"`` and ``"even"`` (n >= 2),
+    so each class is summed over all of its n in closed form, untruncated:
+    with z = b* b' and m = (|b|^2 + |b'|^2)/2, the class sums of <b|n><n|b'>
+    are e^{-m}, (e^{z-m} - e^{-z-m})/2 and (e^{z-m} + e^{-z-m})/2 - e^{-m}.
+    ``physical`` uses them as they are, so a displaced register leaks weight
+    into "0".  ``ideal`` treats any |beta| above the merge tolerance as
+    reliably flagged: undisplaced terms feed "0" unchanged, displaced terms
+    feed "odd" and "even" rescaled by 1/sqrt(1 - e^{-|beta|^2}).
+
+    "0" is pure, and so are "odd" and "even" when every displaced label is
+    +beta or -beta of one beta (term t then reads a_t s_t^p, s_t its label's
+    sign, p = 1 for odd and 0 for even).  Otherwise that class is a mixture,
+    which is not modelled: its outcome has the exact probability and state None.
     """
     if mode not in ("ideal", "physical"):
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
     regs = state.registers[:idx] + state.registers[idx + 1 :]
-    ideal = mode == "ideal"
-    quiet, lit = [], []  # ideally n = 0 reads only the undisplaced terms
-    for t in state.terms:
-        (quiet if ideal and abs(t.coherent[idx]) <= COHERENT_MERGE_EPS else lit).append(t)
-    # Merges, order and norm pairs do not depend on n: one layout serves all.
-    quiet_layout, lit_layout = (
+    lit = [t for t in state.terms if abs(t.coherent[idx]) > COHERENT_MERGE_EPS]
+    if mode == "ideal":
+        zero = [t for t in state.terms if abs(t.coherent[idx]) <= COHERENT_MERGE_EPS]
+        lit = _rescaled(lit, idx, lambda x: 1.0 / math.sqrt(-math.expm1(-x)))
+    else:
+        zero = _rescaled(state.terms, idx, lambda x: math.exp(-0.5 * x))  # times <0|b>
+    # Merges, order and norm pairs do not depend on amplitudes: one layout serves
+    # "0", one serves both "odd" and "even".
+    zero_layout, lit_layout = (
         CanonicalLayout((t.occ, t.coherent[:idx] + t.coherent[idx + 1 :]) for t in terms)
-        for terms in (quiet, lit)
+        for terms in (zero, lit)
     )
+    classes = [("0", *zero_layout.apply([t.amplitude for t in zero]))]
     betas = [t.coherent[idx] for t in lit]
-    vacuum = [cmath.exp(-0.5 * abs(b) ** 2) for b in betas]
-    rescale = [math.sqrt(1.0 - math.exp(-abs(b) ** 2)) for b in betas] if ideal else None
+    signs = [1.0 if abs(b - betas[0]) <= COHERENT_MERGE_EPS else -1.0 for b in betas]
+    if lit and all(abs(b - s * betas[0]) <= COHERENT_MERGE_EPS for b, s in zip(betas, signs)):
+        m = abs(betas[0]) ** 2
+        k_odd, k_even = math.sqrt(-0.5 * math.expm1(-2.0 * m)), -math.expm1(-m) / math.sqrt(2.0)
+        odd = [t.amplitude * s * k_odd for t, s in zip(lit, signs)]
+        classes.append(("odd", *lit_layout.apply(odd)))
+        classes.append(("even", *lit_layout.apply([t.amplitude * k_even for t in lit])))
+    elif lit:
+        classes += _mixed_classes(state.registers, lit, idx, lit_layout)
     outcomes = []
-    for n in range(cap + 1):
-        if ideal and n == 0:
-            terms, n2 = quiet_layout.apply([t.amplitude for t in quiet])
-        else:
-            root = math.sqrt(math.factorial(n))
-            amps = [t.amplitude * (v * b**n / root) for t, b, v in zip(lit, betas, vacuum)]
-            if ideal:
-                amps = [a / r for a, r in zip(amps, rescale)]
-            terms, n2 = lit_layout.apply(amps)
-        p, branch = _renormalized(PhotonicState(regs, terms, state.born_weight), n2, norm_in)
+    for label, terms, n2 in classes:
+        p, branch = _renormalized(PhotonicState(regs, terms or (), state.born_weight), n2, norm_in)
         if p > 0.0:
-            outcomes.append(Outcome(str(n), float(n), p, branch))
+            outcomes.append(Outcome(label, None, p, None if terms is None else branch))
     return BranchDistribution(tuple(outcomes))
+
+
+def _mixed_classes(registers, lit, idx, lit_layout):
+    """``(label, None, mass)`` of "odd" and "even" from the class Gram of ``lit``.
+
+    e^{z-m} = <b|b'> and e^{-z-m} = <b|-b'>, so with P the parity b -> -b the
+    odd mass is (<psi|psi> - <psi|P psi>)/2 and the even mass is
+    (<psi|psi> + <psi|P psi>)/2 less the norm of psi's vacuum part.
+    """
+    flipped = [t._replace(coherent=t.coherent[:idx] + (-t.coherent[idx],) + t.coherent[idx + 1 :])
+               for t in lit]
+    psi = PhotonicState(registers, tuple(lit))
+    n2 = inner_product(psi, psi).real
+    flip = inner_product(psi, PhotonicState(registers, tuple(flipped))).real
+    vacuum = _rescaled(lit, idx, lambda x: math.exp(-0.5 * x))
+    _, vac = lit_layout.apply([t.amplitude for t in vacuum])
+    return [("odd", None, 0.5 * (n2 - flip)), ("even", None, 0.5 * (n2 + flip) - vac)]
 
 
 def project_quadrature_x(

@@ -38,6 +38,7 @@ from .fock import (
     Mode,
     PhotonicState,
     QutritCoefficients,
+    UnsupportedMode,
     WiringError,
     ancilla_plus,
     build_state,
@@ -633,15 +634,17 @@ def entangler_branches(
     theta: float = DEFAULT_THETA,
     meas_mode: str = "ideal",
     register_prefix: str = "probe",
-) -> list[tuple[int, float, PhotonicState]]:
-    """All corrected outcomes of one entangling block, as (n, p, state).
+) -> list[tuple[str, float, PhotonicState]]:
+    """All corrected outcomes of one entangling block, as (class, p, state).
 
     Two probe beams pick up conditional cross phases (which polarization
     couples to which beam depends on ``pattern``), interfere on a 50:50
-    coupler, and the difference port is counted.  n = 0 needs no correction;
-    every n > 0 is fixed by a phase of n pi on the H-coupled paths plus a
-    polarization flip of the ancilla.  The undetected probe is dropped when
-    its labels are uniform across every branch, otherwise kept on all.
+    coupler, and the difference port is counted by outcome class.  n = 0
+    needs no correction; odd n is fixed by a phase of pi on the H-coupled
+    paths plus a polarization flip of the ancilla, even n >= 2 by the flip
+    alone.  The undetected probe is dropped when its labels are uniform
+    across every branch, otherwise kept on all.  A readout class without a
+    pure state raises ``UnsupportedMode``.
     """
     alpha = float(qubus_alpha)
     theta = float(theta)
@@ -652,23 +655,18 @@ def entangler_branches(
     s = _probe_pair(state, register_prefix, alpha, theta, beam1, beam2)
     dist = project_photon_number(s, f"{register_prefix}-1", mode=meas_mode)
 
-    rule = {}
-    for o in dist.outcomes:
-        n = int(o.value)
-        fixes: tuple[Correction, ...] = ()
-        if n > 0:
-            fixes = tuple(
-                Correction("phase", Mode(p, H), n * math.pi) for p in h_active
-            )
-            fixes += (Correction("sigma_x", ancilla),)
-        rule[o.label] = fixes
-    dist = apply_feed_forward(dist, FeedForwardRule(rule))
+    if any(o.state is None for o in dist.outcomes):
+        raise UnsupportedMode("probe readout class holds a mixture, which is not modelled")
+    phase = tuple(Correction("phase", Mode(p, H), math.pi) for p in h_active)
+    flip = (Correction("sigma_x", ancilla),)
+    rule = FeedForwardRule({"0": (), "odd": phase + flip, "even": flip})
+    dist = apply_feed_forward(dist, rule)
 
-    corrected = [(int(o.value), o.probability, o.state) for o in dist.outcomes]
+    corrected = [(o.label, o.probability, o.state) for o in dist.outcomes]
     dropped = []
-    for n, p, st in corrected:
+    for label, p, st in corrected:
         try:
-            dropped.append((n, p, drop_register(st, f"{register_prefix}-2")))
+            dropped.append((label, p, drop_register(st, f"{register_prefix}-2")))
         except WiringError:
             return corrected
     return dropped
@@ -685,9 +683,9 @@ def entangler(
 ) -> SchemeReport:
     """Run one entangling block and merge all corrected outcomes.
 
-    Deterministic: the branch probabilities sum to one (up to the probe
-    readout's cap) and every corrected branch matches the ideal output, so
-    the merged state is reported with a single full-probability log entry.
+    Deterministic: the branch probabilities sum to one and every corrected
+    branch matches the ideal output, so the merged state is reported with a
+    single full-probability log entry.
     Per-branch probabilities and fidelities land in ``checks``.
     """
     reference = _entangler_reference(state, paths, ancilla)
@@ -698,10 +696,10 @@ def entangler(
     total = 0.0
     mean_fid = 0.0
     merged_input = []
-    for n, p, st in branches:
+    for label, p, st in branches:
         f = traced_fidelity(st, reference)
-        checks[f"branch_n{n}_probability"] = p
-        checks[f"branch_n{n}_fidelity"] = f
+        checks[f"branch_n{label}_probability"] = p
+        checks[f"branch_n{label}_fidelity"] = f
         total += p
         mean_fid += p * f
         merged_input.append((p, st))

@@ -2,10 +2,9 @@
 
 ``benchmarks/run.py`` checks every evaluation against closed forms and reads
 names from the package (``branch_n*_probability``, ``probe_total_probability``,
-the ``entangler-1``/``entangler-2`` log steps, the readout's ``cap``
-parameter).  A short run of each workload, the linear-optics one included,
-must end correct, with no more failures than the seed state records in
-``benchmarks/workloads.json``.
+the ``entangler-1``/``entangler-2`` log steps).  A short run of each
+workload, the linear-optics one included, must end correct with no failed
+evaluation: a readout that truncated probability mass again would fail here.
 """
 
 import json
@@ -16,7 +15,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = json.loads((ROOT / "benchmarks" / "workloads.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("workload", ["linear-optics", "qubus-ideal", "qubus-physical"])
@@ -31,5 +29,4 @@ def test_short_benchmark_run_is_correct(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    seed_share = WORKLOADS["workloads"][workload]["seed_state"]["failed_share"]
-    assert result["failed"] / result["attempted"] <= seed_share + 1e-12
+    assert result["failed"] == 0

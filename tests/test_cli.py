@@ -26,6 +26,9 @@ def test_run_emits_valid_json_report(capsys):
     assert code == 0 and err == ""
     payload = json.loads(out)
     jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["schema"] == "qutritmap-report/2"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**payload, "schema": "qutritmap-report/1"}, REPORT_SCHEMA)
     assert payload["scheme"] == "kerr-forward"
     assert payload["seed"] == 3
     assert abs(payload["success_probability"] - 1 / 6) < 1e-10

@@ -105,9 +105,14 @@ def test_measure_physical_leakage_is_vacuum_overlap():
 def test_measure_physical_is_complete_at_moderate_amplitude():
     s = add_register(single_photon("a"), "p", 2.0)
     dist = project_photon_number(s, "p", mode="physical")
-    assert dist.total_probability == pytest.approx(1.0, abs=1e-9)
-    # Poisson statistics with mean 4
-    assert dist.get("4").probability == pytest.approx(math.exp(-4.0) * 4**4 / 24)
+    assert dist.labels() == ("0", "odd", "even")
+    assert dist.total_probability == pytest.approx(1.0, abs=1e-12)
+    # Poisson statistics with mean 4, summed over each class
+    assert dist.get("0").probability == pytest.approx(math.exp(-4.0), rel=1e-12)
+    assert dist.get("odd").probability == pytest.approx(math.sinh(4.0) * math.exp(-4.0), rel=1e-12)
+    assert dist.get("even").probability == pytest.approx(
+        (math.cosh(4.0) - 1.0) * math.exp(-4.0), rel=1e-12
+    )
 
 
 def test_measure_ideal_separates_flagged_and_quiet_terms():
@@ -118,12 +123,12 @@ def test_measure_ideal_separates_flagged_and_quiet_terms():
     assert zero.probability == pytest.approx(0.5)
     assert zero.state.terms[0].occ == ((Mode("a", "H"), 1),)
     assert zero.state.registers == ()
-    flagged = sum(o.probability for o in dist.outcomes if o.value and o.value >= 1)
-    assert flagged == pytest.approx(0.5, abs=1e-9)
-    for o in dist.outcomes:
-        if o.value and o.value >= 1:
-            assert o.state.terms[0].occ == ((Mode("b", "H"), 1),)
-    assert dist.total_probability == pytest.approx(1.0, abs=1e-9)
+    flagged = [o for o in dist.outcomes if o.label != "0"]
+    assert [o.label for o in flagged] == ["odd", "even"]
+    assert sum(o.probability for o in flagged) == pytest.approx(0.5, abs=1e-12)
+    for o in flagged:
+        assert o.state.terms[0].occ == ((Mode("b", "H"), 1),)
+    assert dist.total_probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_ideal_zero_branch_has_no_vacuum_contamination():
@@ -136,19 +141,20 @@ def test_measure_ideal_zero_branch_has_no_vacuum_contamination():
 
 
 def test_measure_number_interferes_indistinguishable_labels():
-    # same |beta| with opposite phases: n parity modulates the branch state
-    theta = 0.4
-    beta = 2.0
+    # labels +beta and -beta: photon-number parity modulates the branch
+    # state, each class keeping one relative sign
+    beta = 2.0 * cmath.exp(0.4j)
     r = 1 / math.sqrt(2)
-    s = labelled_state(
-        [("a", r, (beta * cmath.exp(1j * theta),)), ("b", r, (beta * cmath.exp(-1j * theta),))]
-    )
+    s = labelled_state([("a", r, (beta,)), ("b", r, (-beta,))])
     dist = project_photon_number(s, "p", mode="physical")
-    one = dist.get("1")
-    amp_a = one.state.terms[0].amplitude
-    amp_b = one.state.terms[1].amplitude
-    # relative phase between branches is e^{-2 i theta}
-    assert amp_b / amp_a == pytest.approx(cmath.exp(-2j * theta))
+    for label, sign in (("odd", -1.0), ("even", 1.0)):
+        st_c = dist.get(label).state
+        amp_a = st_c.terms[0].amplitude
+        amp_b = st_c.terms[1].amplitude
+        assert amp_b / amp_a == pytest.approx(sign, abs=1e-12)
+    # both labels have one vacuum overlap, so "0" keeps the even sign too
+    zero = dist.get("0").state
+    assert zero.terms[1].amplitude / zero.terms[0].amplitude == pytest.approx(1.0)
 
 
 def test_born_weight_tracks_cascaded_measurements():

@@ -1,15 +1,19 @@
-"""The photon-number readout and its shared layout against per-outcome references.
+"""The photon-number readout by outcome class against a per-n reference.
 
-``project_photon_number`` works out once which terms merge, how they sort
-and which pairs its norms sum, and reuses that for every outcome n.  The
-reference below is the readout written the direct way, rebuilding,
-merging, sorting and norming each outcome on its own; both must agree bit
-for bit, so the comparisons are on ``repr`` (which also tells -0.0 from 0.0).
+``project_photon_number`` sums each class ("0", "odd", "even" n >= 2) in
+closed form.  The reference below is the readout written the direct way:
+one branch per photon number n, built, merged and normed on its own, with
+<n|beta> in log space, summed until the remaining tail is below 1e-17.
+Class probabilities must match its per-n sums, and a class state must be
+the state of every n in its class (fidelity 1 against the per-n mixture).
 """
 
 import cmath
 import math
+import re
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,44 +25,112 @@ from qutritmap.fock import (
     InvalidInput,
     Mode,
     SimulationError,
+    UnsupportedMode,
     build_state,
+    fidelity,
     inner_product,
     norm_sq,
 )
-from qutritmap.measurement import BranchDistribution, Outcome, _branch, _norm_in
-from qutritmap.qubus import (
-    NUMBER_CAP,
-    _register_index,
-    _without_register,
-    coherent_number_overlap,
-    project_photon_number,
+from qutritmap.measurement import _branch, _norm_in
+from qutritmap.qubus import _register_index, _without_register, project_photon_number
+from qutritmap.sampling import haar_unitary, random_qutrit
+from qutritmap.schemes import (
+    P_KERR_FORWARD,
+    P_KERR_INVERSE,
+    entangler_branches,
+    scheme_entangler,
+    scheme_kerr_forward,
+    scheme_kerr_inverse,
+    u3_biphotonic,
 )
 
+TAIL = 1e-17
 
-def reference_project_photon_number(state, register, mode="ideal", cap=NUMBER_CAP):
-    """Per-outcome readout: each n rebuilds, merges, sorts and norms its branch."""
+
+def number_overlap(beta: complex, n: int) -> complex:
+    """<n|beta> = e^{-|beta|^2/2} beta^n / sqrt(n!), in log space."""
+    if beta == 0:
+        return 1.0 if n == 0 else 0.0
+    return cmath.exp(-0.5 * abs(beta) ** 2 + n * cmath.log(beta) - 0.5 * math.lgamma(n + 1))
+
+
+def reference_per_n(state, register, mode="ideal"):
+    """``[(n, p, branch)]`` for n = 0, 1, ... until the tail is below TAIL."""
     if mode not in ("ideal", "physical"):
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
-    outcomes = []
-    for n in range(cap + 1):
-        def weight(term, n=n):
-            beta = term.coherent[idx]
-            if mode == "ideal":
-                if abs(beta) <= COHERENT_MERGE_EPS:
-                    return term.amplitude if n == 0 else None
-                if n == 0:
-                    return None
-                excess = 1.0 - math.exp(-abs(beta) ** 2)
-                return term.amplitude * coherent_number_overlap(beta, n) / math.sqrt(excess)
-            return term.amplitude * coherent_number_overlap(beta, n)
+    ideal = mode == "ideal"
 
-        regs, terms = _without_register(state, idx, weight)
+    def weight(term, n):
+        beta = term.coherent[idx]
+        if ideal:
+            if abs(beta) <= COHERENT_MERGE_EPS:
+                return term.amplitude if n == 0 else None
+            if n == 0:
+                return None
+            return term.amplitude * number_overlap(beta, n) / math.sqrt(-math.expm1(-abs(beta) ** 2))
+        return term.amplitude * number_overlap(beta, n)
+
+    roots = [math.sqrt(math.prod(math.factorial(k) for _, k in t.occ)) for t in state.terms]
+    mu = max(abs(t.coherent[idx]) ** 2 for t in state.terms)
+    out = []
+    n = 0
+    while True:
+        regs, terms = _without_register(state, idx, lambda t, n=n: weight(t, n))
         p, branch = _branch(regs, terms, state.born_weight, norm_in)
-        if p > 0.0:
-            outcomes.append(Outcome(str(n), float(n), p, branch))
-    return BranchDistribution(tuple(outcomes))
+        out.append((n, p, branch))
+        # Triangle bound on p(n), the other registers' overlaps being at most
+        # 1; past n = 2 mu it at least halves with each n, so the tail after
+        # n is below twice this bound.
+        weights = [weight(t, n) for t in state.terms]
+        bound = sum(r * abs(w) for r, w in zip(roots, weights) if w is not None) ** 2 / norm_in
+        if n > 2 * mu + 1 and bound < TAIL / 4:
+            return out
+        n += 1
+
+
+def reference_classes(state, register, mode="ideal"):
+    """``{class: (probability, [(p, branch) per n])}`` from the per-n reference."""
+    classes = {"0": (0.0, []), "odd": (0.0, []), "even": (0.0, [])}
+    for n, p, branch in reference_per_n(state, register, mode):
+        label = "0" if n == 0 else ("odd" if n % 2 else "even")
+        total, members = classes[label]
+        classes[label] = (total + p, members + ([(p, branch)] if p > 0.0 else []))
+    return classes
+
+
+def plus_minus_one_beta(state, register):
+    """Whether every displaced label of ``register`` is +beta or -beta of one beta."""
+    idx = state.registers.index(register)
+    lit = [t.coherent[idx] for t in state.terms if abs(t.coherent[idx]) > COHERENT_MERGE_EPS]
+    return all(
+        min(abs(b - lit[0]), abs(b + lit[0])) <= COHERENT_MERGE_EPS for b in lit
+    )
+
+
+def assert_matches_reference(state, register, mode):
+    try:
+        want = reference_classes(state, register, mode)
+    except SimulationError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            project_photon_number(state, register, mode)
+        return
+    got = project_photon_number(state, register, mode)
+    order = [label for label in ("0", "odd", "even") if label in got.labels()]
+    assert list(got.labels()) == order
+    for label, (p_want, members) in want.items():
+        o = got.get(label) if label in got.labels() else None
+        p_got = o.probability if o is not None else 0.0
+        assert abs(p_got - p_want) <= 1e-12, (label, p_got, p_want)
+        if o is None:
+            continue
+        assert (o.state is None) == (label != "0" and not plus_minus_one_beta(state, register))
+        if o.state is not None:
+            assert o.state.born_weight == pytest.approx(state.born_weight * o.probability, rel=1e-12)
+            # <psi| rho_class |psi>, rho_class the per-n mixture of the class
+            mixed = sum(p * fidelity(branch, o.state) for p, branch in members)
+            assert mixed / sum(p for p, _ in members) >= 1 - 1e-12
 
 
 # Norm factors 2! and 3! (not only powers of two, whose products are exact).
@@ -118,18 +190,50 @@ def labelled_state(pools, specs, born_weight=1.0):
 def test_readout_matches_per_outcome_reference(pools, specs, pick, mode, born_weight):
     state = labelled_state(pools, specs, born_weight)
     register = state.registers[pick % len(state.registers)]
-    try:
-        want = reference_project_photon_number(state, register, mode)
-    except SimulationError as exc:
-        try:
-            project_photon_number(state, register, mode)
-        except type(exc) as got:
-            assert str(got) == str(exc)
-            return
-        raise AssertionError(f"reference raised {exc!r}, readout did not")
-    got = project_photon_number(state, register, mode)
-    assert got.labels() == want.labels()
-    assert repr(got) == repr(want)
+    assert_matches_reference(state, register, mode)
+
+
+# Label sets of one modulus (+beta, -beta), of two moduli on one axis (as in
+# kerr-forward's coupler), with the undisplaced label and signed-zero parts.
+ZEROS = (0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0))
+phase = st.one_of(
+    st.sampled_from((0.0, math.pi / 2, math.pi, -math.pi / 2)),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+
+
+@st.composite
+def class_label_sets(draw):
+    ph = draw(phase)
+    beta = cmath.rect(math.sqrt(draw(st.floats(min_value=0.05, max_value=30.0))), ph)
+    labels = [beta, -beta]
+    if draw(st.booleans()):
+        m2 = draw(st.floats(min_value=0.05, max_value=30.0).filter(
+            lambda m: abs(math.sqrt(m) - abs(beta)) > 1e-3))
+        gamma = cmath.rect(math.sqrt(m2), ph)
+        labels += [gamma, -gamma]
+    labels += draw(st.lists(st.sampled_from(ZEROS), max_size=2))
+    return labels
+
+
+@given(
+    labels=class_label_sets(),
+    others=label_pool,
+    specs=st.lists(
+        st.tuples(
+            st.integers(0, len(OCCS) - 1),
+            st.tuples(st.integers(0, 7), st.integers(0, 2)),
+            amplitude,
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    mode=st.sampled_from(("ideal", "physical")),
+)
+@settings(max_examples=120, deadline=None)
+def test_class_readout_matches_per_n_reference(labels, others, specs, mode):
+    state = labelled_state([labels, others], specs)
+    assert_matches_reference(state, "r0", mode)
 
 
 # Jitter below COHERENT_MERGE_EPS: the layout must cluster nearly equal labels.
@@ -167,3 +271,80 @@ def test_layout_gives_build_state_terms_and_norm(nregs, labels, specs, flips):
     want = build_state(regs, terms)
     assert repr(got_terms) == repr(want.terms)
     assert repr(got_norm) == repr(norm_sq(want)) == repr(inner_product(want, want).real)
+
+
+def readout_totals(name, report):
+    """Total outcome probability of every photon-number readout in a report."""
+    checks, steps = report.checks, {e.step: e.probability for e in report.branch_log}
+    if name == "entangler":
+        return [sum(v for k, v in checks.items() if k.startswith("branch_n") and k.endswith("_probability"))]
+    if name == "kerr-forward":
+        return [checks["probe_total_probability"]]
+    if name == "kerr-inverse":
+        return [steps["entangler-1"], steps["entangler-2"]]
+    return [checks["forward_probe_total_probability"], steps["entangler-1"], steps["entangler-2"]]
+
+
+LARGE_ALPHAS = (10.0, 20.0, 40.0, 1000.0)
+
+
+def large_alpha_reports(alpha, mode):
+    rng = np.random.default_rng(11)
+    c = random_qutrit(rng)
+    kwargs = {"qubus_alpha": alpha, "meas_mode": mode}
+    return {
+        "kerr-inverse": (scheme_kerr_inverse(c, **kwargs), P_KERR_INVERSE),
+        "u3-kerr": (
+            u3_biphotonic(c, haar_unitary(rng), backend="kerr", **kwargs),
+            P_KERR_FORWARD * P_KERR_INVERSE,
+        ),
+        "entangler": (scheme_entangler(c, **kwargs), 1.0),
+        "kerr-forward": (scheme_kerr_forward(c, **kwargs), P_KERR_FORWARD),
+    }
+
+
+@pytest.mark.parametrize("alpha", LARGE_ALPHAS)
+def test_large_alpha_ideal_probabilities_are_closed_forms(alpha):
+    # 1e-9 at |alpha| = 1000: the coherent-overlap rounding bound of
+    # schemes._MAX_PROBE_ALPHA, about 2 alpha^2 epsilon
+    tol = 1e-12 if alpha <= 40 else 1e-9
+    for name, (report, p0) in large_alpha_reports(alpha, "ideal").items():
+        assert abs(report.success_probability - p0) <= tol, name
+        assert report.output_fidelity >= 1 - 1e-9, name
+
+
+@pytest.mark.parametrize("mode", ["ideal", "physical"])
+@pytest.mark.parametrize("alpha", LARGE_ALPHAS)
+def test_large_alpha_readouts_are_complete(alpha, mode):
+    for name, (report, _) in large_alpha_reports(alpha, mode).items():
+        for total in readout_totals(name, report):
+            assert abs(total - 1.0) <= 1e-12, (name, total)
+
+
+def test_two_moduli_give_stateless_classes_and_the_entangler_refuses_them():
+    beta = 0.8 + 0.3j
+    s = build_state(
+        ("p",),
+        [
+            FockTerm.from_occupations({Mode("a", "H"): 1}, (beta,), 0.6),
+            FockTerm.from_occupations({Mode("b", "H"): 1}, (2 * beta,), 0.8),
+        ],
+    )
+    for mode in ("ideal", "physical"):
+        dist = project_photon_number(s, "p", mode)
+        for label in ("odd", "even"):
+            assert dist.get(label).state is None
+            assert dist.get(label).probability > 0.0
+        assert dist.total_probability == pytest.approx(1.0, abs=1e-12)
+
+    # One term meets two photons on the H-coupled beam, the other one photon:
+    # the readout labels then have two moduli.
+    s = build_state(
+        (),
+        [
+            FockTerm.from_occupations({Mode("0", "H"): 1, Mode("a", "V"): 1}, (), 0.6),
+            FockTerm.from_occupations({Mode("0", "H"): 1}, (), 0.8),
+        ],
+    )
+    with pytest.raises(UnsupportedMode):
+        entangler_branches(s, ("0", "1", "2"), "a", "reflected")

@@ -377,9 +377,9 @@ def test_entangler_all_outcomes_corrected(pattern):
 
 
 def test_entangler_uncorrected_outcomes_carry_opposite_phases():
-    # reconstruct the block inline: for every n > 0 the H-coupled and the
-    # V-coupled components differ by exp(-i n pi), which the n pi phase
-    # correction plus ancilla flip removes
+    # reconstruct the block inline: in the odd class the H-coupled and the
+    # V-coupled components differ by exp(-i pi), in the even class by 1,
+    # which the pi phase (odd only) plus ancilla flip removes
     alpha, theta = 2.0, 0.3
     a, b, g = COEFFS.as_tuple()
     s = make_spatial_qutrit(COEFFS, ("0", "1", "2"))
@@ -394,14 +394,14 @@ def test_entangler_uncorrected_outcomes_carry_opposite_phases():
     s = coherent_phase(s, "p2", -theta)
     s = coherent_bs50(s, "p1", "p2")
     dist = project_photon_number(s, "p1")
-    for n in (1, 2, 3, 4):
-        st_n = dist.get(str(n)).state
-        up = amplitude_of(st_n, {Mode("0", H): 1, Mode("a", V): 1})
-        dn = amplitude_of(st_n, {Mode("1", V): 1, Mode("a", H): 1})
-        expected = (a / b) * cmath.exp(-1j * n * math.pi)
+    for label, parity in (("odd", 1), ("even", 0)):
+        st_c = dist.get(label).state
+        up = amplitude_of(st_c, {Mode("0", H): 1, Mode("a", V): 1})
+        dn = amplitude_of(st_c, {Mode("1", V): 1, Mode("a", H): 1})
+        expected = (a / b) * cmath.exp(-1j * parity * math.pi)
         assert cmath.isclose(up / dn, expected, abs_tol=1e-9)
         # the matching-polarization components vanish for n > 0
-        assert abs(amplitude_of(st_n, {Mode("0", H): 1, Mode("a", H): 1})) < 1e-12
+        assert abs(amplitude_of(st_c, {Mode("0", H): 1, Mode("a", H): 1})) < 1e-12
 
 
 def test_entangler_physical_mode_is_complete():
