@@ -68,7 +68,6 @@ from .qubus import (
     add_register,
     apply_xpm,
     coherent_bs50,
-    coherent_number_overlap,
     coherent_phase,
     drop_register,
     project_photon_number,

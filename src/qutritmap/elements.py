@@ -20,13 +20,14 @@ import numpy as np
 
 from .fock import (
     PRUNE_EPS,
-    CanonicalLayout,
     FockTerm,
     InvalidInput,
     Mode,
     PhotonicState,
     POLS,
     WiringError,
+    _group_sums,
+    _grouping,
     state_paths,
 )
 
@@ -64,12 +65,6 @@ class BeamSplitterSpec:
     def from_t(cls, t: float, convention: BsConvention = BsConvention.SYMMETRIC):
         return cls(t, math.sqrt(max(0.0, 1.0 - t * t)), convention)
 
-    @classmethod
-    def from_t_squared(cls, t2: float, convention: BsConvention = BsConvention.SYMMETRIC):
-        if not 0.0 <= t2 <= 1.0:
-            raise InvalidInput(f"transmittance {t2} outside [0, 1]")
-        return cls(math.sqrt(t2), math.sqrt(1.0 - t2), convention)
-
     def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
         if self.convention is BsConvention.SYMMETRIC:
             return ((self.t, self.r), (self.r, -self.t))
@@ -94,7 +89,7 @@ def _substitution_plan(keys, shape):
       listing each multinomial term's ``(target index, count, count!)``;
       their coefficients are numbered in this order;
     * ``raw``: ``(input term, coefficient numbers)`` per unmerged output term;
-    * ``members``: the merged groups of raw terms (``CanonicalLayout``);
+    * ``groups``: the merged groups of raw terms (``fock._grouping``);
     * ``outs``: each group's occupation and the input term whose labels it
       carries, which the caller reads from its own input.
     """
@@ -132,11 +127,9 @@ def _substitution_plan(keys, shape):
         for occ, path in partials:
             raw.append((src, path))
             raw_keys.append((tuple(sorted(occ.items())), coh))
-    layout = CanonicalLayout(raw_keys)
-    outs = tuple(
-        (occ, raw[first][0]) for (occ, _), (first, _) in zip(layout.keys, layout.members)
-    )
-    return tuple(expansions), tuple(raw), layout.members, outs
+    groups = _grouping(raw_keys)
+    outs = tuple((occ, raw[first][0]) for occ, _, first, _ in groups)
+    return tuple(expansions), tuple(raw), groups, outs
 
 
 def substitute_modes(
@@ -154,7 +147,7 @@ def substitute_modes(
     targets = tuple(mapping.values())
     shape = tuple((mode, tuple(m for m, _ in t)) for mode, t in zip(mapping, targets))
     inputs = state.terms
-    expansions, raw, members, outs = _substitution_plan(
+    expansions, raw, groups, outs = _substitution_plan(
         tuple((t.occ, t.coherent) for t in inputs), shape
     )
     coeffs = []
@@ -171,7 +164,7 @@ def substitute_modes(
         for j in path:
             amp = amp * coeffs[j]
         amps.append(amp)
-    sums = CanonicalLayout.sums(members, amps)
+    sums = _group_sums(groups, amps)
     terms = tuple(
         FockTerm(occ, inputs[src].coherent, amp)
         for (occ, src), amp in zip(outs, sums)
@@ -351,13 +344,13 @@ def _block(n: int, p: int, q: int, theta: float, phi: float) -> np.ndarray:
     return t
 
 
-def reck_decompose(u: np.ndarray, tol: float = 1e-9) -> ReckDecomposition:
+def reck_decompose(u: np.ndarray) -> ReckDecomposition:
     """Factor a unitary into nearest-neighbour two-path rotations plus phases.
 
     Eliminates the lower triangle column by column with blocks acting on
     adjacent path pairs, leaving a diagonal phase screen.
     """
-    w = assert_unitary(u, tol).copy()
+    w = assert_unitary(u).copy()
     n = w.shape[0]
     elim: list[tuple[int, int, float, float]] = []
     for row in range(n - 1, 0, -1):

@@ -111,12 +111,6 @@ class FockTerm(NamedTuple):
     def occupations(self) -> dict[Mode, int]:
         return dict(self.occ)
 
-    def count(self, mode: Mode) -> int:
-        for m, n in self.occ:
-            if m == mode:
-                return n
-        return 0
-
 
 @dataclass(frozen=True)
 class PhotonicState:
@@ -135,37 +129,49 @@ class PhotonicState:
         return inner_product(self, self).real
 
 
-def _coherent_close(a: tuple[complex, ...], b: tuple[complex, ...]) -> bool:
-    return all(abs(x - y) <= COHERENT_MERGE_EPS for x, y in zip(a, b))
-
-
 @functools.lru_cache(maxsize=1024)
 def _rounded(c: complex) -> tuple[float, float]:
     return round(c.real, 9), round(c.imag, 9)
 
 
-def _sorted_terms(terms: Iterable[FockTerm]) -> tuple[FockTerm, ...]:
-    return tuple(sorted(terms, key=lambda t: (t.occ, tuple(map(_rounded, t.coherent)))))
+def _sort_key(item) -> tuple:
+    # canonical order of a FockTerm or a group entry: occupation, then rounded labels
+    return item[0], tuple(map(_rounded, item[1]))
 
 
-def _canonical_terms(terms: Iterable[FockTerm]) -> tuple[FockTerm, ...]:
-    # Merge equal monomials; coherent labels are clustered within
-    # COHERENT_MERGE_EPS so float jitter cannot split a branch in two.
-    groups: dict[tuple, list[list]] = {}
-    for t in terms:
-        bucket = groups.setdefault(t.occ, [])
+def _grouping(keys) -> tuple[tuple[tuple, tuple, int, tuple[int, ...]], ...]:
+    """Which of ``keys`` merge and in what order the merged terms stand.
+
+    ``keys`` are ``(occ, coherent)`` pairs, or FockTerms.  A key joins the
+    first group of its occupation whose first key has every label within
+    COHERENT_MERGE_EPS of its own, so float jitter cannot split a branch in
+    two.  Returns, in canonical order, each group's key (its first member's)
+    and member indices as ``(occ, coherent, first, rest)``.
+    """
+    buckets: dict[tuple, list[list]] = {}
+    for i, key in enumerate(keys):
+        occ, coh = key[0], key[1]
+        bucket = buckets.setdefault(occ, [])
         for entry in bucket:
-            if _coherent_close(entry[0], t.coherent):
-                entry[1] += t.amplitude
+            if all(abs(x - y) <= COHERENT_MERGE_EPS for x, y in zip(entry[1], coh)):
+                entry[3] += (i,)
                 break
         else:
-            bucket.append([t.coherent, t.amplitude])
-    return _sorted_terms(
-        FockTerm(occ, coh, amp)
-        for occ, bucket in groups.items()
-        for coh, amp in bucket
-        if abs(amp) > PRUNE_EPS
-    )
+            bucket.append([occ, coh, i, ()])
+    entries = [tuple(e) for bucket in buckets.values() for e in bucket]
+    entries.sort(key=_sort_key)
+    return tuple(entries)
+
+
+def _group_sums(groups, amplitudes) -> list[complex]:
+    """Each group's amplitudes summed in key order, from its first member."""
+    sums = []
+    for _, _, first, rest in groups:
+        amp = amplitudes[first]
+        for i in rest:
+            amp += amplitudes[i]
+        sums.append(amp)
+    return sums
 
 
 def build_state(
@@ -173,6 +179,8 @@ def build_state(
     terms: Iterable[FockTerm],
     born_weight: float = 1.0,
 ) -> PhotonicState:
+    """The canonical state of ``terms``: equal monomials merged, the merged
+    amplitudes at or below PRUNE_EPS pruned, the rest sorted."""
     regs = tuple(registers)
     terms = tuple(terms)
     for t in terms:
@@ -181,7 +189,18 @@ def build_state(
                 f"term carries {len(t.coherent)} coherent labels, "
                 f"state declares {len(regs)} registers"
             )
-    return PhotonicState(regs, _canonical_terms(terms), float(born_weight))
+    return _grouped_state(regs, _grouping(terms), [t.amplitude for t in terms], float(born_weight))
+
+
+def _grouped_state(registers, groups, amplitudes, born_weight: float) -> PhotonicState:
+    """The state of :func:`_grouping`'s ``groups`` of keys that carry ``amplitudes``.
+
+    Each group's key takes its summed amplitude; sums at or below PRUNE_EPS
+    are pruned.
+    """
+    sums = _group_sums(groups, amplitudes)
+    kept = [FockTerm(g[0], g[1], amp) for g, amp in zip(groups, sums) if abs(amp) > PRUNE_EPS]
+    return PhotonicState(registers, tuple(kept), born_weight)
 
 
 def sorted_state(state: PhotonicState, terms: Iterable[FockTerm]) -> PhotonicState:
@@ -189,7 +208,7 @@ def sorted_state(state: PhotonicState, terms: Iterable[FockTerm]) -> PhotonicSta
 
     Serves ``apply_xpm``, ``coherent_phase`` and ``coherent_bs50``.
     """
-    return PhotonicState(state.registers, _sorted_terms(terms), state.born_weight)
+    return PhotonicState(state.registers, tuple(sorted(terms, key=_sort_key)), state.born_weight)
 
 
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
@@ -236,67 +255,6 @@ def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
 
 def norm_sq(state: PhotonicState) -> float:
     return state._norm_sq
-
-
-class CanonicalLayout:
-    """:func:`build_state` and :func:`norm_sq` for terms that differ only in amplitude.
-
-    Merges, sort order and the norm's same-occupation pairs depend only on the
-    ``(occ, coherent)`` keys, so they are worked out once; :meth:`apply` maps one
-    amplitude per key to exactly ``build_state(...).terms`` and their ``norm_sq``.
-    ``keys`` and ``members`` give each merged term's key (its first member's)
-    and its ``(first, rest)`` key indices, in sorted order.
-    """
-
-    def __init__(self, keys: Iterable[tuple[tuple, tuple[complex, ...]]]):
-        groups: dict[tuple, list[list]] = {}
-        for i, (occ, coh) in enumerate(keys):
-            bucket = groups.setdefault(occ, [])
-            for entry in bucket:
-                if _coherent_close(entry[1], coh):
-                    entry[2].append(i)
-                    break
-            else:
-                bucket.append([occ, coh, [i]])
-        entries = [e for bucket in groups.values() for e in bucket]
-        entries.sort(key=lambda e: (e[0], tuple(map(_rounded, e[1]))))
-        self.keys = tuple((occ, coh) for occ, coh, _ in entries)
-        self.members = tuple((m[0], tuple(m[1:])) for _, _, m in entries)
-
-    @functools.cached_property
-    def _pairs(self):
-        # (bra, ket, occupation norm, label overlaps) in inner_product's order;
-        # built on first use, since substitution plans never read the norm
-        return [
-            (a, b, _occ_norm(occ), tuple(coherent_overlap(*p) for p in zip(coh, coh_b)))
-            for a, (occ, coh) in enumerate(self.keys)
-            for b, (occ_b, coh_b) in enumerate(self.keys)
-            if occ_b == occ
-        ]
-
-    @staticmethod
-    def sums(members, amplitudes) -> list[complex]:
-        """Each group's amplitudes summed in key order, from its first member."""
-        sums = []
-        for first, rest in members:
-            amp = amplitudes[first]
-            for i in rest:
-                amp += amplitudes[i]
-            sums.append(amp)
-        return sums
-
-    def apply(self, amplitudes) -> tuple[tuple[FockTerm, ...], float]:
-        sums = self.sums(self.members, amplitudes)
-        live = [abs(amp) > PRUNE_EPS for amp in sums]
-        total = 0j
-        for a, b, fac, overlaps in self._pairs:
-            if live[a] and live[b]:
-                val = sums[a].conjugate() * sums[b] * fac
-                for ov in overlaps:
-                    val *= ov
-                total += val
-        terms = (FockTerm(*key, amp) for key, amp, ok in zip(self.keys, sums, live) if ok)
-        return tuple(terms), total.real
 
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:

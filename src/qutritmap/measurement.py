@@ -4,6 +4,11 @@ Detectors here are non-photon-number-resolving: a click is the projector
 ``I - |vac><vac|`` over the watched modes.  Branches carry their own
 probability both in ``Outcome.probability`` (relative to the input state)
 and multiplied into ``born_weight`` of the renormalized branch state.
+
+The measurements expect canonical input (merged, pruned, sorted terms), as
+every function of this package returns it.  Any subset of canonical terms is
+canonical, so a branch keeps its terms as they stand instead of rebuilding
+them with ``build_state``.
 """
 
 from __future__ import annotations
@@ -79,21 +84,14 @@ def _norm_in(state: PhotonicState, action: str) -> float:
     return n2
 
 
-def _branch(
-    registers: tuple[str, ...], terms, born_weight: float, norm_in: float
-) -> tuple[float, PhotonicState]:
-    """Renormalize the kept ``terms`` of a state whose squared norm is ``norm_in``.
+def _branch(kept: PhotonicState, norm_in: float) -> tuple[float, PhotonicState]:
+    """Renormalize ``kept``, the kept part of a state whose squared norm is ``norm_in``.
 
     Returns ``(p, branch)``: ``p`` is the kept share of the norm and the
-    branch's born weight is ``born_weight * p``.  A share at or below
+    branch's born weight is ``kept.born_weight * p``.  A share at or below
     ``PROB_EPS`` gives ``(0.0, empty state)``.
     """
-    kept = build_state(registers, terms, born_weight)
-    return _renormalized(kept, norm_sq(kept), norm_in)
-
-
-def _renormalized(kept: PhotonicState, n2: float, norm_in: float):
-    """The step of :func:`_branch` after the norm: ``kept`` has squared norm ``n2``."""
+    n2 = norm_sq(kept)
     p = n2 / norm_in
     if p <= PROB_EPS:
         return 0.0, PhotonicState(kept.registers, (), 0.0)
@@ -102,14 +100,14 @@ def _renormalized(kept: PhotonicState, n2: float, norm_in: float):
 
 
 def detect_non_resolving(state: PhotonicState, modes: Iterable[Mode]) -> BranchDistribution:
-    """Split a state into click / no-click branches over the watched modes."""
+    """Split a canonical state into click / no-click branches over the watched modes."""
     watched = frozenset(modes)
     norm_in = _norm_in(state, "measure")
-    click_terms = [t for t in state.terms if _photons_in(t, watched) > 0]
-    quiet_terms = [t for t in state.terms if _photons_in(t, watched) == 0]
+    click_terms = tuple(t for t in state.terms if _photons_in(t, watched) > 0)
+    quiet_terms = tuple(t for t in state.terms if _photons_in(t, watched) == 0)
     outcomes = []
     for label, terms in (("click", click_terms), ("no-click", quiet_terms)):
-        p, branch = _branch(state.registers, terms, state.born_weight, norm_in)
+        p, branch = _branch(PhotonicState(state.registers, terms, state.born_weight), norm_in)
         if p > 0.0:
             outcomes.append(Outcome(label, None, p, branch))
     return BranchDistribution(tuple(outcomes))
@@ -119,10 +117,11 @@ def post_select_coincidence(
     state: PhotonicState,
     pattern: Sequence[tuple[Iterable[Mode], str]],
 ) -> tuple[float, PhotonicState]:
-    """Keep the branch matching every (modes, "click"|"no-click") requirement.
+    """Keep the branch of a canonical state that meets every requirement.
 
-    Returns ``(probability, renormalized branch)``; a zero-probability
-    pattern returns the empty state with born weight 0.
+    Each requirement is ``(modes, "click" | "no-click")``.  Returns
+    ``(probability, renormalized branch)``; a zero-probability pattern
+    returns the empty state with born weight 0.
     """
     sets = []
     for modes, want in pattern:
@@ -144,18 +143,18 @@ def post_select_coincidence(
                 return False
         return True
 
-    kept = [t for t in state.terms if matches(t)]
-    return _branch(state.registers, kept, state.born_weight, norm_in)
+    kept = tuple(t for t in state.terms if matches(t))
+    return _branch(PhotonicState(state.registers, kept, state.born_weight), norm_in)
 
 
 def project_total_photons(
     state: PhotonicState, modes: Iterable[Mode], n: int
 ) -> tuple[float, PhotonicState]:
-    """Project onto exactly ``n`` photons in the watched modes."""
+    """Project a canonical state onto exactly ``n`` photons in the watched modes."""
     watched = frozenset(modes)
     norm_in = _norm_in(state, "project")
-    kept = [t for t in state.terms if _photons_in(t, watched) == n]
-    return _branch(state.registers, kept, state.born_weight, norm_in)
+    kept = tuple(t for t in state.terms if _photons_in(t, watched) == n)
+    return _branch(PhotonicState(state.registers, kept, state.born_weight), norm_in)
 
 
 def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
@@ -280,11 +279,12 @@ def erase_and_merge(
     """Which-path eraser: keep each single-detector click, correct it, merge.
 
     ``ports`` maps every outcome label to the path its detector watches.  For
-    each label the branch where that detector alone clicks is kept; with
-    ``keep`` it is further projected onto exactly one photon (the output
-    photon) in those modes.  The label's chain from ``rule`` is applied, the
-    fired detector and the ``strip`` modes are factored out, and the branches
-    are combined by :func:`merge_branches` at ``tol``.
+    each label the branch of the canonical ``state`` where that detector
+    alone clicks is kept; with ``keep`` it is further projected onto exactly
+    one photon (the output photon) in those modes.  The label's chain from
+    ``rule`` is applied, the fired detector and the ``strip`` modes are
+    factored out, and the branches are combined by :func:`merge_branches` at
+    ``tol``.
 
     Returns ``(probability, merged state, minimum branch fidelity,
     probability of each label)``; a label that never occurs has probability 0

@@ -16,18 +16,20 @@ from typing import Sequence
 
 from .fock import (
     COHERENT_MERGE_EPS,
-    CanonicalLayout,
     FockTerm,
     InvalidInput,
     Mode,
     PhotonicState,
     UnsupportedMode,
     WiringError,
+    _grouped_state,
+    _grouping,
     build_state,
     inner_product,
+    norm_sq,
     sorted_state,
 )
-from .measurement import BranchDistribution, Outcome, _branch, _norm_in, _renormalized
+from .measurement import PROB_EPS, BranchDistribution, Outcome, _branch, _norm_in
 
 
 def add_register(state: PhotonicState, register: str, alpha0: complex) -> PhotonicState:
@@ -111,11 +113,6 @@ def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState
     return sorted_state(state, terms)
 
 
-def coherent_number_overlap(beta: complex, n: int) -> complex:
-    """<n|beta> = e^{-|beta|^2/2} beta^n / sqrt(n!)."""
-    return cmath.exp(-0.5 * abs(beta) ** 2) * beta**n / math.sqrt(math.factorial(n))
-
-
 def _rescaled(terms, idx: int, factor) -> list[FockTerm]:
     """``terms`` with each amplitude times ``factor(|b|^2)``, b its label in ``idx``."""
     return [t._replace(amplitude=t.amplitude * factor(abs(t.coherent[idx]) ** 2)) for t in terms]
@@ -151,46 +148,48 @@ def project_photon_number(
         lit = _rescaled(lit, idx, lambda x: 1.0 / math.sqrt(-math.expm1(-x)))
     else:
         zero = _rescaled(state.terms, idx, lambda x: math.exp(-0.5 * x))  # times <0|b>
-    # Merges, order and norm pairs do not depend on amplitudes: one layout serves
-    # "0", one serves both "odd" and "even".
-    zero_layout, lit_layout = (
-        CanonicalLayout((t.occ, t.coherent[:idx] + t.coherent[idx + 1 :]) for t in terms)
+    # Merges and order do not depend on amplitudes: one grouping serves "0", one
+    # serves both "odd" and "even".
+    zero_groups, lit_groups = (
+        _grouping((t.occ, t.coherent[:idx] + t.coherent[idx + 1 :]) for t in terms)
         for terms in (zero, lit)
     )
-    classes = [("0", *zero_layout.apply([t.amplitude for t in zero]))]
+
+    def merged(groups, amplitudes) -> PhotonicState:
+        return _grouped_state(regs, groups, amplitudes, state.born_weight)
+
+    classes = [("0", *_branch(merged(zero_groups, [t.amplitude for t in zero]), norm_in))]
     betas = [t.coherent[idx] for t in lit]
     signs = [1.0 if abs(b - betas[0]) <= COHERENT_MERGE_EPS else -1.0 for b in betas]
     if lit and all(abs(b - s * betas[0]) <= COHERENT_MERGE_EPS for b, s in zip(betas, signs)):
         m = abs(betas[0]) ** 2
         k_odd, k_even = math.sqrt(-0.5 * math.expm1(-2.0 * m)), -math.expm1(-m) / math.sqrt(2.0)
         odd = [t.amplitude * s * k_odd for t, s in zip(lit, signs)]
-        classes.append(("odd", *lit_layout.apply(odd)))
-        classes.append(("even", *lit_layout.apply([t.amplitude * k_even for t in lit])))
+        classes.append(("odd", *_branch(merged(lit_groups, odd), norm_in)))
+        even = [t.amplitude * k_even for t in lit]
+        classes.append(("even", *_branch(merged(lit_groups, even), norm_in)))
     elif lit:
-        classes += _mixed_classes(state.registers, lit, idx, lit_layout)
-    outcomes = []
-    for label, terms, n2 in classes:
-        p, branch = _renormalized(PhotonicState(regs, terms or (), state.born_weight), n2, norm_in)
-        if p > 0.0:
-            outcomes.append(Outcome(label, None, p, None if terms is None else branch))
+        vacuum = _rescaled(lit, idx, lambda x: math.exp(-0.5 * x))
+        vac = norm_sq(merged(lit_groups, [t.amplitude for t in vacuum]))
+        for label, mass in _mixed_masses(state.registers, lit, idx, vac):
+            classes.append((label, mass / norm_in, None))
+    outcomes = [Outcome(label, None, p, branch) for label, p, branch in classes if p > PROB_EPS]
     return BranchDistribution(tuple(outcomes))
 
 
-def _mixed_classes(registers, lit, idx, lit_layout):
-    """``(label, None, mass)`` of "odd" and "even" from the class Gram of ``lit``.
+def _mixed_masses(registers, lit, idx, vac):
+    """``(label, mass)`` of "odd" and "even" from the class Gram of ``lit``.
 
     e^{z-m} = <b|b'> and e^{-z-m} = <b|-b'>, so with P the parity b -> -b the
     odd mass is (<psi|psi> - <psi|P psi>)/2 and the even mass is
-    (<psi|psi> + <psi|P psi>)/2 less the norm of psi's vacuum part.
+    (<psi|psi> + <psi|P psi>)/2 less ``vac``, the norm of psi's vacuum part.
     """
     flipped = [t._replace(coherent=t.coherent[:idx] + (-t.coherent[idx],) + t.coherent[idx + 1 :])
                for t in lit]
     psi = PhotonicState(registers, tuple(lit))
     n2 = inner_product(psi, psi).real
     flip = inner_product(psi, PhotonicState(registers, tuple(flipped))).real
-    vacuum = _rescaled(lit, idx, lambda x: math.exp(-0.5 * x))
-    _, vac = lit_layout.apply([t.amplitude for t in vacuum])
-    return [("odd", None, 0.5 * (n2 - flip)), ("even", None, 0.5 * (n2 + flip) - vac)]
+    return [("odd", 0.5 * (n2 - flip)), ("even", 0.5 * (n2 + flip) - vac)]
 
 
 def project_quadrature_x(
@@ -221,23 +220,22 @@ def project_quadrature_x(
                 return term.amplitude
             return None
 
+        # dropping the register can bring terms together: rebuild
         regs, terms = _without_register(state, idx, keep)
-        p, branch = _branch(regs, terms, state.born_weight, norm_in)
+        p, branch = _branch(build_state(regs, terms, state.born_weight), norm_in)
         if p > 0.0:
             outcomes.append(Outcome(f"x={x0:.9g}", float(x0), p, branch))
     return BranchDistribution(tuple(outcomes))
 
 
-def drop_register(
-    state: PhotonicState, register: str, tol: float = COHERENT_MERGE_EPS
-) -> PhotonicState:
+def drop_register(state: PhotonicState, register: str) -> PhotonicState:
     """Detach a register that is in a product with the photonic part."""
     idx = _register_index(state, register)
     values = [t.coherent[idx] for t in state.terms]
     if not values:
         raise InvalidInput("cannot drop a register from a zero state")
     ref = values[0]
-    if any(abs(v - ref) > tol for v in values):
+    if any(abs(v - ref) > COHERENT_MERGE_EPS for v in values):
         raise WiringError(
             f"register {register!r} is correlated with the photons; measure it instead"
         )

@@ -1,15 +1,22 @@
 """Detection, post-selection, stripping and branch-merge behaviour."""
 
+import cmath
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qutritmap import measurement
 from qutritmap.elements import BeamSplitterSpec, apply_beam_splitter, apply_phase_shift
 from qutritmap.fock import (
+    PRUNE_EPS,
     FockTerm,
     InvalidInput,
     Mode,
     QutritCoefficients,
+    SimulationError,
     WiringError,
     build_state,
     fidelity,
@@ -240,3 +247,73 @@ def test_erase_and_merge_rejects_a_wrong_or_missing_correction():
     assert min_fid == pytest.approx(0.0784)
     with pytest.raises(WiringError, match="no feed-forward entry"):
         erase_and_merge(state, ERASER_PORTS, FeedForwardRule({"plus": ()}))
+
+
+# Random canonical states: occupations over three paths, labels on a coarse
+# lattice jittered below COHERENT_MERGE_EPS (6e-10 and -6e-10 lie further
+# apart than it), amplitudes of order one or just above PRUNE_EPS, and
+# partners that cancel a term down to about PRUNE_EPS.
+MODES = tuple(Mode(path, pol) for path in "abc" for pol in "HV")
+JITTER = (0j, 6e-10, -6e-10, 5e-10j)
+canonical_label = st.builds(
+    lambda re, im, j: complex(re, im) / 2 + JITTER[j],
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.integers(0, len(JITTER) - 1),
+)
+canonical_amplitude = st.one_of(
+    st.complex_numbers(
+        min_magnitude=0.05, max_magnitude=2.0, allow_nan=False, allow_infinity=False
+    ),
+    st.builds(
+        lambda r, ph: cmath.rect(r * PRUNE_EPS, ph),
+        st.floats(min_value=0.5, max_value=4.0),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+    ),
+)
+canonical_term = st.tuples(
+    st.dictionaries(st.sampled_from(MODES), st.integers(1, 2), max_size=2),
+    st.lists(canonical_label, min_size=2, max_size=2),
+    canonical_amplitude,
+    st.booleans(),
+)
+
+
+def rebuilt_branch(kept, norm_in, _branch=measurement._branch):
+    """The branch step as it was: the kept subset rebuilt through build_state."""
+    return _branch(build_state(kept.registers, kept.terms, kept.born_weight), norm_in)
+
+
+def outcome_repr(fn, *args):
+    try:
+        return repr(fn(*args))
+    except SimulationError as exc:
+        return repr(exc)
+
+
+@given(
+    nregs=st.integers(0, 2),
+    specs=st.lists(canonical_term, max_size=12),
+    born_weight=st.sampled_from((1.0, 0.375)),
+    watched=st.sets(st.sampled_from(MODES)),
+    n=st.integers(0, 3),
+    wants=st.lists(st.sampled_from((None, "click", "no-click")), min_size=3, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_branches_keep_canonical_terms_as_they_stand(nregs, specs, born_weight, watched, n, wants):
+    terms = []
+    for occ, labels, amp, cancel in specs:
+        terms.append(FockTerm.from_occupations(occ, labels[:nregs], amp))
+        if cancel:
+            terms.append(FockTerm.from_occupations(occ, labels[:nregs], -amp * (1 + 1e-12)))
+    state = build_state(tuple(f"r{k}" for k in range(nregs)), terms, born_weight)
+    pattern = [(path_modes(path), want) for path, want in zip("abc", wants) if want]
+    calls = [
+        (detect_non_resolving, state, watched),
+        (post_select_coincidence, state, pattern),
+        (project_total_photons, state, watched, n),
+    ]
+    got = [outcome_repr(*call) for call in calls]
+    with mock.patch.object(measurement, "_branch", rebuilt_branch):
+        want = [outcome_repr(*call) for call in calls]
+    assert got == want

@@ -22,7 +22,6 @@ from qutritmap.qubus import (
     add_register,
     apply_xpm,
     coherent_bs50,
-    coherent_number_overlap,
     coherent_phase,
     drop_register,
     project_photon_number,
@@ -86,13 +85,6 @@ def test_coherent_bs50_conjugate_phases_give_sine_signal():
     out = coherent_bs50(s, "p1", "p2")
     assert out.terms[0].coherent[0] == pytest.approx(1j * math.sqrt(2) * alpha * math.sin(theta))
     assert out.terms[0].coherent[1] == pytest.approx(math.sqrt(2) * alpha * math.cos(theta))
-
-
-def test_coherent_number_overlap_formula():
-    beta = 1.2 - 0.4j
-    got = coherent_number_overlap(beta, 3)
-    want = cmath.exp(-abs(beta) ** 2 / 2) * beta**3 / math.sqrt(6)
-    assert got == pytest.approx(want)
 
 
 def test_measure_physical_leakage_is_vacuum_overlap():

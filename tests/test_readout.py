@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from qutritmap.fock import (
     COHERENT_MERGE_EPS,
     PRUNE_EPS,
-    CanonicalLayout,
     FockTerm,
     InvalidInput,
     Mode,
@@ -78,7 +77,7 @@ def reference_per_n(state, register, mode="ideal"):
     n = 0
     while True:
         regs, terms = _without_register(state, idx, lambda t, n=n: weight(t, n))
-        p, branch = _branch(regs, terms, state.born_weight, norm_in)
+        p, branch = _branch(build_state(regs, terms, state.born_weight), norm_in)
         out.append((n, p, branch))
         # Triangle bound on p(n), the other registers' overlaps being at most
         # 1; past n = 2 mu it at least halves with each n, so the tail after
@@ -236,12 +235,39 @@ def test_class_readout_matches_per_n_reference(labels, others, specs, mode):
     assert_matches_reference(state, "r0", mode)
 
 
-# Jitter below COHERENT_MERGE_EPS: the layout must cluster nearly equal labels.
-JITTER = (0j, 3e-10, -4e-10j, 2e-10 + 2e-10j)
+def reference_canonical_terms(terms):
+    """Merge equal monomials (labels clustered within COHERENT_MERGE_EPS of a
+    group's first label), prune at PRUNE_EPS and sort, in one pass."""
+    groups = {}
+    for t in terms:
+        bucket = groups.setdefault(t.occ, [])
+        for entry in bucket:
+            if all(abs(x - y) <= COHERENT_MERGE_EPS for x, y in zip(entry[0], t.coherent)):
+                entry[1] += t.amplitude
+                break
+        else:
+            bucket.append([t.coherent, t.amplitude])
+    kept = (
+        FockTerm(occ, coh, amp)
+        for occ, bucket in groups.items()
+        for coh, amp in bucket
+        if abs(amp) > PRUNE_EPS
+    )
+
+    def order(t):
+        return t.occ, tuple((round(c.real, 9), round(c.imag, 9)) for c in t.coherent)
+
+    return tuple(sorted(kept, key=order))
+
+
+# Jitter below COHERENT_MERGE_EPS: build_state must cluster nearly equal labels.
+# 6e-10 and -6e-10 lie 1.2e-9 apart, so which of them merge with 0 depends on
+# the group's first label.
+JITTER = (0j, 3e-10, -4e-10j, 2e-10 + 2e-10j, 6e-10, -6e-10)
 
 
 @given(
-    nregs=st.integers(0, 2),
+    nregs=st.integers(0, 3),
     labels=st.lists(lattice_label, min_size=2, max_size=4),
     specs=st.lists(
         st.tuples(
@@ -256,7 +282,7 @@ JITTER = (0j, 3e-10, -4e-10j, 2e-10 + 2e-10j)
     flips=st.lists(st.booleans(), min_size=16, max_size=16),
 )
 @settings(max_examples=150, deadline=None)
-def test_layout_gives_build_state_terms_and_norm(nregs, labels, specs, flips):
+def test_build_state_gives_reference_terms_and_norm(nregs, labels, specs, flips):
     # Raw, unmerged terms: equal keys merge, and some amplitudes cancel down to
     # about PRUNE_EPS before the prune.
     terms = []
@@ -265,12 +291,9 @@ def test_layout_gives_build_state_terms_and_norm(nregs, labels, specs, flips):
         terms.append(FockTerm.from_occupations(OCCS[occ], coh, amp))
         if flips[k]:
             terms.append(FockTerm.from_occupations(OCCS[occ], coh, -amp * (1 + 1e-12)))
-    regs = tuple(f"r{k}" for k in range(nregs))
-    layout = CanonicalLayout((t.occ, t.coherent) for t in terms)
-    got_terms, got_norm = layout.apply([t.amplitude for t in terms])
-    want = build_state(regs, terms)
-    assert repr(got_terms) == repr(want.terms)
-    assert repr(got_norm) == repr(norm_sq(want)) == repr(inner_product(want, want).real)
+    s = build_state(tuple(f"r{k}" for k in range(nregs)), terms)
+    assert repr(s.terms) == repr(reference_canonical_terms(terms))
+    assert repr(norm_sq(s)) == repr(inner_product(s, s).real)
 
 
 def readout_totals(name, report):
