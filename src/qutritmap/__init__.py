@@ -54,7 +54,6 @@ from .measurement import (
     Correction,
     FeedForwardRule,
     Outcome,
-    apply_feed_forward,
     detect_non_resolving,
     erase_and_merge,
     merge_branches,
@@ -86,7 +85,6 @@ from .schemes import (
     T3_SQ_LINEAR_INVERSE,
     T_KERR_FORWARD,
     default_linear_inverse_params,
-    entangler,
     entangler_branches,
     scheme_entangler,
     scheme_kerr_forward,

@@ -21,7 +21,6 @@ from .fock import (
     POLS,
     amplitude_of,
     build_state,
-    make_biphotonic_qutrit,
     norm_sq,
     normalized,
     single_photon,

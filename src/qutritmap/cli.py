@@ -162,6 +162,8 @@ def _load_matrix(spec: str | None, rng) -> np.ndarray | None:
 def _resolve_qutrit(args, rng) -> QutritCoefficients:
     explicit = (args.alpha, args.beta, args.gamma)
     if any(v is not None for v in explicit):
+        if args.random:
+            raise InvalidInput("--random cannot be combined with --alpha, --beta and --gamma")
         if any(v is None for v in explicit):
             raise InvalidInput("--alpha, --beta and --gamma must be given together")
         return QutritCoefficients.normalize(*(_parse_complex(v) for v in explicit))

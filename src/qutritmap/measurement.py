@@ -235,13 +235,6 @@ class FeedForwardRule:
         return state
 
 
-def apply_feed_forward(
-    dist: BranchDistribution, rule: FeedForwardRule
-) -> BranchDistribution:
-    out = (dataclasses.replace(o, state=rule.apply(o.label, o.state)) for o in dist.outcomes)
-    return BranchDistribution(tuple(out))
-
-
 def merge_branches(
     branches: Sequence[tuple[float, PhotonicState]], tol: float = 1e-9
 ) -> tuple[float, PhotonicState, float]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .fock import (
     COHERENT_MERGE_EPS,

@@ -16,7 +16,7 @@ Five circuits are wired here, entirely from the element layer:
   converting forward, applying a path interferometer, and converting back.
 
 Every scheme returns a :class:`SchemeReport`.  Reports keep a branch log of
-(step, outcome, probability) entries whose product equals the quoted success
+(step, outcome, probability) entries whose product is the success
 probability; extra scalar diagnostics go into ``checks``.  Working-point
 constants below are computed from their defining constraints rather than
 typed in as decimals.
@@ -24,10 +24,11 @@ typed in as decimals.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -64,7 +65,6 @@ from .elements import (
 from .measurement import (
     Correction,
     FeedForwardRule,
-    apply_feed_forward,
     erase_and_merge,
     merge_branches,
     path_modes,
@@ -106,7 +106,6 @@ DEFAULT_QUBUS_ALPHA = 2.0
 DEFAULT_THETA = 0.3
 
 _FIFTY = BeamSplitterSpec.fifty_fifty()
-_LOG_TOL = 1e-12
 _PHASE_RESOLUTION = 1e-6
 # Probe labels reach sqrt(2) alpha and fock.coherent_overlap sums exponent
 # terms of size |label|^2, so its rounding error is about 2 alpha^2 epsilon;
@@ -127,33 +126,21 @@ class BranchLogEntry:
 class SchemeReport:
     """Outcome summary of one scheme run.
 
-    ``success_probability`` always equals the product of the branch-log
-    probabilities; ``checks`` carries auxiliary scalars (branch fidelities,
-    discarded-outcome bookkeeping, the output Born weight).
+    ``checks`` carries auxiliary scalars (branch fidelities, discarded-outcome
+    bookkeeping, the output Born weight).
     """
 
     scheme: str
-    success_probability: float
     output_fidelity: float
     output_state: PhotonicState
     branch_log: tuple[BranchLogEntry, ...]
     parameters: Mapping[str, float]
     checks: Mapping[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        prod = _log_product(self.branch_log)
-        if abs(prod - self.success_probability) > _LOG_TOL * max(1.0, prod):
-            raise WiringError(
-                "branch log probabilities do not multiply to the quoted "
-                f"success probability: {prod!r} vs {self.success_probability!r}"
-            )
-
-
-def _log_product(entries: Sequence[BranchLogEntry]) -> float:
-    prod = 1.0
-    for entry in entries:
-        prod *= entry.probability
-    return prod
+    @property
+    def success_probability(self) -> float:
+        """The product of the branch-log probabilities."""
+        return math.prod(e.probability for e in self.branch_log)
 
 
 def _coeffs(c) -> QutritCoefficients:
@@ -167,7 +154,9 @@ def _check_unit_interval(name: str, value: float):
         raise InvalidInput(f"{name} must lie strictly between 0 and 1, got {value!r}")
 
 
-def _check_probe(alpha: float, theta: float):
+def _check_probe(alpha, theta) -> tuple[float, float]:
+    """Convert the probe amplitude and cross-phase angle to floats and check them."""
+    alpha, theta = float(alpha), float(theta)
     if not 0.0 < alpha < math.inf:
         raise InvalidInput(f"qubus amplitude must be positive and finite, got {alpha!r}")
     if alpha > _MAX_PROBE_ALPHA:
@@ -182,6 +171,7 @@ def _check_probe(alpha: float, theta: float):
             "qubus amplitude times (1 - cos theta) is too small to resolve "
             "the probe outcome groups"
         )
+    return alpha, theta
 
 
 def _merge_tol(meas_mode: str) -> float:
@@ -201,8 +191,12 @@ def _probe_pair(state, prefix, alpha, theta, modes1, modes2) -> PhotonicState:
     Each probe starts at ``alpha`` and picks up ``theta`` per photon in its
     modes; both are then rotated back by ``theta``, so a probe that saw
     exactly one photon returns to ``alpha``, and the pair meets on a 50:50
-    coupler.
+    coupler, whose difference port then holds 0 or +/- sqrt(2) alpha sin(theta).
     """
+    if alpha * abs(math.sin(theta)) < _PHASE_RESOLUTION:
+        raise InvalidInput(
+            "qubus amplitude times |sin theta| cannot resolve the probe number classes"
+        )
     reg1, reg2 = f"{prefix}-1", f"{prefix}-2"
     s = add_register(state, reg1, alpha)
     s = add_register(s, reg2, alpha)
@@ -305,7 +299,6 @@ def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
     checks["output_born_weight"] = merged.born_weight
     return SchemeReport(
         scheme="linear-forward",
-        success_probability=_log_product(log),
         output_fidelity=fidelity(merged, target),
         output_state=merged,
         branch_log=log,
@@ -434,7 +427,6 @@ def scheme_linear_inverse(
 
     return SchemeReport(
         scheme="linear-inverse",
-        success_probability=_log_product(log),
         output_fidelity=fidelity(s, target),
         output_state=s,
         branch_log=log,
@@ -467,25 +459,6 @@ _PAIR_ERASER_RULE = FeedForwardRule(
 )
 
 
-def _kerr_forward_postselect(s: PhotonicState, tol: float):
-    """Shared tail: rebalance path 5, erase the left-arm pair, post-select."""
-    s = apply_beam_splitter(s, "5", None, "5", "tap5", _FIFTY)
-    s = route_pbs(s, ("1", "1l"), ("m", "mjunk"))
-    s = route_pbs(s, ("m", None), ("dp", "dm"), basis="diag")
-    p_det, merged, min_fid, p_ports = erase_and_merge(
-        s,
-        _PAIR_ERASER_PORTS,
-        _PAIR_ERASER_RULE,
-        keep=path_modes("5") + path_modes("6") + path_modes("7"),
-        tol=tol,
-    )
-    merged = apply_sigma_x(merged, "6")
-    merged = apply_sigma_x(merged, "7")
-    detail = {f"eraser_{k}_probability": p for k, p in p_ports.items()}
-    detail["eraser_min_branch_fidelity"] = min_fid
-    return p_det, merged, detail
-
-
 def scheme_kerr_forward(
     c,
     t: float | None = None,
@@ -512,9 +485,7 @@ def scheme_kerr_forward(
     c = _coeffs(c)
     t = T_KERR_FORWARD if t is None else float(t)
     _check_unit_interval("t", t)
-    alpha = float(qubus_alpha)
-    theta = float(theta)
-    _check_probe(alpha, theta)
+    alpha, theta = _check_probe(qubus_alpha, theta)
     tol = _merge_tol(meas_mode)
     if variant not in ("separate-qnd", "double-xpm"):
         raise InvalidInput(f"unknown variant {variant!r}")
@@ -551,8 +522,21 @@ def scheme_kerr_forward(
         s = kept.state
         p_meas_log = (BranchLogEntry("probe-number", "n=0", kept.probability),)
 
-    p_det, merged, detail = _kerr_forward_postselect(s, tol)
-    checks.update(detail)
+    # Rebalance path 5, erase the left-arm pair and post-select.
+    s = apply_beam_splitter(s, "5", None, "5", "tap5", _FIFTY)
+    s = route_pbs(s, ("1", "1l"), ("m", "mjunk"))
+    s = route_pbs(s, ("m", None), ("dp", "dm"), basis="diag")
+    p_det, merged, min_fid, p_ports = erase_and_merge(
+        s,
+        _PAIR_ERASER_PORTS,
+        _PAIR_ERASER_RULE,
+        keep=path_modes("5") + path_modes("6") + path_modes("7"),
+        tol=tol,
+    )
+    merged = apply_sigma_x(merged, "6")
+    merged = apply_sigma_x(merged, "7")
+    checks.update({f"eraser_{k}_probability": p for k, p in p_ports.items()})
+    checks["eraser_min_branch_fidelity"] = min_fid
     if merged.registers:
         try:
             merged = drop_register(merged, "probe-2")
@@ -564,7 +548,6 @@ def scheme_kerr_forward(
     checks["output_born_weight"] = merged.born_weight
     return SchemeReport(
         scheme="kerr-forward",
-        success_probability=_log_product(log),
         output_fidelity=traced_fidelity(merged, target),
         output_state=merged,
         branch_log=log,
@@ -646,9 +629,7 @@ def entangler_branches(
     across every branch, otherwise kept on all.  A readout class without a
     pure state raises ``UnsupportedMode``.
     """
-    alpha = float(qubus_alpha)
-    theta = float(theta)
-    _check_probe(alpha, theta)
+    alpha, theta = _check_probe(qubus_alpha, theta)
     h_active, v_active = _entangler_paths(paths, pattern)
     beam1 = tuple(Mode(p, V) for p in v_active) + (Mode(ancilla, H),)
     beam2 = tuple(Mode(p, H) for p in h_active) + (Mode(ancilla, V),)
@@ -660,9 +641,7 @@ def entangler_branches(
     phase = tuple(Correction("phase", Mode(p, H), math.pi) for p in h_active)
     flip = (Correction("sigma_x", ancilla),)
     rule = FeedForwardRule({"0": (), "odd": phase + flip, "even": flip})
-    dist = apply_feed_forward(dist, rule)
-
-    corrected = [(o.label, o.probability, o.state) for o in dist.outcomes]
+    corrected = [(o.label, o.probability, rule.apply(o.label, o.state)) for o in dist.outcomes]
     dropped = []
     for label, p, st in corrected:
         try:
@@ -670,52 +649,6 @@ def entangler_branches(
         except WiringError:
             return corrected
     return dropped
-
-
-def entangler(
-    state: PhotonicState,
-    paths,
-    ancilla: str,
-    pattern: str = "reflected",
-    qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
-    theta: float = DEFAULT_THETA,
-    meas_mode: str = "ideal",
-) -> SchemeReport:
-    """Run one entangling block and merge all corrected outcomes.
-
-    Deterministic: the branch probabilities sum to one and every corrected
-    branch matches the ideal output, so the merged state is reported with a
-    single full-probability log entry.
-    Per-branch probabilities and fidelities land in ``checks``.
-    """
-    reference = _entangler_reference(state, paths, ancilla)
-    branches = entangler_branches(
-        state, paths, ancilla, pattern, qubus_alpha, theta, meas_mode
-    )
-    checks: dict[str, float] = {}
-    total = 0.0
-    mean_fid = 0.0
-    merged_input = []
-    for label, p, st in branches:
-        f = traced_fidelity(st, reference)
-        checks[f"branch_n{label}_probability"] = p
-        checks[f"branch_n{label}_fidelity"] = f
-        total += p
-        mean_fid += p * f
-        merged_input.append((p, st))
-    p_all, merged, min_fid = merge_branches(merged_input, tol=_merge_tol(meas_mode))
-    checks["merge_min_fidelity"] = min_fid
-    checks["output_born_weight"] = merged.born_weight
-    log = (BranchLogEntry("probe-number", "all n merged", p_all),)
-    return SchemeReport(
-        scheme="entangler",
-        success_probability=_log_product(log),
-        output_fidelity=mean_fid / total if total > 0.0 else 0.0,
-        output_state=merged,
-        branch_log=log,
-        parameters={"qubus_alpha": float(qubus_alpha), "theta": float(theta)},
-        checks=checks,
-    )
 
 
 def scheme_entangler(
@@ -728,7 +661,11 @@ def scheme_entangler(
     """Entangling block on a freshly prepared spatial qutrit and |+> ancilla.
 
     Prepares the polarization pattern the block expects: paths carrying H
-    where the block couples H, V where it couples V.
+    where the block couples H, V where it couples V.  Deterministic: the
+    branch probabilities sum to one and every corrected branch matches the
+    ideal output, so the merged state is reported with a single
+    full-probability log entry.  Per-branch probabilities and fidelities
+    land in ``checks``.
     """
     c = _coeffs(c)
     paths = ("0", "1", "2")
@@ -736,7 +673,28 @@ def scheme_entangler(
     for path in _entangler_paths(paths, pattern)[1]:
         s = apply_sigma_x(s, path)
     s = tensor(s, ancilla_plus("a"))
-    return entangler(s, paths, "a", pattern, qubus_alpha, theta, meas_mode)
+    reference = _entangler_reference(s, paths, "a")
+    branches = entangler_branches(s, paths, "a", pattern, qubus_alpha, theta, meas_mode)
+    checks: dict[str, float] = {}
+    mean_fid = 0.0
+    for label, p, st in branches:
+        f = traced_fidelity(st, reference)
+        checks[f"branch_n{label}_probability"] = p
+        checks[f"branch_n{label}_fidelity"] = f
+        mean_fid += p * f
+    tol = _merge_tol(meas_mode)
+    p_all, merged, min_fid = merge_branches([(p, st) for _, p, st in branches], tol=tol)
+    checks["merge_min_fidelity"] = min_fid
+    checks["output_born_weight"] = merged.born_weight
+    log = (BranchLogEntry("probe-number", "all n merged", p_all),)
+    return SchemeReport(
+        scheme="entangler",
+        output_fidelity=mean_fid / p_all,
+        output_state=merged,
+        branch_log=log,
+        parameters={"qubus_alpha": float(qubus_alpha), "theta": float(theta)},
+        checks=checks,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -780,25 +738,28 @@ def _kerr_inverse_run(
     theta: float,
     meas_mode: str,
 ):
+    # Merge-probe x centres for 0, 1 and 2 photons on m1, all to be resolved.
+    centres = (alpha, alpha * math.cos(theta), alpha * math.cos(2.0 * theta))
+    if any(abs(a - b) < _PHASE_RESOLUTION for a, b in itertools.combinations(centres, 2)):
+        raise InvalidInput("qubus amplitude cannot resolve the merge-probe groups")
     tol = _merge_tol(meas_mode)
     checks: dict[str, float] = {}
+    log = []
 
     s = tensor(state, ancilla_plus("a"))
     s = tensor(s, ancilla_plus("b"))
-    s = apply_sigma_x(s, paths[1])
-    s = apply_sigma_x(s, paths[2])
-    branches = entangler_branches(
-        s, paths, "a", "reflected", alpha, theta, meas_mode, "ent1"
-    )
-    p_e1, s, fid_e1 = merge_branches([(p, st) for _, p, st in branches], tol=tol)
-    checks["entangler1_merge_fidelity"] = fid_e1
-
-    s = apply_sigma_x(s, paths[1])
-    branches = entangler_branches(
-        s, paths, "b", "transmitted", alpha, theta, meas_mode, "ent2"
-    )
-    p_e2, s, fid_e2 = merge_branches([(p, st) for _, p, st in branches], tol=tol)
-    checks["entangler2_merge_fidelity"] = fid_e2
+    for k, ancilla, pattern, flips in (
+        (1, "a", "reflected", paths[1:]),
+        (2, "b", "transmitted", paths[1:2]),
+    ):
+        for path in flips:
+            s = apply_sigma_x(s, path)
+        branches = entangler_branches(
+            s, paths, ancilla, pattern, alpha, theta, meas_mode, f"ent{k}"
+        )
+        p, s, fid = merge_branches([(q, st) for _, q, st in branches], tol=tol)
+        checks[f"entangler{k}_merge_fidelity"] = fid
+        log.append(BranchLogEntry(f"entangler-{k}", "all n merged", p))
 
     # Erase which-path information of the single photon.
     s = route_pbs(s, (paths[1], paths[2]), ("merge12", "junk12"))
@@ -840,14 +801,12 @@ def _kerr_inverse_run(
     p_bunch, s, fid_bunch = merge_branches(bunched, tol=tol)
     checks["bunched_merge_fidelity"] = fid_bunch
 
-    log = (
-        BranchLogEntry("entangler-1", "all n merged", p_e1),
-        BranchLogEntry("entangler-2", "all n merged", p_e2),
+    log += [
         BranchLogEntry("path-eraser", "5|6|7|8", p_eraser),
         BranchLogEntry("rebalance-taps", "vacuum", p_tap),
         BranchLogEntry("bunched-merge", "m1|m2", p_bunch),
-    )
-    return log, s, checks
+    ]
+    return tuple(log), s, checks
 
 
 def scheme_kerr_inverse(
@@ -865,14 +824,7 @@ def scheme_kerr_inverse(
     the ancilla pair onto path ``out``.  Succeeds with probability 1/2.
     """
     c = _coeffs(c)
-    alpha = float(qubus_alpha)
-    theta = float(theta)
-    _check_probe(alpha, theta)
-    if alpha * (math.cos(theta) - math.cos(2.0 * theta)) < _PHASE_RESOLUTION:
-        raise InvalidInput(
-            "qubus amplitude cannot resolve the merge-probe groups"
-        )
-
+    alpha, theta = _check_probe(qubus_alpha, theta)
     paths = ("s0", "s1", "s2")
     state = make_spatial_qutrit(c, paths)
     log, s, checks = _kerr_inverse_run(state, paths, alpha, theta, meas_mode)
@@ -880,7 +832,6 @@ def scheme_kerr_inverse(
     checks["output_born_weight"] = s.born_weight
     return SchemeReport(
         scheme="kerr-inverse",
-        success_probability=_log_product(log),
         output_fidelity=traced_fidelity(s, target),
         output_state=s,
         branch_log=log,
@@ -919,24 +870,19 @@ def u3_biphotonic(
     if u.shape != (3, 3):
         raise InvalidInput(f"expected a 3x3 matrix, got shape {u.shape}")
     assert_unitary(u)
-    if backend not in ("linear", "kerr"):
+    if backend == "linear":
+        fwd = scheme_linear_forward(c, t)
+        outputs = ("6", "3", "7")
+    elif backend == "kerr":
+        fwd = scheme_kerr_forward(
+            c, t, meas_mode=meas_mode, qubus_alpha=qubus_alpha, theta=theta
+        )
+        outputs = ("5", "6", "7")
+    else:
         raise InvalidInput(f"unknown backend {backend!r}")
 
     spatial = ("s0", "s1", "s2")
-    if backend == "linear":
-        fwd = scheme_linear_forward(c, t)
-        s = relabel_paths(fwd.output_state, {"6": "s0", "3": "s1", "7": "s2"})
-    else:
-        fwd = scheme_kerr_forward(
-            c,
-            t,
-            variant="double-xpm",
-            meas_mode=meas_mode,
-            qubus_alpha=qubus_alpha,
-            theta=theta,
-        )
-        s = relabel_paths(fwd.output_state, {"5": "s0", "6": "s1", "7": "s2"})
-
+    s = relabel_paths(fwd.output_state, dict(zip(outputs, spatial)))
     s = apply_lomi(s, reck_decompose(u), spatial)
 
     checks = {f"forward_{k}": v for k, v in fwd.checks.items()}
@@ -944,29 +890,22 @@ def u3_biphotonic(
     if backend == "linear":
         params = default_linear_inverse_params(t1, t2, t3)
         _, inv_log, s = _linear_inverse_run(s, spatial, **params)
-        parameters = {"t": fwd.parameters["t"], **params}
     else:
-        inv_log, s, inv_checks = _kerr_inverse_run(
-            s, spatial, float(qubus_alpha), float(theta), meas_mode
-        )
+        alpha, theta = fwd.parameters["qubus_alpha"], fwd.parameters["theta"]
+        inv_log, s, inv_checks = _kerr_inverse_run(s, spatial, alpha, theta, meas_mode)
         checks.update({f"inverse_{k}": v for k, v in inv_checks.items()})
-        parameters = {
-            "t": fwd.parameters["t"],
-            "qubus_alpha": float(qubus_alpha),
-            "theta": float(theta),
-        }
+        params = {"qubus_alpha": alpha, "theta": theta}
 
     vec = u @ np.array(c.as_tuple())
     target = make_biphotonic_qutrit(QutritCoefficients.normalize(*vec), "out")
-    log = fwd.branch_log + tuple(inv_log)
+    log = fwd.branch_log + inv_log
     checks["output_born_weight"] = s.born_weight
     return SchemeReport(
         scheme=f"u3-{backend}",
-        success_probability=_log_product(log),
         output_fidelity=traced_fidelity(s, target),
         output_state=s,
         branch_log=log,
-        parameters=parameters,
+        parameters={"t": fwd.parameters["t"], **params},
         checks=checks,
     )
 

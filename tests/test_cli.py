@@ -218,6 +218,15 @@ def test_errors_exit_nonzero_with_diagnostics(capsys, tmp_path):
     assert code == 2 and "unknown parameter 'number_cap'" in err
     code, _, err = run_cli(["run", "--scheme", "linear-forward", "--alpha", "1"], capsys)
     assert code == 2 and "together" in err
+    explicit = ["--alpha", "1", "--beta", "0", "--gamma", "0"]
+    code, _, err = run_cli(["run", "--scheme", "linear-forward", "--random", *explicit], capsys)
+    assert code == 2 and "--random cannot be combined" in err
+    cfg = tmp_path / "random.json"
+    cfg.write_text(json.dumps({"random": True}))
+    code, _, err = run_cli(
+        ["run", "--scheme", "linear-forward", "--config", str(cfg), *explicit], capsys
+    )
+    assert code == 2 and "--random cannot be combined" in err
     for param in ("qubus_alpha=nan", "qubus_alpha=inf", "theta=inf", "theta=nan"):
         code, _, err = run_cli(
             ["run", "--scheme", "kerr-forward", "--param", param], capsys

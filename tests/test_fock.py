@@ -22,7 +22,6 @@ from qutritmap.fock import (
     InvalidInput,
     Mode,
     PhotonCapExceeded,
-    PhotonicState,
     QutritCoefficients,
     WiringError,
     amplitude_of,

@@ -29,7 +29,6 @@ from qutritmap.fock import (
 from qutritmap.measurement import (
     Correction,
     FeedForwardRule,
-    apply_feed_forward,
     detect_non_resolving,
     erase_and_merge,
     merge_branches,
@@ -156,21 +155,19 @@ def test_feed_forward_applies_and_checks_labels():
             "no-click": (),
         }
     )
-    fixed = apply_feed_forward(dist, rule)
-    before = dist.get("click").state.terms[0].amplitude
-    after = fixed.get("click").state.terms[0].amplitude
-    assert after == pytest.approx(-before)
-    assert fixed.get("no-click").state == dist.get("no-click").state
+    click, no_click = dist.get("click").state, dist.get("no-click").state
+    after = rule.apply("click", click).terms[0].amplitude
+    assert after == pytest.approx(-click.terms[0].amplitude)
+    assert rule.apply("no-click", no_click) == no_click
     with pytest.raises(WiringError):
-        apply_feed_forward(dist, FeedForwardRule({"click": ()}))
+        FeedForwardRule({"click": ()}).apply("no-click", no_click)
 
 
 def test_feed_forward_sigma_x_correction():
     s = single_photon("a", "V")
     dist = detect_non_resolving(tensor(s, single_photon("d")), path_modes("d"))
     rule = FeedForwardRule({"click": (Correction("sigma_x", "a"),)})
-    fixed = apply_feed_forward(dist, rule)
-    occ = fixed.get("click").state.terms[0].occupations()
+    occ = rule.apply("click", dist.get("click").state).terms[0].occupations()
     assert occ[Mode("a", "H")] == 1
     assert occ[Mode("d", "H")] == 1
 

@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qutritmap.fock import (
@@ -23,6 +23,7 @@ from qutritmap.fock import (
     FockTerm,
     InvalidInput,
     Mode,
+    PhotonicState,
     SimulationError,
     UnsupportedMode,
     build_state,
@@ -54,7 +55,13 @@ def number_overlap(beta: complex, n: int) -> complex:
 
 
 def reference_per_n(state, register, mode="ideal"):
-    """``[(n, p, branch)]`` for n = 0, 1, ... until the tail is below TAIL."""
+    """``[(n, p, branch)]`` for n = 0, 1, ... until the tail is below TAIL.
+
+    ``p`` is the squared norm of the unmerged, unpruned per-n terms: a term
+    just above PRUNE_EPS that the canonical branch drops would otherwise take
+    its cross term with an O(1) term (about 1e-12) out of p.  ``branch``, the
+    canonical renormalised state, serves the fidelity check only.
+    """
     if mode not in ("ideal", "physical"):
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
@@ -77,8 +84,9 @@ def reference_per_n(state, register, mode="ideal"):
     n = 0
     while True:
         regs, terms = _without_register(state, idx, lambda t, n=n: weight(t, n))
-        p, branch = _branch(build_state(regs, terms, state.born_weight), norm_in)
-        out.append((n, p, branch))
+        raw = PhotonicState(regs, tuple(terms))
+        _, branch = _branch(build_state(regs, terms, state.born_weight), norm_in)
+        out.append((n, inner_product(raw, raw).real / norm_in, branch))
         # Triangle bound on p(n), the other registers' overlaps being at most
         # 1; past n = 2 mu it at least halves with each n, so the tail after
         # n is below twice this bound.
@@ -95,7 +103,7 @@ def reference_classes(state, register, mode="ideal"):
     for n, p, branch in reference_per_n(state, register, mode):
         label = "0" if n == 0 else ("odd" if n % 2 else "even")
         total, members = classes[label]
-        classes[label] = (total + p, members + ([(p, branch)] if p > 0.0 else []))
+        classes[label] = (total + p, members + ([(p, branch)] if branch.terms else []))
     return classes
 
 
@@ -228,6 +236,18 @@ def class_label_sets(draw):
         max_size=10,
     ),
     mode=st.sampled_from(("ideal", "physical")),
+)
+@example(  # a term just above PRUNE_EPS beside an O(1) term of its occupation
+    labels=[1 + 0j, -1 - 0j, math.sqrt(3) + 0j, -math.sqrt(3) - 0j],
+    others=[0j, 0.25j],
+    specs=[
+        (0, (0, 0), 1 + 0j),
+        (0, (0, 0), 0.25 + 0j),
+        (0, (0, 0), 0.25 + 0j),
+        (1, (2, 0), 2e-12 + 0j),
+        (1, (0, 1), 1 + 0j),
+    ],
+    mode="ideal",
 )
 @settings(max_examples=120, deadline=None)
 def test_class_readout_matches_per_n_reference(labels, others, specs, mode):

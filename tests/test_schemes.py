@@ -21,7 +21,6 @@ from qutritmap.fock import (
     QutritCoefficients,
     UnsupportedMode,
     V,
-    WiringError,
     amplitude_of,
     ancilla_plus,
     fidelity,
@@ -40,13 +39,11 @@ from qutritmap.qubus import (
 )
 from qutritmap.sampling import haar_unitary, random_qutrit
 from qutritmap.schemes import (
-    BranchLogEntry,
     P_KERR_FORWARD,
     P_KERR_INVERSE,
     P_LINEAR_FORWARD,
     P_LINEAR_INVERSE,
     R1_SQ_LINEAR_INVERSE,
-    SchemeReport,
     T1_SQ_LINEAR_INVERSE,
     T2_LINEAR_FORWARD,
     T3_SQ_LINEAR_INVERSE,
@@ -469,6 +466,30 @@ def test_kerr_inverse_physical_mode_degrades_gracefully():
     assert r.output_fidelity > 0.5
 
 
+def test_probe_readouts_must_resolve_their_outcome_groups():
+    # The merge probe centres on alpha cos(k theta) for k = 0, 1, 2 photons:
+    # k = 1 and 2 meet at 2 pi / 3, and k = 2 returns to alpha at pi.
+    for theta in (2 * math.pi / 3, math.pi):
+        with pytest.raises(InvalidInput, match="merge-probe"):
+            scheme_kerr_inverse(COEFFS, theta=theta)
+        with pytest.raises(InvalidInput):
+            u3_biphotonic(COEFFS, np.eye(3), backend="kerr", theta=theta)
+    # cos(2 theta) > cos(theta) here, yet all three centres are far apart.
+    r = scheme_kerr_inverse(COEFFS, theta=2.5)
+    assert abs(r.success_probability - P_KERR_INVERSE) < 1e-12
+    assert abs(r.output_fidelity - 1) < 1e-10
+    # At pi a probe that saw zero or two photons returns to the one-photon
+    # label, so a probe pair's difference port is dark for every component;
+    # separate-qnd's quadrature readouts still tell a kicked probe (x = -alpha)
+    # from an unkicked one.
+    with pytest.raises(InvalidInput, match="sin theta"):
+        scheme_entangler(COEFFS, theta=math.pi)
+    with pytest.raises(InvalidInput, match="sin theta"):
+        scheme_kerr_forward(COEFFS, theta=math.pi)
+    r = scheme_kerr_forward(COEFFS, variant="separate-qnd", theta=math.pi)
+    assert abs(r.success_probability - P_KERR_FORWARD) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # unitary on the two-photon encoding
 
@@ -510,19 +531,6 @@ def test_u3_rejects_bad_matrices():
 
 # ---------------------------------------------------------------------------
 # report invariants
-
-
-def test_report_rejects_inconsistent_branch_log():
-    r = scheme_linear_forward(COEFFS)
-    with pytest.raises(WiringError):
-        SchemeReport(
-            scheme="broken",
-            success_probability=0.5,
-            output_fidelity=1.0,
-            output_state=r.output_state,
-            branch_log=(BranchLogEntry("step", "outcome", 0.25),),
-            parameters={},
-        )
 
 
 def test_reports_tie_born_weight_to_the_branch_log():
