@@ -63,7 +63,6 @@ from .measurement import (
     strip_modes,
 )
 from .qubus import (
-    XpmCoupling,
     add_register,
     apply_xpm,
     coherent_bs50,

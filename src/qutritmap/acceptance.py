@@ -21,6 +21,7 @@ from .fock import (
     POLS,
     amplitude_of,
     build_state,
+    fidelity,
     norm_sq,
     normalized,
     single_photon,
@@ -131,8 +132,6 @@ def _criterion_3(seed) -> CriterionResult:
 
 
 def _criterion_4(seed) -> CriterionResult:
-    from .fock import fidelity
-
     rng = np.random.default_rng([seed, 4])
     worst_p = 0.0
     worst_fid = 1.0

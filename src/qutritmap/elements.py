@@ -179,12 +179,27 @@ def _check_outputs(state, inputs, outputs):
         raise WiringError(f"duplicate input paths {inputs}")
     if len(set(outputs)) != len(outputs):
         raise WiringError(f"duplicate output paths {outputs}")
-    present = state_paths(state)
+    present = () if set(outputs).issubset(ins) else state_paths(state)
     for out in outputs:
         if out in present and out not in ins:
             raise WiringError(
                 f"output path {out!r} already carries photons and is not an input"
             )
+
+
+def _paths_substituted(state, inputs, outputs, matrix) -> PhotonicState:
+    """Send input path j, both polarizations, to ``sum_k matrix[k][j]`` output path k.
+
+    A ``None`` input is a vacuum port.
+    """
+    _check_outputs(state, inputs, outputs)
+    mapping = {}
+    for pol in POLS:
+        targets = [Mode(pk, pol) for pk in outputs]
+        for pj, column in zip(inputs, zip(*matrix)):
+            if pj is not None:
+                mapping[Mode(pj, pol)] = list(zip(targets, column))
+    return substitute_modes(state, mapping)
 
 
 def apply_beam_splitter(
@@ -196,20 +211,7 @@ def apply_beam_splitter(
     spec: BeamSplitterSpec,
 ) -> PhotonicState:
     """Polarization-independent beam splitter; ``in_b=None`` means a vacuum port."""
-    _check_outputs(state, (in_a, in_b), (out_c, out_d))
-    m = spec.matrix()
-    mapping: dict[Mode, list[tuple[Mode, complex]]] = {}
-    for pol in POLS:
-        mapping[Mode(in_a, pol)] = [
-            (Mode(out_c, pol), m[0][0]),
-            (Mode(out_d, pol), m[1][0]),
-        ]
-        if in_b is not None:
-            mapping[Mode(in_b, pol)] = [
-                (Mode(out_c, pol), m[0][1]),
-                (Mode(out_d, pol), m[1][1]),
-            ]
-    return substitute_modes(state, mapping)
+    return _paths_substituted(state, (in_a, in_b), (out_c, out_d), spec.matrix())
 
 
 def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> PhotonicState:
@@ -278,24 +280,18 @@ def apply_qft(state: PhotonicState, paths: Sequence[str]) -> PhotonicState:
     ``a_j^dag -> (1/sqrt(d)) sum_k exp(+2*pi*i*j*k/d) a_k^dag``.
     """
     d = len(paths)
-    if len(set(paths)) != d or d == 0:
-        raise WiringError(f"QFT needs distinct paths, got {paths}")
+    if d == 0:
+        raise WiringError("QFT needs at least one path")
     scale = 1.0 / math.sqrt(d)
-    mapping: dict[Mode, list[tuple[Mode, complex]]] = {}
-    for j, pj in enumerate(paths):
-        for pol in POLS:
-            mapping[Mode(pj, pol)] = [
-                (Mode(pk, pol), scale * cmath.exp(2j * math.pi * j * k / d))
-                for k, pk in enumerate(paths)
-            ]
-    return substitute_modes(state, mapping)
+    matrix = [[scale * cmath.exp(2j * math.pi * j * k / d) for j in range(d)] for k in range(d)]
+    return _paths_substituted(state, paths, paths, matrix)
 
 
-def assert_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def assert_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidInput(f"matrix must be square, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > tol:
+    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-9:
         raise InvalidInput("matrix is not unitary")
     return u
 
@@ -305,15 +301,9 @@ def apply_path_unitary(
 ) -> PhotonicState:
     """Directly substitute a unitary over spatial paths (both polarizations)."""
     u = assert_unitary(u)
-    if len(paths) != u.shape[0] or len(set(paths)) != len(paths):
-        raise WiringError("paths must be distinct and match the matrix dimension")
-    mapping: dict[Mode, list[tuple[Mode, complex]]] = {}
-    for j, pj in enumerate(paths):
-        for pol in POLS:
-            mapping[Mode(pj, pol)] = [
-                (Mode(pk, pol), complex(u[k, j])) for k, pk in enumerate(paths)
-            ]
-    return substitute_modes(state, mapping)
+    if len(paths) != u.shape[0]:
+        raise WiringError("paths must match the matrix dimension")
+    return _paths_substituted(state, paths, paths, u.tolist())
 
 
 @dataclass(frozen=True)

@@ -369,13 +369,12 @@ def make_biphotonic_qutrit(coeffs: QutritCoefficients, path: str = "in") -> Phot
 def make_spatial_qutrit(
     coeffs: QutritCoefficients,
     paths: tuple[str, str, str],
-    pol: str = H,
 ) -> PhotonicState:
-    """One photon spread over three paths with a fixed polarization."""
+    """One photon spread over three paths, horizontally polarized."""
     if len(set(paths)) != 3:
         raise WiringError(f"spatial qutrit needs three distinct paths, got {paths}")
     terms = [
-        FockTerm.from_occupations({Mode(p, pol): 1}, (), c)
+        FockTerm.from_occupations({Mode(p, H): 1}, (), c)
         for p, c in zip(paths, coeffs.as_tuple())
     ]
     return build_state((), terms)

@@ -14,10 +14,12 @@ them with ``build_state``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .elements import apply_phase_shift, apply_sigma_x
 from .fock import (
     FockTerm,
     InvalidInput,
@@ -102,15 +104,11 @@ def _branch(kept: PhotonicState, norm_in: float) -> tuple[float, PhotonicState]:
 def detect_non_resolving(state: PhotonicState, modes: Iterable[Mode]) -> BranchDistribution:
     """Split a canonical state into click / no-click branches over the watched modes."""
     watched = frozenset(modes)
-    norm_in = _norm_in(state, "measure")
-    click_terms = tuple(t for t in state.terms if _photons_in(t, watched) > 0)
-    quiet_terms = tuple(t for t in state.terms if _photons_in(t, watched) == 0)
-    outcomes = []
-    for label, terms in (("click", click_terms), ("no-click", quiet_terms)):
-        p, branch = _branch(PhotonicState(state.registers, terms, state.born_weight), norm_in)
-        if p > 0.0:
-            outcomes.append(Outcome(label, None, p, branch))
-    return BranchDistribution(tuple(outcomes))
+    outcomes = (
+        Outcome(label, None, *post_select_coincidence(state, [(watched, label)]))
+        for label in ("click", "no-click")
+    )
+    return BranchDistribution(tuple(o for o in outcomes if o.probability > 0.0))
 
 
 def post_select_coincidence(
@@ -127,19 +125,14 @@ def post_select_coincidence(
     for modes, want in pattern:
         if want not in ("click", "no-click"):
             raise InvalidInput(f"unknown requirement {want!r}")
-        sets.append((frozenset(modes), want))
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i][0] & sets[j][0]:
-                raise WiringError("post-selection mode groups overlap")
+        sets.append((frozenset(modes), want == "click"))
+    if any(a & b for (a, _), (b, _) in itertools.combinations(sets, 2)):
+        raise WiringError("post-selection mode groups overlap")
     norm_in = _norm_in(state, "post-select")
 
     def matches(term):
-        for watched, want in sets:
-            n = _photons_in(term, watched)
-            if want == "click" and n == 0:
-                return False
-            if want == "no-click" and n > 0:
+        for watched, click in sets:
+            if (_photons_in(term, watched) > 0) != click:
                 return False
         return True
 
@@ -175,28 +168,22 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
         row[rest_key] = row.get(rest_key, 0j) + t.amplitude
     if not coeffs:
         raise InvalidInput("cannot strip modes from a zero state")
-    if len(coeffs) == 1:
-        row = next(iter(coeffs.values()))
-        raw = [FockTerm(k[0], k[1], amp) for k, amp in row.items()]
-    else:
-        # rank-1 check: every row must be proportional to the heaviest row
-        rows = list(coeffs.items())
-        scale = max(abs(a) for _, row in rows for a in row.values())
-        i0 = max(
-            range(len(rows)), key=lambda i: sum(abs(a) ** 2 for a in rows[i][1].values())
-        )
-        ref = rows[i0][1]
-        j0 = max(ref, key=lambda k: abs(ref[k]))
-        for _, row in rows:
-            rj0 = row.get(j0, 0j)
-            for key in set(ref) | set(row):
-                lhs = row.get(key, 0j) * ref[j0]
-                rhs = rj0 * ref.get(key, 0j)
-                if abs(lhs - rhs) > 1e-9 * max(1.0, scale**2):
-                    raise WiringError(
-                        "watched modes are entangled with the rest; cannot strip"
-                    )
-        raw = [FockTerm(k[0], k[1], amp) for k, amp in ref.items()]
+    # rank-1 check: every row must be proportional to the heaviest row
+    rows = list(coeffs.values())
+    tol = 1e-9 * max(1.0, max(abs(a) for row in rows for a in row.values()) ** 2)
+    ref = max(rows, key=lambda row: sum(abs(a) ** 2 for a in row.values()))
+    rows.remove(ref)  # proportional to itself
+    j0 = max(ref, key=lambda k: abs(ref[k]))
+    for row in rows:
+        rj0 = row.get(j0, 0j)
+        for key in set(ref) | set(row):
+            lhs = row.get(key, 0j) * ref[j0]
+            rhs = rj0 * ref.get(key, 0j)
+            if abs(lhs - rhs) > tol:
+                raise WiringError(
+                    "watched modes are entangled with the rest; cannot strip"
+                )
+    raw = [FockTerm(k[0], k[1], amp) for k, amp in ref.items()]
     stripped = build_state(state.registers, raw, state.born_weight)
     n2 = norm_sq(stripped)
     if n2 <= PROB_EPS:
@@ -223,8 +210,6 @@ class FeedForwardRule:
 
     def apply(self, label: str, state: PhotonicState) -> PhotonicState:
         """Run the correction chain of outcome ``label`` on ``state``."""
-        from .elements import apply_phase_shift, apply_sigma_x
-
         if label not in self.corrections:
             raise WiringError(f"no feed-forward entry for outcome {label!r}")
         for corr in self.corrections[label]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .fock import (
     COHERENT_MERGE_EPS,
@@ -62,24 +61,17 @@ def _without_register(state, idx, rewrite):
     return regs, terms
 
 
-@dataclass(frozen=True)
-class XpmCoupling:
-    """One cross-Kerr interaction: photons in ``modes`` kick ``register``."""
-
-    register: str
-    modes: tuple[Mode, ...]
-    theta: float
-
-
-def apply_xpm(state: PhotonicState, coupling: XpmCoupling) -> PhotonicState:
-    """Rotate the coupled register's label by theta per photon; canonical input."""
-    idx = _register_index(state, coupling.register)
-    watched = frozenset(coupling.modes)
+def apply_xpm(
+    state: PhotonicState, register: str, modes: tuple[Mode, ...], theta: float
+) -> PhotonicState:
+    """Photons in ``modes`` rotate ``register``'s label by theta each; canonical input."""
+    idx = _register_index(state, register)
+    watched = frozenset(modes)
     terms = []
     for t in state.terms:
         n = sum(k for m, k in t.occ if m in watched)
         coh = list(t.coherent)
-        coh[idx] = coh[idx] * cmath.exp(1j * n * coupling.theta)
+        coh[idx] = coh[idx] * cmath.exp(1j * n * theta)
         terms.append(FockTerm(t.occ, tuple(coh), t.amplitude))
     return sorted_state(state, terms)
 

@@ -73,7 +73,6 @@ from .measurement import (
     strip_modes,
 )
 from .qubus import (
-    XpmCoupling,
     add_register,
     apply_xpm,
     coherent_bs50,
@@ -174,6 +173,15 @@ def _check_probe(alpha, theta) -> tuple[float, float]:
     return alpha, theta
 
 
+def _check_merge_probe(alpha, theta) -> tuple[float, float]:
+    """:func:`_check_probe`, and that the merge probe resolves 0, 1 and 2 photons on m1."""
+    alpha, theta = _check_probe(alpha, theta)
+    centres = (alpha, alpha * math.cos(theta), alpha * math.cos(2.0 * theta))
+    if any(abs(a - b) < _PHASE_RESOLUTION for a, b in itertools.combinations(centres, 2)):
+        raise InvalidInput("qubus amplitude cannot resolve the merge-probe groups")
+    return alpha, theta
+
+
 def _merge_tol(meas_mode: str) -> float:
     """Validate ``meas_mode``; return the fidelity tolerance for merging branches.
 
@@ -200,8 +208,8 @@ def _probe_pair(state, prefix, alpha, theta, modes1, modes2) -> PhotonicState:
     reg1, reg2 = f"{prefix}-1", f"{prefix}-2"
     s = add_register(state, reg1, alpha)
     s = add_register(s, reg2, alpha)
-    s = apply_xpm(s, XpmCoupling(reg1, modes1, theta))
-    s = apply_xpm(s, XpmCoupling(reg2, modes2, theta))
+    s = apply_xpm(s, reg1, modes1, theta)
+    s = apply_xpm(s, reg2, modes2, theta)
     s = coherent_phase(s, reg1, -theta)
     s = coherent_phase(s, reg2, -theta)
     return coherent_bs50(s, reg1, reg2)
@@ -495,10 +503,10 @@ def scheme_kerr_forward(
     if variant == "separate-qnd":
         s = add_register(s, "probe-1", alpha)
         s = add_register(s, "probe-2", alpha)
-        s = apply_xpm(s, XpmCoupling("probe-1", (Mode("1", H),), theta))
-        s = apply_xpm(s, XpmCoupling("probe-1", (Mode("5", H), Mode("6", V)), -theta))
-        s = apply_xpm(s, XpmCoupling("probe-2", (Mode("1l", V),), theta))
-        s = apply_xpm(s, XpmCoupling("probe-2", (Mode("7", V),), -theta))
+        s = apply_xpm(s, "probe-1", (Mode("1", H),), theta)
+        s = apply_xpm(s, "probe-1", (Mode("5", H), Mode("6", V)), -theta)
+        s = apply_xpm(s, "probe-2", (Mode("1l", V),), theta)
+        s = apply_xpm(s, "probe-2", (Mode("7", V),), -theta)
         log_entries = []
         for reg in ("probe-1", "probe-2"):
             dist = project_quadrature_x(s, reg, mode=meas_mode)
@@ -516,8 +524,6 @@ def scheme_kerr_forward(
         s = _probe_pair(s, "probe", alpha, theta, probe1, probe2)
         dist = project_photon_number(s, "probe-1", mode=meas_mode)
         kept = dist.get("0")
-        if kept is None or kept.probability == 0.0:
-            raise WiringError("vacuum outcome of the probe readout is empty")
         checks["probe_total_probability"] = dist.total_probability
         s = kept.state
         p_meas_log = (BranchLogEntry("probe-number", "n=0", kept.probability),)
@@ -738,10 +744,6 @@ def _kerr_inverse_run(
     theta: float,
     meas_mode: str,
 ):
-    # Merge-probe x centres for 0, 1 and 2 photons on m1, all to be resolved.
-    centres = (alpha, alpha * math.cos(theta), alpha * math.cos(2.0 * theta))
-    if any(abs(a - b) < _PHASE_RESOLUTION for a, b in itertools.combinations(centres, 2)):
-        raise InvalidInput("qubus amplitude cannot resolve the merge-probe groups")
     tol = _merge_tol(meas_mode)
     checks: dict[str, float] = {}
     log = []
@@ -781,15 +783,11 @@ def _kerr_inverse_run(
     )
     s = apply_beam_splitter(s, "a", "b", "m1", "m2", _FIFTY)
     s = add_register(s, "merge-probe", alpha)
-    s = apply_xpm(s, XpmCoupling("merge-probe", path_modes("m1"), theta))
+    s = apply_xpm(s, "merge-probe", path_modes("m1"), theta)
     dist = project_quadrature_x(s, "merge-probe", mode="ideal")
     bunched = []
-    seen = set()
     for value, out_path in ((alpha * math.cos(2.0 * theta), "m1"), (alpha, "m2")):
         kept = _quadrature_group(dist, "merge-probe", value)
-        if kept.label in seen:
-            raise WiringError("merge-probe quadrature groups are unresolved")
-        seen.add(kept.label)
         st = relabel_paths(kept.state, {out_path: "out"})
         q, st = project_total_photons(st, path_modes("out"), 2)
         checks[f"bunched_{out_path}_probability"] = kept.probability * q
@@ -824,7 +822,7 @@ def scheme_kerr_inverse(
     the ancilla pair onto path ``out``.  Succeeds with probability 1/2.
     """
     c = _coeffs(c)
-    alpha, theta = _check_probe(qubus_alpha, theta)
+    alpha, theta = _check_merge_probe(qubus_alpha, theta)
     paths = ("s0", "s1", "s2")
     state = make_spatial_qutrit(c, paths)
     log, s, checks = _kerr_inverse_run(state, paths, alpha, theta, meas_mode)
@@ -874,8 +872,9 @@ def u3_biphotonic(
         fwd = scheme_linear_forward(c, t)
         outputs = ("6", "3", "7")
     elif backend == "kerr":
+        alpha, theta = _check_merge_probe(qubus_alpha, theta)
         fwd = scheme_kerr_forward(
-            c, t, meas_mode=meas_mode, qubus_alpha=qubus_alpha, theta=theta
+            c, t, meas_mode=meas_mode, qubus_alpha=alpha, theta=theta
         )
         outputs = ("5", "6", "7")
     else:
@@ -891,7 +890,6 @@ def u3_biphotonic(
         params = default_linear_inverse_params(t1, t2, t3)
         _, inv_log, s = _linear_inverse_run(s, spatial, **params)
     else:
-        alpha, theta = fwd.parameters["qubus_alpha"], fwd.parameters["theta"]
         inv_log, s, inv_checks = _kerr_inverse_run(s, spatial, alpha, theta, meas_mode)
         checks.update({f"inverse_{k}": v for k, v in inv_checks.items()})
         params = {"qubus_alpha": alpha, "theta": theta}

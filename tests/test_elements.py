@@ -150,6 +150,12 @@ def test_wiring_checks():
     with pytest.raises(WiringError):
         # output collides with an uninvolved occupied path
         apply_beam_splitter(s, "a", None, "x", "d", BeamSplitterSpec.fifty_fifty())
+    for paths in (("a", "x", "a"), ()):
+        with pytest.raises(WiringError):
+            apply_qft(s, paths)
+    for paths in (("a", "x", "a"), ("a", "x")):
+        with pytest.raises(WiringError):
+            apply_path_unitary(s, np.eye(3), paths)
 
 
 def test_phase_shift_counts_photons_and_wraps():

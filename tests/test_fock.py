@@ -41,7 +41,7 @@ from qutritmap.fock import (
     vacuum_state,
 )
 from qutritmap.elements import apply_phase_shift, apply_sigma_x
-from qutritmap.qubus import XpmCoupling, apply_xpm, coherent_bs50, coherent_phase
+from qutritmap.qubus import apply_xpm, coherent_bs50, coherent_phase
 
 NMAX = 60
 
@@ -163,7 +163,7 @@ def test_one_to_one_operations_skip_the_merge_exactly(amps, labels, phi):
         apply_phase_shift(s, "a", phi),
         apply_phase_shift(s, Mode("a", "H"), phi),
         apply_sigma_x(s, "a"),
-        apply_xpm(s, XpmCoupling("r0", (Mode("a", "H"), Mode("b", "H")), phi)),
+        apply_xpm(s, "r0", (Mode("a", "H"), Mode("b", "H")), phi),
         coherent_phase(s, "r1", phi),
         coherent_bs50(s, "r0", "r1"),
     ):

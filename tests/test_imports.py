@@ -1,8 +1,10 @@
-"""No module under ``src/``, ``scripts/`` or ``tests/`` imports a name it never uses.
+"""No module under ``src/``, ``scripts/`` or ``tests/`` imports a name it never
+uses, and no function under ``src/`` imports anything.
 
-A stdlib ``ast`` scan: every name an import binds must appear as a name
-somewhere else in the same file.  Package ``__init__.py`` files (whose
-imports are re-exports) and ``from __future__`` imports are skipped.
+Stdlib ``ast`` scans.  Every name an import binds must appear as a name
+somewhere else in the same file; package ``__init__.py`` files (whose imports
+are re-exports) and ``from __future__`` imports are skipped there.  Package
+imports belong at module level, where import cycles show at once.
 """
 
 import ast
@@ -38,3 +40,21 @@ def test_no_unused_imports():
     ]
     assert files
     assert [u for p in files for u in unused_imports(p)] == []
+
+
+def function_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = {
+        inner.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
+    return [f"{path.relative_to(ROOT)}:{line}" for line in sorted(lines)]
+
+
+def test_no_function_local_imports():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    assert [f for p in files for f in function_imports(p)] == []

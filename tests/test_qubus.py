@@ -18,7 +18,6 @@ from qutritmap.fock import (
     single_photon,
 )
 from qutritmap.qubus import (
-    XpmCoupling,
     add_register,
     apply_xpm,
     coherent_bs50,
@@ -50,17 +49,16 @@ def test_xpm_counts_photons():
     s = add_register(
         build_state((), [FockTerm.from_occupations({Mode("a", "H"): 2})]), "p", 1.5
     )
-    out = apply_xpm(s, XpmCoupling("p", (Mode("a", "H"),), 0.25))
+    out = apply_xpm(s, "p", (Mode("a", "H"),), 0.25)
     assert out.terms[0].coherent[0] == pytest.approx(1.5 * cmath.exp(0.5j))
-    untouched = apply_xpm(s, XpmCoupling("p", (Mode("b", "H"),), 0.25))
+    untouched = apply_xpm(s, "p", (Mode("b", "H"),), 0.25)
     assert untouched.terms[0].coherent[0] == pytest.approx(1.5)
 
 
 def test_xpm_inverse_restores_label():
     s = add_register(single_photon("a"), "p", 1.0 - 0.5j)
-    kick = XpmCoupling("p", (Mode("a", "H"),), 0.7)
-    undo = XpmCoupling("p", (Mode("a", "H"),), -0.7)
-    back = apply_xpm(apply_xpm(s, kick), undo)
+    kicked = apply_xpm(s, "p", (Mode("a", "H"),), 0.7)
+    back = apply_xpm(kicked, "p", (Mode("a", "H"),), -0.7)
     assert back.terms[0].coherent[0] == pytest.approx(1.0 - 0.5j)
 
 

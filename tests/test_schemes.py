@@ -30,13 +30,13 @@ from qutritmap.fock import (
 )
 from qutritmap.elements import apply_sigma_x
 from qutritmap.qubus import (
-    XpmCoupling,
     add_register,
     apply_xpm,
     coherent_bs50,
     coherent_phase,
     project_photon_number,
 )
+from qutritmap import schemes
 from qutritmap.sampling import haar_unitary, random_qutrit
 from qutritmap.schemes import (
     P_KERR_FORWARD,
@@ -385,8 +385,8 @@ def test_entangler_uncorrected_outcomes_carry_opposite_phases():
     s = tensor(s, ancilla_plus("a"))
     s = add_register(s, "p1", alpha)
     s = add_register(s, "p2", alpha)
-    s = apply_xpm(s, XpmCoupling("p1", (Mode("1", V), Mode("2", V), Mode("a", H)), theta))
-    s = apply_xpm(s, XpmCoupling("p2", (Mode("0", H), Mode("a", V)), theta))
+    s = apply_xpm(s, "p1", (Mode("1", V), Mode("2", V), Mode("a", H)), theta)
+    s = apply_xpm(s, "p2", (Mode("0", H), Mode("a", V)), theta)
     s = coherent_phase(s, "p1", -theta)
     s = coherent_phase(s, "p2", -theta)
     s = coherent_bs50(s, "p1", "p2")
@@ -488,6 +488,15 @@ def test_probe_readouts_must_resolve_their_outcome_groups():
         scheme_kerr_forward(COEFFS, theta=math.pi)
     r = scheme_kerr_forward(COEFFS, variant="separate-qnd", theta=math.pi)
     assert abs(r.success_probability - P_KERR_FORWARD) < 1e-12
+
+
+def test_u3_kerr_checks_the_merge_probe_before_the_forward_map(monkeypatch):
+    def forward(*args, **kwargs):
+        raise AssertionError("the forward map ran before the merge-probe check")
+
+    monkeypatch.setattr(schemes, "scheme_kerr_forward", forward)
+    with pytest.raises(InvalidInput, match="merge-probe"):
+        u3_biphotonic(COEFFS, np.eye(3), backend="kerr", theta=2 * math.pi / 3)
 
 
 # ---------------------------------------------------------------------------
