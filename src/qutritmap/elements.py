@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,14 +19,19 @@ import numpy as np
 
 from .fock import (
     PRUNE_EPS,
-    FockTerm,
     InvalidInput,
     Mode,
     PhotonicState,
     POLS,
+    Shape,
     WiringError,
     _group_sums,
     _grouping,
+    _interned,
+    _new_term,
+    _recall,
+    _shape,
+    _shaped,
     state_paths,
 )
 
@@ -71,19 +75,11 @@ class BeamSplitterSpec:
         return ((self.t, self.r), (-self.r, self.t))
 
 
-# Distinct (input keys, mapping shape) pairs the benchmark workloads reach and
-# keep: 24 (linear optics), 60 (ideal qubus) and 96 (physical qubus), so one
-# process running all three keeps every plan; run_all()'s random circuits
-# make about 700 one-off plans, which the bound evicts instead of keeping.
-_PLAN_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _substitution_plan(keys, shape):
+def _substitution_plan(shape: Shape, op: tuple):
     """What :func:`substitute_modes` computes that depends on no value.
 
-    ``keys`` are the input's ``(occ, coherent)`` pairs and ``shape`` the
-    ``(mode, target modes)`` of the mapping.  Returns, as tuples:
+    ``shape`` is the input's and ``op`` the ``(mode, target modes)`` of the
+    mapping.  Returns, as tuples:
 
     * ``expansions``: ``(slot, n!, picks)`` per mapped (mode, n), ``picks``
       listing each multinomial term's ``(target index, count, count!)``;
@@ -91,12 +87,13 @@ def _substitution_plan(keys, shape):
     * ``raw``: ``(input term, coefficient numbers)`` per unmerged output term;
     * ``groups``: the merged groups of raw terms (``fock._grouping``);
     * ``outs``: each group's occupation and the input term whose labels it
-      carries, which the caller reads from its own input.
+      carries, which the caller reads from its own input;
+    * the shape of the output before any prune.
     """
-    slot_of = {mode: slot for slot, (mode, _) in enumerate(shape)}
+    slot_of = {mode: slot for slot, (mode, _) in enumerate(op)}
     expansions, expansion_of = [], {}
     raw, raw_keys = [], []
-    for src, (occ_in, coh) in enumerate(keys):
+    for src, (occ_in, coh) in enumerate(shape.keys):
         partials: list[tuple[dict[Mode, int], tuple[int, ...]]] = [({}, ())]
         for mode, n in occ_in:
             slot = slot_of.get(mode)
@@ -104,7 +101,7 @@ def _substitution_plan(keys, shape):
                 for occ, _ in partials:
                     occ[mode] = occ.get(mode, 0) + n
                 continue
-            targets = shape[slot][1]
+            targets = op[slot][1]
             if (slot, n) not in expansion_of:
                 picks = []
                 for pick in itertools.combinations_with_replacement(range(len(targets)), n):
@@ -129,7 +126,8 @@ def _substitution_plan(keys, shape):
             raw_keys.append((tuple(sorted(occ.items())), coh))
     groups = _grouping(raw_keys)
     outs = tuple((occ, raw[first][0]) for occ, _, first, _ in groups)
-    return tuple(expansions), tuple(raw), groups, outs
+    out_shape = _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
+    return tuple(expansions), tuple(raw), groups, outs, out_shape
 
 
 def substitute_modes(
@@ -141,15 +139,16 @@ def substitute_modes(
     ``(sum_i c_i b_i^dag)^n`` is expanded with multinomial coefficients;
     contributions landing on the same output mode accumulate occupation.
     Which terms arise, merge and in what order depends only on the input's
-    keys and the mapped and target modes (:func:`_substitution_plan`, cached);
-    each call computes the coefficients and amplitudes.
+    shape and the mapped and target modes (:func:`_substitution_plan`, built
+    once per pair through ``fock._recall``); each call computes the coefficients
+    and amplitudes.
     """
     targets = tuple(mapping.values())
-    shape = tuple((mode, tuple(m for m, _ in t)) for mode, t in zip(mapping, targets))
+    op = tuple((mode, tuple(m for m, _ in t)) for mode, t in zip(mapping, targets))
     inputs = state.terms
-    expansions, raw, groups, outs = _substitution_plan(
-        tuple((t.occ, t.coherent) for t in inputs), shape
-    )
+    shape = _shape(state)
+    plan = _recall(shape, op, lambda: _substitution_plan(shape, op))
+    expansions, raw, groups, outs, out_shape = plan
     coeffs = []
     for slot, n_fact, picks in expansions:
         for pick in picks:
@@ -160,17 +159,19 @@ def substitute_modes(
             coeffs.append(coeff)
     amps = []
     for src, path in raw:
-        amp = inputs[src].amplitude
+        amp = inputs[src][2]
         for j in path:
             amp = amp * coeffs[j]
         amps.append(amp)
     sums = _group_sums(groups, amps)
     terms = tuple(
-        FockTerm(occ, inputs[src].coherent, amp)
+        _new_term((occ, inputs[src][1], amp))
         for (occ, src), amp in zip(outs, sums)
         if abs(amp) > PRUNE_EPS
     )
-    return PhotonicState(state.registers, terms, float(state.born_weight))
+    if len(terms) < len(outs):
+        out_shape = out_shape.subset(tuple(k for k, amp in enumerate(sums) if abs(amp) > PRUNE_EPS))
+    return _shaped(state.registers, terms, float(state.born_weight), out_shape)
 
 
 def _check_outputs(state, inputs, outputs):
@@ -179,7 +180,9 @@ def _check_outputs(state, inputs, outputs):
         raise WiringError(f"duplicate input paths {inputs}")
     if len(set(outputs)) != len(outputs):
         raise WiringError(f"duplicate output paths {outputs}")
-    present = () if set(outputs).issubset(ins) else state_paths(state)
+    present = () if set(outputs).issubset(ins) else _recall(
+        _shape(state), "paths", lambda: frozenset(state_paths(state))
+    )
     for out in outputs:
         if out in present and out not in ins:
             raise WiringError(
@@ -217,14 +220,14 @@ def apply_beam_splitter(
 def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> PhotonicState:
     """Multiply a canonical state by exp(i*n*phi); a path targets both pols."""
     if isinstance(target, Mode):
-        watched = {target}
+        watched = frozenset((target,))
     else:
-        watched = {Mode(target, pol) for pol in POLS}
-    terms = []
-    for t in state.terms:
-        n = sum(k for m, k in t.occ if m in watched)
-        terms.append(FockTerm(t.occ, t.coherent, t.amplitude * cmath.exp(1j * n * phi)))
-    return PhotonicState(state.registers, tuple(terms), state.born_weight)
+        watched = frozenset(Mode(target, pol) for pol in POLS)
+    shape = _shape(state)
+    counts = shape.photons(watched)
+    factor = {n: cmath.exp(1j * n * phi) for n in set(counts)}
+    terms = tuple(_new_term((t[0], t[1], t[2] * factor[n])) for t, n in zip(state.terms, counts))
+    return _shaped(state.registers, terms, state.born_weight, shape)
 
 
 def apply_sigma_x(state: PhotonicState, path: str) -> PhotonicState:

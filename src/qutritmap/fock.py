@@ -22,7 +22,7 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
 H = "H"
@@ -112,6 +112,10 @@ class FockTerm(NamedTuple):
         return dict(self.occ)
 
 
+# FockTerm((occ, coherent, amplitude)) without NamedTuple's Python-level __new__
+_new_term = functools.partial(tuple.__new__, FockTerm)
+
+
 @dataclass(frozen=True)
 class PhotonicState:
     """Canonical (merged, pruned, sorted) terms, register labels and a Born weight.
@@ -123,10 +127,99 @@ class PhotonicState:
     registers: tuple[str, ...]
     terms: tuple[FockTerm, ...]
     born_weight: float = 1.0
+    # the Shape of ``terms``: interned on first use, or passed on by its producer
+    shape: Shape | None = field(default=None, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def _norm_sq(self) -> float:  # frozen, with immutable terms: computed once
-        return inner_product(self, self).real
+        return _shape(self).norm_sq(self.terms)
+
+
+def _shaped(registers, terms, born_weight, shape: Shape | None) -> PhotonicState:
+    """A state whose ``terms`` have ``shape`` (None: interned on first use)."""
+    state = PhotonicState(registers, terms, born_weight)
+    object.__setattr__(state, "shape", shape)
+    return state
+
+
+# What an operation derives from a state's keys alone, keyed by (Shape, operation
+# shape); the intern table's entries are keyed by (None, keys).  Reaching the
+# bound drops every entry, and an entry holds at most two shapes, so at most
+# 2 * _RETAINED shapes outlive the states that carry them.  36 s benchmark runs
+# hold 157 (linear optics), 507 (ideal qubus) and 688 (physical qubus) entries,
+# 2-4 kB each; run_all()'s random circuits make one-off shapes, which the bound
+# drops instead of keeping (twice per run_all()).
+_RETAINED = 2048
+_MEMO: dict[tuple, object] = {}
+
+
+def _recall(shape: Shape | None, op, build):
+    """What ``op`` derives from ``shape``'s keys alone: ``build()`` on a miss."""
+    key = shape, op
+    value = _MEMO.get(key)
+    if value is None:
+        value = build()
+        if len(_MEMO) >= _RETAINED:
+            _MEMO.clear()
+        _MEMO[key] = value
+    return value
+
+
+def _interned(keys: tuple) -> Shape:
+    return _recall(None, keys, lambda: Shape(keys))
+
+
+def _shape(state: PhotonicState) -> Shape:
+    if state.shape is None:
+        object.__setattr__(state, "shape", _interned(tuple((t[0], t[1]) for t in state.terms)))
+    return state.shape
+
+
+class Shape:
+    """What the ``(occ, coherent)`` keys of a state fix, whatever its amplitudes.
+
+    Interned by its keys, which compare with ``==``: labels 2+0j and 2-0j share
+    a shape, so labels are always read from the state's own terms, never from
+    ``keys``.  Shapes hash by identity, so :func:`_recall` never rehashes keys.
+    """
+
+    __slots__ = ("keys",)
+
+    def __init__(self, keys: tuple):
+        self.keys = keys
+
+    def subset(self, kept: tuple[int, ...]) -> Shape:
+        """The shape of the terms at the indices ``kept``."""
+        return _recall(self, ("subset", kept), lambda: _interned(tuple(self.keys[i] for i in kept)))
+
+    def photons(self, watched: frozenset) -> tuple[int, ...]:
+        """Each term's photon count in the ``watched`` modes."""
+        return _recall(
+            self,
+            ("photons", watched),
+            lambda: tuple(sum(n for m, n in occ if m in watched) for occ, _ in self.keys),
+        )
+
+    def norm_sq(self, terms) -> float:
+        """``inner_product(s, s).real``, bit for bit, for a state ``s`` of these ``terms``.
+
+        Terms without labels and with distinct occupations are orthogonal: the
+        norm is the sum of each |a|^2 times its occupation weight, in term order.
+        """
+        weights, pairs = _recall(self, "norm", self._norm_plan)
+        if pairs is not None:
+            return _paired(terms, terms, *pairs).real
+        total = 0.0
+        for t, w in zip(terms, weights):
+            a = t[2]
+            total += (a.real * a.real + a.imag * a.imag) * w
+        return total
+
+    def _norm_plan(self):
+        occs = [occ for occ, _ in self.keys]
+        if any(coh for _, coh in self.keys) or len(set(occs)) < len(occs):
+            return None, _pairs(self.keys, self.keys)
+        return tuple(map(_occ_norm, occs)), None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -225,32 +318,47 @@ def _occ_norm(occ: tuple[tuple[Mode, int], ...]) -> float:
     return fac
 
 
+def _pairs(bra_keys, ket_keys):
+    """:func:`inner_product`'s same-occupation pairs ``(bra, ket, occupation weight,
+    overlap slots)`` in its order, from keys or terms, and per slot the ``(bra, ket,
+    register)`` of the first label pair (equal by ``==``) that shares its overlap."""
+    by_occ: dict[tuple, list[int]] = {}
+    for j, key in enumerate(ket_keys):
+        by_occ.setdefault(key[0], []).append(j)
+    slot_of: dict[tuple, int] = {}
+    pairs, reps = [], []
+    for i, key in enumerate(bra_keys):
+        fac = _occ_norm(key[0])
+        for j in by_occ.get(key[0], ()):
+            slots = []
+            for k, pair in enumerate(zip(key[1], ket_keys[j][1])):
+                if pair not in slot_of:
+                    slot_of[pair] = len(reps)
+                    reps.append((i, j, k))
+                slots.append(slot_of[pair])
+            pairs.append((i, j, fac, slots))
+    return pairs, reps
+
+
+def _paired(bra_terms, ket_terms, pairs, reps) -> complex:
+    """The sum of :func:`_pairs`' ``pairs``: each label-pair overlap taken once."""
+    overlaps = [coherent_overlap(bra_terms[i][1][k], ket_terms[j][1][k]) for i, j, k in reps]
+    total = 0j
+    for i, j, fac, slots in pairs:
+        val = bra_terms[i][2].conjugate() * ket_terms[j][2] * fac
+        for s in slots:
+            val *= overlaps[s]
+        total += val
+    return total
+
+
 def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
     """<bra|ket> including register overlaps; born weights are ignored."""
     if bra.registers != ket.registers:
         raise InvalidInput(
             f"register mismatch: {bra.registers} vs {ket.registers}"
         )
-    by_occ: dict[tuple, list[FockTerm]] = {}
-    for t in ket.terms:
-        by_occ.setdefault(t.occ, []).append(t)
-    # Terms share labels: each label-pair overlap is computed once per call.
-    overlaps: dict[tuple[complex, complex], complex] = {}
-    total = 0j
-    for tb in bra.terms:
-        group = by_occ.get(tb.occ)
-        if not group:
-            continue
-        fac = _occ_norm(tb.occ)
-        for tk in group:
-            val = tb.amplitude.conjugate() * tk.amplitude * fac
-            for pair in zip(tb.coherent, tk.coherent):
-                ov = overlaps.get(pair)
-                if ov is None:
-                    ov = overlaps[pair] = coherent_overlap(*pair)
-                val *= ov
-            total += val
-    return total
+    return _paired(bra.terms, ket.terms, *_pairs(bra.terms, ket.terms))
 
 
 def norm_sq(state: PhotonicState) -> float:
@@ -258,10 +366,8 @@ def norm_sq(state: PhotonicState) -> float:
 
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
-    terms = tuple(
-        FockTerm(t.occ, t.coherent, t.amplitude * factor) for t in state.terms
-    )
-    return PhotonicState(state.registers, terms, state.born_weight)
+    terms = tuple(_new_term((t[0], t[1], t[2] * factor)) for t in state.terms)
+    return _shaped(state.registers, terms, state.born_weight, state.shape)
 
 
 def normalized(state: PhotonicState) -> PhotonicState:

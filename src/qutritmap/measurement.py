@@ -26,6 +26,9 @@ from .fock import (
     Mode,
     PhotonicState,
     WiringError,
+    _recall,
+    _shape,
+    _shaped,
     build_state,
     fidelity,
     norm_sq,
@@ -74,10 +77,6 @@ def path_modes(path: str) -> tuple[Mode, Mode]:
     return (Mode(path, "H"), Mode(path, "V"))
 
 
-def _photons_in(term: FockTerm, watched: frozenset[Mode]) -> int:
-    return sum(n for m, n in term.occ if m in watched)
-
-
 def _norm_in(state: PhotonicState, action: str) -> float:
     """Squared norm of a state about to be measured; refuses a zero state."""
     n2 = norm_sq(state)
@@ -98,7 +97,24 @@ def _branch(kept: PhotonicState, norm_in: float) -> tuple[float, PhotonicState]:
     if p <= PROB_EPS:
         return 0.0, PhotonicState(kept.registers, (), 0.0)
     out = scaled(kept, 1.0 / math.sqrt(n2))
-    return p, PhotonicState(out.registers, out.terms, kept.born_weight * p)
+    return p, _shaped(out.registers, out.terms, kept.born_weight * p, out.shape)
+
+
+def _selected(state: PhotonicState, needs: tuple, norm_in: float) -> tuple[float, PhotonicState]:
+    """:func:`_branch` of the terms of a canonical state that hold ``lo`` to ``hi``
+    photons in the ``watched`` modes of every ``(watched, lo, hi)`` in ``needs``."""
+    shape = _shape(state)
+
+    def kept():
+        counts = [(shape.photons(watched), lo, hi) for watched, lo, hi in needs]
+        idx = tuple(
+            k for k in range(len(shape.keys)) if all(lo <= c[k] <= hi for c, lo, hi in counts)
+        )
+        return idx, shape.subset(idx)
+
+    idx, kept_shape = _recall(shape, ("kept", needs), kept)
+    terms = tuple(map(state.terms.__getitem__, idx))
+    return _branch(_shaped(state.registers, terms, state.born_weight, kept_shape), norm_in)
 
 
 def detect_non_resolving(state: PhotonicState, modes: Iterable[Mode]) -> BranchDistribution:
@@ -121,33 +137,21 @@ def post_select_coincidence(
     ``(probability, renormalized branch)``; a zero-probability pattern
     returns the empty state with born weight 0.
     """
-    sets = []
+    needs = []
     for modes, want in pattern:
         if want not in ("click", "no-click"):
             raise InvalidInput(f"unknown requirement {want!r}")
-        sets.append((frozenset(modes), want == "click"))
-    if any(a & b for (a, _), (b, _) in itertools.combinations(sets, 2)):
+        needs.append((frozenset(modes), *((1, math.inf) if want == "click" else (0, 0))))
+    if any(a & b for (a, _, _), (b, _, _) in itertools.combinations(needs, 2)):
         raise WiringError("post-selection mode groups overlap")
-    norm_in = _norm_in(state, "post-select")
-
-    def matches(term):
-        for watched, click in sets:
-            if (_photons_in(term, watched) > 0) != click:
-                return False
-        return True
-
-    kept = tuple(t for t in state.terms if matches(t))
-    return _branch(PhotonicState(state.registers, kept, state.born_weight), norm_in)
+    return _selected(state, tuple(needs), _norm_in(state, "post-select"))
 
 
 def project_total_photons(
     state: PhotonicState, modes: Iterable[Mode], n: int
 ) -> tuple[float, PhotonicState]:
     """Project a canonical state onto exactly ``n`` photons in the watched modes."""
-    watched = frozenset(modes)
-    norm_in = _norm_in(state, "project")
-    kept = tuple(t for t in state.terms if _photons_in(t, watched) == n)
-    return _branch(PhotonicState(state.registers, kept, state.born_weight), norm_in)
+    return _selected(state, ((frozenset(modes), n, n),), _norm_in(state, "project"))
 
 
 def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
@@ -160,19 +164,35 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
     modes are still entangled with the rest.
     """
     watched = frozenset(modes)
-    coeffs: dict[tuple, dict[tuple, complex]] = {}
-    for t in state.terms:
-        det = tuple((m, n) for m, n in t.occ if m in watched)
-        rest_key = (tuple((m, n) for m, n in t.occ if m not in watched), t.coherent)
-        row = coeffs.setdefault(det, {})
-        row[rest_key] = row.get(rest_key, 0j) + t.amplitude
-    if not coeffs:
+    shape = _shape(state)
+
+    def layout():
+        # per detector signature: its (term, column) pairs and, per column, its
+        # rest occupation and first term; a column is a rest signature
+        column_of, rows = {}, {}
+        for i, (occ, coh) in enumerate(shape.keys):
+            rest = (tuple((m, n) for m, n in occ if m not in watched), coh)
+            j = column_of.setdefault(rest, len(column_of))
+            det = tuple((m, n) for m, n in occ if m in watched)
+            members, firsts = rows.setdefault(det, ([], {}))
+            members.append((i, j))
+            firsts.setdefault(j, (rest[0], i))
+        return tuple((tuple(members), tuple(firsts.values())) for members, firsts in rows.values())
+
+    split = _recall(shape, ("strip", watched), layout)
+    terms = state.terms
+    rows = []
+    for members, _ in split:
+        row: dict[int, complex] = {}
+        for i, j in members:
+            row[j] = row.get(j, 0j) + terms[i][2]
+        rows.append(row)
+    if not rows:
         raise InvalidInput("cannot strip modes from a zero state")
     # rank-1 check: every row must be proportional to the heaviest row
-    rows = list(coeffs.values())
     tol = 1e-9 * max(1.0, max(abs(a) for row in rows for a in row.values()) ** 2)
-    ref = max(rows, key=lambda row: sum(abs(a) ** 2 for a in row.values()))
-    rows.remove(ref)  # proportional to itself
+    heaviest = max(range(len(rows)), key=lambda r: sum(abs(a) ** 2 for a in rows[r].values()))
+    ref = rows.pop(heaviest)  # proportional to itself
     j0 = max(ref, key=lambda k: abs(ref[k]))
     for row in rows:
         rj0 = row.get(j0, 0j)
@@ -183,7 +203,7 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
                 raise WiringError(
                     "watched modes are entangled with the rest; cannot strip"
                 )
-    raw = [FockTerm(k[0], k[1], amp) for k, amp in ref.items()]
+    raw = [FockTerm(occ, terms[i][1], a) for (occ, i), a in zip(split[heaviest][1], ref.values())]
     stripped = build_state(state.registers, raw, state.born_weight)
     n2 = norm_sq(stripped)
     if n2 <= PROB_EPS:

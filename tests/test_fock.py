@@ -347,15 +347,16 @@ def test_norm_is_computed_once_per_state(monkeypatch):
     s = random_state([0.5 + 0.25j, -0.75j, 0.5, 0.25], [0.25, -0.5j, 1.0], 2)
     want = inner_product(s, s).real
     calls = []
+    evaluate = fock.Shape.norm_sq
 
-    def counted(bra, ket):
-        calls.append((bra, ket))
-        return inner_product(bra, ket)
+    def counted(shape, terms):
+        calls.append(terms)
+        return evaluate(shape, terms)
 
-    monkeypatch.setattr(fock, "inner_product", counted)
+    monkeypatch.setattr(fock.Shape, "norm_sq", counted)
     assert norm_sq(s) == want
     assert norm_sq(s) == want
-    assert len(calls) == 1
+    assert calls == [s.terms]
 
 
 def test_cached_norm_leaves_value_semantics_alone():

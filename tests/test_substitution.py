@@ -1,28 +1,40 @@
 """Substitution plans against the per-call expansion they replace.
 
-``substitute_modes`` works out once per input structure and mapping shape
-which output terms arise, which merge and how they sort, and per call only
+``substitute_modes`` works out once per input shape and mapping shape which
+output terms arise, which merge and how they sort, and per call only
 computes coefficients, amplitudes, group sums and the prune.  The reference
 below is the expansion written the direct way, rebuilding everything on
 each call; both must agree bit for bit, so the comparisons are on ``repr``
-(which also tells -0.0 from 0.0).
+(which also tells -0.0 from 0.0).  Plan builds are counted by wrapping
+``elements._substitution_plan``, which ``substitute_modes`` calls on a miss.
 """
 
 import cmath
+import contextlib
 import itertools
 import math
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutritmap.elements import (
-    _PLAN_CACHE_SIZE,
-    BeamSplitterSpec,
-    _substitution_plan,
-    apply_beam_splitter,
-    substitute_modes,
-)
+from qutritmap import elements, fock
+from qutritmap.elements import BeamSplitterSpec, apply_beam_splitter, substitute_modes
 from qutritmap.fock import PHOTON_CAP, PRUNE_EPS, FockTerm, Mode, build_state
+
+
+@contextlib.contextmanager
+def counted_plan_builds():
+    """Yields the list of ``(shape, op)`` of every plan built while open."""
+    builds = []
+    real = elements._substitution_plan
+
+    def counted(shape, op):
+        builds.append((shape, op))
+        return real(shape, op)
+
+    with mock.patch.object(elements, "_substitution_plan", counted):
+        yield builds
 
 
 def reference_substitute_modes(state, mapping):
@@ -120,30 +132,33 @@ def test_substitution_matches_reference_bit_for_bit(nregs, labels, specs, shape,
         for occ, pick, amp in specs
     ]
     state = build_state(regs, terms)
-    for call in range(2):  # the second call finds the plan the first one built
-        hits = _substitution_plan.cache_info().hits
-        mapping = {
-            mode: [(t, data.draw(coefficient)) for t in targets]
-            for mode, targets in shape.items()
-        }
-        assert repr(substitute_modes(state, mapping)) == repr(
-            reference_substitute_modes(state, mapping)
-        )
-        if call:
-            assert _substitution_plan.cache_info().hits == hits + 1
+    fock._MEMO.clear()  # so the first call builds the plan
+    with counted_plan_builds() as builds:
+        for _ in range(2):  # the second call finds the plan the first one built
+            mapping = {
+                mode: [(t, data.draw(coefficient)) for t in targets]
+                for mode, targets in shape.items()
+            }
+            assert repr(substitute_modes(state, mapping)) == repr(
+                reference_substitute_modes(state, mapping)
+            )
+    assert len(builds) == 1
 
 
 def test_labels_come_from_the_input_not_the_plan():
-    # 2+0j and 2-0j are equal keys, so both calls share one plan; each output
-    # must still carry its own input's label.
+    # 2+0j and 2-0j are equal keys, so both inputs share one shape and one
+    # plan; each output must still carry its own input's label.
     def one_photon(label):
         return build_state(("r",), [FockTerm.from_occupations({Mode("a", "H"): 1}, (label,))])
 
     bs = BeamSplitterSpec.fifty_fifty()
-    plus = apply_beam_splitter(one_photon(complex(2, 0.0)), "a", None, "c", "d", bs)
-    hits = _substitution_plan.cache_info().hits
-    minus = apply_beam_splitter(one_photon(complex(2, -0.0)), "a", None, "c", "d", bs)
-    assert _substitution_plan.cache_info().hits == hits + 1
+    fock._MEMO.clear()
+    with counted_plan_builds() as builds:
+        plus_in, minus_in = one_photon(complex(2, 0.0)), one_photon(complex(2, -0.0))
+        plus = apply_beam_splitter(plus_in, "a", None, "c", "d", bs)
+        minus = apply_beam_splitter(minus_in, "a", None, "c", "d", bs)
+    assert fock._shape(plus_in) is fock._shape(minus_in)
+    assert len(builds) == 1
     assert [repr(t.coherent) for t in plus.terms] == ["((2+0j),)"] * 2
     assert [repr(t.coherent) for t in minus.terms] == ["((2-0j),)"] * 2
 
@@ -168,13 +183,14 @@ def test_plan_cache_stays_bounded_and_rebuilds_evicted_plans():
         mapping = {Mode(f"p{k}", "H"): [(Mode("x", "H"), 0.6), (Mode("y", "V"), 0.8j)]}
         return s, mapping
 
-    _substitution_plan.cache_clear()
-    for k in range(_PLAN_CACHE_SIZE + 20):
-        substitute_modes(*case(k))
-        assert _substitution_plan.cache_info().currsize <= _PLAN_CACHE_SIZE
-    misses = _substitution_plan.cache_info().misses
-    state, mapping = case(0)  # the least recently used plan: evicted
-    assert repr(substitute_modes(state, mapping)) == repr(
-        reference_substitute_modes(state, mapping)
-    )
-    assert _substitution_plan.cache_info().misses == misses + 1
+    fock._MEMO.clear()
+    with counted_plan_builds() as builds:
+        for k in range(fock._RETAINED + 20):  # each case holds a shape and a plan at least
+            substitute_modes(*case(k))
+            assert len(fock._MEMO) <= fock._RETAINED
+        assert len(builds) == fock._RETAINED + 20
+        state, mapping = case(0)  # its plan went when the bound was reached
+        assert repr(substitute_modes(state, mapping)) == repr(
+            reference_substitute_modes(state, mapping)
+        )
+        assert len(builds) == fock._RETAINED + 21
