@@ -18,14 +18,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fock import (
-    PRUNE_EPS,
     InvalidInput,
     Mode,
     PhotonicState,
     POLS,
     Shape,
     WiringError,
-    _group_sums,
+    _grouped_state,
     _grouping,
     _interned,
     _new_term,
@@ -86,8 +85,8 @@ def _substitution_plan(shape: Shape, op: tuple):
       their coefficients are numbered in this order;
     * ``raw``: ``(input term, coefficient numbers)`` per unmerged output term;
     * ``groups``: the merged groups of raw terms (``fock._grouping``);
-    * ``outs``: each group's occupation and the input term whose labels it
-      carries, which the caller reads from its own input;
+    * ``sources``: the input term whose labels each group carries, which the
+      caller reads from its own input;
     * the shape of the output before any prune.
     """
     slot_of = {mode: slot for slot, (mode, _) in enumerate(op)}
@@ -125,9 +124,9 @@ def _substitution_plan(shape: Shape, op: tuple):
             raw.append((src, path))
             raw_keys.append((tuple(sorted(occ.items())), coh))
     groups = _grouping(raw_keys)
-    outs = tuple((occ, raw[first][0]) for occ, _, first, _ in groups)
+    sources = tuple(raw[first][0] for _, _, first, _ in groups)
     out_shape = _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
-    return tuple(expansions), tuple(raw), groups, outs, out_shape
+    return tuple(expansions), tuple(raw), groups, sources, out_shape
 
 
 def substitute_modes(
@@ -148,7 +147,7 @@ def substitute_modes(
     inputs = state.terms
     shape = _shape(state)
     plan = _recall(shape, op, lambda: _substitution_plan(shape, op))
-    expansions, raw, groups, outs, out_shape = plan
+    expansions, raw, groups, sources, out_shape = plan
     coeffs = []
     for slot, n_fact, picks in expansions:
         for pick in picks:
@@ -163,15 +162,9 @@ def substitute_modes(
         for j in path:
             amp = amp * coeffs[j]
         amps.append(amp)
-    sums = _group_sums(groups, amps)
-    terms = tuple(
-        _new_term((occ, inputs[src][1], amp))
-        for (occ, src), amp in zip(outs, sums)
-        if abs(amp) > PRUNE_EPS
-    )
-    if len(terms) < len(outs):
-        out_shape = out_shape.subset(tuple(k for k, amp in enumerate(sums) if abs(amp) > PRUNE_EPS))
-    return _shaped(state.registers, terms, float(state.born_weight), out_shape)
+    labels = [inputs[src][1] for src in sources]
+    born_weight = float(state.born_weight)
+    return _grouped_state(state.registers, groups, labels, amps, born_weight, out_shape)
 
 
 def _check_outputs(state, inputs, outputs):

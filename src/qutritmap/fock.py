@@ -22,6 +22,8 @@ import cmath
 import functools
 import math
 import operator
+import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -146,9 +148,14 @@ def _shaped(registers, terms, born_weight, shape: Shape | None) -> PhotonicState
 # shape); the intern table's entries are keyed by (None, keys).  Reaching the
 # bound drops every entry, and an entry holds at most two shapes, so at most
 # 2 * _RETAINED shapes outlive the states that carry them.  36 s benchmark runs
-# hold 157 (linear optics), 507 (ideal qubus) and 688 (physical qubus) entries,
-# 2-4 kB each; run_all()'s random circuits make one-off shapes, which the bound
-# drops instead of keeping (twice per run_all()).
+# end with 164 entries in 0.54 MB (linear optics), 1035 in 1.0 MB (ideal qubus)
+# and 1195 in 2.2 MB (physical qubus).  Of these, interned keys take 0.26, 0.47
+# and 0.93 MB and substitution plans 0.22, 0.18 and 0.55 MB; pair plans for
+# inner products and register norms (flat index arrays) take 0.09 and 0.25 MB on
+# the qubus workloads.  Groupings for dropped registers and stripped modes,
+# label-rewrite orders, photon counts and traced-fidelity plans hold the rest.
+# run_all()'s random circuits make one-off shapes, which the bound drops instead
+# of keeping (twice per run_all()).
 _RETAINED = 2048
 _MEMO: dict[tuple, object] = {}
 
@@ -208,7 +215,7 @@ class Shape:
         """
         weights, pairs = _recall(self, "norm", self._norm_plan)
         if pairs is not None:
-            return _paired(terms, terms, *pairs).real
+            return _paired(terms, terms, pairs).real
         total = 0.0
         for t, w in zip(terms, weights):
             a = t[2]
@@ -218,18 +225,13 @@ class Shape:
     def _norm_plan(self):
         occs = [occ for occ, _ in self.keys]
         if any(coh for _, coh in self.keys) or len(set(occs)) < len(occs):
-            return None, _pairs(self.keys, self.keys)
-        return tuple(map(_occ_norm, occs)), None
-
-
-@functools.lru_cache(maxsize=1024)
-def _rounded(c: complex) -> tuple[float, float]:
-    return round(c.real, 9), round(c.imag, 9)
+            return None, _pairs(self, self)
+        return array("i", [_occ_norm(occ) for occ in occs]), None
 
 
 def _sort_key(item) -> tuple:
     # canonical order of a FockTerm or a group entry: occupation, then rounded labels
-    return item[0], tuple(map(_rounded, item[1]))
+    return item[0], tuple((round(c.real, 9), round(c.imag, 9)) for c in item[1])
 
 
 def _grouping(keys) -> tuple[tuple[tuple, tuple, int, tuple[int, ...]], ...]:
@@ -256,17 +258,6 @@ def _grouping(keys) -> tuple[tuple[tuple, tuple, int, tuple[int, ...]], ...]:
     return tuple(entries)
 
 
-def _group_sums(groups, amplitudes) -> list[complex]:
-    """Each group's amplitudes summed in key order, from its first member."""
-    sums = []
-    for _, _, first, rest in groups:
-        amp = amplitudes[first]
-        for i in rest:
-            amp += amplitudes[i]
-        sums.append(amp)
-    return sums
-
-
 def build_state(
     registers: Iterable[str],
     terms: Iterable[FockTerm],
@@ -282,26 +273,48 @@ def build_state(
                 f"term carries {len(t.coherent)} coherent labels, "
                 f"state declares {len(regs)} registers"
             )
-    return _grouped_state(regs, _grouping(terms), [t.amplitude for t in terms], float(born_weight))
+    groups = _grouping(terms)
+    labels = [g[1] for g in groups]
+    return _grouped_state(regs, groups, labels, [t.amplitude for t in terms], float(born_weight))
 
 
-def _grouped_state(registers, groups, amplitudes, born_weight: float) -> PhotonicState:
+def _grouped_state(registers, groups, labels, amplitudes, born_weight, shape=None) -> PhotonicState:
     """The state of :func:`_grouping`'s ``groups`` of keys that carry ``amplitudes``.
 
-    Each group's key takes its summed amplitude; sums at or below PRUNE_EPS
-    are pruned.
+    Group k takes ``labels[k]`` and its summed amplitude; sums at or below
+    PRUNE_EPS are pruned.  ``shape``, if given, is that of all the groups.
     """
-    sums = _group_sums(groups, amplitudes)
-    kept = [FockTerm(g[0], g[1], amp) for g, amp in zip(groups, sums) if abs(amp) > PRUNE_EPS]
-    return PhotonicState(registers, tuple(kept), born_weight)
+    sums = []
+    for _, _, first, rest in groups:  # in key order, from the first member
+        amp = amplitudes[first]
+        for i in rest:
+            amp += amplitudes[i]
+        sums.append(amp)
+    terms = tuple(
+        _new_term((g[0], coh, amp))
+        for g, coh, amp in zip(groups, labels, sums)
+        if abs(amp) > PRUNE_EPS
+    )
+    if shape is not None and len(terms) < len(sums):
+        shape = shape.subset(tuple(k for k, amp in enumerate(sums) if abs(amp) > PRUNE_EPS))
+    return _shaped(registers, terms, born_weight, shape)
 
 
-def sorted_state(state: PhotonicState, terms: Iterable[FockTerm]) -> PhotonicState:
-    """Sorted, unmerged ``terms``: one-to-one maps keeping labels COHERENT_MERGE_EPS apart.
+def _regrouped(state, op, members, rekey, amplitudes, registers) -> PhotonicState:
+    """The canonical state of the terms at ``members``, the p-th key rewritten
+    as ``rekey(p, key)``, that carry ``amplitudes``.  Merges, order and shape
+    come from the memo under ``op``, which fixes ``members`` and ``rekey``."""
+    shape, terms = _shape(state), state.terms
 
-    Serves ``apply_xpm``, ``coherent_phase`` and ``coherent_bs50``.
-    """
-    return PhotonicState(state.registers, tuple(sorted(terms, key=_sort_key)), state.born_weight)
+    def plan():
+        groups = _grouping([rekey(p, shape.keys[k]) for p, k in enumerate(members)])
+        return groups, _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
+
+    groups, out_shape = _recall(shape, op, plan)
+    # labels from the state's own terms: equal labels can differ in a zero's sign
+    labels = [rekey(g[2], terms[members[g[2]]])[1] for g in groups]
+    born_weight = float(state.born_weight)
+    return _grouped_state(registers, groups, labels, amplitudes, born_weight, out_shape)
 
 
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
@@ -311,42 +324,61 @@ def coherent_overlap(beta: complex, gamma: complex) -> complex:
     )
 
 
-def _occ_norm(occ: tuple[tuple[Mode, int], ...]) -> float:
-    fac = 1.0
-    for _, n in occ:
-        fac *= math.factorial(n)
-    return fac
+def _occ_norm(occ: tuple[tuple[Mode, int], ...]) -> int:
+    return math.prod(math.factorial(n) for _, n in occ)
 
 
-def _pairs(bra_keys, ket_keys):
-    """:func:`inner_product`'s same-occupation pairs ``(bra, ket, occupation weight,
-    overlap slots)`` in its order, from keys or terms, and per slot the ``(bra, ket,
-    register)`` of the first label pair (equal by ``==``) that shares its overlap."""
-    by_occ: dict[tuple, list[int]] = {}
-    for j, key in enumerate(ket_keys):
-        by_occ.setdefault(key[0], []).append(j)
-    slot_of: dict[tuple, int] = {}
-    pairs, reps = [], []
-    for i, key in enumerate(bra_keys):
-        fac = _occ_norm(key[0])
-        for j in by_occ.get(key[0], ()):
-            slots = []
-            for k, pair in enumerate(zip(key[1], ket_keys[j][1])):
-                if pair not in slot_of:
-                    slot_of[pair] = len(reps)
-                    reps.append((i, j, k))
-                slots.append(slot_of[pair])
-            pairs.append((i, j, fac, slots))
-    return pairs, reps
+# A label pair's exact bits: 2+0j and 2-0j are equal, but not the same bits.
+_pair_bits = struct.Struct("4d").pack
 
 
-def _paired(bra_terms, ket_terms, pairs, reps) -> complex:
-    """The sum of :func:`_pairs`' ``pairs``: each label-pair overlap taken once."""
+def _overlaps(pairs, bra_labels, ket_labels):
+    """Per ``(bra, ket)`` pair of ``pairs`` its entry in ``combos``, the tuple of
+    its overlap slots.  Each distinct label pair, by exact bits, is one slot,
+    computed from the ``(bra, ket, register)`` of its entry in ``reps``."""
+    slot_of, reps, combo_of, cells = {}, [], {}, []
+    for i, j in pairs:
+        combo = []
+        for k, (x, y) in enumerate(zip(bra_labels[i], ket_labels[j])):
+            slot = slot_of.setdefault(_pair_bits(x.real, x.imag, y.real, y.imag), len(reps))
+            if slot == len(reps):
+                reps.append((i, j, k))
+            combo.append(slot)
+        cells.append(combo_of.setdefault(tuple(combo), len(combo_of)))
+    return array("i", cells), tuple(combo_of), tuple(reps)
+
+
+def _pairs(bra: Shape, ket: Shape):
+    """:func:`inner_product`'s plan for two shapes, built once: ``(rows, combos,
+    reps)`` of :func:`_overlaps`, ``rows`` flat ``(bra, ket, occupation weight,
+    combo)`` per pair of terms of one occupation, in its order."""
+
+    def plan():
+        by_occ: dict[tuple, list[int]] = {}
+        for j, (occ, _) in enumerate(ket.keys):
+            by_occ.setdefault(occ, []).append(j)
+        pairs = [(i, j) for i, (occ, _) in enumerate(bra.keys) for j in by_occ.get(occ, ())]
+        cells, combos, reps = _overlaps(pairs, *([coh for _, coh in s.keys] for s in (bra, ket)))
+        rows = [x for (i, j), c in zip(pairs, cells) for x in (i, j, _occ_norm(bra.keys[i][0]), c)]
+        return array("i", rows), combos, reps
+
+    return _recall(bra, ("pairs", ket), plan)
+
+
+def _paired(bra_terms, ket_terms, plan) -> complex:
+    """The sum of :func:`_pairs`' ``plan``: each label-pair overlap taken once."""
+    rows, combos, reps = plan
+    conj = [t[2].conjugate() for t in bra_terms]
     overlaps = [coherent_overlap(bra_terms[i][1][k], ket_terms[j][1][k]) for i, j, k in reps]
+    it = iter(rows)
     total = 0j
-    for i, j, fac, slots in pairs:
-        val = bra_terms[i][2].conjugate() * ket_terms[j][2] * fac
-        for s in slots:
+    if reps and len(combos[0]) == 1:  # one register: combo c is slot c
+        for i, j, w, c in zip(it, it, it, it):
+            total += conj[i] * ket_terms[j][2] * w * overlaps[c]
+        return total
+    for i, j, w, c in zip(it, it, it, it):
+        val = conj[i] * ket_terms[j][2] * w
+        for s in combos[c]:
             val *= overlaps[s]
         total += val
     return total
@@ -358,7 +390,7 @@ def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
         raise InvalidInput(
             f"register mismatch: {bra.registers} vs {ket.registers}"
         )
-    return _paired(bra.terms, ket.terms, *_pairs(bra.terms, ket.terms))
+    return _paired(bra.terms, ket.terms, _pairs(_shape(bra), _shape(ket)))
 
 
 def norm_sq(state: PhotonicState) -> float:
@@ -386,6 +418,26 @@ def fidelity(state: PhotonicState, target: PhotonicState) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def _traced_plan(shape: Shape, target: Shape):
+    """:func:`traced_fidelity`'s plan: ``(matched, cells, combos, reps)``.
+
+    ``matched`` holds, per term with an occupation of the target, its index,
+    the target terms of that occupation and its occupation weight; ``cells``
+    is :func:`_overlaps` of every ordered pair of matched terms.
+    """
+    by_occ: dict[tuple, list[int]] = {}
+    for j, (occ, _) in enumerate(target.keys):
+        by_occ.setdefault(occ, []).append(j)
+    labels = [coh for _, coh in shape.keys]
+    matched = tuple(
+        (i, tuple(by_occ[occ]), _occ_norm(occ))
+        for i, (occ, _) in enumerate(shape.keys)
+        if occ in by_occ
+    )
+    pairs = [(j, i) for i, _, _ in matched for j, _, _ in matched]
+    return (matched, *_overlaps(pairs, labels, labels))
+
+
 def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
     """Fidelity against a register-free target after tracing out registers.
 
@@ -396,24 +448,25 @@ def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
         raise InvalidInput("target must not carry coherent registers")
     if not state.registers:
         return fidelity(state, target)
-    t_by_occ: dict[tuple, complex] = {}
-    for t in target.terms:
-        t_by_occ[t.occ] = t_by_occ.get(t.occ, 0j) + t.amplitude
+    shape, target_shape = _shape(state), _shape(target)
+    matched, cells, combos, reps = _recall(
+        shape, ("traced", target_shape), lambda: _traced_plan(shape, target_shape)
+    )
+    terms = state.terms
+    overlaps = [coherent_overlap(terms[i][1][k], terms[j][1][k]) for i, j, k in reps]
+    grams = [math.prod([overlaps[s] for s in combo], start=1.0 + 0j) for combo in combos]
     weights = []
-    labels = []
-    for term in state.terms:
-        amp_t = t_by_occ.get(term.occ)
-        if amp_t is None:
-            continue
-        weights.append(amp_t.conjugate() * term.amplitude * _occ_norm(term.occ))
-        labels.append(term.coherent)
+    for i, targets, w in matched:
+        amp_t = 0j
+        for j in targets:
+            amp_t += target.terms[j][2]
+        weights.append(amp_t.conjugate() * terms[i][2] * w)
+    conj = [w.conjugate() for w in weights]
     num = 0j
-    for i, wi in enumerate(weights):
-        for j, wj in enumerate(weights):
-            gram = 1.0 + 0j
-            for ck, ci in zip(labels[j], labels[i]):
-                gram *= coherent_overlap(ck, ci)
-            num += wi * wj.conjugate() * gram
+    cells = iter(cells)
+    for wi in weights:
+        for wj, c in zip(conj, cells):
+            num += wi * wj * grams[c]
     denom = norm_sq(state) * norm_sq(target)
     if denom <= 0.0:
         raise InvalidInput("fidelity of a zero state is undefined")

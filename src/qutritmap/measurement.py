@@ -13,7 +13,6 @@ them with ``build_state``.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,15 +20,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .elements import apply_phase_shift, apply_sigma_x
 from .fock import (
-    FockTerm,
     InvalidInput,
     Mode,
     PhotonicState,
     WiringError,
     _recall,
+    _regrouped,
     _shape,
     _shaped,
-    build_state,
     fidelity,
     norm_sq,
     scaled,
@@ -203,8 +201,11 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
                 raise WiringError(
                     "watched modes are entangled with the rest; cannot strip"
                 )
-    raw = [FockTerm(occ, terms[i][1], a) for (occ, i), a in zip(split[heaviest][1], ref.values())]
-    stripped = build_state(state.registers, raw, state.born_weight)
+    rest, sources = zip(*split[heaviest][1])
+    stripped = _regrouped(
+        state, ("rest", watched, heaviest), sources, lambda p, key: (rest[p], key[1]),
+        list(ref.values()), state.registers,
+    )
     n2 = norm_sq(stripped)
     if n2 <= PROB_EPS:
         raise InvalidInput("stripped state vanished")
@@ -260,9 +261,10 @@ def merge_branches(
         min_fid = min(min_fid, f)
         if f < 1.0 - tol:
             raise WiringError(f"branches disagree: fidelity {f} below 1 - {tol}")
-    merged = dataclasses.replace(
-        first, born_weight=sum(s.born_weight for _, s in live)
-    )
+    born_weight = sum(s.born_weight for _, s in live)
+    merged = _shaped(first.registers, first.terms, born_weight, _shape(first))
+    if "_norm_sq" in vars(first):  # computed for the same terms
+        vars(merged)["_norm_sq"] = first._norm_sq
     return total, merged, min_fid
 
 

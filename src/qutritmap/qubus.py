@@ -14,18 +14,20 @@ import math
 
 from .fock import (
     COHERENT_MERGE_EPS,
-    FockTerm,
     InvalidInput,
     Mode,
     PhotonicState,
     UnsupportedMode,
     WiringError,
-    _grouped_state,
-    _grouping,
-    build_state,
+    _interned,
+    _new_term,
+    _recall,
+    _regrouped,
+    _shape,
+    _shaped,
+    _sort_key,
     inner_product,
     norm_sq,
-    sorted_state,
 )
 from .measurement import PROB_EPS, BranchDistribution, Outcome, _branch, _norm_in
 
@@ -34,11 +36,11 @@ def add_register(state: PhotonicState, register: str, alpha0: complex) -> Photon
     """Attach a register at ``alpha0`` to every term of a canonical state."""
     if register in state.registers:
         raise WiringError(f"register {register!r} already attached")
-    terms = tuple(
-        FockTerm(t.occ, t.coherent + (complex(alpha0),), t.amplitude)
-        for t in state.terms
-    )
-    return PhotonicState(state.registers + (register,), terms, state.born_weight)
+    label, shape = complex(alpha0), _shape(state)
+    out = _recall(shape, ("register", label),
+                  lambda: _interned(tuple((o, c + (label,)) for o, c in shape.keys)))
+    terms = tuple(_new_term((t[0], t[1] + (label,), t[2])) for t in state.terms)
+    return _shaped(state.registers + (register,), terms, state.born_weight, out)
 
 
 def _register_index(state: PhotonicState, register: str) -> int:
@@ -48,17 +50,31 @@ def _register_index(state: PhotonicState, register: str) -> int:
         raise InvalidInput(f"no register {register!r} attached") from None
 
 
-def _without_register(state, idx, rewrite):
-    """Rebuild terms with register ``idx`` removed and amplitudes rewritten."""
+def _dropped(state, idx: int, members: tuple[int, ...], amplitudes) -> PhotonicState:
+    """The canonical state of the terms at ``members``, register ``idx`` removed,
+    that carry ``amplitudes``; dropping the register can bring terms together."""
     regs = state.registers[:idx] + state.registers[idx + 1 :]
-    terms = []
-    for t in state.terms:
-        amp = rewrite(t)
-        if amp is None:
-            continue
-        coh = t.coherent[:idx] + t.coherent[idx + 1 :]
-        terms.append(FockTerm(t.occ, coh, amp))
-    return regs, terms
+
+    def rekey(_, key):
+        return key[0], key[1][:idx] + key[1][idx + 1 :]
+
+    return _regrouped(state, ("drop", idx, members), members, rekey, amplitudes, regs)
+
+
+def _relabeled(state: PhotonicState, op: tuple, labels: list[tuple]) -> PhotonicState:
+    """``state`` with term k's labels replaced by ``labels[k]``: a one-to-one rewrite,
+    fixed by ``op``, that keeps labels COHERENT_MERGE_EPS apart, so nothing merges.
+    The new order and shape follow from the keys and are built once per shape."""
+    terms = state.terms
+
+    def plan():
+        keys = [(t[0], coh) for t, coh in zip(terms, labels)]
+        order = sorted(range(len(keys)), key=lambda k: _sort_key(keys[k]))
+        return order, _interned(tuple(keys[k] for k in order))
+
+    order, shape = _recall(_shape(state), op, plan)
+    out = tuple(_new_term((terms[k][0], labels[k], terms[k][2])) for k in order)
+    return _shaped(state.registers, out, state.born_weight, shape)
 
 
 def apply_xpm(
@@ -67,24 +83,18 @@ def apply_xpm(
     """Photons in ``modes`` rotate ``register``'s label by theta each; canonical input."""
     idx = _register_index(state, register)
     watched = frozenset(modes)
-    terms = []
-    for t in state.terms:
-        n = sum(k for m, k in t.occ if m in watched)
-        coh = list(t.coherent)
-        coh[idx] = coh[idx] * cmath.exp(1j * n * theta)
-        terms.append(FockTerm(t.occ, tuple(coh), t.amplitude))
-    return sorted_state(state, terms)
+    counts = _shape(state).photons(watched)
+    turn = {n: cmath.exp(1j * n * theta) for n in set(counts)}
+    labels = [c[:idx] + (c[idx] * turn[n],) + c[idx + 1 :]
+              for (_, c, _), n in zip(state.terms, counts)]
+    return _relabeled(state, ("xpm", idx, watched, theta), labels)
 
 
 def coherent_phase(state: PhotonicState, register: str, phi: float) -> PhotonicState:
     """Rotate one register's label by ``phi``; canonical input."""
-    idx = _register_index(state, register)
-    terms = []
-    for t in state.terms:
-        coh = list(t.coherent)
-        coh[idx] = coh[idx] * cmath.exp(1j * phi)
-        terms.append(FockTerm(t.occ, tuple(coh), t.amplitude))
-    return sorted_state(state, terms)
+    idx, turn = _register_index(state, register), cmath.exp(1j * phi)
+    labels = [c[:idx] + (c[idx] * turn,) + c[idx + 1 :] for _, c, _ in state.terms]
+    return _relabeled(state, ("phase", idx, phi), labels)
 
 
 def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState:
@@ -94,19 +104,12 @@ def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState
     if ia == ib:
         raise WiringError("cannot interfere a register with itself")
     s = 1.0 / math.sqrt(2)
-    terms = []
+    labels = []
     for t in state.terms:
         coh = list(t.coherent)
-        a, b = coh[ia], coh[ib]
-        coh[ia] = (a - b) * s
-        coh[ib] = (a + b) * s
-        terms.append(FockTerm(t.occ, tuple(coh), t.amplitude))
-    return sorted_state(state, terms)
-
-
-def _rescaled(terms, idx: int, factor) -> list[FockTerm]:
-    """``terms`` with each amplitude times ``factor(|b|^2)``, b its label in ``idx``."""
-    return [t._replace(amplitude=t.amplitude * factor(abs(t.coherent[idx]) ** 2)) for t in terms]
+        coh[ia], coh[ib] = (coh[ia] - coh[ib]) * s, (coh[ia] + coh[ib]) * s
+        labels.append(tuple(coh))
+    return _relabeled(state, ("bs50", ia, ib), labels)
 
 
 def project_photon_number(
@@ -132,37 +135,37 @@ def project_photon_number(
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
-    regs = state.registers[:idx] + state.registers[idx + 1 :]
-    lit = [t for t in state.terms if abs(t.coherent[idx]) > COHERENT_MERGE_EPS]
+    terms = state.terms
+    quiet = [abs(t[1][idx]) <= COHERENT_MERGE_EPS for t in terms]
+    lit = tuple(k for k, q in enumerate(quiet) if not q)
+    zero = tuple(k for k, q in enumerate(quiet) if q or mode == "physical")
+
+    def rescaled(members, factor):  # each amplitude times factor(|b|^2), b its label
+        return [terms[k][2] * factor(abs(terms[k][1][idx]) ** 2) for k in members]
+
     if mode == "ideal":
-        zero = [t for t in state.terms if abs(t.coherent[idx]) <= COHERENT_MERGE_EPS]
-        lit = _rescaled(lit, idx, lambda x: 1.0 / math.sqrt(-math.expm1(-x)))
+        zero_amps = [terms[k][2] for k in zero]
+        lit_amps = rescaled(lit, lambda x: 1.0 / math.sqrt(-math.expm1(-x)))
     else:
-        zero = _rescaled(state.terms, idx, lambda x: math.exp(-0.5 * x))  # times <0|b>
+        zero_amps = rescaled(zero, lambda x: math.exp(-0.5 * x))  # times <0|b>
+        lit_amps = [terms[k][2] for k in lit]
     # Merges and order do not depend on amplitudes: one grouping serves "0", one
     # serves both "odd" and "even".
-    zero_groups, lit_groups = (
-        _grouping((t.occ, t.coherent[:idx] + t.coherent[idx + 1 :]) for t in terms)
-        for terms in (zero, lit)
-    )
-
-    def merged(groups, amplitudes) -> PhotonicState:
-        return _grouped_state(regs, groups, amplitudes, state.born_weight)
-
-    classes = [("0", *_branch(merged(zero_groups, [t.amplitude for t in zero]), norm_in))]
-    betas = [t.coherent[idx] for t in lit]
+    classes = [("0", *_branch(_dropped(state, idx, zero, zero_amps), norm_in))]
+    betas = [terms[k][1][idx] for k in lit]
     signs = [1.0 if abs(b - betas[0]) <= COHERENT_MERGE_EPS else -1.0 for b in betas]
     if lit and all(abs(b - s * betas[0]) <= COHERENT_MERGE_EPS for b, s in zip(betas, signs)):
         m = abs(betas[0]) ** 2
         k_odd, k_even = math.sqrt(-0.5 * math.expm1(-2.0 * m)), -math.expm1(-m) / math.sqrt(2.0)
-        odd = [t.amplitude * s * k_odd for t, s in zip(lit, signs)]
-        classes.append(("odd", *_branch(merged(lit_groups, odd), norm_in)))
-        even = [t.amplitude * k_even for t in lit]
-        classes.append(("even", *_branch(merged(lit_groups, even), norm_in)))
+        odd = [a * s * k_odd for a, s in zip(lit_amps, signs)]
+        classes.append(("odd", *_branch(_dropped(state, idx, lit, odd), norm_in)))
+        even = [a * k_even for a in lit_amps]
+        classes.append(("even", *_branch(_dropped(state, idx, lit, even), norm_in)))
     elif lit:
-        vacuum = _rescaled(lit, idx, lambda x: math.exp(-0.5 * x))
-        vac = norm_sq(merged(lit_groups, [t.amplitude for t in vacuum]))
-        for label, mass in _mixed_masses(state.registers, lit, idx, vac):
+        vacuum = [a * math.exp(-0.5 * abs(b) ** 2) for a, b in zip(lit_amps, betas)]
+        vac = norm_sq(_dropped(state, idx, lit, vacuum))
+        psi = [_new_term((terms[k][0], terms[k][1], a)) for k, a in zip(lit, lit_amps)]
+        for label, mass in _mixed_masses(state.registers, psi, idx, vac):
             classes.append((label, mass / norm_in, None))
     outcomes = [Outcome(label, None, p, branch) for label, p, branch in classes if p > PROB_EPS]
     return BranchDistribution(tuple(outcomes))
@@ -206,14 +209,12 @@ def project_quadrature_x(
             centers.append(x)
     outcomes = []
     for x0 in sorted(centers):
-        def keep(term, x0=x0):
-            if abs(term.coherent[idx].real - x0) <= COHERENT_MERGE_EPS:
-                return term.amplitude
-            return None
-
-        # dropping the register can bring terms together: rebuild
-        regs, terms = _without_register(state, idx, keep)
-        p, branch = _branch(build_state(regs, terms, state.born_weight), norm_in)
+        kept = tuple(
+            k for k, t in enumerate(state.terms)
+            if abs(t.coherent[idx].real - x0) <= COHERENT_MERGE_EPS
+        )
+        amps = [state.terms[k][2] for k in kept]
+        p, branch = _branch(_dropped(state, idx, kept, amps), norm_in)
         if p > 0.0:
             outcomes.append(Outcome(f"x={x0:.9g}", float(x0), p, branch))
     return BranchDistribution(tuple(outcomes))
@@ -230,5 +231,5 @@ def drop_register(state: PhotonicState, register: str) -> PhotonicState:
         raise WiringError(
             f"register {register!r} is correlated with the photons; measure it instead"
         )
-    regs, terms = _without_register(state, idx, lambda t: t.amplitude)
-    return build_state(regs, terms, state.born_weight)
+    everyone = tuple(range(len(state.terms)))
+    return _dropped(state, idx, everyone, [t.amplitude for t in state.terms])

@@ -32,7 +32,7 @@ from qutritmap.fock import (
     norm_sq,
 )
 from qutritmap.measurement import _branch, _norm_in
-from qutritmap.qubus import _register_index, _without_register, project_photon_number
+from qutritmap.qubus import _register_index, project_photon_number
 from qutritmap.sampling import haar_unitary, random_qutrit
 from qutritmap.schemes import (
     P_KERR_FORWARD,
@@ -52,6 +52,17 @@ def number_overlap(beta: complex, n: int) -> complex:
     if beta == 0:
         return 1.0 if n == 0 else 0.0
     return cmath.exp(-0.5 * abs(beta) ** 2 + n * cmath.log(beta) - 0.5 * math.lgamma(n + 1))
+
+
+def without_register(state, idx, rewrite):
+    """Terms with register ``idx`` removed and amplitudes rewritten (None drops a term)."""
+    regs = state.registers[:idx] + state.registers[idx + 1 :]
+    terms = []
+    for t in state.terms:
+        amp = rewrite(t)
+        if amp is not None:
+            terms.append(FockTerm(t.occ, t.coherent[:idx] + t.coherent[idx + 1 :], amp))
+    return regs, terms
 
 
 def reference_per_n(state, register, mode="ideal"):
@@ -83,7 +94,7 @@ def reference_per_n(state, register, mode="ideal"):
     out = []
     n = 0
     while True:
-        regs, terms = _without_register(state, idx, lambda t, n=n: weight(t, n))
+        regs, terms = without_register(state, idx, lambda t, n=n: weight(t, n))
         raw = PhotonicState(regs, tuple(terms))
         _, branch = _branch(build_state(regs, terms, state.born_weight), norm_in)
         out.append((n, inner_product(raw, raw).real / norm_in, branch))

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from qutritmap import elements, fock
 from qutritmap.elements import BeamSplitterSpec, apply_beam_splitter, apply_phase_shift
 from qutritmap.fock import (
+    COHERENT_MERGE_EPS,
     PHOTON_CAP,
     POLS,
     PRUNE_EPS,
@@ -29,17 +30,30 @@ from qutritmap.fock import (
     Mode,
     PhotonicState,
     build_state,
+    coherent_overlap,
     inner_product,
     norm_sq,
+    scaled,
     single_photon,
     tensor,
+    traced_fidelity,
 )
 from qutritmap.measurement import (
     PROB_EPS,
+    merge_branches,
     path_modes,
     post_select_coincidence,
     project_total_photons,
     strip_modes,
+)
+from qutritmap.qubus import (
+    add_register,
+    apply_xpm,
+    coherent_bs50,
+    coherent_phase,
+    drop_register,
+    project_photon_number,
+    project_quadrature_x,
 )
 
 PATHS = "abc"
@@ -262,3 +276,285 @@ def test_retention_stays_bounded_and_rebuilds_dropped_entries():
         out, selected = case(0)  # its entries went when the bound was reached
     assert len(builds) == 1
     assert repr(selected) == repr(reference_post_select(out, [(path_modes("c"), "click")]))
+
+
+# ---------------------------------------------------------------------------
+# Register paths against direct references, by float.hex.  The memoized paths
+# build pair plans, label-overlap slots, groupings and sort orders once per
+# shape; the references below take every pair, overlap, merge and sort afresh
+# on each call.  A twin of each state has the same shape but the other sign on
+# every zero label part, and each of the two warms the memo for the other.
+
+
+def hexed(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def bits(state):
+    if state is None:
+        return None
+    terms = [(t.occ, [hexed(c) for c in t.coherent], hexed(t.amplitude)) for t in state.terms]
+    return state.registers, terms, float(state.born_weight).hex()
+
+
+def occ_weight(occ):
+    """prod(n!) as a float, multiplied up in occupation order."""
+    fac = 1.0
+    for _, n in occ:
+        fac *= math.factorial(n)
+    return fac
+
+
+def reference_inner(bra, ket):
+    """<bra|ket>: every same-occupation pair, each overlap from its own labels."""
+    total = 0j
+    for a in bra.terms:
+        for b in ket.terms:
+            if a.occ != b.occ:
+                continue
+            val = a.amplitude.conjugate() * b.amplitude * occ_weight(a.occ)
+            for x, y in zip(a.coherent, b.coherent):
+                val *= coherent_overlap(x, y)
+            total += val
+    return total
+
+
+def reference_traced(state, target):
+    t_by_occ = {}
+    for t in target.terms:
+        t_by_occ[t.occ] = t_by_occ.get(t.occ, 0j) + t.amplitude
+    weights, labels = [], []
+    for term in state.terms:
+        if term.occ in t_by_occ:
+            weights.append(t_by_occ[term.occ].conjugate() * term.amplitude * occ_weight(term.occ))
+            labels.append(term.coherent)
+    num = 0j
+    for i, wi in enumerate(weights):
+        for j, wj in enumerate(weights):
+            gram = 1.0 + 0j
+            for ck, ci in zip(labels[j], labels[i]):
+                gram *= coherent_overlap(ck, ci)
+            num += wi * wj.conjugate() * gram
+    denom = reference_inner(state, state).real * reference_inner(target, target).real
+    if denom <= 0.0:
+        raise InvalidInput("fidelity of a zero state is undefined")
+    return min(max(num.real / denom, 0.0), 1.0)
+
+
+def sort_key(t):
+    return t.occ, [(round(c.real, 9), round(c.imag, 9)) for c in t.coherent]
+
+
+def reference_canonical(registers, keyed, born_weight):
+    """``(occ, labels, amplitude)`` merged into the first key within the merge
+    tolerance, summed in order, pruned and sorted."""
+    groups = []
+    for occ, coh, amp in keyed:
+        for g in groups:
+            if g[0] == occ and all(abs(x - y) <= COHERENT_MERGE_EPS for x, y in zip(g[1], coh)):
+                g[2] += amp
+                break
+        else:
+            groups.append([occ, coh, amp])
+    kept = [FockTerm(occ, coh, amp) for occ, coh, amp in groups if abs(amp) > PRUNE_EPS]
+    return PhotonicState(tuple(registers), tuple(sorted(kept, key=sort_key)), born_weight)
+
+
+def reference_relabeled(state, relabel):
+    terms = [FockTerm(t.occ, tuple(relabel(t)), t.amplitude) for t in state.terms]
+    return PhotonicState(state.registers, tuple(sorted(terms, key=sort_key)), state.born_weight)
+
+
+def reference_readout(state, register, mode):
+    """``[(label, p, branch)]`` of the photon-number readout by outcome class."""
+    idx = state.registers.index(register)
+    regs = state.registers[:idx] + state.registers[idx + 1 :]
+    norm_in = reference_inner(state, state).real
+    if norm_in <= PROB_EPS:
+        raise InvalidInput("cannot measure a zero state")
+
+    def merged(weighted):
+        keyed = [(t.occ, t.coherent[:idx] + t.coherent[idx + 1 :], a) for t, a in weighted]
+        return reference_canonical(regs, keyed, state.born_weight)
+
+    def branch(kept):
+        n2 = reference_inner(kept, kept).real
+        p = n2 / norm_in
+        if p <= PROB_EPS:
+            return 0.0, PhotonicState(kept.registers, (), 0.0)
+        f = 1.0 / math.sqrt(n2)
+        terms = tuple(FockTerm(t.occ, t.coherent, t.amplitude * f) for t in kept.terms)
+        return p, PhotonicState(kept.registers, terms, kept.born_weight * p)
+
+    x = [abs(t.coherent[idx]) ** 2 for t in state.terms]
+    quiet = [abs(t.coherent[idx]) <= COHERENT_MERGE_EPS for t in state.terms]
+    if mode == "ideal":
+        zero = [(t, t.amplitude) for t, q in zip(state.terms, quiet) if q]
+        lit = [(t, t.amplitude * (1.0 / math.sqrt(-math.expm1(-b))))
+               for t, b, q in zip(state.terms, x, quiet) if not q]
+    else:
+        zero = [(t, t.amplitude * math.exp(-0.5 * b)) for t, b in zip(state.terms, x)]
+        lit = [(t, t.amplitude) for t, q in zip(state.terms, quiet) if not q]
+    classes = [("0", *branch(merged(zero)))]
+    betas = [t.coherent[idx] for t, _ in lit]
+    signs = [1.0 if abs(b - betas[0]) <= COHERENT_MERGE_EPS else -1.0 for b in betas]
+    if lit and all(abs(b - s * betas[0]) <= COHERENT_MERGE_EPS for b, s in zip(betas, signs)):
+        m = abs(betas[0]) ** 2
+        k_odd, k_even = math.sqrt(-0.5 * math.expm1(-2.0 * m)), -math.expm1(-m) / math.sqrt(2.0)
+        odd = [(t, a * s * k_odd) for (t, a), s in zip(lit, signs)]
+        classes.append(("odd", *branch(merged(odd))))
+        classes.append(("even", *branch(merged([(t, a * k_even) for t, a in lit]))))
+    elif lit:
+        vacuum = merged([(t, a * math.exp(-0.5 * abs(t.coherent[idx]) ** 2)) for t, a in lit])
+        vac = reference_inner(vacuum, vacuum).real
+
+        def flipped(t):
+            return t.coherent[:idx] + (-t.coherent[idx],) + t.coherent[idx + 1 :]
+
+        psi = PhotonicState(state.registers, tuple(FockTerm(t.occ, t.coherent, a) for t, a in lit))
+        mirror = PhotonicState(
+            state.registers, tuple(FockTerm(t.occ, flipped(t), a) for t, a in lit)
+        )
+        n2 = reference_inner(psi, psi).real
+        flip = reference_inner(psi, mirror).real
+        classes.append(("odd", 0.5 * (n2 - flip) / norm_in, None))
+        classes.append(("even", (0.5 * (n2 + flip) - vac) / norm_in, None))
+    return [(label, p.hex(), bits(branch)) for label, p, branch in classes if p > PROB_EPS]
+
+
+def readout_bits(state, register, mode):
+    dist = project_photon_number(state, register, mode)
+    return [(o.label, o.probability.hex(), bits(o.state)) for o in dist.outcomes]
+
+
+def flip_zeros(z):
+    return complex(-z.real if z.real == 0 else z.real, -z.imag if z.imag == 0 else z.imag)
+
+
+def fresh(state):
+    """The same terms with no interned shape and no computed norm."""
+    return PhotonicState(state.registers, state.terms, state.born_weight)
+
+
+@given(
+    nregs=st.integers(1, 2),
+    labels=st.lists(label, min_size=1, max_size=3),
+    specs=specs,
+    again=st.lists(amplitude, min_size=10, max_size=10),
+    target=st.lists(st.tuples(occupation, amplitude), min_size=1, max_size=4),
+    theta=st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_register_paths_match_direct_references_bit_for_bit(
+    nregs, labels, specs, again, target, theta
+):
+    state = canonical_state(nregs, labels, specs)
+    twin = same_shape(state, again)
+    twin = PhotonicState(
+        twin.registers,
+        tuple(FockTerm(t.occ, tuple(map(flip_zeros, t.coherent)), t.amplitude) for t in twin.terms),
+    )
+    goal = build_state((), [FockTerm.from_occupations(occ, (), amp) for occ, amp in target])
+    watched = path_modes("a")
+    last = state.registers[-1]
+    s = 1.0 / math.sqrt(2)
+
+    def xpm(t):
+        coh = list(t.coherent)
+        coh[0] = coh[0] * cmath.exp(1j * photons_in(t, watched) * theta)
+        return coh
+
+    def phase(t):
+        return t.coherent[:-1] + (t.coherent[-1] * cmath.exp(1j * theta),)
+
+    def bs50(t):
+        a, b = t.coherent
+        return (a - b) * s, (a + b) * s
+
+    for pair in ((state, twin), (twin, state)):
+        fock._MEMO.clear()
+        pair = [fresh(x) for x in pair]
+        assert fock._shape(pair[0]) is fock._shape(pair[1])
+        for x, other in (pair, pair[::-1]):
+            assert norm_sq(x).hex() == reference_inner(x, x).real.hex()
+            assert hexed(inner_product(x, other)) == hexed(reference_inner(x, other))
+            if goal.terms:
+                assert outcome(lambda: traced_fidelity(x, goal).hex()) == outcome(
+                    lambda: reference_traced(x, goal).hex()
+                )
+            assert bits(apply_xpm(x, "r0", watched, theta)) == bits(reference_relabeled(x, xpm))
+            assert bits(coherent_phase(x, last, theta)) == bits(reference_relabeled(x, phase))
+            if nregs == 2:
+                assert bits(coherent_bs50(x, "r0", "r1")) == bits(reference_relabeled(x, bs50))
+            for mode in ("ideal", "physical"):
+                assert outcome(readout_bits, x, "r0", mode) == outcome(
+                    reference_readout, x, "r0", mode
+                )
+
+
+def shapes_in(obj, seen=None) -> int:
+    """How many distinct shapes ``obj`` holds, looking into containers."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, fock.Shape):
+        seen.add(id(obj))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            shapes_in(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.items():
+            shapes_in(item, seen)
+    return len(seen)
+
+
+def test_register_memo_stays_bounded_and_holds_two_shapes_per_entry():
+    pair = build_state(
+        (),
+        [
+            FockTerm.from_occupations({Mode("a", "H"): 1}, (), 0.6),
+            FockTerm.from_occupations({Mode("b", "V"): 1}, (), 0.8j),
+        ],
+    )
+    kinds = set()
+
+    def case(k):
+        # a spectator photon on its own path gives every state its own shape
+        base = tensor(pair, single_photon(f"p{k}"))
+        s = add_register(add_register(base, "r1", 1.5), "r2", 1.5)
+        s = apply_xpm(s, "r1", path_modes("a"), 0.4)
+        s = coherent_phase(s, "r1", -0.4)
+        s = coherent_bs50(s, "r1", "r2")
+        for mode in ("ideal", "physical"):
+            project_photon_number(s, "r1", mode)
+        traced_fidelity(s, base)
+        inner_product(s, s)
+        stripped = strip_modes(s, path_modes(f"p{k}"))
+        merge_branches([(0.5, stripped), (0.5, stripped)], tol=math.inf)
+        project_quadrature_x(s, "r2")
+        drop_register(add_register(base, "r3", 1.0), "r3")
+
+    fock._MEMO.clear()
+    sizes = []
+    for k in range(400):
+        case(k)
+        sizes.append(len(fock._MEMO))
+        assert sizes[-1] <= fock._RETAINED
+        if k % 20:
+            continue
+        for key, value in list(fock._MEMO.items()):
+            op = key[1]
+            if isinstance(op, tuple) and op and isinstance(op[0], str):
+                kinds.add(op[0])
+            assert shapes_in((key, value)) <= 2, op
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the bound was reached
+    assert {"pairs", "traced", "drop", "rest", "register", "xpm", "phase", "bs50"} <= kinds
+
+
+def test_merged_branch_keeps_its_shape_and_norm():
+    first = tensor(single_photon("a"), single_photon("b"))
+    second = scaled(first, 1j)
+    assert norm_sq(first) == norm_sq(second)  # computes and caches both norms
+    _, merged, fid = merge_branches([(0.25, first), (0.5, second)])
+    assert fid == 1.0 and merged.terms is first.terms
+    assert merged.shape is fock._shape(first)
+    with mock.patch.object(fock.Shape, "norm_sq", side_effect=AssertionError("recomputed")):
+        assert norm_sq(merged) == norm_sq(first)
