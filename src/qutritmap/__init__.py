@@ -67,6 +67,7 @@ from .qubus import (
     apply_xpm,
     coherent_bs50,
     coherent_phase,
+    couple_probes,
     drop_register,
     project_photon_number,
     project_quadrature_x,

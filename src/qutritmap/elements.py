@@ -12,6 +12,7 @@ import cmath
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -24,13 +25,18 @@ from .fock import (
     POLS,
     Shape,
     WiringError,
+    _amplitude,
     _grouped_state,
     _grouping,
     _interned,
-    _new_term,
+    _kernel,
+    _labels,
+    _new_terms,
+    _occupation,
     _recall,
     _shape,
     _shaped,
+    _sum_source,
     state_paths,
 )
 
@@ -78,22 +84,19 @@ def _substitution_plan(shape: Shape, op: tuple):
     """What :func:`substitute_modes` computes that depends on no value.
 
     ``shape`` is the input's and ``op`` the ``(mode, target modes)`` of the
-    mapping.  Returns, as tuples:
-
-    * ``expansions``: ``(slot, n!, picks)`` per mapped (mode, n), ``picks``
-      listing each multinomial term's ``(target index, count, count!)``;
-      their coefficients are numbered in this order;
-    * ``raw``: ``(input term, coefficient numbers)`` per unmerged output term;
-    * ``groups``: the merged groups of raw terms (``fock._grouping``);
-    * ``sources``: the input term whose labels each group carries, which the
-      caller reads from its own input;
-    * the shape of the output before any prune.
+    mapping.  Returns ``kernel(A, T)``, the occupation of each merged group
+    (``fock._grouping``), the input term whose labels it carries and the
+    output's shape before any prune.  From the input amplitudes ``A`` and the
+    mapping's ``(mode, coefficient)`` targets ``T``, the kernel computes each
+    multinomial coefficient n!/k1!*c1**k1/k2!*c2**k2... of a mapped (mode, n)
+    into ``C``, then each group's amplitude: its members ``A[src] * C[j0] *
+    C[j1] ...`` (one coefficient per mapped mode) added left to right.
     """
     slot_of = {mode: slot for slot, (mode, _) in enumerate(op)}
-    expansions, expansion_of = [], {}
+    coeffs, expansion_of = [], {}
     raw, raw_keys = [], []
     for src, (occ_in, coh) in enumerate(shape.keys):
-        partials: list[tuple[dict[Mode, int], tuple[int, ...]]] = [({}, ())]
+        partials: list[tuple[dict[Mode, int], str]] = [({}, f"A[{src}]")]
         for mode, n in occ_in:
             slot = slot_of.get(mode)
             if slot is None:
@@ -102,31 +105,33 @@ def _substitution_plan(shape: Shape, op: tuple):
                 continue
             targets = op[slot][1]
             if (slot, n) not in expansion_of:
-                picks = []
-                for pick in itertools.combinations_with_replacement(range(len(targets)), n):
-                    counts: dict[int, int] = {}
-                    for i in pick:
-                        counts[i] = counts.get(i, 0) + 1
-                    picks.append(tuple((i, k, math.factorial(k)) for i, k in counts.items()))
-                base = sum(len(p) for _, _, p in expansions)
-                expansion_of[slot, n] = (base, picks)
-                expansions.append((slot, math.factorial(n), tuple(picks)))
+                combos = itertools.combinations_with_replacement(range(len(targets)), n)
+                picks = [{i: pick.count(i) for i in pick} for pick in combos]  # target: count
+                expansion_of[slot, n] = len(coeffs), picks
+                coeffs += [str(math.factorial(n)) + "".join(
+                    f" / {math.factorial(k)} * T[{slot}][{i}][1] ** {k}" for i, k in pick.items()
+                ) for pick in picks]
             base, picks = expansion_of[slot, n]
             grown = []
-            for occ, path in partials:
+            for occ, product in partials:
                 for j, pick in enumerate(picks):
                     merged = dict(occ)
-                    for i, k, _ in pick:
+                    for i, k in pick.items():
                         merged[targets[i]] = merged.get(targets[i], 0) + k
-                    grown.append((merged, path + (base + j,)))
+                    grown.append((merged, f"{product} * C[{base + j}]"))
             partials = grown
-        for occ, path in partials:
-            raw.append((src, path))
+        for occ, product in partials:
+            raw.append((src, product))
             raw_keys.append((tuple(sorted(occ.items())), coh))
     groups = _grouping(raw_keys)
+    lines = ["def kernel(A, T):", f"    C = [{', '.join(coeffs)}]"]
+    sums = [_sum_source([raw[m][1] for m in (first, *rest)], f"g{k}", lines)
+            for k, (_, _, first, rest) in enumerate(groups)]
+    lines.append(f"    return [{', '.join(sums)}]")
+    occs = tuple(occ for occ, _, _, _ in groups)
     sources = tuple(raw[first][0] for _, _, first, _ in groups)
     out_shape = _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
-    return tuple(expansions), tuple(raw), groups, sources, out_shape
+    return _kernel("\n".join(lines)), occs, sources, out_shape
 
 
 def substitute_modes(
@@ -139,32 +144,18 @@ def substitute_modes(
     contributions landing on the same output mode accumulate occupation.
     Which terms arise, merge and in what order depends only on the input's
     shape and the mapped and target modes (:func:`_substitution_plan`, built
-    once per pair through ``fock._recall``); each call computes the coefficients
-    and amplitudes.
+    once per pair through ``fock._recall``); each call runs the plan's kernel
+    on the coefficients and the input amplitudes.
     """
     targets = tuple(mapping.values())
     op = tuple((mode, tuple(m for m, _ in t)) for mode, t in zip(mapping, targets))
     inputs = state.terms
     shape = _shape(state)
-    plan = _recall(shape, op, lambda: _substitution_plan(shape, op))
-    expansions, raw, groups, sources, out_shape = plan
-    coeffs = []
-    for slot, n_fact, picks in expansions:
-        for pick in picks:
-            coeff = n_fact
-            for i, k, k_fact in pick:
-                coeff /= k_fact
-                coeff *= targets[slot][i][1] ** k
-            coeffs.append(coeff)
-    amps = []
-    for src, path in raw:
-        amp = inputs[src][2]
-        for j in path:
-            amp = amp * coeffs[j]
-        amps.append(amp)
-    labels = [inputs[src][1] for src in sources]
+    kernel, occs, sources, out_shape = _recall(shape, op, lambda: _substitution_plan(shape, op))
+    sums = kernel(list(map(_amplitude, inputs)), targets)
+    labels = list(map(_labels, map(inputs.__getitem__, sources)))
     born_weight = float(state.born_weight)
-    return _grouped_state(state.registers, groups, labels, amps, born_weight, out_shape)
+    return _grouped_state(state.registers, occs, labels, sums, born_weight, out_shape)
 
 
 def _check_outputs(state, inputs, outputs):
@@ -186,16 +177,22 @@ def _check_outputs(state, inputs, outputs):
 def _paths_substituted(state, inputs, outputs, matrix) -> PhotonicState:
     """Send input path j, both polarizations, to ``sum_k matrix[k][j]`` output path k.
 
-    A ``None`` input is a vacuum port.
+    A ``None`` input is a vacuum port.  The modes are built once per
+    ``(inputs, outputs)``: each input mode with its column and target modes.
     """
+    inputs, outputs = tuple(inputs), tuple(outputs)
     _check_outputs(state, inputs, outputs)
-    mapping = {}
-    for pol in POLS:
-        targets = [Mode(pk, pol) for pk in outputs]
-        for pj, column in zip(inputs, zip(*matrix)):
-            if pj is not None:
-                mapping[Mode(pj, pol)] = list(zip(targets, column))
-    return substitute_modes(state, mapping)
+
+    def modes():
+        rows = []
+        for pol in POLS:
+            targets = tuple(Mode(pk, pol) for pk in outputs)
+            rows += [(Mode(pj, pol), j, targets) for j, pj in enumerate(inputs) if pj is not None]
+        return tuple(rows)
+
+    columns = list(zip(*matrix))
+    rows = _recall(None, ("paths", inputs, outputs), modes)
+    return substitute_modes(state, {mode: tuple(zip(ts, columns[j])) for mode, j, ts in rows})
 
 
 def apply_beam_splitter(
@@ -219,14 +216,20 @@ def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> P
     shape = _shape(state)
     counts = shape.photons(watched)
     factor = {n: cmath.exp(1j * n * phi) for n in set(counts)}
-    terms = tuple(_new_term((t[0], t[1], t[2] * factor[n])) for t, n in zip(state.terms, counts))
-    return _shaped(state.registers, terms, state.born_weight, shape)
+    terms = state.terms
+    amps = map(operator.mul, map(_amplitude, terms), map(factor.__getitem__, counts))
+    out = _new_terms(map(_occupation, terms), map(_labels, terms), amps)
+    return _shaped(state.registers, out, state.born_weight, shape)
 
 
 def apply_sigma_x(state: PhotonicState, path: str) -> PhotonicState:
     """Swap H and V on one path (half-wave plate at 45 deg)."""
-    h, v = Mode(path, "H"), Mode(path, "V")
-    return substitute_modes(state, {h: [(v, 1.0)], v: [(h, 1.0)]})
+
+    def mapping():
+        h, v = Mode(path, "H"), Mode(path, "V")
+        return {h: ((v, 1.0),), v: ((h, 1.0),)}
+
+    return substitute_modes(state, _recall(None, ("sigma_x", path), mapping))
 
 
 def route_pbs(
@@ -241,33 +244,23 @@ def route_pbs(
     In the ``diag`` basis (|H>+|V>)/sqrt(2) transmits and (|H>-|V>)/sqrt(2)
     reflects, so each H or V photon splits over both outputs.
     """
-    in_a, in_b = in_paths
-    out_u, out_v = out_paths
+    in_paths, out_paths = tuple(in_paths), tuple(out_paths)
     _check_outputs(state, in_paths, out_paths)
-    mapping: dict[Mode, list[tuple[Mode, complex]]] = {}
-    if basis == "HV":
-        mapping[Mode(in_a, "H")] = [(Mode(out_u, "H"), 1.0)]
-        mapping[Mode(in_a, "V")] = [(Mode(out_v, "V"), 1.0)]
-        if in_b is not None:
-            mapping[Mode(in_b, "H")] = [(Mode(out_v, "H"), 1.0)]
-            mapping[Mode(in_b, "V")] = [(Mode(out_u, "V"), 1.0)]
-    elif basis == "diag":
-        def diag_targets(trans: str, refl: str, sign: float):
-            return [
-                (Mode(trans, "H"), 0.5),
-                (Mode(trans, "V"), 0.5),
-                (Mode(refl, "H"), 0.5 * sign),
-                (Mode(refl, "V"), -0.5 * sign),
-            ]
 
-        mapping[Mode(in_a, "H")] = diag_targets(out_u, out_v, 1.0)
-        mapping[Mode(in_a, "V")] = diag_targets(out_u, out_v, -1.0)
-        if in_b is not None:
-            mapping[Mode(in_b, "H")] = diag_targets(out_v, out_u, 1.0)
-            mapping[Mode(in_b, "V")] = diag_targets(out_v, out_u, -1.0)
-    else:
-        raise InvalidInput(f"unknown PBS basis {basis!r}")
-    return substitute_modes(state, mapping)
+    def mapping():  # no value enters it: built once per wiring
+        if basis not in ("HV", "diag"):
+            raise InvalidInput(f"unknown PBS basis {basis!r}")
+        out = {}
+        for src, (trans, refl) in zip(in_paths, (out_paths, out_paths[::-1])):
+            for pol, s in (("H", 0.5), ("V", -0.5)):  # diag: H+V transmits, H-V reflects
+                if src is not None and basis == "HV":
+                    out[Mode(src, pol)] = [(Mode(trans if pol == "H" else refl, pol), 1.0)]
+                elif src is not None:
+                    out[Mode(src, pol)] = [(Mode(trans, "H"), 0.5), (Mode(trans, "V"), 0.5),
+                                           (Mode(refl, "H"), s), (Mode(refl, "V"), -s)]
+        return out
+
+    return substitute_modes(state, _recall(None, ("pbs", in_paths, out_paths, basis), mapping))
 
 
 def apply_qft(state: PhotonicState, paths: Sequence[str]) -> PhotonicState:

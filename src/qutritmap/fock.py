@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 import struct
@@ -116,6 +117,12 @@ class FockTerm(NamedTuple):
 
 # FockTerm((occ, coherent, amplitude)) without NamedTuple's Python-level __new__
 _new_term = functools.partial(tuple.__new__, FockTerm)
+_occupation, _labels, _amplitude = map(operator.itemgetter, range(3))
+
+
+def _new_terms(occs, labels, amplitudes) -> tuple[FockTerm, ...]:
+    """The FockTerms of three columns, built in C."""
+    return tuple(map(tuple.__new__, itertools.repeat(FockTerm), zip(occs, labels, amplitudes)))
 
 
 @dataclass(frozen=True)
@@ -145,17 +152,15 @@ def _shaped(registers, terms, born_weight, shape: Shape | None) -> PhotonicState
 
 
 # What an operation derives from a state's keys alone, keyed by (Shape, operation
-# shape); the intern table's entries are keyed by (None, keys).  Reaching the
-# bound drops every entry, and an entry holds at most two shapes, so at most
-# 2 * _RETAINED shapes outlive the states that carry them.  36 s benchmark runs
-# end with 164 entries in 0.54 MB (linear optics), 1035 in 1.0 MB (ideal qubus)
-# and 1195 in 2.2 MB (physical qubus).  Of these, interned keys take 0.26, 0.47
-# and 0.93 MB and substitution plans 0.22, 0.18 and 0.55 MB; pair plans for
-# inner products and register norms (flat index arrays) take 0.09 and 0.25 MB on
-# the qubus workloads.  Groupings for dropped registers and stripped modes,
-# label-rewrite orders, photon counts and traced-fidelity plans hold the rest.
-# run_all()'s random circuits make one-off shapes, which the bound drops instead
-# of keeping (twice per run_all()).
+# shape); interned keys are keyed by (None, keys) and compiled kernels by (None,
+# source).  Reaching the bound drops every entry, and an entry holds at most two
+# shapes, so at most 2 * _RETAINED shapes outlive the states that carry them.
+# After 10,000 benchmark evaluations (about one 36 s run, no drop) the memo holds
+# 245 entries in 0.56 MB (linear optics), 960 in 0.67 MB (ideal qubus) and 1127
+# in 1.62 MB (physical qubus).  Of these, interned keys take 0.26, 0.29 and 0.69
+# MB and kernels (37, 77 and 92 of them) 0.23, 0.17 and 0.50 MB; the plans that
+# index them hold the rest.  run_all()'s random circuits make one-off shapes,
+# which the bound drops instead of keeping.
 _RETAINED = 2048
 _MEMO: dict[tuple, object] = {}
 
@@ -170,6 +175,31 @@ def _recall(shape: Shape | None, op, build):
             _MEMO.clear()
         _MEMO[key] = value
     return value
+
+
+def _kernel(source: str):
+    """The ``kernel`` that ``source`` defines, compiled once: a plan's per-call arithmetic
+    as straight-line code, with integer indices and weights only in the source."""
+
+    def build():
+        namespace: dict = {}
+        exec(compile(source, "<kernel>", "exec"), namespace)
+        return namespace["kernel"]
+
+    return _recall(None, source, build)
+
+
+_CHUNK = 256  # parts per expression: the compiler recurses once per operator
+
+
+def _sum_source(parts: list[str], name: str, lines: list[str]) -> str:
+    """The left-to-right sum of ``parts``, built up in ``name`` by ``lines`` if long."""
+    if len(parts) <= _CHUNK:
+        return " + ".join(parts)
+    lines.append(f"    {name} = {' + '.join(parts[:_CHUNK])}")
+    for at in range(_CHUNK, len(parts), _CHUNK):
+        lines.append(f"    {name} = {name} + {' + '.join(parts[at:at + _CHUNK])}")
+    return name
 
 
 def _interned(keys: tuple) -> Shape:
@@ -213,20 +243,23 @@ class Shape:
         Terms without labels and with distinct occupations are orthogonal: the
         norm is the sum of each |a|^2 times its occupation weight, in term order.
         """
-        weights, pairs = _recall(self, "norm", self._norm_plan)
-        if pairs is not None:
-            return _paired(terms, terms, pairs).real
-        total = 0.0
-        for t, w in zip(terms, weights):
-            a = t[2]
-            total += (a.real * a.real + a.imag * a.imag) * w
-        return total
+        kernel, reps = _recall(self, "norm", self._norm_plan)
+        if reps is None:
+            return kernel(terms)
+        return _paired(terms, terms, (kernel, reps)).real
 
     def _norm_plan(self):
+        """:func:`_pairs` of the shape with itself, or ``(kernel, None)`` for orthogonal
+        terms, which sums from the first term: a sum of squares, never -0.0, so 0.0 + it."""
         occs = [occ for occ, _ in self.keys]
-        if any(coh for _, coh in self.keys) or len(set(occs)) < len(occs):
-            return None, _pairs(self, self)
-        return array("i", [_occ_norm(occ) for occ in occs]), None
+        if not occs or any(coh for _, coh in self.keys) or len(set(occs)) < len(occs):
+            return _pairs(self, self)
+        lines = ["def kernel(T):"]
+        for k, occ in enumerate(occs):
+            add = "+=" if k else "="
+            lines += [f"    a = T[{k}][2]",
+                      f"    t {add} (a.real * a.real + a.imag * a.imag) * {_occ_norm(occ)}"]
+        return _kernel("\n".join(lines + ["    return t"])), None
 
 
 def _sort_key(item) -> tuple:
@@ -273,31 +306,20 @@ def build_state(
                 f"term carries {len(t.coherent)} coherent labels, "
                 f"state declares {len(regs)} registers"
             )
-    groups = _grouping(terms)
-    labels = [g[1] for g in groups]
-    return _grouped_state(regs, groups, labels, [t.amplitude for t in terms], float(born_weight))
+    state, amplitudes = PhotonicState(regs, terms, born_weight), list(map(_amplitude, terms))
+    return _regrouped(state, "merge", range(len(terms)), lambda _, key: key, amplitudes, regs)
 
 
-def _grouped_state(registers, groups, labels, amplitudes, born_weight, shape=None) -> PhotonicState:
-    """The state of :func:`_grouping`'s ``groups`` of keys that carry ``amplitudes``.
-
-    Group k takes ``labels[k]`` and its summed amplitude; sums at or below
-    PRUNE_EPS are pruned.  ``shape``, if given, is that of all the groups.
-    """
-    sums = []
-    for _, _, first, rest in groups:  # in key order, from the first member
-        amp = amplitudes[first]
-        for i in rest:
-            amp += amplitudes[i]
-        sums.append(amp)
-    terms = tuple(
-        _new_term((g[0], coh, amp))
-        for g, coh, amp in zip(groups, labels, sums)
-        if abs(amp) > PRUNE_EPS
-    )
-    if shape is not None and len(terms) < len(sums):
-        shape = shape.subset(tuple(k for k, amp in enumerate(sums) if abs(amp) > PRUNE_EPS))
-    return _shaped(registers, terms, born_weight, shape)
+def _grouped_state(registers, occs, labels, sums, born_weight, shape=None) -> PhotonicState:
+    """The state of terms ``occs[k], labels[k], sums[k]``, the sums at or below
+    PRUNE_EPS pruned; ``shape``, if given, is that of all the terms."""
+    keep = list(map(PRUNE_EPS.__lt__, map(abs, sums)))
+    terms = _new_terms(occs, labels, sums)
+    if all(keep):
+        return _shaped(registers, terms, born_weight, shape)
+    kept = tuple(itertools.compress(range(len(keep)), keep))
+    shape = None if shape is None else shape.subset(kept)
+    return _shaped(registers, tuple(itertools.compress(terms, keep)), born_weight, shape)
 
 
 def _regrouped(state, op, members, rekey, amplitudes, registers) -> PhotonicState:
@@ -308,13 +330,18 @@ def _regrouped(state, op, members, rekey, amplitudes, registers) -> PhotonicStat
 
     def plan():
         groups = _grouping([rekey(p, shape.keys[k]) for p, k in enumerate(members)])
-        return groups, _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
+        lines = ["def kernel(A):"]
+        sums = [_sum_source([f"A[{m}]" for m in (first, *rest)], f"g{k}", lines)
+                for k, (_, _, first, rest) in enumerate(groups)]
+        kernel = _kernel("\n".join(lines + [f"    return [{', '.join(sums)}]"]))
+        occs = tuple(occ for occ, _, _, _ in groups)
+        return groups, kernel, occs, _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
 
-    groups, out_shape = _recall(shape, op, plan)
+    groups, kernel, occs, out_shape = _recall(shape, op, plan)
     # labels from the state's own terms: equal labels can differ in a zero's sign
     labels = [rekey(g[2], terms[members[g[2]]])[1] for g in groups]
     born_weight = float(state.born_weight)
-    return _grouped_state(registers, groups, labels, amplitudes, born_weight, out_shape)
+    return _grouped_state(registers, occs, labels, kernel(amplitudes), born_weight, out_shape)
 
 
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
@@ -349,9 +376,9 @@ def _overlaps(pairs, bra_labels, ket_labels):
 
 
 def _pairs(bra: Shape, ket: Shape):
-    """:func:`inner_product`'s plan for two shapes, built once: ``(rows, combos,
-    reps)`` of :func:`_overlaps`, ``rows`` flat ``(bra, ket, occupation weight,
-    combo)`` per pair of terms of one occupation, in its order."""
+    """:func:`inner_product`'s plan for two shapes: ``(kernel, reps)``.  ``kernel(c, a, o)``
+    adds from 0j, per pair of terms of one occupation, conjugated bra amplitude c[i]
+    times ket amplitude a[j], occupation weight and overlap slots o[s] (from ``reps``)."""
 
     def plan():
         by_occ: dict[tuple, list[int]] = {}
@@ -359,29 +386,22 @@ def _pairs(bra: Shape, ket: Shape):
             by_occ.setdefault(occ, []).append(j)
         pairs = [(i, j) for i, (occ, _) in enumerate(bra.keys) for j in by_occ.get(occ, ())]
         cells, combos, reps = _overlaps(pairs, *([coh for _, coh in s.keys] for s in (bra, ket)))
-        rows = [x for (i, j), c in zip(pairs, cells) for x in (i, j, _occ_norm(bra.keys[i][0]), c)]
-        return array("i", rows), combos, reps
+        lines = ["def kernel(c, a, o):", "    t = 0j"]
+        for (i, j), cell in zip(pairs, cells):
+            slots = "".join(f" * o[{s}]" for s in combos[cell])
+            lines.append(f"    t += c[{i}] * a[{j}] * {_occ_norm(bra.keys[i][0])}{slots}")
+        lines.append("    return t")
+        return _kernel("\n".join(lines)), reps
 
     return _recall(bra, ("pairs", ket), plan)
 
 
 def _paired(bra_terms, ket_terms, plan) -> complex:
     """The sum of :func:`_pairs`' ``plan``: each label-pair overlap taken once."""
-    rows, combos, reps = plan
-    conj = [t[2].conjugate() for t in bra_terms]
+    kernel, reps = plan
     overlaps = [coherent_overlap(bra_terms[i][1][k], ket_terms[j][1][k]) for i, j, k in reps]
-    it = iter(rows)
-    total = 0j
-    if reps and len(combos[0]) == 1:  # one register: combo c is slot c
-        for i, j, w, c in zip(it, it, it, it):
-            total += conj[i] * ket_terms[j][2] * w * overlaps[c]
-        return total
-    for i, j, w, c in zip(it, it, it, it):
-        val = conj[i] * ket_terms[j][2] * w
-        for s in combos[c]:
-            val *= overlaps[s]
-        total += val
-    return total
+    conj = [t[2].conjugate() for t in bra_terms]
+    return kernel(conj, list(map(_amplitude, ket_terms)), overlaps)
 
 
 def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
@@ -398,8 +418,10 @@ def norm_sq(state: PhotonicState) -> float:
 
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
-    terms = tuple(_new_term((t[0], t[1], t[2] * factor)) for t in state.terms)
-    return _shaped(state.registers, terms, state.born_weight, state.shape)
+    terms = state.terms
+    amps = map(operator.mul, map(_amplitude, terms), itertools.repeat(factor))
+    out = _new_terms(map(_occupation, terms), map(_labels, terms), amps)
+    return _shaped(state.registers, out, state.born_weight, state.shape)
 
 
 def normalized(state: PhotonicState) -> PhotonicState:

@@ -36,6 +36,14 @@ from .fock import (
 PROB_EPS = 1e-15
 
 
+def _summed(values) -> float:
+    """Left to right from 0.0: from Python 3.12, builtin sum() compensates floats."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class Outcome:
     """One result and its renormalized branch; ``state`` is None where that
@@ -53,7 +61,7 @@ class BranchDistribution:
 
     @property
     def total_probability(self) -> float:
-        return sum(o.probability for o in self.outcomes)
+        return _summed(o.probability for o in self.outcomes)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(o.label for o in self.outcomes)
@@ -189,7 +197,7 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
         raise InvalidInput("cannot strip modes from a zero state")
     # rank-1 check: every row must be proportional to the heaviest row
     tol = 1e-9 * max(1.0, max(abs(a) for row in rows for a in row.values()) ** 2)
-    heaviest = max(range(len(rows)), key=lambda r: sum(abs(a) ** 2 for a in rows[r].values()))
+    heaviest = max(range(len(rows)), key=lambda r: _summed(abs(a) ** 2 for a in rows[r].values()))
     ref = rows.pop(heaviest)  # proportional to itself
     j0 = max(ref, key=lambda k: abs(ref[k]))
     for row in rows:
@@ -253,7 +261,7 @@ def merge_branches(
     live = [(p, s) for p, s in branches if p > PROB_EPS]
     if not live:
         raise InvalidInput("all branches have zero probability")
-    total = sum(p for p, _ in live)
+    total = _summed(p for p, _ in live)
     first = live[0][1]
     min_fid = 1.0
     for _, s in live[1:]:
@@ -261,7 +269,7 @@ def merge_branches(
         min_fid = min(min_fid, f)
         if f < 1.0 - tol:
             raise WiringError(f"branches disagree: fidelity {f} below 1 - {tol}")
-    born_weight = sum(s.born_weight for _, s in live)
+    born_weight = _summed(s.born_weight for _, s in live)
     merged = _shaped(first.registers, first.terms, born_weight, _shape(first))
     if "_norm_sq" in vars(first):  # computed for the same terms
         vars(merged)["_norm_sq"] = first._norm_sq

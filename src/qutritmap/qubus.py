@@ -36,11 +36,9 @@ def add_register(state: PhotonicState, register: str, alpha0: complex) -> Photon
     """Attach a register at ``alpha0`` to every term of a canonical state."""
     if register in state.registers:
         raise WiringError(f"register {register!r} already attached")
-    label, shape = complex(alpha0), _shape(state)
-    out = _recall(shape, ("register", label),
-                  lambda: _interned(tuple((o, c + (label,)) for o, c in shape.keys)))
-    terms = tuple(_new_term((t[0], t[1] + (label,), t[2])) for t in state.terms)
-    return _shaped(state.registers + (register,), terms, state.born_weight, out)
+    label = complex(alpha0)
+    labels = [t[1] + (label,) for t in state.terms]
+    return _relabeled(state, ("register", label), labels, state.registers + (register,))
 
 
 def _register_index(state: PhotonicState, register: str) -> int:
@@ -61,8 +59,8 @@ def _dropped(state, idx: int, members: tuple[int, ...], amplitudes) -> PhotonicS
     return _regrouped(state, ("drop", idx, members), members, rekey, amplitudes, regs)
 
 
-def _relabeled(state: PhotonicState, op: tuple, labels: list[tuple]) -> PhotonicState:
-    """``state`` with term k's labels replaced by ``labels[k]``: a one-to-one rewrite,
+def _relabeled(state: PhotonicState, op: tuple, labels: list[tuple], registers) -> PhotonicState:
+    """``state`` on ``registers`` with term k's labels ``labels[k]``: a one-to-one rewrite,
     fixed by ``op``, that keeps labels COHERENT_MERGE_EPS apart, so nothing merges.
     The new order and shape follow from the keys and are built once per shape."""
     terms = state.terms
@@ -74,7 +72,7 @@ def _relabeled(state: PhotonicState, op: tuple, labels: list[tuple]) -> Photonic
 
     order, shape = _recall(_shape(state), op, plan)
     out = tuple(_new_term((terms[k][0], labels[k], terms[k][2])) for k in order)
-    return _shaped(state.registers, out, state.born_weight, shape)
+    return _shaped(registers, out, state.born_weight, shape)
 
 
 def apply_xpm(
@@ -87,14 +85,14 @@ def apply_xpm(
     turn = {n: cmath.exp(1j * n * theta) for n in set(counts)}
     labels = [c[:idx] + (c[idx] * turn[n],) + c[idx + 1 :]
               for (_, c, _), n in zip(state.terms, counts)]
-    return _relabeled(state, ("xpm", idx, watched, theta), labels)
+    return _relabeled(state, ("xpm", idx, watched, theta), labels, state.registers)
 
 
 def coherent_phase(state: PhotonicState, register: str, phi: float) -> PhotonicState:
     """Rotate one register's label by ``phi``; canonical input."""
     idx, turn = _register_index(state, register), cmath.exp(1j * phi)
     labels = [c[:idx] + (c[idx] * turn,) + c[idx + 1 :] for _, c, _ in state.terms]
-    return _relabeled(state, ("phase", idx, phi), labels)
+    return _relabeled(state, ("phase", idx, phi), labels, state.registers)
 
 
 def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState:
@@ -109,7 +107,33 @@ def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState
         coh = list(t.coherent)
         coh[ia], coh[ib] = (coh[ia] - coh[ib]) * s, (coh[ia] + coh[ib]) * s
         labels.append(tuple(coh))
-    return _relabeled(state, ("bs50", ia, ib), labels)
+    return _relabeled(state, ("bs50", ia, ib), labels, state.registers)
+
+
+def couple_probes(state: PhotonicState, reg_a: str, reg_b: str, alpha: float, theta: float,
+                  modes_a: tuple[Mode, ...], modes_b: tuple[Mode, ...]) -> PhotonicState:
+    """Couple two probes at ``alpha`` and interfere them: each picks up theta per
+    photon in its modes and is turned back by theta, so a probe that saw one
+    photon returns to alpha, and the 50:50 coupler's first port then holds 0 or
+    +/- sqrt(2) alpha sin(theta).  Bit for bit, in one pass: :func:`add_register`
+    ``reg_a`` and ``reg_b``, :func:`apply_xpm` on each with its modes,
+    :func:`coherent_phase` by -theta on each, then :func:`coherent_bs50`."""
+    regs = state.registers + (reg_a, reg_b)
+    for reg in (reg_a, reg_b):
+        if regs.count(reg) > 1:
+            raise WiringError(f"register {reg!r} already attached")
+    label, s, back = complex(alpha), 1.0 / math.sqrt(2), cmath.exp(1j * -theta)
+    watched = frozenset(modes_a), frozenset(modes_b)
+    counts = list(zip(*(_shape(state).photons(w) for w in watched)))
+    new = {}
+    for n_a, n_b in set(counts):
+        a = label * cmath.exp(1j * n_a * theta) * back
+        b = label * cmath.exp(1j * n_b * theta) * back
+        new[n_a, n_b] = (a - b) * s, (a + b) * s
+    labels = [t[1] + new[n] for t, n in zip(state.terms, counts)]
+    # Terms of one occupation get the same new labels, so the one sort of
+    # _relabeled orders the terms as each of the chain's five does.
+    return _relabeled(state, ("probes", *watched, label, theta), labels, regs)
 
 
 def project_photon_number(

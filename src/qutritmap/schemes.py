@@ -65,6 +65,7 @@ from .elements import (
 from .measurement import (
     Correction,
     FeedForwardRule,
+    _summed,
     erase_and_merge,
     merge_branches,
     path_modes,
@@ -75,8 +76,7 @@ from .measurement import (
 from .qubus import (
     add_register,
     apply_xpm,
-    coherent_bs50,
-    coherent_phase,
+    couple_probes,
     drop_register,
     project_photon_number,
     project_quadrature_x,
@@ -194,25 +194,12 @@ def _merge_tol(meas_mode: str) -> float:
 
 
 def _probe_pair(state, prefix, alpha, theta, modes1, modes2) -> PhotonicState:
-    """Couple probes ``<prefix>-1`` and ``<prefix>-2`` and interfere them.
-
-    Each probe starts at ``alpha`` and picks up ``theta`` per photon in its
-    modes; both are then rotated back by ``theta``, so a probe that saw
-    exactly one photon returns to ``alpha``, and the pair meets on a 50:50
-    coupler, whose difference port then holds 0 or +/- sqrt(2) alpha sin(theta).
-    """
+    """:func:`qubus.couple_probes` on probes ``<prefix>-1`` and ``<prefix>-2``."""
     if alpha * abs(math.sin(theta)) < _PHASE_RESOLUTION:
         raise InvalidInput(
             "qubus amplitude times |sin theta| cannot resolve the probe number classes"
         )
-    reg1, reg2 = f"{prefix}-1", f"{prefix}-2"
-    s = add_register(state, reg1, alpha)
-    s = add_register(s, reg2, alpha)
-    s = apply_xpm(s, reg1, modes1, theta)
-    s = apply_xpm(s, reg2, modes2, theta)
-    s = coherent_phase(s, reg1, -theta)
-    s = coherent_phase(s, reg2, -theta)
-    return coherent_bs50(s, reg1, reg2)
+    return couple_probes(state, f"{prefix}-1", f"{prefix}-2", alpha, theta, modes1, modes2)
 
 
 def _quadrature_group(dist, register: str, value: float):
@@ -793,7 +780,7 @@ def _kerr_inverse_run(
         checks[f"bunched_{out_path}_probability"] = kept.probability * q
         if kept.probability * q > 0.0:
             bunched.append((kept.probability * q, st))
-    checks["split_discard_probability"] = dist.total_probability - sum(
+    checks["split_discard_probability"] = dist.total_probability - _summed(
         checks[f"bunched_{p}_probability"] for p in ("m1", "m2")
     )
     p_bunch, s, fid_bunch = merge_branches(bunched, tol=tol)

@@ -51,6 +51,7 @@ from qutritmap.qubus import (
     apply_xpm,
     coherent_bs50,
     coherent_phase,
+    couple_probes,
     drop_register,
     project_photon_number,
     project_quadrature_x,
@@ -171,8 +172,8 @@ def test_repeated_occupations_take_the_generic_path():
         FockTerm(((h, 2),), (), 0.125 - 1.0j),
     )
     state = PhotonicState((), terms)
-    weights, pairs = fock._shape(state)._norm_plan()
-    assert weights is None and pairs is not None
+    _, reps = fock._shape(state)._norm_plan()  # a pair plan's label slots (none here)
+    assert reps is not None
     assert repr(norm_sq(state)) == repr(inner_product(state, state).real)
     canonical = build_state((), terms)
     assert fock._shape(canonical)._norm_plan()[1] is None
@@ -193,8 +194,8 @@ def test_repeated_occupations_take_the_generic_path():
 def test_selection_and_phase_shift_match_per_term_reference(
     nregs, labels, specs, again, wants, n, target, phi
 ):
-    first = canonical_state(nregs, labels, specs)
     fock._MEMO.clear()  # so the first call builds what the second one finds
+    first = canonical_state(nregs, labels, specs)
     for state in (first, same_shape(first, again)):
         requirements = [(path_modes(p), w) for p, w in zip(PATHS, wants) if w is not None]
         assert outcome(post_select_coincidence, state, requirements) == outcome(
@@ -490,6 +491,38 @@ def test_register_paths_match_direct_references_bit_for_bit(
                 assert outcome(readout_bits, x, "r0", mode) == outcome(
                     reference_readout, x, "r0", mode
                 )
+
+
+@given(
+    nregs=st.integers(0, 1),
+    labels=st.lists(label, min_size=1, max_size=3),
+    specs=specs,
+    again=st.lists(amplitude, min_size=10, max_size=10),
+    alpha=st.floats(min_value=0.5, max_value=40.0),
+    theta=st.floats(min_value=-3.0, max_value=3.0).filter(lambda t: abs(math.sin(t)) > 1e-3),
+)
+@settings(max_examples=150, deadline=None)
+def test_coupled_probes_match_the_chain_bit_for_bit(nregs, labels, specs, again, alpha, theta):
+    state = canonical_state(nregs, labels, specs)
+    twin = same_shape(state, again)
+    twin = PhotonicState(
+        twin.registers,
+        tuple(FockTerm(t.occ, tuple(map(flip_zeros, t.coherent)), t.amplitude) for t in twin.terms),
+    )
+    modes_a, modes_b = path_modes("a"), (Mode("b", "V"), Mode("c", "H"))
+
+    def chain(x):
+        s = add_register(add_register(x, "p1", alpha), "p2", alpha)
+        s = apply_xpm(apply_xpm(s, "p1", modes_a, theta), "p2", modes_b, theta)
+        s = coherent_phase(coherent_phase(s, "p1", -theta), "p2", -theta)
+        return coherent_bs50(s, "p1", "p2")
+
+    fock._MEMO.clear()
+    for x in (fresh(state), fresh(twin), fresh(state)):  # the last finds the plan
+        coupled = couple_probes(x, "p1", "p2", alpha, theta, modes_a, modes_b)
+        chained = chain(x)
+        assert bits(coupled) == bits(chained)
+        assert fock._shape(coupled).keys == fock._shape(fresh(chained)).keys
 
 
 def shapes_in(obj, seen=None) -> int:
