@@ -25,19 +25,11 @@ from .fock import (
     POLS,
     Shape,
     WiringError,
-    _amplitude,
+    _columns,
     _grouped_state,
-    _grouping,
-    _interned,
-    _kernel,
-    _labels,
-    _new_terms,
-    _occupation,
+    _merge_plan,
     _recall,
     _shape,
-    _shaped,
-    _sum_source,
-    state_paths,
 )
 
 
@@ -84,10 +76,10 @@ def _substitution_plan(shape: Shape, op: tuple):
     """What :func:`substitute_modes` computes that depends on no value.
 
     ``shape`` is the input's and ``op`` the ``(mode, target modes)`` of the
-    mapping.  Returns ``kernel(A, T)``, the occupation of each merged group
-    (``fock._grouping``), the input term whose labels it carries and the
-    output's shape before any prune.  From the input amplitudes ``A`` and the
-    mapping's ``(mode, coefficient)`` targets ``T``, the kernel computes each
+    mapping.  Returns ``kernel(A, T)``, the input term whose labels each merged
+    group (``fock._grouping``) carries and the output's shape before any
+    prune.  From the input amplitudes ``A`` and the mapping's coefficients
+    ``T`` (per mapped mode, one per target), the kernel computes each
     multinomial coefficient n!/k1!*c1**k1/k2!*c2**k2... of a mapped (mode, n)
     into ``C``, then each group's amplitude: its members ``A[src] * C[j0] *
     C[j1] ...`` (one coefficient per mapped mode) added left to right.
@@ -109,7 +101,7 @@ def _substitution_plan(shape: Shape, op: tuple):
                 picks = [{i: pick.count(i) for i in pick} for pick in combos]  # target: count
                 expansion_of[slot, n] = len(coeffs), picks
                 coeffs += [str(math.factorial(n)) + "".join(
-                    f" / {math.factorial(k)} * T[{slot}][{i}][1] ** {k}" for i, k in pick.items()
+                    f" / {math.factorial(k)} * T[{slot}][{i}] ** {k}" for i, k in pick.items()
                 ) for pick in picks]
             base, picks = expansion_of[slot, n]
             grown = []
@@ -123,15 +115,8 @@ def _substitution_plan(shape: Shape, op: tuple):
         for occ, product in partials:
             raw.append((src, product))
             raw_keys.append((tuple(sorted(occ.items())), coh))
-    groups = _grouping(raw_keys)
     lines = ["def kernel(A, T):", f"    C = [{', '.join(coeffs)}]"]
-    sums = [_sum_source([raw[m][1] for m in (first, *rest)], f"g{k}", lines)
-            for k, (_, _, first, rest) in enumerate(groups)]
-    lines.append(f"    return [{', '.join(sums)}]")
-    occs = tuple(occ for occ, _, _, _ in groups)
-    sources = tuple(raw[first][0] for _, _, first, _ in groups)
-    out_shape = _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
-    return _kernel("\n".join(lines)), occs, sources, out_shape
+    return _merge_plan(raw_keys, [p for _, p in raw], [src for src, _ in raw], lines)
 
 
 def substitute_modes(
@@ -147,52 +132,64 @@ def substitute_modes(
     once per pair through ``fock._recall``); each call runs the plan's kernel
     on the coefficients and the input amplitudes.
     """
+    return _substituted(state, *_wiring(mapping))
+
+
+def _wiring(mapping) -> tuple[tuple, list]:
+    """A mapping's ``(mode, target modes)`` and, per mapped mode, its coefficients."""
     targets = tuple(mapping.values())
     op = tuple((mode, tuple(m for m, _ in t)) for mode, t in zip(mapping, targets))
-    inputs = state.terms
+    return op, [[c for _, c in t] for t in targets]
+
+
+def _substituted(state: PhotonicState, op: tuple, coefficients) -> PhotonicState:
+    """:func:`substitute_modes` of the mapping that :func:`_wiring` splits in two."""
     shape = _shape(state)
-    kernel, occs, sources, out_shape = _recall(shape, op, lambda: _substitution_plan(shape, op))
-    sums = kernel(list(map(_amplitude, inputs)), targets)
-    labels = list(map(_labels, map(inputs.__getitem__, sources)))
+    kernel, sources, out_shape = _recall(shape, op, lambda: _substitution_plan(shape, op))
+    sums = kernel(state.amplitudes, coefficients)
+    labels = state.labels and list(map(state.labels.__getitem__, sources))
     born_weight = float(state.born_weight)
-    return _grouped_state(state.registers, occs, labels, sums, born_weight, out_shape)
+    return _grouped_state(state.registers, labels, sums, born_weight, out_shape)
 
 
 def _check_outputs(state, inputs, outputs):
-    ins = [p for p in inputs if p is not None]
-    if len(set(ins)) != len(ins):
-        raise WiringError(f"duplicate input paths {inputs}")
-    if len(set(outputs)) != len(outputs):
-        raise WiringError(f"duplicate output paths {outputs}")
-    present = () if set(outputs).issubset(ins) else _recall(
-        _shape(state), "paths", lambda: frozenset(state_paths(state))
-    )
-    for out in outputs:
-        if out in present and out not in ins:
-            raise WiringError(
-                f"output path {out!r} already carries photons and is not an input"
-            )
+    """Refuse repeated ports, and outputs onto occupied paths that are not inputs."""
+    shape = _shape(state)
+
+    def check():
+        ins = [p for p in inputs if p is not None]
+        if len(set(ins)) != len(ins):
+            raise WiringError(f"duplicate input paths {inputs}")
+        if len(set(outputs)) != len(outputs):
+            raise WiringError(f"duplicate output paths {outputs}")
+        present = shape.paths()
+        for out in outputs:
+            if out in present and out not in ins:
+                msg = f"output path {out!r} already carries photons and is not an input"
+                raise WiringError(msg)
+        return True  # remembered per (shape, inputs, outputs): a failure never is
+
+    _recall(shape, ("outputs", inputs, outputs), check)
 
 
 def _paths_substituted(state, inputs, outputs, matrix) -> PhotonicState:
     """Send input path j, both polarizations, to ``sum_k matrix[k][j]`` output path k.
 
-    A ``None`` input is a vacuum port.  The modes are built once per
-    ``(inputs, outputs)``: each input mode with its column and target modes.
+    A ``None`` input is a vacuum port.  The substitution's modes are built once
+    per ``(inputs, outputs)``: each input mode with its target modes, and the
+    matrix column it reads.
     """
     inputs, outputs = tuple(inputs), tuple(outputs)
     _check_outputs(state, inputs, outputs)
 
-    def modes():
-        rows = []
-        for pol in POLS:
-            targets = tuple(Mode(pk, pol) for pk in outputs)
-            rows += [(Mode(pj, pol), j, targets) for j, pj in enumerate(inputs) if pj is not None]
-        return tuple(rows)
+    def wiring():
+        rows = [((Mode(pj, pol), tuple(Mode(pk, pol) for pk in outputs)), j)
+                for pol in POLS for j, pj in enumerate(inputs) if pj is not None]
+        return tuple(r for r, _ in rows), tuple(j for _, j in rows)
 
+    op, js = _recall(None, ("paths", inputs, outputs), wiring)
     columns = list(zip(*matrix))
-    rows = _recall(None, ("paths", inputs, outputs), modes)
-    return substitute_modes(state, {mode: tuple(zip(ts, columns[j])) for mode, j, ts in rows})
+    return _substituted(state, op, [columns[j] for j in js])
 
 
 def apply_beam_splitter(
@@ -216,10 +213,8 @@ def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> P
     shape = _shape(state)
     counts = shape.photons(watched)
     factor = {n: cmath.exp(1j * n * phi) for n in set(counts)}
-    terms = state.terms
-    amps = map(operator.mul, map(_amplitude, terms), map(factor.__getitem__, counts))
-    out = _new_terms(map(_occupation, terms), map(_labels, terms), amps)
-    return _shaped(state.registers, out, state.born_weight, shape)
+    amps = list(map(operator.mul, state.amplitudes, map(factor.__getitem__, counts)))
+    return _columns(state.registers, amps, state.labels, state.born_weight, shape)
 
 
 def apply_sigma_x(state: PhotonicState, path: str) -> PhotonicState:
@@ -227,9 +222,9 @@ def apply_sigma_x(state: PhotonicState, path: str) -> PhotonicState:
 
     def mapping():
         h, v = Mode(path, "H"), Mode(path, "V")
-        return {h: ((v, 1.0),), v: ((h, 1.0),)}
+        return _wiring({h: ((v, 1.0),), v: ((h, 1.0),)})
 
-    return substitute_modes(state, _recall(None, ("sigma_x", path), mapping))
+    return _substituted(state, *_recall(None, ("sigma_x", path), mapping))
 
 
 def route_pbs(
@@ -258,9 +253,9 @@ def route_pbs(
                 elif src is not None:
                     out[Mode(src, pol)] = [(Mode(trans, "H"), 0.5), (Mode(trans, "V"), 0.5),
                                            (Mode(refl, "H"), s), (Mode(refl, "V"), -s)]
-        return out
+        return _wiring(out)
 
-    return substitute_modes(state, _recall(None, ("pbs", in_paths, out_paths, basis), mapping))
+    return _substituted(state, *_recall(None, ("pbs", in_paths, out_paths, basis), mapping))
 
 
 def apply_qft(state: PhotonicState, paths: Sequence[str]) -> PhotonicState:

@@ -1,11 +1,11 @@
 """Sparse symbolic Fock states for few-photon interferometry.
 
 A state is a sum of creation-operator monomials acting on the vacuum,
-optionally tensored with labelled coherent-state registers.  Each term
-keeps an exact complex amplitude, an occupation signature over
-``Mode(path, pol)`` slots and one complex label per register, so overlaps
-and measurement statistics come out in closed form instead of from a
-truncated numeric Hilbert space.
+optionally tensored with labelled coherent-state registers.  It is a
+:class:`Shape`, each term's occupation signature over ``Mode(path, pol)``
+slots, plus columns: each term's exact complex amplitude and, with
+registers, its complex labels, so overlaps and measurement statistics come
+out in closed form instead of from a truncated numeric Hilbert space.
 
 Conventions:
 
@@ -19,14 +19,13 @@ Conventions:
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import operator
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 H = "H"
 V = "V"
@@ -92,20 +91,12 @@ class FockTerm(NamedTuple):
         amplitude: complex = 1.0,
     ) -> "FockTerm":
         occ = []
-        total = 0
         for mode, n in occupations.items():
             if n < 0 or int(n) != n:
                 raise InvalidInput(f"occupation must be a non-negative int, got {n!r}")
-            if n == 0:
-                continue
-            occ.append((mode, int(n)))
-            total += int(n)
-        if total > PHOTON_CAP:
-            raise PhotonCapExceeded(
-                f"term holds {total} photons, cap is {PHOTON_CAP}"
-            )
-        occ.sort()
-        return cls(tuple(occ), tuple(complex(c) for c in coherent), complex(amplitude))
+            if n:
+                occ.append((mode, int(n)))
+        return cls(_capped(tuple(sorted(occ))), tuple(map(complex, coherent)), complex(amplitude))
 
     @property
     def total_photons(self) -> int:
@@ -115,20 +106,25 @@ class FockTerm(NamedTuple):
         return dict(self.occ)
 
 
-# FockTerm((occ, coherent, amplitude)) without NamedTuple's Python-level __new__
-_new_term = functools.partial(tuple.__new__, FockTerm)
 _occupation, _labels, _amplitude = map(operator.itemgetter, range(3))
 
 
-def _new_terms(occs, labels, amplitudes) -> tuple[FockTerm, ...]:
-    """The FockTerms of three columns, built in C."""
-    return tuple(map(tuple.__new__, itertools.repeat(FockTerm), zip(occs, labels, amplitudes)))
+def _capped(occ: tuple) -> tuple:
+    """``occ``, a term's occupation, after checking it against PHOTON_CAP."""
+    total = sum(n for _, n in occ)
+    if total > PHOTON_CAP:
+        raise PhotonCapExceeded(f"term holds {total} photons, cap is {PHOTON_CAP}")
+    return occ
 
 
 @dataclass(frozen=True)
 class PhotonicState:
-    """Canonical (merged, pruned, sorted) terms, register labels and a Born weight.
+    """A canonical (merged, pruned, sorted) state: its shape, an amplitude column
+    and, with registers, a label column (else None), one entry per term.
 
+    ``terms``, one FockTerm per term, is a view built from them on first read;
+    a state built from terms derives its columns on first read instead.
+    ``==``, ``hash``, ``repr`` and pickle see ``(registers, terms, born_weight)``.
     ``born_weight`` tracks the probability of the measurement record that led
     to this (renormalized) branch; it never enters overlaps.
     """
@@ -136,29 +132,60 @@ class PhotonicState:
     registers: tuple[str, ...]
     terms: tuple[FockTerm, ...]
     born_weight: float = 1.0
-    # the Shape of ``terms``: interned on first use, or passed on by its producer
+    # interned on first use or passed on; columns are never mutated and may be shared
     shape: Shape | None = field(default=None, init=False, repr=False, compare=False)
+    amplitudes: Sequence[complex] = field(init=False, repr=False, compare=False)
+    labels: Sequence[tuple[complex, ...]] | None = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def _norm_sq(self) -> float:  # frozen, with immutable terms: computed once
-        return _shape(self).norm_sq(self.terms)
+    def __getattr__(self, name):
+        # reached for what a state lacks: a column-built one's terms, a term-built one's
+        # columns, or the squared norm (frozen, with immutable columns: computed once)
+        cells = vars(self)
+        if name == "_norm_sq":
+            cells[name] = _shape(self).norm_sq(self)
+        elif name == "terms" and "amplitudes" in cells:
+            cells["terms"] = _view(self)
+        elif name in ("amplitudes", "labels") and "terms" in cells:
+            terms = cells["terms"]
+            labels = tuple(map(_labels, terms))
+            cells["amplitudes"] = tuple(map(_amplitude, terms))
+            cells["labels"] = labels if self.registers or any(labels) else None
+        else:
+            raise AttributeError(name)
+        return cells[name]
+
+    def __reduce__(self):  # the value: columns, shape and norm are derived again
+        return PhotonicState, (self.registers, self.terms, self.born_weight)
 
 
-def _shaped(registers, terms, born_weight, shape: Shape | None) -> PhotonicState:
-    """A state whose ``terms`` have ``shape`` (None: interned on first use)."""
-    state = PhotonicState(registers, terms, born_weight)
-    object.__setattr__(state, "shape", shape)
+def _columns(registers, amplitudes, labels, born_weight, shape: Shape) -> PhotonicState:
+    """The state of ``shape`` whose columns are ``amplitudes`` and ``labels``."""
+    state = object.__new__(PhotonicState)
+    vars(state).update(registers=registers, amplitudes=amplitudes, labels=labels,
+                       born_weight=born_weight, shape=shape)
     return state
+
+
+def _label_rows(state: PhotonicState):
+    """``state``'s labels, one tuple per term, empty ones too."""
+    return state.labels or [()] * len(state.amplitudes)
+
+
+def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
+    """A column-built state's ``terms``, built in C."""
+    labels = itertools.repeat(()) if state.labels is None else state.labels
+    rows = zip(map(_occupation, state.shape.keys), labels, state.amplitudes)
+    return tuple(map(tuple.__new__, itertools.repeat(FockTerm), rows))
 
 
 # What an operation derives from a state's keys alone, keyed by (Shape, operation
 # shape); interned keys are keyed by (None, keys) and compiled kernels by (None,
 # source).  Reaching the bound drops every entry, and an entry holds at most two
 # shapes, so at most 2 * _RETAINED shapes outlive the states that carry them.
-# After 10,000 benchmark evaluations (about one 36 s run, no drop) the memo holds
-# 245 entries in 0.56 MB (linear optics), 960 in 0.67 MB (ideal qubus) and 1127
-# in 1.62 MB (physical qubus).  Of these, interned keys take 0.26, 0.29 and 0.69
-# MB and kernels (37, 77 and 92 of them) 0.23, 0.17 and 0.50 MB; the plans that
+# After 10,000 benchmark evaluations (no drop) the memo holds 274 entries in 0.62
+# MB (linear optics), 1023 in 0.79 MB (ideal qubus) and 1225 in 1.80 MB (physical
+# qubus), by deep getsizeof.  Of these, interned keys take 0.26, 0.31 and 0.71 MB
+# and kernels (38, 78 and 93 of them) 0.25, 0.18 and 0.55 MB; the plans that
 # index them hold the rest.  run_all()'s random circuits make one-off shapes,
 # which the bound drops instead of keeping.
 _RETAINED = 2048
@@ -216,8 +243,9 @@ class Shape:
     """What the ``(occ, coherent)`` keys of a state fix, whatever its amplitudes.
 
     Interned by its keys, which compare with ``==``: labels 2+0j and 2-0j share
-    a shape, so labels are always read from the state's own terms, never from
-    ``keys``.  Shapes hash by identity, so :func:`_recall` never rehashes keys.
+    a shape, so labels are always read from the state's label column, never
+    from ``keys``.  Shapes hash by identity, so :func:`_recall` never rehashes
+    keys.
     """
 
     __slots__ = ("keys",)
@@ -229,6 +257,10 @@ class Shape:
         """The shape of the terms at the indices ``kept``."""
         return _recall(self, ("subset", kept), lambda: _interned(tuple(self.keys[i] for i in kept)))
 
+    def paths(self) -> frozenset[str]:
+        """The paths that hold a photon in some term."""
+        return _recall(self, "paths", lambda: frozenset(m.path for o, _ in self.keys for m, _ in o))
+
     def photons(self, watched: frozenset) -> tuple[int, ...]:
         """Each term's photon count in the ``watched`` modes."""
         return _recall(
@@ -237,16 +269,16 @@ class Shape:
             lambda: tuple(sum(n for m, n in occ if m in watched) for occ, _ in self.keys),
         )
 
-    def norm_sq(self, terms) -> float:
-        """``inner_product(s, s).real``, bit for bit, for a state ``s`` of these ``terms``.
+    def norm_sq(self, state: PhotonicState) -> float:
+        """``inner_product(state, state).real``, bit for bit, for a ``state`` of this shape.
 
         Terms without labels and with distinct occupations are orthogonal: the
         norm is the sum of each |a|^2 times its occupation weight, in term order.
         """
         kernel, reps = _recall(self, "norm", self._norm_plan)
         if reps is None:
-            return kernel(terms)
-        return _paired(terms, terms, (kernel, reps)).real
+            return kernel(state.amplitudes)
+        return _paired(state, state, (kernel, reps)).real
 
     def _norm_plan(self):
         """:func:`_pairs` of the shape with itself, or ``(kernel, None)`` for orthogonal
@@ -254,23 +286,23 @@ class Shape:
         occs = [occ for occ, _ in self.keys]
         if not occs or any(coh for _, coh in self.keys) or len(set(occs)) < len(occs):
             return _pairs(self, self)
-        lines = ["def kernel(T):"]
+        lines = ["def kernel(A):"]
         for k, occ in enumerate(occs):
             add = "+=" if k else "="
-            lines += [f"    a = T[{k}][2]",
+            lines += [f"    a = A[{k}]",
                       f"    t {add} (a.real * a.real + a.imag * a.imag) * {_occ_norm(occ)}"]
         return _kernel("\n".join(lines + ["    return t"])), None
 
 
 def _sort_key(item) -> tuple:
-    # canonical order of a FockTerm or a group entry: occupation, then rounded labels
+    # canonical order of a key or a group entry: occupation, then rounded labels
     return item[0], tuple((round(c.real, 9), round(c.imag, 9)) for c in item[1])
 
 
 def _grouping(keys) -> tuple[tuple[tuple, tuple, int, tuple[int, ...]], ...]:
     """Which of ``keys`` merge and in what order the merged terms stand.
 
-    ``keys`` are ``(occ, coherent)`` pairs, or FockTerms.  A key joins the
+    ``keys`` are ``(occ, coherent)`` pairs.  A key joins the
     first group of its occupation whose first key has every label within
     COHERENT_MERGE_EPS of its own, so float jitter cannot split a branch in
     two.  Returns, in canonical order, each group's key (its first member's)
@@ -291,57 +323,70 @@ def _grouping(keys) -> tuple[tuple[tuple, tuple, int, tuple[int, ...]], ...]:
     return tuple(entries)
 
 
-def build_state(
-    registers: Iterable[str],
-    terms: Iterable[FockTerm],
-    born_weight: float = 1.0,
-) -> PhotonicState:
+def build_state(registers: Iterable[str], terms: Iterable[FockTerm],
+                born_weight: float = 1.0) -> PhotonicState:
     """The canonical state of ``terms``: equal monomials merged, the merged
     amplitudes at or below PRUNE_EPS pruned, the rest sorted."""
-    regs = tuple(registers)
-    terms = tuple(terms)
+    regs, terms = tuple(registers), tuple(terms)
     for t in terms:
         if len(t.coherent) != len(regs):
-            raise InvalidInput(
-                f"term carries {len(t.coherent)} coherent labels, "
-                f"state declares {len(regs)} registers"
-            )
-    state, amplitudes = PhotonicState(regs, terms, born_weight), list(map(_amplitude, terms))
-    return _regrouped(state, "merge", range(len(terms)), lambda _, key: key, amplitudes, regs)
+            raise InvalidInput(f"term carries {len(t.coherent)} coherent labels, "
+                               f"state declares {len(regs)} registers")
+    state = PhotonicState(regs, terms, born_weight)
+    return _regrouped(state, "merge", range(len(terms)), state.amplitudes, regs)
 
 
-def _grouped_state(registers, occs, labels, sums, born_weight, shape=None) -> PhotonicState:
-    """The state of terms ``occs[k], labels[k], sums[k]``, the sums at or below
-    PRUNE_EPS pruned; ``shape``, if given, is that of all the terms."""
+def _built(occs, amplitudes) -> PhotonicState:
+    """``build_state((), terms)`` of register-free terms: ``occs`` carrying ``amplitudes``."""
+    shape = _interned(tuple((_capped(occ), ()) for occ in occs))
+    members = range(len(amplitudes))
+    return _regrouped(_columns((), amplitudes, None, 1.0, shape), "merge", members, amplitudes, ())
+
+
+def _merge_plan(keys, parts, sources, lines: list[str]):
+    """How to merge terms of ``keys``: ``(kernel, firsts, shape)``.  The kernel that
+    ``lines`` begin returns each merged group's sum of its members' ``parts``, source
+    expressions, left to right; ``firsts`` holds each group's entry of ``sources``
+    (its first member's) and ``shape`` is that of the groups' keys."""
+    groups = _grouping(keys)
+    sums = [_sum_source([parts[m] for m in (first, *rest)], f"g{k}", lines)
+            for k, (_, _, first, rest) in enumerate(groups)]
+    kernel = _kernel("\n".join(lines + [f"    return [{', '.join(sums)}]"]))
+    firsts = tuple(sources[first] for _, _, first, _ in groups)
+    return kernel, firsts, _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
+
+
+def _grouped_state(registers, labels, sums, born_weight, shape: Shape) -> PhotonicState:
+    """The state of ``shape``'s terms with labels ``labels`` and amplitudes ``sums``,
+    the sums at or below PRUNE_EPS pruned."""
     keep = list(map(PRUNE_EPS.__lt__, map(abs, sums)))
-    terms = _new_terms(occs, labels, sums)
     if all(keep):
-        return _shaped(registers, terms, born_weight, shape)
+        return _columns(registers, sums, labels, born_weight, shape)
     kept = tuple(itertools.compress(range(len(keep)), keep))
-    shape = None if shape is None else shape.subset(kept)
-    return _shaped(registers, tuple(itertools.compress(terms, keep)), born_weight, shape)
+    labels = labels and list(itertools.compress(labels, keep))
+    sums = list(itertools.compress(sums, keep))
+    return _columns(registers, sums, labels, born_weight, shape.subset(kept))
 
 
-def _regrouped(state, op, members, rekey, amplitudes, registers) -> PhotonicState:
-    """The canonical state of the terms at ``members``, the p-th key rewritten
-    as ``rekey(p, key)``, that carry ``amplitudes``.  Merges, order and shape
-    come from the memo under ``op``, which fixes ``members`` and ``rekey``."""
-    shape, terms = _shape(state), state.terms
+def _regrouped(state, op, members, amplitudes, registers, rekeyed=None, relabel=None):
+    """The canonical state of the terms at ``members`` that carry ``amplitudes``, each
+    label tuple rewritten by ``relabel`` and then their keys by ``rekeyed``, if given.
+    Merges, order and shape are memoized under ``op``, which fixes all three."""
+    shape = _shape(state)
 
     def plan():
-        groups = _grouping([rekey(p, shape.keys[k]) for p, k in enumerate(members)])
-        lines = ["def kernel(A):"]
-        sums = [_sum_source([f"A[{m}]" for m in (first, *rest)], f"g{k}", lines)
-                for k, (_, _, first, rest) in enumerate(groups)]
-        kernel = _kernel("\n".join(lines + [f"    return [{', '.join(sums)}]"]))
-        occs = tuple(occ for occ, _, _, _ in groups)
-        return groups, kernel, occs, _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
+        keys = [shape.keys[k] for k in members]
+        if relabel is not None:
+            keys = [(occ, relabel(coh)) for occ, coh in keys]
+        parts = [f"A[{p}]" for p in range(len(keys))]
+        return _merge_plan(rekeyed(keys) if rekeyed else keys, parts, members, ["def kernel(A):"])
 
-    groups, kernel, occs, out_shape = _recall(shape, op, plan)
-    # labels from the state's own terms: equal labels can differ in a zero's sign
-    labels = [rekey(g[2], terms[members[g[2]]])[1] for g in groups]
+    kernel, sources, out_shape = _recall(shape, op, plan)
+    labels = list(map(state.labels.__getitem__, sources)) if registers else None
+    if labels and relabel is not None:
+        labels = list(map(relabel, labels))
     born_weight = float(state.born_weight)
-    return _grouped_state(registers, occs, labels, kernel(amplitudes), born_weight, out_shape)
+    return _grouped_state(registers, labels, kernel(amplitudes), born_weight, out_shape)
 
 
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
@@ -396,12 +441,12 @@ def _pairs(bra: Shape, ket: Shape):
     return _recall(bra, ("pairs", ket), plan)
 
 
-def _paired(bra_terms, ket_terms, plan) -> complex:
+def _paired(bra: PhotonicState, ket: PhotonicState, plan) -> complex:
     """The sum of :func:`_pairs`' ``plan``: each label-pair overlap taken once."""
     kernel, reps = plan
-    overlaps = [coherent_overlap(bra_terms[i][1][k], ket_terms[j][1][k]) for i, j, k in reps]
-    conj = [t[2].conjugate() for t in bra_terms]
-    return kernel(conj, list(map(_amplitude, ket_terms)), overlaps)
+    bra_labels, ket_labels = bra.labels, ket.labels
+    overlaps = [coherent_overlap(bra_labels[i][k], ket_labels[j][k]) for i, j, k in reps]
+    return kernel([a.conjugate() for a in bra.amplitudes], ket.amplitudes, overlaps)
 
 
 def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
@@ -410,7 +455,7 @@ def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
         raise InvalidInput(
             f"register mismatch: {bra.registers} vs {ket.registers}"
         )
-    return _paired(bra.terms, ket.terms, _pairs(_shape(bra), _shape(ket)))
+    return _paired(bra, ket, _pairs(_shape(bra), _shape(ket)))
 
 
 def norm_sq(state: PhotonicState) -> float:
@@ -418,10 +463,8 @@ def norm_sq(state: PhotonicState) -> float:
 
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
-    terms = state.terms
-    amps = map(operator.mul, map(_amplitude, terms), itertools.repeat(factor))
-    out = _new_terms(map(_occupation, terms), map(_labels, terms), amps)
-    return _shaped(state.registers, out, state.born_weight, state.shape)
+    amps = list(map(operator.mul, state.amplitudes, itertools.repeat(factor)))
+    return _columns(state.registers, amps, state.labels, state.born_weight, _shape(state))
 
 
 def normalized(state: PhotonicState) -> PhotonicState:
@@ -474,15 +517,15 @@ def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
     matched, cells, combos, reps = _recall(
         shape, ("traced", target_shape), lambda: _traced_plan(shape, target_shape)
     )
-    terms = state.terms
-    overlaps = [coherent_overlap(terms[i][1][k], terms[j][1][k]) for i, j, k in reps]
+    labels, amps, target_amps = state.labels, state.amplitudes, target.amplitudes
+    overlaps = [coherent_overlap(labels[i][k], labels[j][k]) for i, j, k in reps]
     grams = [math.prod([overlaps[s] for s in combo], start=1.0 + 0j) for combo in combos]
     weights = []
     for i, targets, w in matched:
         amp_t = 0j
         for j in targets:
-            amp_t += target.terms[j][2]
-        weights.append(amp_t.conjugate() * terms[i][2] * w)
+            amp_t += target_amps[j]
+        weights.append(amp_t.conjugate() * amps[i] * w)
     conj = [w.conjugate() for w in weights]
     num = 0j
     cells = iter(cells)
@@ -499,11 +542,12 @@ def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
 def amplitude_of(state: PhotonicState, occupations: Mapping[Mode, int]) -> complex:
     """Summed amplitude of all terms with the given occupation signature."""
     key = FockTerm.from_occupations(occupations).occ
-    return sum((t.amplitude for t in state.terms if t.occ == key), 0j)
+    occs = map(_occupation, _shape(state).keys)
+    return sum((a for occ, a in zip(occs, state.amplitudes) if occ == key), 0j)
 
 
 def state_paths(state: PhotonicState) -> set[str]:
-    return {m.path for t in state.terms for m, _ in t.occ}
+    return set(_shape(state).paths())
 
 
 @dataclass(frozen=True)
@@ -536,84 +580,73 @@ def make_biphotonic_qutrit(coeffs: QutritCoefficients, path: str = "in") -> Phot
     The double-occupation levels carry 1/sqrt(2) so that the monomial norm
     (2! per doubly occupied slot) works out to |alpha|^2+|beta|^2+|gamma|^2.
     """
-    h = Mode(path, H)
-    v = Mode(path, V)
+    h, v = Mode(path, H), Mode(path, V)
     a, b, g = coeffs.as_tuple()
-    terms = [
-        FockTerm.from_occupations({h: 2}, (), a / math.sqrt(2)),
-        FockTerm.from_occupations({h: 1, v: 1}, (), b),
-        FockTerm.from_occupations({v: 2}, (), g / math.sqrt(2)),
-    ]
-    return build_state((), terms)
+    return _built((((h, 2),), ((h, 1), (v, 1)), ((v, 2),)), [a / math.sqrt(2), b, g / math.sqrt(2)])
 
 
-def make_spatial_qutrit(
-    coeffs: QutritCoefficients,
-    paths: tuple[str, str, str],
-) -> PhotonicState:
+def make_spatial_qutrit(coeffs: QutritCoefficients, paths: tuple[str, str, str]) -> PhotonicState:
     """One photon spread over three paths, horizontally polarized."""
     if len(set(paths)) != 3:
         raise WiringError(f"spatial qutrit needs three distinct paths, got {paths}")
-    terms = [
-        FockTerm.from_occupations({Mode(p, H): 1}, (), c)
-        for p, c in zip(paths, coeffs.as_tuple())
-    ]
-    return build_state((), terms)
+    return _built([((Mode(p, H), 1),) for p in paths], list(coeffs.as_tuple()))
 
 
 def single_photon(path: str, pol: str = H) -> PhotonicState:
-    return build_state((), [FockTerm.from_occupations({Mode(path, pol): 1})])
+    return _built([((Mode(path, pol), 1),)], [1 + 0j])
 
 
 def ancilla_plus(path: str) -> PhotonicState:
     """One photon in (|H> + |V>)/sqrt(2) on the given path."""
-    s = 1.0 / math.sqrt(2)
-    terms = [
-        FockTerm.from_occupations({Mode(path, H): 1}, (), s),
-        FockTerm.from_occupations({Mode(path, V): 1}, (), s),
-    ]
-    return build_state((), terms)
+    s = complex(1.0 / math.sqrt(2))
+    return _built([((Mode(path, H), 1),), ((Mode(path, V), 1),)], [s, s])
 
 
 def vacuum_state() -> PhotonicState:
-    return build_state((), [FockTerm.from_occupations({})])
+    return _built([()], [1 + 0j])
 
 
 def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
-    """Tensor product of states living on disjoint paths and registers."""
-    shared = state_paths(a) & state_paths(b)
-    if shared:
-        raise WiringError(f"tensor factors share paths {sorted(shared)}")
+    """Tensor product of states living on disjoint paths and registers.  The
+    product's merges and order, and the checks on paths and PHOTON_CAP, are built
+    once per ``a``'s shape and ``b``'s keys (so the entry holds two shapes)."""
+    shape_a, shape_b = _shape(a), _shape(b)
+
+    def plan():
+        shared = shape_a.paths() & shape_b.paths()
+        if shared:
+            raise WiringError(f"tensor factors share paths {sorted(shared)}")
+        pairs = list(itertools.product(enumerate(shape_a.keys), enumerate(shape_b.keys)))
+        keys = [(_capped(tuple(sorted(x[0] + y[0]))), x[1] + y[1]) for (_, x), (_, y) in pairs]
+        parts = [f"A[{i}] * B[{j}]" for (i, _), (j, _) in pairs]
+        sources = [(i, j) for (i, _), (j, _) in pairs]
+        return _merge_plan(keys, parts, sources, ["def kernel(A, B):"])
+
+    kernel, sources, out_shape = _recall(shape_a, ("tensor", shape_b.keys), plan)
     if set(a.registers) & set(b.registers):
         raise WiringError("tensor factors share register labels")
-    terms = []
-    for ta in a.terms:
-        for tb in b.terms:
-            occ = ta.occupations()
-            occ.update(tb.occupations())
-            terms.append(
-                FockTerm.from_occupations(
-                    occ, ta.coherent + tb.coherent, ta.amplitude * tb.amplitude
-                )
-            )
-    return build_state(
-        a.registers + b.registers, terms, a.born_weight * b.born_weight
-    )
+    registers = a.registers + b.registers
+    la, lb = _label_rows(a), _label_rows(b)
+    labels = [la[i] + lb[j] for i, j in sources] if registers else None
+    sums = kernel(a.amplitudes, b.amplitudes)
+    return _grouped_state(registers, labels, sums, float(a.born_weight * b.born_weight), out_shape)
 
 
 def relabel_paths(state: PhotonicState, mapping: Mapping[str, str]) -> PhotonicState:
-    """Rename spatial paths; refuses renames that would merge distinct paths."""
-    present = state_paths(state)
-    image: dict[str, str] = {}
-    for p in sorted(present):
-        q = mapping.get(p, p)
-        if q in image:
-            raise WiringError(f"paths {image[q]!r} and {p!r} both map to {q!r}")
-        image[q] = p
-    terms = []
-    for t in state.terms:
-        occ = {
-            Mode(mapping.get(m.path, m.path), m.pol): n for m, n in t.occ
-        }
-        terms.append(FockTerm.from_occupations(occ, t.coherent, t.amplitude))
-    return build_state(state.registers, terms, state.born_weight)
+    """Rename spatial paths; refuses renames that would merge distinct paths.
+    The check and the renamed keys' order are built once per shape and mapping."""
+    shape = _shape(state)
+
+    def renamed(keys):
+        image: dict[str, str] = {}
+        for p in sorted(shape.paths()):
+            q = mapping.get(p, p)
+            if q in image:
+                raise WiringError(f"paths {image[q]!r} and {p!r} both map to {q!r}")
+            image[q] = p
+        moved = {p: q for q, p in image.items()}
+        return [(_capped(tuple(sorted((Mode(moved[m.path], m.pol), n) for m, n in occ))), coh)
+                for occ, coh in keys]
+
+    op, members = ("relabel", tuple(mapping.items())), range(len(shape.keys))
+    return _regrouped(state, op, members, state.amplitudes, state.registers, rekeyed=renamed)

@@ -24,10 +24,10 @@ from .fock import (
     Mode,
     PhotonicState,
     WiringError,
+    _columns,
     _recall,
     _regrouped,
     _shape,
-    _shaped,
     fidelity,
     norm_sq,
     scaled,
@@ -102,8 +102,9 @@ def _branch(kept: PhotonicState, norm_in: float) -> tuple[float, PhotonicState]:
     p = n2 / norm_in
     if p <= PROB_EPS:
         return 0.0, PhotonicState(kept.registers, (), 0.0)
-    out = scaled(kept, 1.0 / math.sqrt(n2))
-    return p, _shaped(out.registers, out.terms, kept.born_weight * p, out.shape)
+    factor = 1.0 / math.sqrt(n2)
+    amps = [a * factor for a in kept.amplitudes]
+    return p, _columns(kept.registers, amps, kept.labels, kept.born_weight * p, _shape(kept))
 
 
 def _selected(state: PhotonicState, needs: tuple, norm_in: float) -> tuple[float, PhotonicState]:
@@ -119,8 +120,9 @@ def _selected(state: PhotonicState, needs: tuple, norm_in: float) -> tuple[float
         return idx, shape.subset(idx)
 
     idx, kept_shape = _recall(shape, ("kept", needs), kept)
-    terms = tuple(map(state.terms.__getitem__, idx))
-    return _branch(_shaped(state.registers, terms, state.born_weight, kept_shape), norm_in)
+    amps = list(map(state.amplitudes.__getitem__, idx))
+    labels = state.labels and list(map(state.labels.__getitem__, idx))
+    return _branch(_columns(state.registers, amps, labels, state.born_weight, kept_shape), norm_in)
 
 
 def detect_non_resolving(state: PhotonicState, modes: Iterable[Mode]) -> BranchDistribution:
@@ -186,12 +188,12 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
         return tuple((tuple(members), tuple(firsts.values())) for members, firsts in rows.values())
 
     split = _recall(shape, ("strip", watched), layout)
-    terms = state.terms
+    amps = state.amplitudes
     rows = []
     for members, _ in split:
         row: dict[int, complex] = {}
         for i, j in members:
-            row[j] = row.get(j, 0j) + terms[i][2]
+            row[j] = row.get(j, 0j) + amps[i]
         rows.append(row)
     if not rows:
         raise InvalidInput("cannot strip modes from a zero state")
@@ -211,8 +213,8 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
                 )
     rest, sources = zip(*split[heaviest][1])
     stripped = _regrouped(
-        state, ("rest", watched, heaviest), sources, lambda p, key: (rest[p], key[1]),
-        list(ref.values()), state.registers,
+        state, ("rest", watched, heaviest), sources, list(ref.values()), state.registers,
+        rekeyed=lambda keys: [(occ, coh) for occ, (_, coh) in zip(rest, keys)],
     )
     n2 = norm_sq(stripped)
     if n2 <= PROB_EPS:
@@ -270,7 +272,7 @@ def merge_branches(
         if f < 1.0 - tol:
             raise WiringError(f"branches disagree: fidelity {f} below 1 - {tol}")
     born_weight = _summed(s.born_weight for _, s in live)
-    merged = _shaped(first.registers, first.terms, born_weight, _shape(first))
+    merged = _columns(first.registers, first.amplitudes, first.labels, born_weight, _shape(first))
     if "_norm_sq" in vars(first):  # computed for the same terms
         vars(merged)["_norm_sq"] = first._norm_sq
     return total, merged, min_fid

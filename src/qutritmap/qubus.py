@@ -19,12 +19,12 @@ from .fock import (
     PhotonicState,
     UnsupportedMode,
     WiringError,
+    _columns,
     _interned,
-    _new_term,
+    _label_rows,
     _recall,
     _regrouped,
     _shape,
-    _shaped,
     _sort_key,
     inner_product,
     norm_sq,
@@ -37,8 +37,9 @@ def add_register(state: PhotonicState, register: str, alpha0: complex) -> Photon
     if register in state.registers:
         raise WiringError(f"register {register!r} already attached")
     label = complex(alpha0)
-    labels = [t[1] + (label,) for t in state.terms]
+    labels = [c + (label,) for c in _label_rows(state)]
     return _relabeled(state, ("register", label), labels, state.registers + (register,))
+
 
 
 def _register_index(state: PhotonicState, register: str) -> int:
@@ -52,27 +53,25 @@ def _dropped(state, idx: int, members: tuple[int, ...], amplitudes) -> PhotonicS
     """The canonical state of the terms at ``members``, register ``idx`` removed,
     that carry ``amplitudes``; dropping the register can bring terms together."""
     regs = state.registers[:idx] + state.registers[idx + 1 :]
-
-    def rekey(_, key):
-        return key[0], key[1][:idx] + key[1][idx + 1 :]
-
-    return _regrouped(state, ("drop", idx, members), members, rekey, amplitudes, regs)
+    return _regrouped(state, ("drop", idx, members), members, amplitudes, regs,
+                      relabel=lambda coh: coh[:idx] + coh[idx + 1 :])
 
 
 def _relabeled(state: PhotonicState, op: tuple, labels: list[tuple], registers) -> PhotonicState:
     """``state`` on ``registers`` with term k's labels ``labels[k]``: a one-to-one rewrite,
     fixed by ``op``, that keeps labels COHERENT_MERGE_EPS apart, so nothing merges.
     The new order and shape follow from the keys and are built once per shape."""
-    terms = state.terms
+    shape = _shape(state)
 
     def plan():
-        keys = [(t[0], coh) for t, coh in zip(terms, labels)]
+        keys = [(occ, coh) for (occ, _), coh in zip(shape.keys, labels)]
         order = sorted(range(len(keys)), key=lambda k: _sort_key(keys[k]))
         return order, _interned(tuple(keys[k] for k in order))
 
-    order, shape = _recall(_shape(state), op, plan)
-    out = tuple(_new_term((terms[k][0], labels[k], terms[k][2])) for k in order)
-    return _shaped(registers, out, state.born_weight, shape)
+    order, out_shape = _recall(shape, op, plan)
+    amps = list(map(state.amplitudes.__getitem__, order))
+    labels = list(map(labels.__getitem__, order))
+    return _columns(registers, amps, labels, state.born_weight, out_shape)
 
 
 def apply_xpm(
@@ -83,15 +82,14 @@ def apply_xpm(
     watched = frozenset(modes)
     counts = _shape(state).photons(watched)
     turn = {n: cmath.exp(1j * n * theta) for n in set(counts)}
-    labels = [c[:idx] + (c[idx] * turn[n],) + c[idx + 1 :]
-              for (_, c, _), n in zip(state.terms, counts)]
+    labels = [c[:idx] + (c[idx] * turn[n],) + c[idx + 1 :] for c, n in zip(state.labels, counts)]
     return _relabeled(state, ("xpm", idx, watched, theta), labels, state.registers)
 
 
 def coherent_phase(state: PhotonicState, register: str, phi: float) -> PhotonicState:
     """Rotate one register's label by ``phi``; canonical input."""
     idx, turn = _register_index(state, register), cmath.exp(1j * phi)
-    labels = [c[:idx] + (c[idx] * turn,) + c[idx + 1 :] for _, c, _ in state.terms]
+    labels = [c[:idx] + (c[idx] * turn,) + c[idx + 1 :] for c in state.labels]
     return _relabeled(state, ("phase", idx, phi), labels, state.registers)
 
 
@@ -103,8 +101,8 @@ def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState
         raise WiringError("cannot interfere a register with itself")
     s = 1.0 / math.sqrt(2)
     labels = []
-    for t in state.terms:
-        coh = list(t.coherent)
+    for c in state.labels:
+        coh = list(c)
         coh[ia], coh[ib] = (coh[ia] - coh[ib]) * s, (coh[ia] + coh[ib]) * s
         labels.append(tuple(coh))
     return _relabeled(state, ("bs50", ia, ib), labels, state.registers)
@@ -130,7 +128,7 @@ def couple_probes(state: PhotonicState, reg_a: str, reg_b: str, alpha: float, th
         a = label * cmath.exp(1j * n_a * theta) * back
         b = label * cmath.exp(1j * n_b * theta) * back
         new[n_a, n_b] = (a - b) * s, (a + b) * s
-    labels = [t[1] + new[n] for t, n in zip(state.terms, counts)]
+    labels = [c + new[n] for c, n in zip(_label_rows(state), counts)]
     # Terms of one occupation get the same new labels, so the one sort of
     # _relabeled orders the terms as each of the chain's five does.
     return _relabeled(state, ("probes", *watched, label, theta), labels, regs)
@@ -159,54 +157,71 @@ def project_photon_number(
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
-    terms = state.terms
-    quiet = [abs(t[1][idx]) <= COHERENT_MERGE_EPS for t in terms]
-    lit = tuple(k for k, q in enumerate(quiet) if not q)
-    zero = tuple(k for k, q in enumerate(quiet) if q or mode == "physical")
-
-    def rescaled(members, factor):  # each amplitude times factor(|b|^2), b its label
-        return [terms[k][2] * factor(abs(terms[k][1][idx]) ** 2) for k in members]
-
-    if mode == "ideal":
-        zero_amps = [terms[k][2] for k in zero]
-        lit_amps = rescaled(lit, lambda x: 1.0 / math.sqrt(-math.expm1(-x)))
-    else:
-        zero_amps = rescaled(zero, lambda x: math.exp(-0.5 * x))  # times <0|b>
-        lit_amps = [terms[k][2] for k in lit]
+    shape = _shape(state)
+    plan = _recall(shape, ("readout", idx, mode), lambda: _readout_plan(shape, idx, mode))
+    zero, lit, factors, pure, mixed = plan
+    amps = state.amplitudes
+    plain = list(map(amps.__getitem__, zero if mode == "ideal" else lit))
+    rescaled = [amps[k] * f for k, f in zip(lit if mode == "ideal" else zero, factors)]
+    zero_amps, lit_amps = (plain, rescaled) if mode == "ideal" else (rescaled, plain)
     # Merges and order do not depend on amplitudes: one grouping serves "0", one
     # serves both "odd" and "even".
     classes = [("0", *_branch(_dropped(state, idx, zero, zero_amps), norm_in))]
-    betas = [terms[k][1][idx] for k in lit]
-    signs = [1.0 if abs(b - betas[0]) <= COHERENT_MERGE_EPS else -1.0 for b in betas]
-    if lit and all(abs(b - s * betas[0]) <= COHERENT_MERGE_EPS for b, s in zip(betas, signs)):
-        m = abs(betas[0]) ** 2
-        k_odd, k_even = math.sqrt(-0.5 * math.expm1(-2.0 * m)), -math.expm1(-m) / math.sqrt(2.0)
+    if pure is not None:
+        signs, k_odd, k_even = pure
         odd = [a * s * k_odd for a, s in zip(lit_amps, signs)]
         classes.append(("odd", *_branch(_dropped(state, idx, lit, odd), norm_in)))
         even = [a * k_even for a in lit_amps]
         classes.append(("even", *_branch(_dropped(state, idx, lit, even), norm_in)))
-    elif lit:
-        vacuum = [a * math.exp(-0.5 * abs(b) ** 2) for a, b in zip(lit_amps, betas)]
-        vac = norm_sq(_dropped(state, idx, lit, vacuum))
-        psi = [_new_term((terms[k][0], terms[k][1], a)) for k, a in zip(lit, lit_amps)]
-        for label, mass in _mixed_masses(state.registers, psi, idx, vac):
+    elif mixed is not None:
+        vacuum, lit_shape, mirror_shape = mixed
+        vac = norm_sq(_dropped(state, idx, lit, [a * f for a, f in zip(lit_amps, vacuum)]))
+        labels = list(map(state.labels.__getitem__, lit))
+        flipped = [c[:idx] + (-c[idx],) + c[idx + 1 :] for c in labels]
+        psi = _columns(state.registers, lit_amps, labels, 1.0, lit_shape)
+        mirror = _columns(state.registers, lit_amps, flipped, 1.0, mirror_shape)
+        for label, mass in _mixed_masses(psi, mirror, vac):
             classes.append((label, mass / norm_in, None))
     outcomes = [Outcome(label, None, p, branch) for label, p, branch in classes if p > PROB_EPS]
     return BranchDistribution(tuple(outcomes))
 
 
-def _mixed_masses(registers, lit, idx, vac):
-    """``(label, mass)`` of "odd" and "even" from the class Gram of ``lit``.
+def _readout_plan(shape, idx: int, mode: str):
+    """What :func:`project_photon_number` reads from ``abs()`` of labels ``idx`` or of
+    their differences, which a zero's sign never changes: the terms that feed "0" and
+    those that feed "odd" and "even"; the rescale factors of ``lit`` (ideal) or of
+    ``zero`` (physical); ``(signs, k_odd, k_even)`` if the lit labels are +beta or -beta
+    of one beta, else, if any, their vacuum overlaps and the shapes of the lit terms
+    and of their mirror images (label ``idx`` negated)."""
+    betas = [coh[idx] for _, coh in shape.keys]
+    quiet = [abs(b) <= COHERENT_MERGE_EPS for b in betas]
+    lit = tuple(k for k, q in enumerate(quiet) if not q)
+    zero = tuple(k for k, q in enumerate(quiet) if q or mode == "physical")
+    if mode == "ideal":
+        factors = tuple(1.0 / math.sqrt(-math.expm1(-abs(betas[k]) ** 2)) for k in lit)
+    else:
+        factors = tuple(math.exp(-0.5 * abs(betas[k]) ** 2) for k in zero)  # times <0|b>
+    lit_betas = [betas[k] for k in lit]
+    signs = tuple(1.0 if abs(b - lit_betas[0]) <= COHERENT_MERGE_EPS else -1.0 for b in lit_betas)
+    if lit and all(abs(b - s * lit_betas[0]) <= COHERENT_MERGE_EPS
+                   for b, s in zip(lit_betas, signs)):
+        m = abs(lit_betas[0]) ** 2
+        k_odd, k_even = math.sqrt(-0.5 * math.expm1(-2.0 * m)), -math.expm1(-m) / math.sqrt(2.0)
+        return zero, lit, factors, (signs, k_odd, k_even), None
+    if not lit:
+        return zero, lit, factors, None, None
+    lit_shape, vacuum = shape.subset(lit), tuple(math.exp(-0.5 * abs(b) ** 2) for b in lit_betas)
+    mirrored = tuple((occ, c[:idx] + (-c[idx],) + c[idx + 1 :]) for occ, c in lit_shape.keys)
+    return zero, lit, factors, None, (vacuum, lit_shape, _interned(mirrored))
 
-    e^{z-m} = <b|b'> and e^{-z-m} = <b|-b'>, so with P the parity b -> -b the
-    odd mass is (<psi|psi> - <psi|P psi>)/2 and the even mass is
-    (<psi|psi> + <psi|P psi>)/2 less ``vac``, the norm of psi's vacuum part.
-    """
-    flipped = [t._replace(coherent=t.coherent[:idx] + (-t.coherent[idx],) + t.coherent[idx + 1 :])
-               for t in lit]
-    psi = PhotonicState(registers, tuple(lit))
+
+def _mixed_masses(psi: PhotonicState, mirror: PhotonicState, vac: float):
+    """``(label, mass)`` of "odd" and "even" from the class Gram of ``psi``, the lit
+    terms.  e^{z-m} = <b|b'> and e^{-z-m} = <b|-b'>, so with P the parity b -> -b and
+    ``mirror`` = P psi, the odd mass is (<psi|psi> - <psi|P psi>)/2 and the even mass
+    (<psi|psi> + <psi|P psi>)/2 less ``vac``, the norm of psi's vacuum part."""
     n2 = inner_product(psi, psi).real
-    flip = inner_product(psi, PhotonicState(registers, tuple(flipped))).real
+    flip = inner_product(psi, mirror).real
     return [("odd", 0.5 * (n2 - flip)), ("even", 0.5 * (n2 + flip) - vac)]
 
 
@@ -226,18 +241,15 @@ def project_quadrature_x(
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
+    xs = [c[idx].real for c in state.labels]
     centers: list[float] = []
-    for t in state.terms:
-        x = t.coherent[idx].real
+    for x in xs:
         if not any(abs(x - c) <= COHERENT_MERGE_EPS for c in centers):
             centers.append(x)
     outcomes = []
     for x0 in sorted(centers):
-        kept = tuple(
-            k for k, t in enumerate(state.terms)
-            if abs(t.coherent[idx].real - x0) <= COHERENT_MERGE_EPS
-        )
-        amps = [state.terms[k][2] for k in kept]
+        kept = tuple(k for k, x in enumerate(xs) if abs(x - x0) <= COHERENT_MERGE_EPS)
+        amps = list(map(state.amplitudes.__getitem__, kept))
         p, branch = _branch(_dropped(state, idx, kept, amps), norm_in)
         if p > 0.0:
             outcomes.append(Outcome(f"x={x0:.9g}", float(x0), p, branch))
@@ -247,7 +259,7 @@ def project_quadrature_x(
 def drop_register(state: PhotonicState, register: str) -> PhotonicState:
     """Detach a register that is in a product with the photonic part."""
     idx = _register_index(state, register)
-    values = [t.coherent[idx] for t in state.terms]
+    values = [c[idx] for c in _label_rows(state)]
     if not values:
         raise InvalidInput("cannot drop a register from a zero state")
     ref = values[0]
@@ -255,5 +267,4 @@ def drop_register(state: PhotonicState, register: str) -> PhotonicState:
         raise WiringError(
             f"register {register!r} is correlated with the photons; measure it instead"
         )
-    everyone = tuple(range(len(state.terms)))
-    return _dropped(state, idx, everyone, [t.amplitude for t in state.terms])
+    return _dropped(state, idx, tuple(range(len(values))), state.amplitudes)

@@ -41,8 +41,10 @@ from .fock import (
     QutritCoefficients,
     UnsupportedMode,
     WiringError,
+    _recall,
+    _regrouped,
+    _shape,
     ancilla_plus,
-    build_state,
     fidelity,
     make_biphotonic_qutrit,
     make_spatial_qutrit,
@@ -58,7 +60,6 @@ from .elements import (
     apply_phase_shift,
     apply_qft,
     apply_sigma_x,
-    assert_unitary,
     reck_decompose,
     route_pbs,
 )
@@ -573,32 +574,28 @@ def _entangler_reference(
     """Ideal block output: ancilla polarization matching the path photon.
 
     Built directly from the input by keeping the matching-polarization half
-    of the ancilla superposition and undoing its 1/sqrt(2) weight.
+    of the ancilla superposition and undoing its 1/sqrt(2) weight.  Which
+    terms match, and the checks on the input, are worked out once per shape.
     """
-    path_set = set(paths)
-    terms = []
-    for term in state.terms:
-        qutrit_pol = None
-        anc_pol = None
-        for mode, n in term.occ:
-            if mode.path in path_set:
-                if n != 1 or qutrit_pol is not None:
-                    raise WiringError(
-                        "entangler input must hold exactly one photon "
-                        "across the qutrit paths"
-                    )
-                qutrit_pol = mode.pol
-            elif mode.path == ancilla:
-                if n != 1 or anc_pol is not None:
-                    raise WiringError(
-                        "entangler ancilla must hold exactly one photon"
-                    )
-                anc_pol = mode.pol
-        if qutrit_pol is None or anc_pol is None:
-            raise WiringError("entangler input misses the photon or the ancilla")
-        if anc_pol == qutrit_pol:
-            terms.append(term._replace(amplitude=term.amplitude * math.sqrt(2.0)))
-    return build_state(state.registers, terms, state.born_weight)
+    shape = _shape(state)
+
+    def matching():
+        kept = []
+        for k, (occ, _) in enumerate(shape.keys):
+            qutrit = [m.pol for m, n in occ if m.path in paths for _ in range(n)]
+            anc = [m.pol for m, n in occ if m.path == ancilla for _ in range(n)]
+            if len(qutrit) != 1:
+                raise WiringError("entangler input must hold exactly one photon "
+                                  "across the qutrit paths")
+            if len(anc) != 1:
+                raise WiringError("entangler ancilla must hold exactly one photon")
+            if anc == qutrit:
+                kept.append(k)
+        return tuple(kept)
+
+    kept = _recall(shape, ("matching", tuple(paths), ancilla), matching)
+    weighted = [state.amplitudes[k] * math.sqrt(2.0) for k in kept]
+    return _regrouped(state, ("reference", kept), kept, weighted, state.registers)
 
 
 def entangler_branches(
@@ -854,7 +851,7 @@ def u3_biphotonic(
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3):
         raise InvalidInput(f"expected a 3x3 matrix, got shape {u.shape}")
-    assert_unitary(u)
+    mesh = reck_decompose(u)  # checks that u is unitary before any optics run
     if backend == "linear":
         fwd = scheme_linear_forward(c, t)
         outputs = ("6", "3", "7")
@@ -869,7 +866,7 @@ def u3_biphotonic(
 
     spatial = ("s0", "s1", "s2")
     s = relabel_paths(fwd.output_state, dict(zip(outputs, spatial)))
-    s = apply_lomi(s, reck_decompose(u), spatial)
+    s = apply_lomi(s, mesh, spatial)
 
     checks = {f"forward_{k}": v for k, v in fwd.checks.items()}
     checks["forward_fidelity"] = fwd.output_fidelity

@@ -349,14 +349,14 @@ def test_norm_is_computed_once_per_state(monkeypatch):
     calls = []
     evaluate = fock.Shape.norm_sq
 
-    def counted(shape, terms):
-        calls.append(terms)
-        return evaluate(shape, terms)
+    def counted(shape, state):
+        calls.append(state)
+        return evaluate(shape, state)
 
     monkeypatch.setattr(fock.Shape, "norm_sq", counted)
     assert norm_sq(s) == want
     assert norm_sq(s) == want
-    assert calls == [s.terms]
+    assert calls == [s]
 
 
 def test_cached_norm_leaves_value_semantics_alone():

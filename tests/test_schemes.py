@@ -36,7 +36,7 @@ from qutritmap.qubus import (
     coherent_phase,
     project_photon_number,
 )
-from qutritmap import schemes
+from qutritmap import elements, schemes
 from qutritmap.sampling import haar_unitary, random_qutrit
 from qutritmap.schemes import (
     P_KERR_FORWARD,
@@ -536,6 +536,28 @@ def test_u3_rejects_bad_matrices():
         u3_biphotonic(COEFFS, np.ones((3, 3)))
     with pytest.raises(InvalidInput):
         u3_biphotonic(COEFFS, np.eye(3), backend="magic")
+
+
+@pytest.mark.parametrize("backend", ["linear", "kerr"])
+def test_u3_checks_unitarity_once_and_before_any_optics(monkeypatch, backend):
+    def optics(*args, **kwargs):
+        raise AssertionError("optics ran before the unitarity check")
+
+    checks = []
+    real = elements.assert_unitary
+    for module in (elements, schemes):  # wherever the check may be bound
+        monkeypatch.setattr(module, "assert_unitary", lambda u: checks.append(u) or real(u),
+                            raising=False)
+    skewed = np.eye(3, dtype=complex)
+    skewed[0, 1] = 0.1
+    with monkeypatch.context() as m:
+        for name in ("scheme_linear_forward", "scheme_kerr_forward", "make_biphotonic_qutrit"):
+            m.setattr(schemes, name, optics)
+        with pytest.raises(InvalidInput, match="not unitary"):
+            u3_biphotonic(COEFFS, skewed, backend=backend)
+    checks.clear()
+    u3_biphotonic(COEFFS, np.eye(3), backend=backend)
+    assert len(checks) == 1  # reck_decompose's check is the only one
 
 
 # ---------------------------------------------------------------------------

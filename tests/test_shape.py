@@ -587,7 +587,7 @@ def test_merged_branch_keeps_its_shape_and_norm():
     second = scaled(first, 1j)
     assert norm_sq(first) == norm_sq(second)  # computes and caches both norms
     _, merged, fid = merge_branches([(0.25, first), (0.5, second)])
-    assert fid == 1.0 and merged.terms is first.terms
+    assert fid == 1.0 and merged.amplitudes is first.amplitudes
     assert merged.shape is fock._shape(first)
     with mock.patch.object(fock.Shape, "norm_sq", side_effect=AssertionError("recomputed")):
         assert norm_sq(merged) == norm_sq(first)
