@@ -29,7 +29,6 @@ from .fock import (
     _grouped_state,
     _merge_plan,
     _recall,
-    _shape,
 )
 
 
@@ -76,9 +75,9 @@ def _substitution_plan(shape: Shape, op: tuple):
     """What :func:`substitute_modes` computes that depends on no value.
 
     ``shape`` is the input's and ``op`` the ``(mode, target modes)`` of the
-    mapping.  Returns ``kernel(A, T)``, the input term whose labels each merged
-    group (``fock._grouping``) carries and the output's shape before any
-    prune.  From the input amplitudes ``A`` and the mapping's coefficients
+    mapping.  Returns ``kernel(A, T)`` and the output's shape before any prune,
+    whose merged groups (``fock._grouping``) carry their first member's
+    labels.  From the input amplitudes ``A`` and the mapping's coefficients
     ``T`` (per mapped mode, one per target), the kernel computes each
     multinomial coefficient n!/k1!*c1**k1/k2!*c2**k2... of a mapped (mode, n)
     into ``C``, then each group's amplitude: its members ``A[src] * C[j0] *
@@ -113,10 +112,10 @@ def _substitution_plan(shape: Shape, op: tuple):
                     grown.append((merged, f"{product} * C[{base + j}]"))
             partials = grown
         for occ, product in partials:
-            raw.append((src, product))
+            raw.append(product)
             raw_keys.append((tuple(sorted(occ.items())), coh))
     lines = ["def kernel(A, T):", f"    C = [{', '.join(coeffs)}]"]
-    return _merge_plan(raw_keys, [p for _, p in raw], [src for src, _ in raw], lines)
+    return _merge_plan(raw_keys, raw, lines)
 
 
 def substitute_modes(
@@ -144,17 +143,15 @@ def _wiring(mapping) -> tuple[tuple, list]:
 
 def _substituted(state: PhotonicState, op: tuple, coefficients) -> PhotonicState:
     """:func:`substitute_modes` of the mapping that :func:`_wiring` splits in two."""
-    shape = _shape(state)
-    kernel, sources, out_shape = _recall(shape, op, lambda: _substitution_plan(shape, op))
+    shape = state.shape
+    kernel, out_shape = _recall(shape, op, lambda: _substitution_plan(shape, op))
     sums = kernel(state.amplitudes, coefficients)
-    labels = state.labels and list(map(state.labels.__getitem__, sources))
-    born_weight = float(state.born_weight)
-    return _grouped_state(state.registers, labels, sums, born_weight, out_shape)
+    return _grouped_state(state.registers, sums, float(state.born_weight), out_shape)
 
 
 def _check_outputs(state, inputs, outputs):
     """Refuse repeated ports, and outputs onto occupied paths that are not inputs."""
-    shape = _shape(state)
+    shape = state.shape
 
     def check():
         ins = [p for p in inputs if p is not None]
@@ -210,11 +207,11 @@ def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> P
         watched = frozenset((target,))
     else:
         watched = frozenset(Mode(target, pol) for pol in POLS)
-    shape = _shape(state)
+    shape = state.shape
     counts = shape.photons(watched)
     factor = {n: cmath.exp(1j * n * phi) for n in set(counts)}
     amps = list(map(operator.mul, state.amplitudes, map(factor.__getitem__, counts)))
-    return _columns(state.registers, amps, state.labels, state.born_weight, shape)
+    return _columns(state.registers, amps, state.born_weight, shape)
 
 
 def apply_sigma_x(state: PhotonicState, path: str) -> PhotonicState:

@@ -1,11 +1,13 @@
 """Sparse symbolic Fock states for few-photon interferometry.
 
 A state is a sum of creation-operator monomials acting on the vacuum,
-optionally tensored with labelled coherent-state registers.  It is a
-:class:`Shape`, each term's occupation signature over ``Mode(path, pol)``
-slots, plus columns: each term's exact complex amplitude and, with
-registers, its complex labels, so overlaps and measurement statistics come
-out in closed form instead of from a truncated numeric Hilbert space.
+optionally tensored with labelled coherent-state registers.  It is an
+interned :class:`Shape`, each term's occupation signature over
+``Mode(path, pol)`` slots and its complex register labels, plus a column of
+each term's exact complex amplitude, so overlaps and measurement statistics
+come out in closed form instead of from a truncated numeric Hilbert space.
+Everything derived from labels is worked out once per shape; per call only
+amplitudes move.
 
 Conventions:
 
@@ -23,7 +25,6 @@ import itertools
 import math
 import operator
 import struct
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -106,7 +107,7 @@ class FockTerm(NamedTuple):
         return dict(self.occ)
 
 
-_occupation, _labels, _amplitude = map(operator.itemgetter, range(3))
+_occupation, _amplitude = operator.itemgetter(0), operator.itemgetter(2)
 
 
 def _capped(occ: tuple) -> tuple:
@@ -119,11 +120,11 @@ def _capped(occ: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class PhotonicState:
-    """A canonical (merged, pruned, sorted) state: its shape, an amplitude column
-    and, with registers, a label column (else None), one entry per term.
+    """A canonical (merged, pruned, sorted) state: its interned shape, which holds
+    every term's occupation and register labels, and an amplitude column.
 
-    ``terms``, one FockTerm per term, is a view built from them on first read;
-    a state built from terms derives its columns on first read instead.
+    ``terms``, one FockTerm per term, is a view built from the two on first read;
+    a state built from terms derives its shape and column at construction.
     ``==``, ``hash``, ``repr`` and pickle see ``(registers, terms, born_weight)``.
     ``born_weight`` tracks the probability of the measurement record that led
     to this (renormalized) branch; it never enters overlaps.
@@ -132,62 +133,55 @@ class PhotonicState:
     registers: tuple[str, ...]
     terms: tuple[FockTerm, ...]
     born_weight: float = 1.0
-    # interned on first use or passed on; columns are never mutated and may be shared
-    shape: Shape | None = field(default=None, init=False, repr=False, compare=False)
+    # the column is never mutated and may be shared
+    shape: Shape = field(init=False, repr=False, compare=False)
     amplitudes: Sequence[complex] = field(init=False, repr=False, compare=False)
-    labels: Sequence[tuple[complex, ...]] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        vars(self).update(shape=_interned(tuple(t[:2] for t in self.terms)),
+                          amplitudes=tuple(map(_amplitude, self.terms)))
 
     def __getattr__(self, name):
-        # reached for what a state lacks: a column-built one's terms, a term-built one's
-        # columns, or the squared norm (frozen, with immutable columns: computed once)
+        # reached for a column-built state's terms or the squared norm (frozen, with
+        # an immutable column: computed once)
         cells = vars(self)
         if name == "_norm_sq":
-            cells[name] = _shape(self).norm_sq(self)
-        elif name == "terms" and "amplitudes" in cells:
-            cells["terms"] = _view(self)
-        elif name in ("amplitudes", "labels") and "terms" in cells:
-            terms = cells["terms"]
-            labels = tuple(map(_labels, terms))
-            cells["amplitudes"] = tuple(map(_amplitude, terms))
-            cells["labels"] = labels if self.registers or any(labels) else None
+            cells[name] = self.shape.norm_sq(self)
+        elif name == "terms":
+            cells[name] = _view(self)
         else:
             raise AttributeError(name)
         return cells[name]
 
-    def __reduce__(self):  # the value: columns, shape and norm are derived again
+    def __reduce__(self):  # the value: shape, column and norm are derived again
         return PhotonicState, (self.registers, self.terms, self.born_weight)
 
 
-def _columns(registers, amplitudes, labels, born_weight, shape: Shape) -> PhotonicState:
-    """The state of ``shape`` whose columns are ``amplitudes`` and ``labels``."""
+def _columns(registers, amplitudes, born_weight, shape: Shape) -> PhotonicState:
+    """The state of ``shape`` whose amplitude column is ``amplitudes``."""
     state = object.__new__(PhotonicState)
-    vars(state).update(registers=registers, amplitudes=amplitudes, labels=labels,
-                       born_weight=born_weight, shape=shape)
+    vars(state).update(registers=registers, amplitudes=amplitudes, born_weight=born_weight,
+                       shape=shape)
     return state
-
-
-def _label_rows(state: PhotonicState):
-    """``state``'s labels, one tuple per term, empty ones too."""
-    return state.labels or [()] * len(state.amplitudes)
 
 
 def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
     """A column-built state's ``terms``, built in C."""
-    labels = itertools.repeat(()) if state.labels is None else state.labels
-    rows = zip(map(_occupation, state.shape.keys), labels, state.amplitudes)
+    rows = map(operator.add, state.shape.keys, zip(state.amplitudes))
     return tuple(map(tuple.__new__, itertools.repeat(FockTerm), rows))
 
 
 # What an operation derives from a state's keys alone, keyed by (Shape, operation
-# shape); interned keys are keyed by (None, keys) and compiled kernels by (None,
-# source).  Reaching the bound drops every entry, and an entry holds at most two
-# shapes, so at most 2 * _RETAINED shapes outlive the states that carry them.
-# After 10,000 benchmark evaluations (no drop) the memo holds 274 entries in 0.62
-# MB (linear optics), 1023 in 0.79 MB (ideal qubus) and 1225 in 1.80 MB (physical
-# qubus), by deep getsizeof.  Of these, interned keys take 0.26, 0.31 and 0.71 MB
-# and kernels (38, 78 and 93 of them) 0.25, 0.18 and 0.55 MB; the plans that
-# index them hold the rest.  run_all()'s random circuits make one-off shapes,
-# which the bound drops instead of keeping.
+# shape); interned keys are keyed by (None, (keys, label bits)), compiled kernels
+# by (None, source) and value-free wirings by (None, their arguments).  Reaching
+# the bound drops every entry, and an entry holds at most two shapes, so at most
+# 2 * _RETAINED shapes outlive the states that carry them.  After 10,000
+# benchmark evaluations (no drop) the memo holds 285 entries in 0.62 MB (linear
+# optics), 1045 in 0.87 MB (ideal qubus) and 1221 in 1.91 MB (physical qubus), by
+# deep getsizeof.  Of these, interned keys take 0.27, 0.39 and 0.87 MB and
+# kernels (38, 78 and 93 of them) 0.21, 0.15 and 0.47 MB; the plans that index
+# them, with their overlaps and Gram products, hold the rest.  run_all()'s random
+# circuits make one-off shapes, which the bound drops instead of keeping.
 _RETAINED = 2048
 _MEMO: dict[tuple, object] = {}
 
@@ -229,29 +223,30 @@ def _sum_source(parts: list[str], name: str, lines: list[str]) -> str:
     return name
 
 
+def _bits(*parts: float) -> bytes:
+    """The exact bits of ``parts``: 0.0 and -0.0 are equal, but not the same bits."""
+    return struct.pack(f"{len(parts)}d", *parts)
+
+
 def _interned(keys: tuple) -> Shape:
-    return _recall(None, keys, lambda: Shape(keys))
-
-
-def _shape(state: PhotonicState) -> Shape:
-    if state.shape is None:
-        object.__setattr__(state, "shape", _interned(tuple((t[0], t[1]) for t in state.terms)))
-    return state.shape
+    """The shape of ``keys``, interned by them and the exact bits of their labels."""
+    bits = _bits(*[x for _, coh in keys for c in coh for x in (c.real, c.imag)])
+    return _recall(None, (keys, bits), lambda: Shape(keys, bits))
 
 
 class Shape:
-    """What the ``(occ, coherent)`` keys of a state fix, whatever its amplitudes.
+    """What a state's ``(occ, coherent)`` keys fix, whatever its amplitudes.
 
-    Interned by its keys, which compare with ``==``: labels 2+0j and 2-0j share
-    a shape, so labels are always read from the state's label column, never
-    from ``keys``.  Shapes hash by identity, so :func:`_recall` never rehashes
-    keys.
+    Interned by its keys and the exact ``bits`` of their labels: 2+0j and 2-0j
+    compare equal but make two shapes, so ``keys`` hold every state's labels
+    bit for bit and all label arithmetic runs once per shape, on them.  Shapes
+    hash by identity, so :func:`_recall` never rehashes keys.
     """
 
-    __slots__ = ("keys",)
+    __slots__ = ("keys", "bits")
 
-    def __init__(self, keys: tuple):
-        self.keys = keys
+    def __init__(self, keys: tuple, bits: bytes):
+        self.keys, self.bits = keys, bits
 
     def subset(self, kept: tuple[int, ...]) -> Shape:
         """The shape of the terms at the indices ``kept``."""
@@ -263,11 +258,8 @@ class Shape:
 
     def photons(self, watched: frozenset) -> tuple[int, ...]:
         """Each term's photon count in the ``watched`` modes."""
-        return _recall(
-            self,
-            ("photons", watched),
-            lambda: tuple(sum(n for m, n in occ if m in watched) for occ, _ in self.keys),
-        )
+        return _recall(self, ("photons", watched),
+                       lambda: tuple(_photons(occ, watched) for occ, _ in self.keys))
 
     def norm_sq(self, state: PhotonicState) -> float:
         """``inner_product(state, state).real``, bit for bit, for a ``state`` of this shape.
@@ -275,10 +267,10 @@ class Shape:
         Terms without labels and with distinct occupations are orthogonal: the
         norm is the sum of each |a|^2 times its occupation weight, in term order.
         """
-        kernel, reps = _recall(self, "norm", self._norm_plan)
-        if reps is None:
+        kernel, overlaps = _recall(self, "norm", self._norm_plan)
+        if overlaps is None:
             return kernel(state.amplitudes)
-        return _paired(state, state, (kernel, reps)).real
+        return _paired(state, state, (kernel, overlaps)).real
 
     def _norm_plan(self):
         """:func:`_pairs` of the shape with itself, or ``(kernel, None)`` for orthogonal
@@ -292,6 +284,11 @@ class Shape:
             lines += [f"    a = A[{k}]",
                       f"    t {add} (a.real * a.real + a.imag * a.imag) * {_occ_norm(occ)}"]
         return _kernel("\n".join(lines + ["    return t"])), None
+
+
+def _photons(occ: tuple, watched: frozenset) -> int:
+    """A term's photon count in the ``watched`` modes, from its occupation ``occ``."""
+    return sum(n for m, n in occ if m in watched)
 
 
 def _sort_key(item) -> tuple:
@@ -340,53 +337,45 @@ def _built(occs, amplitudes) -> PhotonicState:
     """``build_state((), terms)`` of register-free terms: ``occs`` carrying ``amplitudes``."""
     shape = _interned(tuple((_capped(occ), ()) for occ in occs))
     members = range(len(amplitudes))
-    return _regrouped(_columns((), amplitudes, None, 1.0, shape), "merge", members, amplitudes, ())
+    return _regrouped(_columns((), amplitudes, 1.0, shape), "merge", members, amplitudes, ())
 
 
-def _merge_plan(keys, parts, sources, lines: list[str]):
-    """How to merge terms of ``keys``: ``(kernel, firsts, shape)``.  The kernel that
-    ``lines`` begin returns each merged group's sum of its members' ``parts``, source
-    expressions, left to right; ``firsts`` holds each group's entry of ``sources``
-    (its first member's) and ``shape`` is that of the groups' keys."""
+def _merge_plan(keys, parts, lines: list[str]):
+    """How to merge terms of ``keys``: ``(kernel, shape)``.  The kernel that ``lines``
+    begin returns each merged group's sum of its members' ``parts``, source
+    expressions, left to right; ``shape`` is that of the groups' keys, each its first
+    member's."""
     groups = _grouping(keys)
     sums = [_sum_source([parts[m] for m in (first, *rest)], f"g{k}", lines)
             for k, (_, _, first, rest) in enumerate(groups)]
     kernel = _kernel("\n".join(lines + [f"    return [{', '.join(sums)}]"]))
-    firsts = tuple(sources[first] for _, _, first, _ in groups)
-    return kernel, firsts, _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
+    return kernel, _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
 
 
-def _grouped_state(registers, labels, sums, born_weight, shape: Shape) -> PhotonicState:
-    """The state of ``shape``'s terms with labels ``labels`` and amplitudes ``sums``,
-    the sums at or below PRUNE_EPS pruned."""
+def _grouped_state(registers, sums, born_weight, shape: Shape) -> PhotonicState:
+    """The state of ``shape``'s terms with amplitudes ``sums``, the sums at or below
+    PRUNE_EPS pruned."""
     keep = list(map(PRUNE_EPS.__lt__, map(abs, sums)))
     if all(keep):
-        return _columns(registers, sums, labels, born_weight, shape)
+        return _columns(registers, sums, born_weight, shape)
     kept = tuple(itertools.compress(range(len(keep)), keep))
-    labels = labels and list(itertools.compress(labels, keep))
     sums = list(itertools.compress(sums, keep))
-    return _columns(registers, sums, labels, born_weight, shape.subset(kept))
+    return _columns(registers, sums, born_weight, shape.subset(kept))
 
 
-def _regrouped(state, op, members, amplitudes, registers, rekeyed=None, relabel=None):
-    """The canonical state of the terms at ``members`` that carry ``amplitudes``, each
-    label tuple rewritten by ``relabel`` and then their keys by ``rekeyed``, if given.
-    Merges, order and shape are memoized under ``op``, which fixes all three."""
-    shape = _shape(state)
+def _regrouped(state, op, members, amplitudes, registers, rekeyed=None):
+    """The canonical state of the terms at ``members`` that carry ``amplitudes``, their
+    keys rewritten by ``rekeyed`` if given.  Merges, order and shape are memoized
+    under ``op``, which fixes all three."""
+    shape = state.shape
 
     def plan():
         keys = [shape.keys[k] for k in members]
-        if relabel is not None:
-            keys = [(occ, relabel(coh)) for occ, coh in keys]
         parts = [f"A[{p}]" for p in range(len(keys))]
-        return _merge_plan(rekeyed(keys) if rekeyed else keys, parts, members, ["def kernel(A):"])
+        return _merge_plan(rekeyed(keys) if rekeyed else keys, parts, ["def kernel(A):"])
 
-    kernel, sources, out_shape = _recall(shape, op, plan)
-    labels = list(map(state.labels.__getitem__, sources)) if registers else None
-    if labels and relabel is not None:
-        labels = list(map(relabel, labels))
-    born_weight = float(state.born_weight)
-    return _grouped_state(registers, labels, kernel(amplitudes), born_weight, out_shape)
+    kernel, out_shape = _recall(shape, op, plan)
+    return _grouped_state(registers, kernel(amplitudes), float(state.born_weight), out_shape)
 
 
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
@@ -400,52 +389,47 @@ def _occ_norm(occ: tuple[tuple[Mode, int], ...]) -> int:
     return math.prod(math.factorial(n) for _, n in occ)
 
 
-# A label pair's exact bits: 2+0j and 2-0j are equal, but not the same bits.
-_pair_bits = struct.Struct("4d").pack
-
-
 def _overlaps(pairs, bra_labels, ket_labels):
-    """Per ``(bra, ket)`` pair of ``pairs`` its entry in ``combos``, the tuple of
-    its overlap slots.  Each distinct label pair, by exact bits, is one slot,
-    computed from the ``(bra, ket, register)`` of its entry in ``reps``."""
-    slot_of, reps, combo_of, cells = {}, [], {}, []
+    """Per ``(bra, ket)`` pair of ``pairs`` its entry in ``combos``, the tuple of its
+    overlap slots, and per slot its overlap: one per distinct label pair, by exact bits.
+    Returns ``(cells, combos, overlaps)``."""
+    slot_of, overlaps, combo_of, cells = {}, [], {}, []
     for i, j in pairs:
         combo = []
-        for k, (x, y) in enumerate(zip(bra_labels[i], ket_labels[j])):
-            slot = slot_of.setdefault(_pair_bits(x.real, x.imag, y.real, y.imag), len(reps))
-            if slot == len(reps):
-                reps.append((i, j, k))
+        for x, y in zip(bra_labels[i], ket_labels[j]):
+            slot = slot_of.setdefault(_bits(x.real, x.imag, y.real, y.imag), len(overlaps))
+            if slot == len(overlaps):
+                overlaps.append(coherent_overlap(x, y))
             combo.append(slot)
         cells.append(combo_of.setdefault(tuple(combo), len(combo_of)))
-    return array("i", cells), tuple(combo_of), tuple(reps)
+    return cells, tuple(combo_of), overlaps
 
 
 def _pairs(bra: Shape, ket: Shape):
-    """:func:`inner_product`'s plan for two shapes: ``(kernel, reps)``.  ``kernel(c, a, o)``
-    adds from 0j, per pair of terms of one occupation, conjugated bra amplitude c[i]
-    times ket amplitude a[j], occupation weight and overlap slots o[s] (from ``reps``)."""
+    """:func:`inner_product`'s plan for two shapes: ``(kernel, overlaps)``.  ``kernel(c,
+    a, o)`` adds from 0j, per pair of terms of one occupation, conjugated bra amplitude
+    c[i] times ket amplitude a[j], occupation weight and its overlaps o[s]."""
 
     def plan():
         by_occ: dict[tuple, list[int]] = {}
         for j, (occ, _) in enumerate(ket.keys):
             by_occ.setdefault(occ, []).append(j)
         pairs = [(i, j) for i, (occ, _) in enumerate(bra.keys) for j in by_occ.get(occ, ())]
-        cells, combos, reps = _overlaps(pairs, *([coh for _, coh in s.keys] for s in (bra, ket)))
+        labels = ([coh for _, coh in s.keys] for s in (bra, ket))
+        cells, combos, overlaps = _overlaps(pairs, *labels)
         lines = ["def kernel(c, a, o):", "    t = 0j"]
         for (i, j), cell in zip(pairs, cells):
             slots = "".join(f" * o[{s}]" for s in combos[cell])
             lines.append(f"    t += c[{i}] * a[{j}] * {_occ_norm(bra.keys[i][0])}{slots}")
         lines.append("    return t")
-        return _kernel("\n".join(lines)), reps
+        return _kernel("\n".join(lines)), overlaps
 
     return _recall(bra, ("pairs", ket), plan)
 
 
 def _paired(bra: PhotonicState, ket: PhotonicState, plan) -> complex:
-    """The sum of :func:`_pairs`' ``plan``: each label-pair overlap taken once."""
-    kernel, reps = plan
-    bra_labels, ket_labels = bra.labels, ket.labels
-    overlaps = [coherent_overlap(bra_labels[i][k], ket_labels[j][k]) for i, j, k in reps]
+    """The sum of :func:`_pairs`' ``plan`` over the two states' amplitudes."""
+    kernel, overlaps = plan
     return kernel([a.conjugate() for a in bra.amplitudes], ket.amplitudes, overlaps)
 
 
@@ -455,7 +439,7 @@ def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
         raise InvalidInput(
             f"register mismatch: {bra.registers} vs {ket.registers}"
         )
-    return _paired(bra, ket, _pairs(_shape(bra), _shape(ket)))
+    return _paired(bra, ket, _pairs(bra.shape, ket.shape))
 
 
 def norm_sq(state: PhotonicState) -> float:
@@ -464,7 +448,7 @@ def norm_sq(state: PhotonicState) -> float:
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
     amps = list(map(operator.mul, state.amplitudes, itertools.repeat(factor)))
-    return _columns(state.registers, amps, state.labels, state.born_weight, _shape(state))
+    return _columns(state.registers, amps, state.born_weight, state.shape)
 
 
 def normalized(state: PhotonicState) -> PhotonicState:
@@ -484,11 +468,11 @@ def fidelity(state: PhotonicState, target: PhotonicState) -> float:
 
 
 def _traced_plan(shape: Shape, target: Shape):
-    """:func:`traced_fidelity`'s plan: ``(matched, cells, combos, reps)``.
+    """:func:`traced_fidelity`'s plan: ``(matched, grams)``.
 
     ``matched`` holds, per term with an occupation of the target, its index,
-    the target terms of that occupation and its occupation weight; ``cells``
-    is :func:`_overlaps` of every ordered pair of matched terms.
+    the target terms of that occupation and its occupation weight; ``grams``
+    holds the register Gram product of every ordered pair of matched terms.
     """
     by_occ: dict[tuple, list[int]] = {}
     for j, (occ, _) in enumerate(target.keys):
@@ -500,7 +484,9 @@ def _traced_plan(shape: Shape, target: Shape):
         if occ in by_occ
     )
     pairs = [(j, i) for i, _, _ in matched for j, _, _ in matched]
-    return (matched, *_overlaps(pairs, labels, labels))
+    cells, combos, overlaps = _overlaps(pairs, labels, labels)
+    products = [math.prod([overlaps[s] for s in combo], start=1.0 + 0j) for combo in combos]
+    return matched, tuple(products[c] for c in cells)
 
 
 def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
@@ -513,13 +499,11 @@ def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
         raise InvalidInput("target must not carry coherent registers")
     if not state.registers:
         return fidelity(state, target)
-    shape, target_shape = _shape(state), _shape(target)
-    matched, cells, combos, reps = _recall(
+    shape, target_shape = state.shape, target.shape
+    matched, grams = _recall(
         shape, ("traced", target_shape), lambda: _traced_plan(shape, target_shape)
     )
-    labels, amps, target_amps = state.labels, state.amplitudes, target.amplitudes
-    overlaps = [coherent_overlap(labels[i][k], labels[j][k]) for i, j, k in reps]
-    grams = [math.prod([overlaps[s] for s in combo], start=1.0 + 0j) for combo in combos]
+    amps, target_amps = state.amplitudes, target.amplitudes
     weights = []
     for i, targets, w in matched:
         amp_t = 0j
@@ -528,10 +512,10 @@ def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
         weights.append(amp_t.conjugate() * amps[i] * w)
     conj = [w.conjugate() for w in weights]
     num = 0j
-    cells = iter(cells)
+    grams = iter(grams)
     for wi in weights:
-        for wj, c in zip(conj, cells):
-            num += wi * wj * grams[c]
+        for wj, gram in zip(conj, grams):
+            num += wi * wj * gram
     denom = norm_sq(state) * norm_sq(target)
     if denom <= 0.0:
         raise InvalidInput("fidelity of a zero state is undefined")
@@ -542,12 +526,12 @@ def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
 def amplitude_of(state: PhotonicState, occupations: Mapping[Mode, int]) -> complex:
     """Summed amplitude of all terms with the given occupation signature."""
     key = FockTerm.from_occupations(occupations).occ
-    occs = map(_occupation, _shape(state).keys)
+    occs = map(_occupation, state.shape.keys)
     return sum((a for occ, a in zip(occs, state.amplitudes) if occ == key), 0j)
 
 
 def state_paths(state: PhotonicState) -> set[str]:
-    return set(_shape(state).paths())
+    return set(state.shape.paths())
 
 
 @dataclass(frozen=True)
@@ -609,8 +593,9 @@ def vacuum_state() -> PhotonicState:
 def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
     """Tensor product of states living on disjoint paths and registers.  The
     product's merges and order, and the checks on paths and PHOTON_CAP, are built
-    once per ``a``'s shape and ``b``'s keys (so the entry holds two shapes)."""
-    shape_a, shape_b = _shape(a), _shape(b)
+    once per ``a``'s shape and ``b``'s keys and label bits (so the entry holds two
+    shapes)."""
+    shape_a, shape_b = a.shape, b.shape
 
     def plan():
         shared = shape_a.paths() & shape_b.paths()
@@ -619,23 +604,20 @@ def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
         pairs = list(itertools.product(enumerate(shape_a.keys), enumerate(shape_b.keys)))
         keys = [(_capped(tuple(sorted(x[0] + y[0]))), x[1] + y[1]) for (_, x), (_, y) in pairs]
         parts = [f"A[{i}] * B[{j}]" for (i, _), (j, _) in pairs]
-        sources = [(i, j) for (i, _), (j, _) in pairs]
-        return _merge_plan(keys, parts, sources, ["def kernel(A, B):"])
+        return _merge_plan(keys, parts, ["def kernel(A, B):"])
 
-    kernel, sources, out_shape = _recall(shape_a, ("tensor", shape_b.keys), plan)
+    kernel, out_shape = _recall(shape_a, ("tensor", shape_b.keys, shape_b.bits), plan)
     if set(a.registers) & set(b.registers):
         raise WiringError("tensor factors share register labels")
-    registers = a.registers + b.registers
-    la, lb = _label_rows(a), _label_rows(b)
-    labels = [la[i] + lb[j] for i, j in sources] if registers else None
     sums = kernel(a.amplitudes, b.amplitudes)
-    return _grouped_state(registers, labels, sums, float(a.born_weight * b.born_weight), out_shape)
+    born_weight = float(a.born_weight * b.born_weight)
+    return _grouped_state(a.registers + b.registers, sums, born_weight, out_shape)
 
 
 def relabel_paths(state: PhotonicState, mapping: Mapping[str, str]) -> PhotonicState:
     """Rename spatial paths; refuses renames that would merge distinct paths.
     The check and the renamed keys' order are built once per shape and mapping."""
-    shape = _shape(state)
+    shape = state.shape
 
     def renamed(keys):
         image: dict[str, str] = {}

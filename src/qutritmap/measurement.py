@@ -7,8 +7,8 @@ and multiplied into ``born_weight`` of the renormalized branch state.
 
 The measurements expect canonical input (merged, pruned, sorted terms), as
 every function of this package returns it.  Any subset of canonical terms is
-canonical, so a branch keeps its terms as they stand instead of rebuilding
-them with ``build_state``.
+canonical, so a branch keeps the kept terms' amplitudes and the subset of
+their shape as they stand instead of merging and sorting them again.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .fock import (
     _columns,
     _recall,
     _regrouped,
-    _shape,
     fidelity,
     norm_sq,
     scaled,
@@ -80,7 +79,8 @@ class BranchDistribution:
 
 
 def path_modes(path: str) -> tuple[Mode, Mode]:
-    return (Mode(path, "H"), Mode(path, "V"))
+    """A path's ``(H, V)`` modes, built once per path."""
+    return _recall(None, ("modes", path), lambda: (Mode(path, "H"), Mode(path, "V")))
 
 
 def _norm_in(state: PhotonicState, action: str) -> float:
@@ -104,13 +104,13 @@ def _branch(kept: PhotonicState, norm_in: float) -> tuple[float, PhotonicState]:
         return 0.0, PhotonicState(kept.registers, (), 0.0)
     factor = 1.0 / math.sqrt(n2)
     amps = [a * factor for a in kept.amplitudes]
-    return p, _columns(kept.registers, amps, kept.labels, kept.born_weight * p, _shape(kept))
+    return p, _columns(kept.registers, amps, kept.born_weight * p, kept.shape)
 
 
 def _selected(state: PhotonicState, needs: tuple, norm_in: float) -> tuple[float, PhotonicState]:
     """:func:`_branch` of the terms of a canonical state that hold ``lo`` to ``hi``
     photons in the ``watched`` modes of every ``(watched, lo, hi)`` in ``needs``."""
-    shape = _shape(state)
+    shape = state.shape
 
     def kept():
         counts = [(shape.photons(watched), lo, hi) for watched, lo, hi in needs]
@@ -121,8 +121,7 @@ def _selected(state: PhotonicState, needs: tuple, norm_in: float) -> tuple[float
 
     idx, kept_shape = _recall(shape, ("kept", needs), kept)
     amps = list(map(state.amplitudes.__getitem__, idx))
-    labels = state.labels and list(map(state.labels.__getitem__, idx))
-    return _branch(_columns(state.registers, amps, labels, state.born_weight, kept_shape), norm_in)
+    return _branch(_columns(state.registers, amps, state.born_weight, kept_shape), norm_in)
 
 
 def detect_non_resolving(state: PhotonicState, modes: Iterable[Mode]) -> BranchDistribution:
@@ -172,7 +171,7 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
     modes are still entangled with the rest.
     """
     watched = frozenset(modes)
-    shape = _shape(state)
+    shape = state.shape
 
     def layout():
         # per detector signature: its (term, column) pairs and, per column, its
@@ -272,7 +271,7 @@ def merge_branches(
         if f < 1.0 - tol:
             raise WiringError(f"branches disagree: fidelity {f} below 1 - {tol}")
     born_weight = _summed(s.born_weight for _, s in live)
-    merged = _columns(first.registers, first.amplitudes, first.labels, born_weight, _shape(first))
+    merged = _columns(first.registers, first.amplitudes, born_weight, first.shape)
     if "_norm_sq" in vars(first):  # computed for the same terms
         vars(merged)["_norm_sq"] = first._norm_sq
     return total, merged, min_fid

@@ -19,12 +19,12 @@ from .fock import (
     PhotonicState,
     UnsupportedMode,
     WiringError,
+    _bits,
     _columns,
     _interned,
-    _label_rows,
+    _photons,
     _recall,
     _regrouped,
-    _shape,
     _sort_key,
     inner_product,
     norm_sq,
@@ -37,9 +37,8 @@ def add_register(state: PhotonicState, register: str, alpha0: complex) -> Photon
     if register in state.registers:
         raise WiringError(f"register {register!r} already attached")
     label = complex(alpha0)
-    labels = [c + (label,) for c in _label_rows(state)]
-    return _relabeled(state, ("register", label), labels, state.registers + (register,))
-
+    op = ("register", _bits(label.real, label.imag))
+    return _relabeled(state, op, state.registers + (register,), lambda _, c: c + (label,))
 
 
 def _register_index(state: PhotonicState, register: str) -> int:
@@ -54,24 +53,24 @@ def _dropped(state, idx: int, members: tuple[int, ...], amplitudes) -> PhotonicS
     that carry ``amplitudes``; dropping the register can bring terms together."""
     regs = state.registers[:idx] + state.registers[idx + 1 :]
     return _regrouped(state, ("drop", idx, members), members, amplitudes, regs,
-                      relabel=lambda coh: coh[:idx] + coh[idx + 1 :])
+                      rekeyed=lambda keys: [(occ, c[:idx] + c[idx + 1 :]) for occ, c in keys])
 
 
-def _relabeled(state: PhotonicState, op: tuple, labels: list[tuple], registers) -> PhotonicState:
-    """``state`` on ``registers`` with term k's labels ``labels[k]``: a one-to-one rewrite,
-    fixed by ``op``, that keeps labels COHERENT_MERGE_EPS apart, so nothing merges.
-    The new order and shape follow from the keys and are built once per shape."""
-    shape = _shape(state)
+def _relabeled(state: PhotonicState, op: tuple, registers, relabel) -> PhotonicState:
+    """``state`` on ``registers`` with each term's labels rewritten by ``relabel(occ,
+    labels)``: a one-to-one rewrite, fixed by ``op``, that keeps labels
+    COHERENT_MERGE_EPS apart, so nothing merges.  The new labels, order and shape
+    are built once per shape."""
+    shape = state.shape
 
     def plan():
-        keys = [(occ, coh) for (occ, _), coh in zip(shape.keys, labels)]
+        keys = [(occ, relabel(occ, coh)) for occ, coh in shape.keys]
         order = sorted(range(len(keys)), key=lambda k: _sort_key(keys[k]))
         return order, _interned(tuple(keys[k] for k in order))
 
     order, out_shape = _recall(shape, op, plan)
     amps = list(map(state.amplitudes.__getitem__, order))
-    labels = list(map(labels.__getitem__, order))
-    return _columns(registers, amps, labels, state.born_weight, out_shape)
+    return _columns(registers, amps, state.born_weight, out_shape)
 
 
 def apply_xpm(
@@ -80,17 +79,18 @@ def apply_xpm(
     """Photons in ``modes`` rotate ``register``'s label by theta each; canonical input."""
     idx = _register_index(state, register)
     watched = frozenset(modes)
-    counts = _shape(state).photons(watched)
-    turn = {n: cmath.exp(1j * n * theta) for n in set(counts)}
-    labels = [c[:idx] + (c[idx] * turn[n],) + c[idx + 1 :] for c, n in zip(state.labels, counts)]
-    return _relabeled(state, ("xpm", idx, watched, theta), labels, state.registers)
+
+    def relabel(occ, c):
+        return c[:idx] + (c[idx] * cmath.exp(1j * _photons(occ, watched) * theta),) + c[idx + 1 :]
+
+    return _relabeled(state, ("xpm", idx, watched, _bits(theta)), state.registers, relabel)
 
 
 def coherent_phase(state: PhotonicState, register: str, phi: float) -> PhotonicState:
     """Rotate one register's label by ``phi``; canonical input."""
-    idx, turn = _register_index(state, register), cmath.exp(1j * phi)
-    labels = [c[:idx] + (c[idx] * turn,) + c[idx + 1 :] for c in state.labels]
-    return _relabeled(state, ("phase", idx, phi), labels, state.registers)
+    idx = _register_index(state, register)
+    return _relabeled(state, ("phase", idx, _bits(phi)), state.registers,
+                      lambda _, c: c[:idx] + (c[idx] * cmath.exp(1j * phi),) + c[idx + 1 :])
 
 
 def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState:
@@ -99,13 +99,13 @@ def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState
     ib = _register_index(state, reg_b)
     if ia == ib:
         raise WiringError("cannot interfere a register with itself")
-    s = 1.0 / math.sqrt(2)
-    labels = []
-    for c in state.labels:
-        coh = list(c)
-        coh[ia], coh[ib] = (coh[ia] - coh[ib]) * s, (coh[ia] + coh[ib]) * s
-        labels.append(tuple(coh))
-    return _relabeled(state, ("bs50", ia, ib), labels, state.registers)
+
+    def relabel(_, c):
+        coh, s = list(c), 1.0 / math.sqrt(2)
+        coh[ia], coh[ib] = (c[ia] - c[ib]) * s, (c[ia] + c[ib]) * s
+        return tuple(coh)
+
+    return _relabeled(state, ("bs50", ia, ib), state.registers, relabel)
 
 
 def couple_probes(state: PhotonicState, reg_a: str, reg_b: str, alpha: float, theta: float,
@@ -120,18 +120,18 @@ def couple_probes(state: PhotonicState, reg_a: str, reg_b: str, alpha: float, th
     for reg in (reg_a, reg_b):
         if regs.count(reg) > 1:
             raise WiringError(f"register {reg!r} already attached")
-    label, s, back = complex(alpha), 1.0 / math.sqrt(2), cmath.exp(1j * -theta)
+    label = complex(alpha)
     watched = frozenset(modes_a), frozenset(modes_b)
-    counts = list(zip(*(_shape(state).photons(w) for w in watched)))
-    new = {}
-    for n_a, n_b in set(counts):
-        a = label * cmath.exp(1j * n_a * theta) * back
-        b = label * cmath.exp(1j * n_b * theta) * back
-        new[n_a, n_b] = (a - b) * s, (a + b) * s
-    labels = [c + new[n] for c, n in zip(_label_rows(state), counts)]
+
+    def relabel(occ, c):
+        s, back = 1.0 / math.sqrt(2), cmath.exp(1j * -theta)
+        a, b = (label * cmath.exp(1j * _photons(occ, w) * theta) * back for w in watched)
+        return c + ((a - b) * s, (a + b) * s)
+
     # Terms of one occupation get the same new labels, so the one sort of
     # _relabeled orders the terms as each of the chain's five does.
-    return _relabeled(state, ("probes", *watched, label, theta), labels, regs)
+    op = ("probes", *watched, _bits(label.real, label.imag, theta))
+    return _relabeled(state, op, regs, relabel)
 
 
 def project_photon_number(
@@ -157,7 +157,7 @@ def project_photon_number(
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
-    shape = _shape(state)
+    shape = state.shape
     plan = _recall(shape, ("readout", idx, mode), lambda: _readout_plan(shape, idx, mode))
     zero, lit, factors, pure, mixed = plan
     amps = state.amplitudes
@@ -176,10 +176,8 @@ def project_photon_number(
     elif mixed is not None:
         vacuum, lit_shape, mirror_shape = mixed
         vac = norm_sq(_dropped(state, idx, lit, [a * f for a, f in zip(lit_amps, vacuum)]))
-        labels = list(map(state.labels.__getitem__, lit))
-        flipped = [c[:idx] + (-c[idx],) + c[idx + 1 :] for c in labels]
-        psi = _columns(state.registers, lit_amps, labels, 1.0, lit_shape)
-        mirror = _columns(state.registers, lit_amps, flipped, 1.0, mirror_shape)
+        psi = _columns(state.registers, lit_amps, 1.0, lit_shape)
+        mirror = _columns(state.registers, lit_amps, 1.0, mirror_shape)
         for label, mass in _mixed_masses(psi, mirror, vac):
             classes.append((label, mass / norm_in, None))
     outcomes = [Outcome(label, None, p, branch) for label, p, branch in classes if p > PROB_EPS]
@@ -187,12 +185,11 @@ def project_photon_number(
 
 
 def _readout_plan(shape, idx: int, mode: str):
-    """What :func:`project_photon_number` reads from ``abs()`` of labels ``idx`` or of
-    their differences, which a zero's sign never changes: the terms that feed "0" and
-    those that feed "odd" and "even"; the rescale factors of ``lit`` (ideal) or of
-    ``zero`` (physical); ``(signs, k_odd, k_even)`` if the lit labels are +beta or -beta
-    of one beta, else, if any, their vacuum overlaps and the shapes of the lit terms
-    and of their mirror images (label ``idx`` negated)."""
+    """What :func:`project_photon_number` reads from labels ``idx``: the terms that feed
+    "0" and those that feed "odd" and "even"; the rescale factors of ``lit`` (ideal) or
+    of ``zero`` (physical); ``(signs, k_odd, k_even)`` if the lit labels are +beta or
+    -beta of one beta, else, if any, their vacuum overlaps and the shapes of the lit
+    terms and of their mirror images (label ``idx`` negated)."""
     betas = [coh[idx] for _, coh in shape.keys]
     quiet = [abs(b) <= COHERENT_MERGE_EPS for b in betas]
     lit = tuple(k for k, q in enumerate(quiet) if not q)
@@ -241,30 +238,40 @@ def project_quadrature_x(
         raise InvalidInput(f"unknown measurement mode {mode!r}")
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
-    xs = [c[idx].real for c in state.labels]
-    centers: list[float] = []
-    for x in xs:
-        if not any(abs(x - c) <= COHERENT_MERGE_EPS for c in centers):
-            centers.append(x)
+    shape = state.shape
+
+    def groups():  # per resolved Re(beta): outcome label, value and terms
+        xs = [c[idx].real for _, c in shape.keys]
+        centers: list[float] = []
+        for x in xs:
+            if not any(abs(x - c) <= COHERENT_MERGE_EPS for c in centers):
+                centers.append(x)
+        return [(f"x={x0:.9g}", float(x0),
+                 tuple(k for k, x in enumerate(xs) if abs(x - x0) <= COHERENT_MERGE_EPS))
+                for x0 in sorted(centers)]
+
     outcomes = []
-    for x0 in sorted(centers):
-        kept = tuple(k for k, x in enumerate(xs) if abs(x - x0) <= COHERENT_MERGE_EPS)
+    for label, x0, kept in _recall(shape, ("quadrature", idx), groups):
         amps = list(map(state.amplitudes.__getitem__, kept))
         p, branch = _branch(_dropped(state, idx, kept, amps), norm_in)
         if p > 0.0:
-            outcomes.append(Outcome(f"x={x0:.9g}", float(x0), p, branch))
+            outcomes.append(Outcome(label, x0, p, branch))
     return BranchDistribution(tuple(outcomes))
 
 
 def drop_register(state: PhotonicState, register: str) -> PhotonicState:
     """Detach a register that is in a product with the photonic part."""
     idx = _register_index(state, register)
-    values = [c[idx] for c in _label_rows(state)]
-    if not values:
+    shape = state.shape
+    if not shape.keys:
         raise InvalidInput("cannot drop a register from a zero state")
-    ref = values[0]
-    if any(abs(v - ref) > COHERENT_MERGE_EPS for v in values):
+
+    def uniform():
+        ref = shape.keys[0][1][idx]
+        return not any(abs(c[idx] - ref) > COHERENT_MERGE_EPS for _, c in shape.keys)
+
+    if not _recall(shape, ("uniform", idx), uniform):
         raise WiringError(
             f"register {register!r} is correlated with the photons; measure it instead"
         )
-    return _dropped(state, idx, tuple(range(len(values))), state.amplitudes)
+    return _dropped(state, idx, tuple(range(len(shape.keys))), state.amplitudes)

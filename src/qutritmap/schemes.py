@@ -43,7 +43,6 @@ from .fock import (
     WiringError,
     _recall,
     _regrouped,
-    _shape,
     ancilla_plus,
     fidelity,
     make_biphotonic_qutrit,
@@ -577,7 +576,7 @@ def _entangler_reference(
     of the ancilla superposition and undoing its 1/sqrt(2) weight.  Which
     terms match, and the checks on the input, are worked out once per shape.
     """
-    shape = _shape(state)
+    shape = state.shape
 
     def matching():
         kept = []

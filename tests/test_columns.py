@@ -1,15 +1,16 @@
-"""States as a shape plus columns, and ``terms`` as a view of them.
+"""States as a shape plus an amplitude column, and ``terms`` as a view of them.
 
-A state carries its interned ``fock.Shape``, one amplitude column and, with
-registers, one label column; ``PhotonicState.terms`` is built from them on
-first read.  The references below rebuild every output per term from the
-input's ``terms`` and must agree with the view by ``float.hex``.  Each
-operation also runs on a twin whose labels differ only in the sign of their
-zeros: twin and state share one shape, and whichever runs second finds the
-plans the first one left in ``fock._MEMO``, so a label read from the shape
-instead of the label column shows.  The operations not checked here are
-checked the same way in ``test_shape``, ``test_substitution`` and
-``test_kernels``; the last test shows that no scheme reads a view at all.
+A state carries its interned ``fock.Shape``, which holds every term's
+occupation and register labels, and one amplitude column;
+``PhotonicState.terms`` is built from the two on first read.  The references
+below rebuild every output per term from the input's ``terms`` and must agree
+with the view by ``float.hex``.  Each operation also runs on a twin whose
+labels differ only in the sign of their zeros: its keys compare equal to the
+state's, but shapes are interned by exact bits, so a plan found under a key
+blind to the sign of zero would show in the second one's labels.  The
+operations not checked here are checked the same way in ``test_shape``,
+``test_substitution`` and ``test_kernels``; the last tests show that no scheme
+reads a view at all, and that a warmed scheme takes no coherent overlap.
 """
 
 import dataclasses
@@ -261,7 +262,7 @@ def test_term_built_and_column_built_states_are_one_value(nregs, labels, specs, 
     assert column_built == term_built and term_built == column_built
     assert repr(column_built) == repr(term_built)
     assert tuple(column_built.amplitudes) == term_built.amplitudes
-    assert (column_built.labels is None) == (term_built.labels is None) == (nregs == 0)
+    assert column_built.shape is term_built.shape and not hasattr(column_built, "labels")
     for obj in (column_built, term_built):
         copied = pickle.loads(pickle.dumps(obj))
         assert copied == term_built and hash(copied) == hash(term_built)
@@ -319,21 +320,53 @@ def test_no_scheme_builds_a_terms_view():
     assert ran.count("kerr-forward") == 3 and len(set(ran)) == len(SCHEMES)
 
 
+def test_warmed_schemes_take_no_coherent_overlap():
+    # overlaps and Gram products are worked out once per shape: run every
+    # scheme twice on the same inputs, and the second run computes none
+    fock._MEMO.clear()
+    overlaps = []
+    real = fock.coherent_overlap
+
+    def counted(beta, gamma):
+        overlaps.append((beta, gamma))
+        return real(beta, gamma)
+
+    with mock.patch.object(fock, "coherent_overlap", counted):
+        runs = []
+        for warm in (False, True):
+            overlaps.clear()
+            ran = []
+            for name, run in scheme_runs():
+                try:
+                    runs.append(bits(run().output_state))
+                except fock.UnsupportedMode:  # separate-qnd has no physical homodyne
+                    continue
+                ran.append(name)
+            if not warm:
+                assert overlaps  # the hook does count
+    assert overlaps == []
+    assert ran.count("kerr-forward") == 3 and len(set(ran)) == len(SCHEMES)
+    assert runs[: len(runs) // 2] == runs[len(runs) // 2 :]
+
+
 def test_failed_checks_raise_on_every_call():
     a, b = single_photon("a"), single_photon("b")
     three = build_state((), [FockTerm.from_occupations({Mode("c", H): 3})])
     # a term that bypassed from_occupations' cap check
     crowded = PhotonicState((), (FockTerm(((Mode("d", H), 5),), (), 1 + 0j),))
     probed = add_register(a, "r", 1.0)
+    correlated = build_state(("r",), [FockTerm.from_occupations({Mode(p, H): 1}, (x,))
+                                      for p, x in (("a", 1.0), ("b", 2.0))])
     cases = [
         (WiringError, "share paths", lambda: tensor(a, single_photon("a", V))),
         (WiringError, "share register", lambda: tensor(probed, add_register(b, "r", 1.0))),
         (PhotonCapExceeded, "5 photons", lambda: tensor(three, tensor(a, b))),
         (WiringError, "both map to", lambda: relabel_paths(tensor(a, b), {"a": "b"})),
         (PhotonCapExceeded, "5 photons", lambda: relabel_paths(crowded, {"d": "e"})),
+        (WiringError, "correlated", lambda: drop_register(correlated, "r")),
     ]
     for error, match, call in cases:
         fock._MEMO.clear()
-        for _ in range(3):  # a failed plan build leaves nothing in the memo
+        for _ in range(3):  # a failed plan build leaves nothing in the memo, a verdict stays
             with pytest.raises(error, match=match):
                 call()

@@ -158,7 +158,7 @@ def test_norm_matches_inner_product_bit_for_bit(nregs, labels, specs, again):
     state = canonical_state(nregs, labels, specs)
     twin = same_shape(state, again)
     assert repr(norm_sq(state)) == repr(inner_product(state, state).real)
-    assert fock._shape(twin) is fock._shape(state)
+    assert twin.shape is state.shape
     assert repr(norm_sq(twin)) == repr(inner_product(twin, twin).real)
 
 
@@ -172,11 +172,11 @@ def test_repeated_occupations_take_the_generic_path():
         FockTerm(((h, 2),), (), 0.125 - 1.0j),
     )
     state = PhotonicState((), terms)
-    _, reps = fock._shape(state)._norm_plan()  # a pair plan's label slots (none here)
-    assert reps is not None
+    _, overlaps = state.shape._norm_plan()  # a pair plan's overlap slots (none here)
+    assert overlaps is not None
     assert repr(norm_sq(state)) == repr(inner_product(state, state).real)
     canonical = build_state((), terms)
-    assert fock._shape(canonical)._norm_plan()[1] is None
+    assert canonical.shape._norm_plan()[1] is None
     assert repr(norm_sq(canonical)) == repr(inner_product(canonical, canonical).real)
 
 
@@ -207,10 +207,10 @@ def test_selection_and_phase_shift_match_per_term_reference(
         assert repr(apply_phase_shift(state, target, phi)) == repr(
             reference_phase_shift(state, target, phi)
         )
-    assert fock._shape(state) is fock._shape(first)
+    assert state.shape is first.shape
 
 
-def test_signed_zero_labels_share_a_shape_and_keep_their_own():
+def test_signed_zero_labels_get_shapes_of_their_own():
     def probe_state(zero):
         return build_state(
             ("r",),
@@ -222,7 +222,7 @@ def test_signed_zero_labels_share_a_shape_and_keep_their_own():
 
     fock._MEMO.clear()
     plus, minus = probe_state(0.0), probe_state(-0.0)
-    assert fock._shape(plus) is fock._shape(minus)
+    assert plus.shape is not minus.shape  # equal keys, but not the same bits
     bs = BeamSplitterSpec.fifty_fifty()
     for state, want in ((plus, ["((2+0j),)", "((-1+0j),)"]), (minus, ["((2-0j),)", "((-1-0j),)"])):
         _, kept = post_select_coincidence(state, [(path_modes("a"), "no-click")])
@@ -283,8 +283,9 @@ def test_retention_stays_bounded_and_rebuilds_dropped_entries():
 # Register paths against direct references, by float.hex.  The memoized paths
 # build pair plans, label-overlap slots, groupings and sort orders once per
 # shape; the references below take every pair, overlap, merge and sort afresh
-# on each call.  A twin of each state has the same shape but the other sign on
-# every zero label part, and each of the two warms the memo for the other.
+# on each call.  A twin of each state has the other sign on every zero label
+# part, so its keys compare equal but it has a shape of its own: a plan found
+# under a key blind to the sign of zero would hand it the other's labels.
 
 
 def hexed(z):
@@ -432,8 +433,13 @@ def flip_zeros(z):
     return complex(-z.real if z.real == 0 else z.real, -z.imag if z.imag == 0 else z.imag)
 
 
+def has_zero_part(state):
+    """Whether some label of ``state`` has a zero part, which :func:`flip_zeros` flips."""
+    return any(0.0 in (c.real, c.imag) for t in state.terms for c in t.coherent)
+
+
 def fresh(state):
-    """The same terms with no interned shape and no computed norm."""
+    """The same terms, built from them again, with no computed norm."""
     return PhotonicState(state.registers, state.terms, state.born_weight)
 
 
@@ -475,7 +481,7 @@ def test_register_paths_match_direct_references_bit_for_bit(
     for pair in ((state, twin), (twin, state)):
         fock._MEMO.clear()
         pair = [fresh(x) for x in pair]
-        assert fock._shape(pair[0]) is fock._shape(pair[1])
+        assert (pair[0].shape is pair[1].shape) is not has_zero_part(state)
         for x, other in (pair, pair[::-1]):
             assert norm_sq(x).hex() == reference_inner(x, x).real.hex()
             assert hexed(inner_product(x, other)) == hexed(reference_inner(x, other))
@@ -522,7 +528,60 @@ def test_coupled_probes_match_the_chain_bit_for_bit(nregs, labels, specs, again,
         coupled = couple_probes(x, "p1", "p2", alpha, theta, modes_a, modes_b)
         chained = chain(x)
         assert bits(coupled) == bits(chained)
-        assert fock._shape(coupled).keys == fock._shape(fresh(chained)).keys
+        assert coupled.shape is chained.shape
+
+
+def test_float_parameters_key_plans_by_their_bits():
+    # 2+0j and 2-0j, and 0.0 and -0.0, compare equal but are not the same bits:
+    # in one memo lifetime, each call must build its own plan and carry its own
+    # labels, which a plan keyed by == would take from the first call instead
+    base = build_state(("r",), [
+        FockTerm.from_occupations({Mode("a", "H"): 1}, (1.5,), 0.6),
+        FockTerm.from_occupations({Mode("b", "V"): 1}, (complex(-0.5, 0.25),), 0.8j),
+        FockTerm.from_occupations({Mode("a", "V"): 2}, (complex(0.0, -0.75),), -0.3),
+    ])
+    watched, other = path_modes("a"), path_modes("b")
+    s = 1.0 / math.sqrt(2)
+
+    def on(registers, state):
+        return PhotonicState(registers, state.terms, state.born_weight)
+
+    def xpm(theta):
+        return lambda t: (t.coherent[0] * cmath.exp(1j * photons_in(t, watched) * theta),)
+
+    def phase(phi):
+        return lambda t: (t.coherent[0] * cmath.exp(1j * phi),)
+
+    def probes(alpha, theta):
+        def relabel(t):
+            label, back = complex(alpha), cmath.exp(1j * -theta)
+            a = label * cmath.exp(1j * photons_in(t, watched) * theta) * back
+            b = label * cmath.exp(1j * photons_in(t, other) * theta) * back
+            return t.coherent + ((a - b) * s, (a + b) * s)
+
+        return relabel
+
+    fock._MEMO.clear()
+    for label in (complex(2, 0.0), complex(2, -0.0)):
+        assert bits(add_register(base, "p", label)) == bits(
+            on(("r", "p"), reference_relabeled(base, lambda t: t.coherent + (label,)))
+        )
+    for theta in (0.0, -0.0):
+        assert bits(apply_xpm(base, "r", watched, theta)) == bits(
+            reference_relabeled(base, xpm(theta))
+        )
+        assert bits(coherent_phase(base, "r", theta)) == bits(
+            reference_relabeled(base, phase(theta))
+        )
+    for alpha, theta in ((complex(2, 0.0), 0.5), (complex(2, -0.0), 0.5), (2.0, 0.0), (2.0, -0.0)):
+        coupled = couple_probes(base, "p1", "p2", alpha, theta, watched, other)
+        assert bits(coupled) == bits(
+            on(("r", "p1", "p2"), reference_relabeled(base, probes(alpha, theta)))
+        )
+    plans = [op[0] for _, op in fock._MEMO if isinstance(op, tuple)]
+    for kind in ("register", "xpm", "phase"):
+        assert plans.count(kind) == 2, kind
+    assert plans.count("probes") == 4
 
 
 def shapes_in(obj, seen=None) -> int:
@@ -588,6 +647,6 @@ def test_merged_branch_keeps_its_shape_and_norm():
     assert norm_sq(first) == norm_sq(second)  # computes and caches both norms
     _, merged, fid = merge_branches([(0.25, first), (0.5, second)])
     assert fid == 1.0 and merged.amplitudes is first.amplitudes
-    assert merged.shape is fock._shape(first)
+    assert merged.shape is first.shape
     with mock.patch.object(fock.Shape, "norm_sq", side_effect=AssertionError("recomputed")):
         assert norm_sq(merged) == norm_sq(first)

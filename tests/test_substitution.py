@@ -145,9 +145,9 @@ def test_substitution_matches_reference_bit_for_bit(nregs, labels, specs, shape,
     assert len(builds) == 1
 
 
-def test_labels_come_from_the_input_not_the_plan():
-    # 2+0j and 2-0j are equal keys, so both inputs share one shape and one
-    # plan; each output must still carry its own input's label.
+def test_signed_zero_labels_get_plans_of_their_own():
+    # 2+0j and 2-0j are equal keys but not the same bits, so each input has a
+    # shape and a plan of its own, and each output carries its input's label.
     def one_photon(label):
         return build_state(("r",), [FockTerm.from_occupations({Mode("a", "H"): 1}, (label,))])
 
@@ -157,8 +157,8 @@ def test_labels_come_from_the_input_not_the_plan():
         plus_in, minus_in = one_photon(complex(2, 0.0)), one_photon(complex(2, -0.0))
         plus = apply_beam_splitter(plus_in, "a", None, "c", "d", bs)
         minus = apply_beam_splitter(minus_in, "a", None, "c", "d", bs)
-    assert fock._shape(plus_in) is fock._shape(minus_in)
-    assert len(builds) == 1
+    assert plus_in.shape is not minus_in.shape
+    assert len(builds) == 2
     assert [repr(t.coherent) for t in plus.terms] == ["((2+0j),)"] * 2
     assert [repr(t.coherent) for t in minus.terms] == ["((2-0j),)"] * 2
 
