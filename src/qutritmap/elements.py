@@ -23,12 +23,14 @@ from .fock import (
     Mode,
     PhotonicState,
     POLS,
+    PRUNE_EPS,
     Shape,
     WiringError,
     _columns,
     _grouped_state,
     _merge_plan,
     _recall,
+    path_modes,
 )
 
 
@@ -114,7 +116,7 @@ def _substitution_plan(shape: Shape, op: tuple):
         for occ, product in partials:
             raw.append(product)
             raw_keys.append((tuple(sorted(occ.items())), coh))
-    lines = ["def kernel(A, T):", f"    C = [{', '.join(coeffs)}]"]
+    lines = ["def kernel(A, T, E):", f"    C = [{', '.join(coeffs)}]"]
     return _merge_plan(raw_keys, raw, lines)
 
 
@@ -145,8 +147,8 @@ def _substituted(state: PhotonicState, op: tuple, coefficients) -> PhotonicState
     """:func:`substitute_modes` of the mapping that :func:`_wiring` splits in two."""
     shape = state.shape
     kernel, out_shape = _recall(shape, op, lambda: _substitution_plan(shape, op))
-    sums = kernel(state.amplitudes, coefficients)
-    return _grouped_state(state.registers, sums, float(state.born_weight), out_shape)
+    merged = kernel(state.amplitudes, coefficients, PRUNE_EPS)
+    return _grouped_state(state.registers, merged, float(state.born_weight), out_shape)
 
 
 def _check_outputs(state, inputs, outputs):
@@ -203,10 +205,8 @@ def apply_beam_splitter(
 
 def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> PhotonicState:
     """Multiply a canonical state by exp(i*n*phi); a path targets both pols."""
-    if isinstance(target, Mode):
-        watched = frozenset((target,))
-    else:
-        watched = frozenset(Mode(target, pol) for pol in POLS)
+    watched = _recall(None, ("watched", target), lambda: frozenset(
+        (target,) if isinstance(target, Mode) else path_modes(target)))
     shape = state.shape
     counts = shape.photons(watched)
     factor = {n: cmath.exp(1j * n * phi) for n in set(counts)}

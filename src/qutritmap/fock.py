@@ -176,10 +176,10 @@ def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
 # by (None, source) and value-free wirings by (None, their arguments).  Reaching
 # the bound drops every entry, and an entry holds at most two shapes, so at most
 # 2 * _RETAINED shapes outlive the states that carry them.  After 10,000
-# benchmark evaluations (no drop) the memo holds 285 entries in 0.62 MB (linear
-# optics), 1045 in 0.87 MB (ideal qubus) and 1221 in 1.91 MB (physical qubus), by
-# deep getsizeof.  Of these, interned keys take 0.27, 0.39 and 0.87 MB and
-# kernels (38, 78 and 93 of them) 0.21, 0.15 and 0.47 MB; the plans that index
+# benchmark evaluations (no drop) the memo holds 302 entries in 0.77 MB (linear
+# optics), 980 in 1.02 MB (ideal qubus) and 1171 in 2.51 MB (physical qubus), by
+# deep getsizeof.  Of these, interned keys take 0.27, 0.38 and 0.86 MB and
+# kernels (46, 107 and 138 of them) 0.41, 0.38 and 1.22 MB; the plans that index
 # them, with their overlaps and Gram products, hold the rest.  run_all()'s random
 # circuits make one-off shapes, which the bound drops instead of keeping.
 _RETAINED = 2048
@@ -203,7 +203,7 @@ def _kernel(source: str):
     as straight-line code, with integer indices and weights only in the source."""
 
     def build():
-        namespace: dict = {}
+        namespace = {"sqrt": math.sqrt}
         exec(compile(source, "<kernel>", "exec"), namespace)
         return namespace["kernel"]
 
@@ -213,14 +213,17 @@ def _kernel(source: str):
 _CHUNK = 256  # parts per expression: the compiler recurses once per operator
 
 
-def _sum_source(parts: list[str], name: str, lines: list[str]) -> str:
-    """The left-to-right sum of ``parts``, built up in ``name`` by ``lines`` if long."""
-    if len(parts) <= _CHUNK:
-        return " + ".join(parts)
+def _sum_lines(parts: list[str], name: str, lines: list[str]) -> str:
+    """Append to ``lines`` the left-to-right sum of ``parts`` into ``name``; returns it."""
     lines.append(f"    {name} = {' + '.join(parts[:_CHUNK])}")
     for at in range(_CHUNK, len(parts), _CHUNK):
         lines.append(f"    {name} = {name} + {' + '.join(parts[at:at + _CHUNK])}")
     return name
+
+
+def _verdict(names: list[str]) -> str:
+    """Whether every one of ``names`` has abs above E, so a NaN fails (no names: true)."""
+    return " and ".join(f"abs({name}) > E" for name in names) or "E > 0"
 
 
 def _bits(*parts: float) -> bytes:
@@ -262,28 +265,29 @@ class Shape:
                        lambda: tuple(_photons(occ, watched) for occ, _ in self.keys))
 
     def norm_sq(self, state: PhotonicState) -> float:
-        """``inner_product(state, state).real``, bit for bit, for a ``state`` of this shape.
-
-        Terms without labels and with distinct occupations are orthogonal: the
-        norm is the sum of each |a|^2 times its occupation weight, in term order.
-        """
+        """``inner_product(state, state).real``, bit for bit, for a ``state`` of this shape."""
         kernel, overlaps = _recall(self, "norm", self._norm_plan)
-        if overlaps is None:
-            return kernel(state.amplitudes)
-        return _paired(state, state, (kernel, overlaps)).real
+        return kernel(state.amplitudes, overlaps)
 
     def _norm_plan(self):
-        """:func:`_pairs` of the shape with itself, or ``(kernel, None)`` for orthogonal
-        terms, which sums from the first term: a sum of squares, never -0.0, so 0.0 + it."""
-        occs = [occ for occ, _ in self.keys]
-        if not occs or any(coh for _, coh in self.keys) or len(set(occs)) < len(occs):
-            return _pairs(self, self)
-        lines = ["def kernel(A):"]
-        for k, occ in enumerate(occs):
-            add = "+=" if k else "="
-            lines += [f"    a = A[{k}]",
-                      f"    t {add} (a.real * a.real + a.imag * a.imag) * {_occ_norm(occ)}"]
-        return _kernel("\n".join(lines + ["    return t"])), None
+        """``(kernel, overlaps)``: :func:`_norm_lines` as a kernel of the amplitudes."""
+        lines = ["def kernel(A, o):"]
+        total, overlaps = _norm_lines(self, [f"A[{k}]" for k in range(len(self.keys))], lines)
+        return _kernel("\n".join(lines + [f"    return {total}"])), overlaps
+
+
+def _norm_lines(shape: Shape, amps: list[str], lines: list[str]):
+    """Append to ``lines`` ``inner_product(s, s).real`` of ``shape``'s terms, whose
+    amplitudes are the source expressions ``amps``; returns its expression and overlaps.
+    Terms without labels and of distinct occupations are orthogonal: each |a|^2 times its
+    occupation weight, in term order, from the first (never -0.0, so 0.0 + it)."""
+    occs = [occ for occ, _ in shape.keys]
+    if not occs or any(coh for _, coh in shape.keys) or len(set(occs)) < len(occs):
+        return "t.real", _pair_lines(shape, shape, amps, amps, lines)
+    for k, (occ, a) in enumerate(zip(occs, amps)):
+        lines += [f"    x = {a}", f"    t {'+=' if k else '='} "
+                  f"(x.real * x.real + x.imag * x.imag) * {_occ_norm(occ)}"]
+    return "t", None
 
 
 def _photons(occ: tuple, watched: frozenset) -> int:
@@ -340,42 +344,53 @@ def _built(occs, amplitudes) -> PhotonicState:
     return _regrouped(_columns((), amplitudes, 1.0, shape), "merge", members, amplitudes, ())
 
 
+def _group_lines(keys, parts, lines: list[str]):
+    """Append to ``lines`` each merged group's left-to-right sum of its members' ``parts``
+    into ``g0``, ``g1``, ...; returns the names and the shape of the groups' first keys."""
+    groups = _grouping(keys)
+    sums = [_sum_lines([parts[m] for m in (first, *rest)], f"g{k}", lines)
+            for k, (_, _, first, rest) in enumerate(groups)]
+    return sums, _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
+
+
 def _merge_plan(keys, parts, lines: list[str]):
     """How to merge terms of ``keys``: ``(kernel, shape)``.  The kernel that ``lines``
-    begin returns each merged group's sum of its members' ``parts``, source
-    expressions, left to right; ``shape`` is that of the groups' keys, each its first
-    member's."""
-    groups = _grouping(keys)
-    sums = [_sum_source([parts[m] for m in (first, *rest)], f"g{k}", lines)
-            for k, (_, _, first, rest) in enumerate(groups)]
-    kernel = _kernel("\n".join(lines + [f"    return [{', '.join(sums)}]"]))
-    return kernel, _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
+    begin, whose last parameter is E, returns :func:`_group_lines`' sums and the prune
+    verdict, whether every sum's abs exceeds E; ``shape`` is that of the groups."""
+    sums, shape = _group_lines(keys, parts, lines)
+    return _kernel("\n".join(lines + [f"    return [{', '.join(sums)}], {_verdict(sums)}"])), shape
 
 
-def _grouped_state(registers, sums, born_weight, shape: Shape) -> PhotonicState:
-    """The state of ``shape``'s terms with amplitudes ``sums``, the sums at or below
-    PRUNE_EPS pruned."""
+def _pruned(shape: Shape, sums, column) -> tuple[Shape, list]:
+    """``shape`` and ``column`` without the terms whose ``sums`` are at or below PRUNE_EPS."""
     keep = list(map(PRUNE_EPS.__lt__, map(abs, sums)))
-    if all(keep):
-        return _columns(registers, sums, born_weight, shape)
     kept = tuple(itertools.compress(range(len(keep)), keep))
-    sums = list(itertools.compress(sums, keep))
-    return _columns(registers, sums, born_weight, shape.subset(kept))
+    return shape.subset(kept), list(itertools.compress(column, keep))
 
 
-def _regrouped(state, op, members, amplitudes, registers, rekeyed=None):
+def _grouped_state(registers, merged, born_weight, shape: Shape) -> PhotonicState:
+    """The state of ``shape``'s terms from a merge kernel's sums and verdict, ``merged``:
+    the sums at or below PRUNE_EPS pruned, if any."""
+    sums, whole = merged
+    if not whole:
+        shape, sums = _pruned(shape, sums, sums)
+    return _columns(registers, sums, born_weight, shape)
+
+
+def _regrouped(state, op, members, amplitudes, registers, rekeyed=None, prune=True):
     """The canonical state of the terms at ``members`` that carry ``amplitudes``, their
-    keys rewritten by ``rekeyed`` if given.  Merges, order and shape are memoized
-    under ``op``, which fixes all three."""
+    keys rewritten by ``rekeyed`` if given, unpruned unless ``prune``.  Merges, order
+    and shape are memoized under ``op``, which fixes all three."""
     shape = state.shape
 
     def plan():
         keys = [shape.keys[k] for k in members]
         parts = [f"A[{p}]" for p in range(len(keys))]
-        return _merge_plan(rekeyed(keys) if rekeyed else keys, parts, ["def kernel(A):"])
+        return _merge_plan(rekeyed(keys) if rekeyed else keys, parts, ["def kernel(A, E):"])
 
-    kernel, out_shape = _recall(shape, op, plan)
-    return _grouped_state(registers, kernel(amplitudes), float(state.born_weight), out_shape)
+    kernel, out = _recall(shape, op, plan)
+    sums, whole = kernel(amplitudes, PRUNE_EPS)
+    return _grouped_state(registers, (sums, whole or not prune), float(state.born_weight), out)
 
 
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
@@ -405,32 +420,35 @@ def _overlaps(pairs, bra_labels, ket_labels):
     return cells, tuple(combo_of), overlaps
 
 
+def _pair_lines(bra: Shape, ket: Shape, bras: list[str], kets: list[str], lines: list[str]):
+    """Append to ``lines`` :func:`inner_product` into ``t`` of shapes whose amplitudes are
+    the source expressions ``bras`` and ``kets``: from 0j, per pair of terms of one
+    occupation, the conjugated bra times the ket, occupation weight and overlaps o[s]."""
+    by_occ: dict[tuple, list[int]] = {}
+    for j, (occ, _) in enumerate(ket.keys):
+        by_occ.setdefault(occ, []).append(j)
+    pairs = [(i, j) for i, (occ, _) in enumerate(bra.keys) for j in by_occ.get(occ, ())]
+    labels = ([coh for _, coh in s.keys] for s in (bra, ket))
+    cells, combos, overlaps = _overlaps(pairs, *labels)
+    lines += [f"    c{i} = {bras[i]}.conjugate()" for i in sorted({i for i, _ in pairs})]
+    lines.append("    t = 0j")
+    for (i, j), cell in zip(pairs, cells):
+        slots = "".join(f" * o[{s}]" for s in combos[cell])
+        lines.append(f"    t += c{i} * {kets[j]} * {_occ_norm(bra.keys[i][0])}{slots}")
+    return overlaps
+
+
 def _pairs(bra: Shape, ket: Shape):
-    """:func:`inner_product`'s plan for two shapes: ``(kernel, overlaps)``.  ``kernel(c,
-    a, o)`` adds from 0j, per pair of terms of one occupation, conjugated bra amplitude
-    c[i] times ket amplitude a[j], occupation weight and its overlaps o[s]."""
+    """:func:`inner_product`'s plan for two shapes: ``(kernel(b, a, o), overlaps)``, the
+    sum of :func:`_pair_lines` over bra amplitudes b and ket amplitudes a."""
 
     def plan():
-        by_occ: dict[tuple, list[int]] = {}
-        for j, (occ, _) in enumerate(ket.keys):
-            by_occ.setdefault(occ, []).append(j)
-        pairs = [(i, j) for i, (occ, _) in enumerate(bra.keys) for j in by_occ.get(occ, ())]
-        labels = ([coh for _, coh in s.keys] for s in (bra, ket))
-        cells, combos, overlaps = _overlaps(pairs, *labels)
-        lines = ["def kernel(c, a, o):", "    t = 0j"]
-        for (i, j), cell in zip(pairs, cells):
-            slots = "".join(f" * o[{s}]" for s in combos[cell])
-            lines.append(f"    t += c[{i}] * a[{j}] * {_occ_norm(bra.keys[i][0])}{slots}")
-        lines.append("    return t")
-        return _kernel("\n".join(lines)), overlaps
+        lines = ["def kernel(b, a, o):"]
+        bras = [f"b[{i}]" for i in range(len(bra.keys))]
+        overlaps = _pair_lines(bra, ket, bras, [f"a[{j}]" for j in range(len(ket.keys))], lines)
+        return _kernel("\n".join(lines + ["    return t"])), overlaps
 
     return _recall(bra, ("pairs", ket), plan)
-
-
-def _paired(bra: PhotonicState, ket: PhotonicState, plan) -> complex:
-    """The sum of :func:`_pairs`' ``plan`` over the two states' amplitudes."""
-    kernel, overlaps = plan
-    return kernel([a.conjugate() for a in bra.amplitudes], ket.amplitudes, overlaps)
 
 
 def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
@@ -439,7 +457,8 @@ def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
         raise InvalidInput(
             f"register mismatch: {bra.registers} vs {ket.registers}"
         )
-    return _paired(bra, ket, _pairs(bra.shape, ket.shape))
+    kernel, overlaps = _pairs(bra.shape, ket.shape)
+    return kernel(bra.amplitudes, ket.amplitudes, overlaps)
 
 
 def norm_sq(state: PhotonicState) -> float:
@@ -468,25 +487,25 @@ def fidelity(state: PhotonicState, target: PhotonicState) -> float:
 
 
 def _traced_plan(shape: Shape, target: Shape):
-    """:func:`traced_fidelity`'s plan: ``(matched, grams)``.
-
-    ``matched`` holds, per term with an occupation of the target, its index,
-    the target terms of that occupation and its occupation weight; ``grams``
-    holds the register Gram product of every ordered pair of matched terms.
-    """
+    """:func:`traced_fidelity`'s plan, ``(kernel(A, T, G), grams)``: a term of a target
+    occupation weighs its amplitude, occupation weight and the conjugated sum of T there;
+    the kernel sums each weight, conjugated weight and Gram product G, all from 0j."""
     by_occ: dict[tuple, list[int]] = {}
     for j, (occ, _) in enumerate(target.keys):
         by_occ.setdefault(occ, []).append(j)
-    labels = [coh for _, coh in shape.keys]
-    matched = tuple(
-        (i, tuple(by_occ[occ]), _occ_norm(occ))
-        for i, (occ, _) in enumerate(shape.keys)
-        if occ in by_occ
-    )
+    matched = [(i, by_occ[occ], _occ_norm(occ)) for i, (occ, _) in enumerate(shape.keys)
+               if occ in by_occ]
+    labels, n = [coh for _, coh in shape.keys], len(matched)
     pairs = [(j, i) for i, _, _ in matched for j, _, _ in matched]
     cells, combos, overlaps = _overlaps(pairs, labels, labels)
     products = [math.prod([overlaps[s] for s in combo], start=1.0 + 0j) for combo in combos]
-    return matched, tuple(products[c] for c in cells)
+    lines = ["def kernel(A, T, G):"]
+    for k, (i, targets, w) in enumerate(matched):
+        summed = "".join(f" + T[{j}]" for j in targets)
+        lines.append(f"    w{k} = (0j{summed}).conjugate() * A[{i}] * {w}")
+    lines += [f"    v{k} = w{k}.conjugate()" for k in range(n)] + ["    t = 0j"]
+    lines += [f"    t += w{a} * v{b} * G[{a * n + b}]" for a in range(n) for b in range(n)]
+    return _kernel("\n".join(lines + ["    return t"])), tuple(products[c] for c in cells)
 
 
 def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
@@ -500,22 +519,10 @@ def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
     if not state.registers:
         return fidelity(state, target)
     shape, target_shape = state.shape, target.shape
-    matched, grams = _recall(
+    kernel, grams = _recall(
         shape, ("traced", target_shape), lambda: _traced_plan(shape, target_shape)
     )
-    amps, target_amps = state.amplitudes, target.amplitudes
-    weights = []
-    for i, targets, w in matched:
-        amp_t = 0j
-        for j in targets:
-            amp_t += target_amps[j]
-        weights.append(amp_t.conjugate() * amps[i] * w)
-    conj = [w.conjugate() for w in weights]
-    num = 0j
-    grams = iter(grams)
-    for wi in weights:
-        for wj, gram in zip(conj, grams):
-            num += wi * wj * gram
+    num = kernel(state.amplitudes, target.amplitudes, grams)
     denom = norm_sq(state) * norm_sq(target)
     if denom <= 0.0:
         raise InvalidInput("fidelity of a zero state is undefined")
@@ -558,13 +565,18 @@ class QutritCoefficients:
         return (complex(self.alpha), complex(self.beta), complex(self.gamma))
 
 
+def path_modes(path: str) -> tuple[Mode, Mode]:
+    """A path's ``(H, V)`` modes, built once per path."""
+    return _recall(None, ("modes", path), lambda: (Mode(path, H), Mode(path, V)))
+
+
 def make_biphotonic_qutrit(coeffs: QutritCoefficients, path: str = "in") -> PhotonicState:
     """Two photons in one path: levels |HH>, |HV>, |VV> with unit norm.
 
     The double-occupation levels carry 1/sqrt(2) so that the monomial norm
     (2! per doubly occupied slot) works out to |alpha|^2+|beta|^2+|gamma|^2.
     """
-    h, v = Mode(path, H), Mode(path, V)
+    h, v = path_modes(path)
     a, b, g = coeffs.as_tuple()
     return _built((((h, 2),), ((h, 1), (v, 1)), ((v, 2),)), [a / math.sqrt(2), b, g / math.sqrt(2)])
 
@@ -573,17 +585,18 @@ def make_spatial_qutrit(coeffs: QutritCoefficients, paths: tuple[str, str, str])
     """One photon spread over three paths, horizontally polarized."""
     if len(set(paths)) != 3:
         raise WiringError(f"spatial qutrit needs three distinct paths, got {paths}")
-    return _built([((Mode(p, H), 1),) for p in paths], list(coeffs.as_tuple()))
+    return _built([((path_modes(p)[0], 1),) for p in paths], list(coeffs.as_tuple()))
 
 
 def single_photon(path: str, pol: str = H) -> PhotonicState:
-    return _built([((Mode(path, pol), 1),)], [1 + 0j])
+    mode = path_modes(path)[POLS.index(pol)] if pol in POLS else Mode(path, pol)  # refuses
+    return _built([((mode, 1),)], [1 + 0j])
 
 
 def ancilla_plus(path: str) -> PhotonicState:
     """One photon in (|H> + |V>)/sqrt(2) on the given path."""
     s = complex(1.0 / math.sqrt(2))
-    return _built([((Mode(path, H), 1),), ((Mode(path, V), 1),)], [s, s])
+    return _built([((mode, 1),) for mode in path_modes(path)], [s, s])
 
 
 def vacuum_state() -> PhotonicState:
@@ -604,14 +617,14 @@ def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
         pairs = list(itertools.product(enumerate(shape_a.keys), enumerate(shape_b.keys)))
         keys = [(_capped(tuple(sorted(x[0] + y[0]))), x[1] + y[1]) for (_, x), (_, y) in pairs]
         parts = [f"A[{i}] * B[{j}]" for (i, _), (j, _) in pairs]
-        return _merge_plan(keys, parts, ["def kernel(A, B):"])
+        return _merge_plan(keys, parts, ["def kernel(A, B, E):"])
 
     kernel, out_shape = _recall(shape_a, ("tensor", shape_b.keys, shape_b.bits), plan)
     if set(a.registers) & set(b.registers):
         raise WiringError("tensor factors share register labels")
-    sums = kernel(a.amplitudes, b.amplitudes)
+    merged = kernel(a.amplitudes, b.amplitudes, PRUNE_EPS)
     born_weight = float(a.born_weight * b.born_weight)
-    return _grouped_state(a.registers + b.registers, sums, born_weight, out_shape)
+    return _grouped_state(a.registers + b.registers, merged, born_weight, out_shape)
 
 
 def relabel_paths(state: PhotonicState, mapping: Mapping[str, str]) -> PhotonicState:

@@ -9,6 +9,9 @@ The measurements expect canonical input (merged, pruned, sorted terms), as
 every function of this package returns it.  Any subset of canonical terms is
 canonical, so a branch keeps the kept terms' amplitudes and the subset of
 their shape as they stand instead of merging and sorting them again.
+
+Each outcome is a kernel (``fock._kernel``) per input shape: it gathers or merges the
+kept terms, sums their norm, cuts p at PROB_EPS and renormalizes; strips are kernels too.
 """
 
 from __future__ import annotations
@@ -20,15 +23,25 @@ from typing import Iterable, Mapping, Sequence
 
 from .elements import apply_phase_shift, apply_sigma_x
 from .fock import (
+    PRUNE_EPS,
     InvalidInput,
     Mode,
     PhotonicState,
     WiringError,
     _columns,
+    _group_lines,
+    _grouped_state,
+    _interned,
+    _kernel,
+    _merge_plan,
+    _norm_lines,
+    _pruned,
     _recall,
-    _regrouped,
+    _sum_lines,
+    _verdict,
     fidelity,
     norm_sq,
+    path_modes,
     scaled,
 )
 
@@ -78,11 +91,6 @@ class BranchDistribution:
         return min(numbered, key=lambda o: abs(o.value - value))
 
 
-def path_modes(path: str) -> tuple[Mode, Mode]:
-    """A path's ``(H, V)`` modes, built once per path."""
-    return _recall(None, ("modes", path), lambda: (Mode(path, "H"), Mode(path, "V")))
-
-
 def _norm_in(state: PhotonicState, action: str) -> float:
     """Squared norm of a state about to be measured; refuses a zero state."""
     n2 = norm_sq(state)
@@ -91,37 +99,49 @@ def _norm_in(state: PhotonicState, action: str) -> float:
     return n2
 
 
-def _branch(kept: PhotonicState, norm_in: float) -> tuple[float, PhotonicState]:
-    """Renormalize ``kept``, the kept part of a state whose squared norm is ``norm_in``.
+def _outcome_plan(keys, parts: list[str], values=(), grouped: bool = False):
+    """An outcome's plan, ``(kernel, shape, values, overlaps)``: kept terms of ``keys`` with
+    amplitudes ``parts``, source expressions of input column A and ``values`` V, merged if
+    ``grouped`` into ``shape``.  ``kernel(A, V, o, n, P, E)`` sums their norm m as ``shape``
+    does; it returns nothing if p = m / n <= P, else p, the amplitudes over sqrt(m) and, if
+    some abs is at most E, the merged sums, which prune them."""
+    lines = ["def kernel(A, V, o, n, P, E):"]
+    if grouped:
+        names, shape = _group_lines(keys, parts, lines)
+    else:
+        names, shape = parts, _interned(tuple(keys))
+    total, overlaps = _norm_lines(shape, names, lines)
+    lines += [f"    m = {total}", "    p = m / n", "    if p <= P:", "        return",
+              "    f = 1 / sqrt(m)", f"    c = [{', '.join(f'{g} * f' for g in names)}]"]
+    if grouped:
+        lines += [f"    if not ({_verdict(names)}):", f"        return p, c, [{', '.join(names)}]"]
+    return _kernel("\n".join(lines + ["    return p, c, ()"])), shape, tuple(values), overlaps
 
-    Returns ``(p, branch)``: ``p`` is the kept share of the norm and the
-    branch's born weight is ``kept.born_weight * p``.  A share at or below
-    ``PROB_EPS`` gives ``(0.0, empty state)``.
-    """
-    n2 = norm_sq(kept)
-    p = n2 / norm_in
-    if p <= PROB_EPS:
-        return 0.0, PhotonicState(kept.registers, (), 0.0)
-    factor = 1.0 / math.sqrt(n2)
-    amps = [a * factor for a in kept.amplitudes]
-    return p, _columns(kept.registers, amps, kept.born_weight * p, kept.shape)
+
+def _outcome(state, op, plan, norm_in: float, registers, born_weight):
+    """``(p, branch)`` of the outcome ``op`` that ``plan()`` builds, of a state of squared norm
+    ``norm_in``: born weight ``born_weight * p``, or ``(0.0, empty state)`` at p <= PROB_EPS."""
+    kernel, shape, values, overlaps = _recall(state.shape, op, plan)
+    out = kernel(state.amplitudes, values, overlaps, norm_in, PROB_EPS, PRUNE_EPS)
+    if out is None:
+        return 0.0, PhotonicState(registers, (), 0.0)
+    p, column, sums = out
+    if sums:
+        shape, column = _pruned(shape, sums, column)
+    return p, _columns(registers, column, born_weight * p, shape)
 
 
 def _selected(state: PhotonicState, needs: tuple, norm_in: float) -> tuple[float, PhotonicState]:
-    """:func:`_branch` of the terms of a canonical state that hold ``lo`` to ``hi``
+    """The outcome of the terms of a canonical state that hold ``lo`` to ``hi``
     photons in the ``watched`` modes of every ``(watched, lo, hi)`` in ``needs``."""
     shape = state.shape
 
-    def kept():
+    def plan():
         counts = [(shape.photons(watched), lo, hi) for watched, lo, hi in needs]
-        idx = tuple(
-            k for k in range(len(shape.keys)) if all(lo <= c[k] <= hi for c, lo, hi in counts)
-        )
-        return idx, shape.subset(idx)
+        idx = [k for k in range(len(shape.keys)) if all(lo <= c[k] <= hi for c, lo, hi in counts)]
+        return _outcome_plan([shape.keys[k] for k in idx], [f"A[{k}]" for k in idx])
 
-    idx, kept_shape = _recall(shape, ("kept", needs), kept)
-    amps = list(map(state.amplitudes.__getitem__, idx))
-    return _branch(_columns(state.registers, amps, state.born_weight, kept_shape), norm_in)
+    return _outcome(state, ("kept", needs), plan, norm_in, state.registers, state.born_weight)
 
 
 def detect_non_resolving(state: PhotonicState, modes: Iterable[Mode]) -> BranchDistribution:
@@ -172,53 +192,66 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
     """
     watched = frozenset(modes)
     shape = state.shape
-
-    def layout():
-        # per detector signature: its (term, column) pairs and, per column, its
-        # rest occupation and first term; a column is a rest signature
-        column_of, rows = {}, {}
-        for i, (occ, coh) in enumerate(shape.keys):
-            rest = (tuple((m, n) for m, n in occ if m not in watched), coh)
-            j = column_of.setdefault(rest, len(column_of))
-            det = tuple((m, n) for m, n in occ if m in watched)
-            members, firsts = rows.setdefault(det, ([], {}))
-            members.append((i, j))
-            firsts.setdefault(j, (rest[0], i))
-        return tuple((tuple(members), tuple(firsts.values())) for members, firsts in rows.values())
-
-    split = _recall(shape, ("strip", watched), layout)
-    amps = state.amplitudes
-    rows = []
-    for members, _ in split:
-        row: dict[int, complex] = {}
-        for i, j in members:
-            row[j] = row.get(j, 0j) + amps[i]
-        rows.append(row)
-    if not rows:
+    if not shape.keys:
         raise InvalidInput("cannot strip modes from a zero state")
-    # rank-1 check: every row must be proportional to the heaviest row
-    tol = 1e-9 * max(1.0, max(abs(a) for row in rows for a in row.values()) ** 2)
-    heaviest = max(range(len(rows)), key=lambda r: _summed(abs(a) ** 2 for a in rows[r].values()))
-    ref = rows.pop(heaviest)  # proportional to itself
-    j0 = max(ref, key=lambda k: abs(ref[k]))
-    for row in rows:
-        rj0 = row.get(j0, 0j)
-        for key in set(ref) | set(row):
-            lhs = row.get(key, 0j) * ref[j0]
-            rhs = rj0 * ref.get(key, 0j)
-            if abs(lhs - rhs) > tol:
-                raise WiringError(
-                    "watched modes are entangled with the rest; cannot strip"
-                )
-    rest, sources = zip(*split[heaviest][1])
-    stripped = _regrouped(
-        state, ("rest", watched, heaviest), sources, list(ref.values()), state.registers,
-        rekeyed=lambda keys: [(occ, coh) for occ, (_, coh) in zip(rest, keys)],
-    )
+    kernel, rows = _recall(shape, ("strip", watched), lambda: _strip_plan(shape, watched))
+    entries, tol, h, j = kernel(state.amplitudes, 1e-9, 1.0)  # the rank-1 tolerance factors
+    check, rest = _recall(shape, ("rank1", watched, h, j), lambda: _rank1_plan(shape, rows, h, j))
+    merged = check(entries, tol, PRUNE_EPS)
+    if merged is None:
+        raise WiringError("watched modes are entangled with the rest; cannot strip")
+    stripped = _grouped_state(state.registers, merged, float(state.born_weight), rest)
     n2 = norm_sq(stripped)
     if n2 <= PROB_EPS:
         raise InvalidInput("stripped state vanished")
     return scaled(stripped, (norm_sq(state) / n2) ** 0.5)
+
+
+def _strip_plan(shape, watched: frozenset):
+    """:func:`strip_modes`' plan: ``(kernel, rows)``.  Per detector signature (row) and rest
+    signature (column), first seen first, ``rows`` holds column, entry, rest and first term.
+    ``kernel(A, K, U)`` returns the entries, each summed from 0j, tolerance K * max(U, max
+    |entry|^2), heaviest row (sum of |entry|^2) and pivot (largest |entry|); first of equals."""
+    columns, cells = {}, {}
+    for i, (occ, coh) in enumerate(shape.keys):
+        rest = (tuple((m, n) for m, n in occ if m not in watched), coh)
+        cell = tuple((m, n) for m, n in occ if m in watched), columns.setdefault(rest, len(columns))
+        cells.setdefault(cell, (rest[0], []))[1].append(i)
+    lines, rows = ["def kernel(A, K, U):"], {}
+    for e, ((det, j), (rest, members)) in enumerate(cells.items()):
+        _sum_lines(["0j"] + [f"A[{i}]" for i in members], f"r{e}", lines)
+        lines.append(f"    x{e} = abs(r{e})")
+        rows.setdefault(det, []).append((j, e, rest, members[0]))
+    rows = tuple(map(tuple, rows.values()))
+    x = [[f"x{e}" for _, e, _, _ in row] for row in rows]
+    lines += [f"    w{r} = {' + '.join(f'{a} ** 2' for a in row)}" for r, row in enumerate(x)]
+    lines += ["    h, m = 0, w0"] + [f"    if w{r} > m: h, m = {r}, w{r}" for r in range(1, len(x))]
+    for r, row in enumerate(x):
+        lines += [f"    {'elif' if r else 'if'} h == {r}:", f"        j, b = 0, {row[0]}"]
+        lines += [f"        if {a} > b: j, b = {at}, {a}" for at, a in enumerate(row[1:], 1)]
+    top = f"max([{', '.join(a for row in x for a in row)}])"
+    lines.append(f"    return [{', '.join(f'r{e}' for e in range(len(cells)))}], "
+                 f"K * max(U, {top} ** 2), h, j")
+    return _kernel("\n".join(lines)), rows
+
+
+def _rank1_plan(shape, rows, h: int, j: int):
+    """:func:`strip_modes`' rank-1 check for heaviest row ``h`` and pivot ``j``: the merge
+    plan of the row's entries on its columns' rest keys, whose ``kernel(R, T, E)`` returns
+    nothing if another row's entry times the pivot is more than T from its pivot-column
+    entry times the heavy row's (0j where absent)."""
+
+    def at(side, col):
+        return f"R[{side[col]}]" if col in side else "0j"
+
+    cols, kept, rest, sources = zip(*rows[h])
+    ref, checks = dict(zip(cols, kept)), []
+    for row in (dict((c, e) for c, e, _, _ in row) for row in rows[:h] + rows[h + 1 :]):
+        checks += [f"abs({at(row, c)} * R[{kept[j]}] - {at(row, cols[j])} * {at(ref, c)}) > T"
+                   for c in {**ref, **row}]
+    test = [f"    if {' or '.join(checks)}:", "        return"] if checks else []
+    keys = [(occ, shape.keys[i][1]) for occ, i in zip(rest, sources)]
+    return _merge_plan(keys, [f"R[{e}]" for e in kept], ["def kernel(R, T, E):", *test])
 
 
 @dataclass(frozen=True)
@@ -299,22 +332,31 @@ def erase_and_merge(
     probability of each label)``; a label that never occurs has probability 0
     and no branch.
     """
-    strip = tuple(strip)
+    keep, strip = None if keep is None else tuple(keep), tuple(strip)
+
+    def wiring():  # per label its needs and the modes to strip; ports of one path overlap
+        labels = []
+        for label, fired in ports.items():
+            needs = tuple((frozenset(path_modes(p)), *((1, math.inf) if p == fired else (0, 0)))
+                          for p in ports.values())
+            labels.append((label, needs, frozenset(path_modes(fired) + strip)))
+        overlap = len(set(ports.values())) < len(ports)
+        return labels, overlap, None if keep is None else ((frozenset(keep), 1, 1),)
+
+    labels, overlap, kept = _recall(None, ("eraser", tuple(ports.items()), keep, strip), wiring)
     probabilities: dict[str, float] = {}
     branches = []
-    for label, fired in ports.items():
-        pattern = [
-            (path_modes(path), "click" if path == fired else "no-click")
-            for path in ports.values()
-        ]
-        p, branch = post_select_coincidence(state, pattern)
-        if p > 0.0 and keep is not None:
-            q, branch = project_total_photons(branch, keep, 1)
+    for label, needs, watched in labels:
+        if overlap:
+            raise WiringError("post-selection mode groups overlap")
+        p, branch = _selected(state, needs, _norm_in(state, "post-select"))
+        if p > 0.0 and kept is not None:
+            q, branch = _selected(branch, kept, _norm_in(branch, "project"))
             p *= q
         probabilities[label] = p
         if p == 0.0:
             continue
         branch = rule.apply(label, branch)
-        branches.append((p, strip_modes(branch, path_modes(fired) + strip)))
+        branches.append((p, strip_modes(branch, watched)))
     total, merged, min_fid = merge_branches(branches, tol=tol)
     return total, merged, min_fid, probabilities

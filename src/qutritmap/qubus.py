@@ -29,7 +29,7 @@ from .fock import (
     inner_product,
     norm_sq,
 )
-from .measurement import PROB_EPS, BranchDistribution, Outcome, _branch, _norm_in
+from .measurement import PROB_EPS, BranchDistribution, Outcome, _norm_in, _outcome, _outcome_plan
 
 
 def add_register(state: PhotonicState, register: str, alpha0: complex) -> PhotonicState:
@@ -48,12 +48,30 @@ def _register_index(state: PhotonicState, register: str) -> int:
         raise InvalidInput(f"no register {register!r} attached") from None
 
 
-def _dropped(state, idx: int, members: tuple[int, ...], amplitudes) -> PhotonicState:
+def _dropped(state, idx: int, members: tuple[int, ...], amplitudes, prune=True):
     """The canonical state of the terms at ``members``, register ``idx`` removed,
     that carry ``amplitudes``; dropping the register can bring terms together."""
     regs = state.registers[:idx] + state.registers[idx + 1 :]
-    return _regrouped(state, ("drop", idx, members), members, amplitudes, regs,
+    return _regrouped(state, ("drop", idx, members), members, amplitudes, regs, prune=prune,
                       rekeyed=lambda keys: [(occ, c[:idx] + c[idx + 1 :]) for occ, c in keys])
+
+
+def _read(state, idx: int, op: tuple, norm_in: float, members, chains):
+    """``(p, branch)`` of readout outcome ``op`` of register ``idx``: the terms at
+    ``members``, each times its ``chains`` of factors, merged without the register."""
+    shape = state.shape
+
+    def plan():
+        keys = [(occ, c[:idx] + c[idx + 1 :]) for occ, c in map(shape.keys.__getitem__, members)]
+        parts, values = [], []
+        for k, chain in zip(members, chains):
+            refs = range(len(values), len(values) + len(chain))
+            parts.append(f"A[{k}]" + "".join(f" * V[{v}]" for v in refs))
+            values += chain
+        return _outcome_plan(keys, parts, values, grouped=True)
+
+    registers = state.registers[:idx] + state.registers[idx + 1 :]
+    return _outcome(state, op, plan, norm_in, registers, float(state.born_weight))
 
 
 def _relabeled(state: PhotonicState, op: tuple, registers, relabel) -> PhotonicState:
@@ -158,68 +176,56 @@ def project_photon_number(
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
     shape = state.shape
-    plan = _recall(shape, ("readout", idx, mode), lambda: _readout_plan(shape, idx, mode))
-    zero, lit, factors, pure, mixed = plan
-    amps = state.amplitudes
-    plain = list(map(amps.__getitem__, zero if mode == "ideal" else lit))
-    rescaled = [amps[k] * f for k, f in zip(lit if mode == "ideal" else zero, factors)]
-    zero_amps, lit_amps = (plain, rescaled) if mode == "ideal" else (rescaled, plain)
-    # Merges and order do not depend on amplitudes: one grouping serves "0", one
-    # serves both "odd" and "even".
-    classes = [("0", *_branch(_dropped(state, idx, zero, zero_amps), norm_in))]
-    if pure is not None:
-        signs, k_odd, k_even = pure
-        odd = [a * s * k_odd for a, s in zip(lit_amps, signs)]
-        classes.append(("odd", *_branch(_dropped(state, idx, lit, odd), norm_in)))
-        even = [a * k_even for a in lit_amps]
-        classes.append(("even", *_branch(_dropped(state, idx, lit, even), norm_in)))
-    elif mixed is not None:
-        vacuum, lit_shape, mirror_shape = mixed
-        vac = norm_sq(_dropped(state, idx, lit, [a * f for a, f in zip(lit_amps, vacuum)]))
-        psi = _columns(state.registers, lit_amps, 1.0, lit_shape)
-        mirror = _columns(state.registers, lit_amps, 1.0, mirror_shape)
-        for label, mass in _mixed_masses(psi, mirror, vac):
-            classes.append((label, mass / norm_in, None))
+    pure, mixed = _recall(shape, ("readout", idx, mode), lambda: _readout_plan(shape, idx, mode))
+    classes = [(label, *_read(state, idx, ("readout", idx, mode, label), norm_in, *terms))
+               for label, *terms in pure]
+    if mixed is not None:
+        # From the class Gram of psi, the lit terms: e^{z-m} = <b|b'>, e^{-z-m} = <b|-b'>;
+        # with P the parity b -> -b, the odd mass is (<psi|psi> - <psi|P psi>)/2 and the
+        # even (<psi|psi> + <psi|P psi>)/2 less vac, the unpruned norm of psi's vacuum part.
+        lit, factors, vacuum = mixed
+        amps = [state.amplitudes[k] for k in lit]
+        lit_amps = [a * f for a, f in zip(amps, factors)] if factors else amps
+        vac = norm_sq(_dropped(state, idx, lit, [a * f for a, f in zip(lit_amps, vacuum)], False))
+        lit_shape = shape.subset(lit)
+        mirror_shape = _recall(lit_shape, ("mirror", idx), lambda: _interned(tuple(
+            (occ, c[:idx] + (-c[idx],) + c[idx + 1 :]) for occ, c in lit_shape.keys)))
+        psi, mirror = (_columns(state.registers, lit_amps, 1.0, s)
+                       for s in (lit_shape, mirror_shape))
+        n2, flip = inner_product(psi, psi).real, inner_product(psi, mirror).real
+        classes += [("odd", 0.5 * (n2 - flip) / norm_in, None),
+                    ("even", (0.5 * (n2 + flip) - vac) / norm_in, None)]
     outcomes = [Outcome(label, None, p, branch) for label, p, branch in classes if p > PROB_EPS]
     return BranchDistribution(tuple(outcomes))
 
 
 def _readout_plan(shape, idx: int, mode: str):
-    """What :func:`project_photon_number` reads from labels ``idx``: the terms that feed
-    "0" and those that feed "odd" and "even"; the rescale factors of ``lit`` (ideal) or
-    of ``zero`` (physical); ``(signs, k_odd, k_even)`` if the lit labels are +beta or
-    -beta of one beta, else, if any, their vacuum overlaps and the shapes of the lit
-    terms and of their mirror images (label ``idx`` negated)."""
+    """What :func:`project_photon_number` reads from labels ``idx``: per pure class, label,
+    members and their chains of factors ("0": undisplaced terms, or all times <0|b> if
+    physical; "odd", "even" if lit labels are +beta or -beta of one beta: lit terms, rescaled
+    if ideal, times sign and k_odd or times k_even); else any lit terms, rescales, <0|b>."""
     betas = [coh[idx] for _, coh in shape.keys]
     quiet = [abs(b) <= COHERENT_MERGE_EPS for b in betas]
     lit = tuple(k for k, q in enumerate(quiet) if not q)
-    zero = tuple(k for k, q in enumerate(quiet) if q or mode == "physical")
     if mode == "ideal":
         factors = tuple(1.0 / math.sqrt(-math.expm1(-abs(betas[k]) ** 2)) for k in lit)
+        zero = tuple(k for k, q in enumerate(quiet) if q)
+        pure = [("0", zero, [()] * len(zero))]
     else:
-        factors = tuple(math.exp(-0.5 * abs(betas[k]) ** 2) for k in zero)  # times <0|b>
+        factors = ()
+        pure = [("0", tuple(range(len(betas))), [(math.exp(-0.5 * abs(b) ** 2),) for b in betas])]
+    heads = [(f,) for f in factors] or [()] * len(lit)
     lit_betas = [betas[k] for k in lit]
     signs = tuple(1.0 if abs(b - lit_betas[0]) <= COHERENT_MERGE_EPS else -1.0 for b in lit_betas)
     if lit and all(abs(b - s * lit_betas[0]) <= COHERENT_MERGE_EPS
                    for b, s in zip(lit_betas, signs)):
         m = abs(lit_betas[0]) ** 2
         k_odd, k_even = math.sqrt(-0.5 * math.expm1(-2.0 * m)), -math.expm1(-m) / math.sqrt(2.0)
-        return zero, lit, factors, (signs, k_odd, k_even), None
-    if not lit:
-        return zero, lit, factors, None, None
-    lit_shape, vacuum = shape.subset(lit), tuple(math.exp(-0.5 * abs(b) ** 2) for b in lit_betas)
-    mirrored = tuple((occ, c[:idx] + (-c[idx],) + c[idx + 1 :]) for occ, c in lit_shape.keys)
-    return zero, lit, factors, None, (vacuum, lit_shape, _interned(mirrored))
-
-
-def _mixed_masses(psi: PhotonicState, mirror: PhotonicState, vac: float):
-    """``(label, mass)`` of "odd" and "even" from the class Gram of ``psi``, the lit
-    terms.  e^{z-m} = <b|b'> and e^{-z-m} = <b|-b'>, so with P the parity b -> -b and
-    ``mirror`` = P psi, the odd mass is (<psi|psi> - <psi|P psi>)/2 and the even mass
-    (<psi|psi> + <psi|P psi>)/2 less ``vac``, the norm of psi's vacuum part."""
-    n2 = inner_product(psi, psi).real
-    flip = inner_product(psi, mirror).real
-    return [("odd", 0.5 * (n2 - flip)), ("even", 0.5 * (n2 + flip) - vac)]
+        pure.append(("odd", lit, [h + (s, k_odd) for h, s in zip(heads, signs)]))
+        pure.append(("even", lit, [h + (k_even,) for h in heads]))
+    elif lit:
+        return pure, (lit, factors, tuple(math.exp(-0.5 * abs(b) ** 2) for b in lit_betas))
+    return pure, None
 
 
 def project_quadrature_x(
@@ -252,8 +258,7 @@ def project_quadrature_x(
 
     outcomes = []
     for label, x0, kept in _recall(shape, ("quadrature", idx), groups):
-        amps = list(map(state.amplitudes.__getitem__, kept))
-        p, branch = _branch(_dropped(state, idx, kept, amps), norm_in)
+        p, branch = _read(state, idx, ("quadrature", idx, kept), norm_in, kept, [()] * len(kept))
         if p > 0.0:
             outcomes.append(Outcome(label, x0, p, branch))
     return BranchDistribution(tuple(outcomes))

@@ -48,7 +48,13 @@ from qutritmap.fock import (
     tensor,
     vacuum_state,
 )
-from qutritmap.measurement import PROB_EPS, merge_branches, path_modes, strip_modes
+from qutritmap.measurement import (
+    FeedForwardRule,
+    erase_and_merge,
+    merge_branches,
+    path_modes,
+    strip_modes,
+)
 from qutritmap.qubus import add_register, drop_register, project_quadrature_x
 from qutritmap.sampling import haar_unitary, random_qutrit
 from qutritmap.schemes import SCHEMES
@@ -61,6 +67,7 @@ from test_shape import (
     label,
     reference_canonical,
     reference_inner,
+    reference_read,
     specs,
 )
 
@@ -131,16 +138,6 @@ def ref_drop_register(state, register):
     return reference_canonical(without(state.registers, idx), keyed, state.born_weight)
 
 
-def ref_branch(kept, norm_in):
-    n2 = reference_inner(kept, kept).real
-    p = n2 / norm_in
-    if p <= PROB_EPS:
-        return 0.0, PhotonicState(kept.registers, (), 0.0)
-    f = 1.0 / math.sqrt(n2)
-    terms = tuple(t._replace(amplitude=t.amplitude * f) for t in kept.terms)
-    return p, PhotonicState(kept.registers, terms, kept.born_weight * p)
-
-
 def ref_quadrature(state, register):
     idx = state.registers.index(register)
     norm_in = reference_inner(state, state).real
@@ -153,8 +150,9 @@ def ref_quadrature(state, register):
     for x0 in sorted(centers):
         keyed = [(t.occ, without(t.coherent, idx), t.amplitude) for t in state.terms
                  if abs(t.coherent[idx].real - x0) <= COHERENT_MERGE_EPS]
-        p, branch = ref_branch(
-            reference_canonical(without(state.registers, idx), keyed, state.born_weight), norm_in
+        p, branch = reference_read(
+            reference_canonical(without(state.registers, idx), keyed, state.born_weight, False),
+            norm_in,
         )
         if p > 0.0:
             outcomes.append((f"x={x0:.9g}", p.hex(), bits(branch)))
@@ -357,6 +355,8 @@ def test_failed_checks_raise_on_every_call():
     probed = add_register(a, "r", 1.0)
     correlated = build_state(("r",), [FockTerm.from_occupations({Mode(p, H): 1}, (x,))
                                       for p, x in (("a", 1.0), ("b", 2.0))])
+    entangled = build_state((), [FockTerm.from_occupations({Mode("a", p): 1, Mode("d", p): 1})
+                                 for p in (H, V)])
     cases = [
         (WiringError, "share paths", lambda: tensor(a, single_photon("a", V))),
         (WiringError, "share register", lambda: tensor(probed, add_register(b, "r", 1.0))),
@@ -364,6 +364,9 @@ def test_failed_checks_raise_on_every_call():
         (WiringError, "both map to", lambda: relabel_paths(tensor(a, b), {"a": "b"})),
         (PhotonCapExceeded, "5 photons", lambda: relabel_paths(crowded, {"d": "e"})),
         (WiringError, "correlated", lambda: drop_register(correlated, "r")),
+        (WiringError, "entangled", lambda: strip_modes(entangled, path_modes("d"))),
+        (WiringError, "overlap",
+         lambda: erase_and_merge(entangled, {"x": "a", "y": "a"}, FeedForwardRule({}))),
     ]
     for error, match, call in cases:
         fock._MEMO.clear()

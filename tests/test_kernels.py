@@ -140,6 +140,7 @@ RUNS = (
     ("u3-linear", {}),
     ("kerr-forward", {"meas_mode": "physical", "qubus_alpha": 2.0}),
     ("entangler", {"qubus_alpha": 5.0}),
+    ("u3-kerr", {"qubus_alpha": 5.0}),  # a quadrature readout
 )
 
 

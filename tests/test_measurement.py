@@ -37,6 +37,7 @@ from qutritmap.measurement import (
     project_total_photons,
     strip_modes,
 )
+from test_outcomes import branch_loop
 
 
 def two_branch_state():
@@ -276,9 +277,11 @@ canonical_term = st.tuples(
 )
 
 
-def rebuilt_branch(kept, norm_in, _branch=measurement._branch):
-    """The branch step as it was: the kept subset rebuilt through build_state."""
-    return _branch(build_state(kept.registers, kept.terms, kept.born_weight), norm_in)
+def rebuilt_selection(state, needs, norm_in):
+    """The selection step as it was: the kept subset rebuilt through build_state."""
+    kept = [t for t in state.terms
+            if all(lo <= sum(n for m, n in t.occ if m in w) <= hi for w, lo, hi in needs)]
+    return branch_loop(build_state(state.registers, kept, state.born_weight), norm_in)
 
 
 def outcome_repr(fn, *args):
@@ -311,6 +314,6 @@ def test_branches_keep_canonical_terms_as_they_stand(nregs, specs, born_weight, 
         (project_total_photons, state, watched, n),
     ]
     got = [outcome_repr(*call) for call in calls]
-    with mock.patch.object(measurement, "_branch", rebuilt_branch):
+    with mock.patch.object(measurement, "_selected", rebuilt_selection):
         want = [outcome_repr(*call) for call in calls]
     assert got == want

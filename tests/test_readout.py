@@ -31,7 +31,7 @@ from qutritmap.fock import (
     inner_product,
     norm_sq,
 )
-from qutritmap.measurement import _branch, _norm_in
+from qutritmap.measurement import _norm_in
 from qutritmap.qubus import _register_index, project_photon_number
 from qutritmap.sampling import haar_unitary, random_qutrit
 from qutritmap.schemes import (
@@ -43,6 +43,7 @@ from qutritmap.schemes import (
     scheme_kerr_inverse,
     u3_biphotonic,
 )
+from test_outcomes import branch_loop
 
 TAIL = 1e-17
 
@@ -96,7 +97,7 @@ def reference_per_n(state, register, mode="ideal"):
     while True:
         regs, terms = without_register(state, idx, lambda t, n=n: weight(t, n))
         raw = PhotonicState(regs, tuple(terms))
-        _, branch = _branch(build_state(regs, terms, state.born_weight), norm_in)
+        _, branch = branch_loop(build_state(regs, terms, state.born_weight), norm_in)
         out.append((n, inner_product(raw, raw).real / norm_in, branch))
         # Triangle bound on p(n), the other registers' overlaps being at most
         # 1; past n = 2 mu it at least halves with each n, so the tail after
@@ -204,6 +205,13 @@ def labelled_state(pools, specs, born_weight=1.0):
     mode=st.sampled_from(("ideal", "physical")),
     born_weight=st.sampled_from((1.0, 0.375)),
 )
+@example(  # two terms at PRUNE_EPS merge to 2e-12, whose "even" amplitude a prune took
+    pools=[[0.25j], [0j, 0.25j]],
+    specs=[(0, [0, 0, 0], PRUNE_EPS), (0, [0, 0, 0], PRUNE_EPS), (0, [0, 1, 0], 0.0625)],
+    pick=0,
+    mode="ideal",
+    born_weight=1.0,
+)
 @settings(max_examples=150, deadline=None)
 def test_readout_matches_per_outcome_reference(pools, specs, pick, mode, born_weight):
     state = labelled_state(pools, specs, born_weight)
@@ -258,6 +266,12 @@ def class_label_sets(draw):
         (1, (2, 0), 2e-12 + 0j),
         (1, (0, 1), 1 + 0j),
     ],
+    mode="ideal",
+)
+@example(  # an "even" sum just below PRUNE_EPS beside an O(1) term
+    labels=[1.4142135623730951 + 0j, -1.4142135623730951 - 0j],
+    others=[0j, 0.25j],
+    specs=[(0, (0, 0), 1 + 0j), (0, (0, 1), 1.5e-12 + 0j)],
     mode="ideal",
 )
 @settings(max_examples=120, deadline=None)

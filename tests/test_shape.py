@@ -29,6 +29,7 @@ from qutritmap.fock import (
     InvalidInput,
     Mode,
     PhotonicState,
+    QutritCoefficients,
     build_state,
     coherent_overlap,
     inner_product,
@@ -56,6 +57,7 @@ from qutritmap.qubus import (
     project_photon_number,
     project_quadrature_x,
 )
+from qutritmap.schemes import scheme_kerr_forward
 
 PATHS = "abc"
 MODES = tuple(Mode(p, pol) for p in PATHS for pol in POLS)
@@ -347,9 +349,9 @@ def sort_key(t):
     return t.occ, [(round(c.real, 9), round(c.imag, 9)) for c in t.coherent]
 
 
-def reference_canonical(registers, keyed, born_weight):
+def reference_canonical(registers, keyed, born_weight, prune=True):
     """``(occ, labels, amplitude)`` merged into the first key within the merge
-    tolerance, summed in order, pruned and sorted."""
+    tolerance, summed in order, pruned (if ``prune``) and sorted."""
     groups = []
     for occ, coh, amp in keyed:
         for g in groups:
@@ -358,13 +360,28 @@ def reference_canonical(registers, keyed, born_weight):
                 break
         else:
             groups.append([occ, coh, amp])
-    kept = [FockTerm(occ, coh, amp) for occ, coh, amp in groups if abs(amp) > PRUNE_EPS]
+    kept = [FockTerm(occ, coh, amp) for occ, coh, amp in groups
+            if abs(amp) > PRUNE_EPS or not prune]
     return PhotonicState(tuple(registers), tuple(sorted(kept, key=sort_key)), born_weight)
 
 
 def reference_relabeled(state, relabel):
     terms = [FockTerm(t.occ, tuple(relabel(t)), t.amplitude) for t in state.terms]
     return PhotonicState(state.registers, tuple(sorted(terms, key=sort_key)), state.born_weight)
+
+
+def reference_read(merged, norm_in):
+    """The branch of one readout outcome from ``merged``, its merged and unpruned terms:
+    their squared norm serves both p and the renormalization, then the terms whose
+    sums are at or below PRUNE_EPS are pruned."""
+    n2 = reference_inner(merged, merged).real
+    p = n2 / norm_in
+    if p <= PROB_EPS:
+        return 0.0, PhotonicState(merged.registers, (), 0.0)
+    f = 1.0 / math.sqrt(n2)
+    terms = tuple(FockTerm(t.occ, t.coherent, t.amplitude * f)
+                  for t in merged.terms if abs(t.amplitude) > PRUNE_EPS)
+    return p, PhotonicState(merged.registers, terms, merged.born_weight * p)
 
 
 def reference_readout(state, register, mode):
@@ -375,18 +392,12 @@ def reference_readout(state, register, mode):
     if norm_in <= PROB_EPS:
         raise InvalidInput("cannot measure a zero state")
 
-    def merged(weighted):
+    def merged(weighted):  # unpruned: each outcome's norm is taken before the prune
         keyed = [(t.occ, t.coherent[:idx] + t.coherent[idx + 1 :], a) for t, a in weighted]
-        return reference_canonical(regs, keyed, state.born_weight)
+        return reference_canonical(regs, keyed, state.born_weight, prune=False)
 
     def branch(kept):
-        n2 = reference_inner(kept, kept).real
-        p = n2 / norm_in
-        if p <= PROB_EPS:
-            return 0.0, PhotonicState(kept.registers, (), 0.0)
-        f = 1.0 / math.sqrt(n2)
-        terms = tuple(FockTerm(t.occ, t.coherent, t.amplitude * f) for t in kept.terms)
-        return p, PhotonicState(kept.registers, terms, kept.born_weight * p)
+        return reference_read(kept, norm_in)
 
     x = [abs(t.coherent[idx]) ** 2 for t in state.terms]
     quiet = [abs(t.coherent[idx]) <= COHERENT_MERGE_EPS for t in state.terms]
@@ -623,6 +634,12 @@ def test_register_memo_stays_bounded_and_holds_two_shapes_per_entry():
         merge_branches([(0.5, stripped), (0.5, stripped)], tol=math.inf)
         project_quadrature_x(s, "r2")
         drop_register(add_register(base, "r3", 1.0), "r3")
+        if not k % 20:
+            # kerr-forward's probe labels are not +beta or -beta of one beta: its readout
+            # keeps the lit terms' shape and their mirror image in entries of their own
+            for mode in ("ideal", "physical"):
+                c = QutritCoefficients.normalize(0.6, 0.3j, -0.5 + k)
+                scheme_kerr_forward(c, meas_mode=mode)
 
     fock._MEMO.clear()
     sizes = []
@@ -638,7 +655,8 @@ def test_register_memo_stays_bounded_and_holds_two_shapes_per_entry():
                 kinds.add(op[0])
             assert shapes_in((key, value)) <= 2, op
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the bound was reached
-    assert {"pairs", "traced", "drop", "rest", "register", "xpm", "phase", "bs50"} <= kinds
+    assert {"pairs", "traced", "drop", "strip", "rank1", "register", "xpm", "phase", "bs50",
+            "kept", "readout", "quadrature", "mirror", "eraser"} <= kinds
 
 
 def test_merged_branch_keeps_its_shape_and_norm():
