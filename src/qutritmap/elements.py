@@ -12,7 +12,6 @@ import cmath
 import enum
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -23,13 +22,15 @@ from .fock import (
     Mode,
     PhotonicState,
     POLS,
-    PRUNE_EPS,
     Shape,
     WiringError,
-    _columns,
-    _grouped_state,
+    _Site,
+    _kernel,
     _merge_plan,
+    _photons,
     _recall,
+    _site,
+    _step,
     path_modes,
 )
 
@@ -74,16 +75,12 @@ class BeamSplitterSpec:
 
 
 def _substitution_plan(shape: Shape, op: tuple):
-    """What :func:`substitute_modes` computes that depends on no value.
-
-    ``shape`` is the input's and ``op`` the ``(mode, target modes)`` of the
-    mapping.  Returns ``kernel(A, T)`` and the output's shape before any prune,
-    whose merged groups (``fock._grouping``) carry their first member's
-    labels.  From the input amplitudes ``A`` and the mapping's coefficients
-    ``T`` (per mapped mode, one per target), the kernel computes each
-    multinomial coefficient n!/k1!*c1**k1/k2!*c2**k2... of a mapped (mode, n)
-    into ``C``, then each group's amplitude: its members ``A[src] * C[j0] *
-    C[j1] ...`` (one coefficient per mapped mode) added left to right.
+    """The :func:`fock._step` plan of :func:`substitute_modes` on an input of ``shape``
+    and the ``(mode, target modes)`` ``op`` of the mapping.  From the input amplitudes
+    ``A`` and the mapping's coefficients ``T`` (per mapped mode, one per target), its
+    kernel computes each multinomial coefficient n!/k1!*c1**k1/k2!*c2**k2... of a mapped
+    (mode, n) into ``M``, then each merged group's amplitude: its members ``A[src] *
+    M[j0] * M[j1] ...`` (one coefficient per mapped mode) added left to right.
     """
     slot_of = {mode: slot for slot, (mode, _) in enumerate(op)}
     coeffs, expansion_of = [], {}
@@ -111,12 +108,12 @@ def _substitution_plan(shape: Shape, op: tuple):
                     merged = dict(occ)
                     for i, k in pick.items():
                         merged[targets[i]] = merged.get(targets[i], 0) + k
-                    grown.append((merged, f"{product} * C[{base + j}]"))
+                    grown.append((merged, f"{product} * M[{base + j}]"))
             partials = grown
         for occ, product in partials:
             raw.append(product)
             raw_keys.append((tuple(sorted(occ.items())), coh))
-    lines = ["def kernel(A, T, E):", f"    C = [{', '.join(coeffs)}]"]
+    lines = ["def kernel(A, T, C, E, P):", f"    M = [{', '.join(coeffs)}]"]
     return _merge_plan(raw_keys, raw, lines)
 
 
@@ -128,67 +125,50 @@ def substitute_modes(
 
     ``(sum_i c_i b_i^dag)^n`` is expanded with multinomial coefficients;
     contributions landing on the same output mode accumulate occupation.
-    Which terms arise, merge and in what order depends only on the input's
-    shape and the mapped and target modes (:func:`_substitution_plan`, built
-    once per pair through ``fock._recall``); each call runs the plan's kernel
-    on the coefficients and the input amplitudes.
+    The plan (:func:`_substitution_plan`) is built once per input shape and
+    mapped and target modes; a call runs its kernel on the coefficients.
     """
-    return _substituted(state, *_wiring(mapping))
-
-
-def _wiring(mapping) -> tuple[tuple, list]:
-    """A mapping's ``(mode, target modes)`` and, per mapped mode, its coefficients."""
     targets = tuple(mapping.values())
     op = tuple((mode, tuple(m for m, _ in t)) for mode, t in zip(mapping, targets))
-    return op, [[c for _, c in t] for t in targets]
+    site = _site("substitute", (op,), lambda shape: _substitution_plan(shape, op))
+    return _step(state, site, [[c for _, c in t] for t in targets])[1]
 
 
-def _substituted(state: PhotonicState, op: tuple, coefficients) -> PhotonicState:
-    """:func:`substitute_modes` of the mapping that :func:`_wiring` splits in two."""
-    shape = state.shape
-    kernel, out_shape = _recall(shape, op, lambda: _substitution_plan(shape, op))
-    merged = kernel(state.amplitudes, coefficients, PRUNE_EPS)
-    return _grouped_state(state.registers, merged, float(state.born_weight), out_shape)
+def _substitution(kind: str, op: tuple, inputs: tuple = (), outputs: tuple = ()) -> _Site:
+    """The site of the substitution of ``(mode, target modes)`` ``op``, from ``inputs`` to
+    ``outputs``: it refuses repeated ports and, once per shape, outputs onto occupied
+    paths that are not inputs."""
+    ins = [p for p in inputs if p is not None]
+    if len(set(ins)) != len(ins):
+        raise WiringError(f"duplicate input paths {inputs}")
+    if len(set(outputs)) != len(outputs):
+        raise WiringError(f"duplicate output paths {outputs}")
 
-
-def _check_outputs(state, inputs, outputs):
-    """Refuse repeated ports, and outputs onto occupied paths that are not inputs."""
-    shape = state.shape
-
-    def check():
-        ins = [p for p in inputs if p is not None]
-        if len(set(ins)) != len(ins):
-            raise WiringError(f"duplicate input paths {inputs}")
-        if len(set(outputs)) != len(outputs):
-            raise WiringError(f"duplicate output paths {outputs}")
-        present = shape.paths()
+    def plan(shape):
         for out in outputs:
-            if out in present and out not in ins:
+            if out in shape.paths() and out not in ins:
                 msg = f"output path {out!r} already carries photons and is not an input"
                 raise WiringError(msg)
-        return True  # remembered per (shape, inputs, outputs): a failure never is
+        return _substitution_plan(shape, op)
 
-    _recall(shape, ("outputs", inputs, outputs), check)
+    return _Site(kind, plan)
 
 
 def _paths_substituted(state, inputs, outputs, matrix) -> PhotonicState:
-    """Send input path j, both polarizations, to ``sum_k matrix[k][j]`` output path k.
-
-    A ``None`` input is a vacuum port.  The substitution's modes are built once
-    per ``(inputs, outputs)``: each input mode with its target modes, and the
-    matrix column it reads.
-    """
+    """Send input path j, both polarizations, to ``sum_k matrix[k][j]`` output path k;
+    a ``None`` input is a vacuum port.  The site holds each input mode's target modes
+    and the matrix column it reads."""
     inputs, outputs = tuple(inputs), tuple(outputs)
-    _check_outputs(state, inputs, outputs)
 
-    def wiring():
+    def build():
         rows = [((Mode(pj, pol), tuple(Mode(pk, pol) for pk in outputs)), j)
                 for pol in POLS for j, pj in enumerate(inputs) if pj is not None]
-        return tuple(r for r, _ in rows), tuple(j for _, j in rows)
+        op = tuple(r for r, _ in rows)
+        return _substitution("paths", op, inputs, outputs), [j for _, j in rows]
 
-    op, js = _recall(None, ("paths", inputs, outputs), wiring)
+    site, js = _recall(None, ("paths", inputs, outputs), build)
     columns = list(zip(*matrix))
-    return _substituted(state, op, [columns[j] for j in js])
+    return _step(state, site, [columns[j] for j in js])[1]
 
 
 def apply_beam_splitter(
@@ -205,23 +185,28 @@ def apply_beam_splitter(
 
 def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> PhotonicState:
     """Multiply a canonical state by exp(i*n*phi); a path targets both pols."""
-    watched = _recall(None, ("watched", target), lambda: frozenset(
-        (target,) if isinstance(target, Mode) else path_modes(target)))
-    shape = state.shape
-    counts = shape.photons(watched)
-    factor = {n: cmath.exp(1j * n * phi) for n in set(counts)}
-    amps = list(map(operator.mul, state.amplitudes, map(factor.__getitem__, counts)))
-    return _columns(state.registers, amps, state.born_weight, shape)
+    return _step(state, _site("shift", (target,), lambda shape: _shift_plan(shape, target)), phi)[1]
+
+
+def _shift_plan(shape: Shape, target: str | Mode):
+    """:func:`apply_phase_shift`'s plan: each term times exp(i n phi), n its photon
+    count in the ``target``'s modes, one exponential per count."""
+    watched = frozenset((target,) if isinstance(target, Mode) else path_modes(target))
+    counts = [_photons(occ, watched) for occ, _ in shape.keys]
+    lines = ["def kernel(A, phi, C, E, P):"]
+    lines += [f"    f{n} = exp(complex(0, {n}) * phi)" for n in sorted(set(counts))]
+    column = ", ".join(f"A[{k}] * f{n}" for k, n in enumerate(counts))
+    return _kernel(lines, f"1, [{column}], ()"), (), shape
 
 
 def apply_sigma_x(state: PhotonicState, path: str) -> PhotonicState:
     """Swap H and V on one path (half-wave plate at 45 deg)."""
 
-    def mapping():
+    def build():
         h, v = Mode(path, "H"), Mode(path, "V")
-        return _wiring({h: ((v, 1.0),), v: ((h, 1.0),)})
+        return _substitution("sigma_x", ((h, (v,)), (v, (h,)))), [[1.0], [1.0]]
 
-    return _substituted(state, *_recall(None, ("sigma_x", path), mapping))
+    return _step(state, *_recall(None, ("sigma_x", path), build))[1]
 
 
 def route_pbs(
@@ -237,22 +222,25 @@ def route_pbs(
     reflects, so each H or V photon splits over both outputs.
     """
     in_paths, out_paths = tuple(in_paths), tuple(out_paths)
-    _check_outputs(state, in_paths, out_paths)
 
-    def mapping():  # no value enters it: built once per wiring
+    def build():  # no value enters it: built once per wiring
         if basis not in ("HV", "diag"):
             raise InvalidInput(f"unknown PBS basis {basis!r}")
-        out = {}
+        op, coefficients = [], []
         for src, (trans, refl) in zip(in_paths, (out_paths, out_paths[::-1])):
             for pol, s in (("H", 0.5), ("V", -0.5)):  # diag: H+V transmits, H-V reflects
-                if src is not None and basis == "HV":
-                    out[Mode(src, pol)] = [(Mode(trans if pol == "H" else refl, pol), 1.0)]
-                elif src is not None:
-                    out[Mode(src, pol)] = [(Mode(trans, "H"), 0.5), (Mode(trans, "V"), 0.5),
-                                           (Mode(refl, "H"), s), (Mode(refl, "V"), -s)]
-        return _wiring(out)
+                if src is None:
+                    continue
+                if basis == "HV":
+                    out = [(Mode(trans if pol == "H" else refl, pol), 1.0)]
+                else:
+                    out = [(Mode(trans, "H"), 0.5), (Mode(trans, "V"), 0.5),
+                           (Mode(refl, "H"), s), (Mode(refl, "V"), -s)]
+                op.append((Mode(src, pol), tuple(m for m, _ in out)))
+                coefficients.append([c for _, c in out])
+        return _substitution("pbs", tuple(op), in_paths, out_paths), coefficients
 
-    return _substituted(state, *_recall(None, ("pbs", in_paths, out_paths, basis), mapping))
+    return _step(state, *_recall(None, ("pbs", in_paths, out_paths, basis), build))[1]
 
 
 def apply_qft(state: PhotonicState, paths: Sequence[str]) -> PhotonicState:
@@ -272,6 +260,8 @@ def assert_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidInput(f"matrix must be square, got shape {u.shape}")
+    for i, j in np.argwhere(~np.isfinite(u))[:1]:  # a NaN passes every norm test
+        raise InvalidInput(f"matrix entry ({i}, {j}) = {u[i, j]} is not finite")
     if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-9:
         raise InvalidInput("matrix is not unitary")
     return u

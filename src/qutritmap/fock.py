@@ -9,6 +9,12 @@ come out in closed form instead of from a truncated numeric Hilbert space.
 Everything derived from labels is worked out once per shape; per call only
 amplitudes move.
 
+Every operation that makes a state runs through :func:`_step`.  Its wiring
+(the paths, modes, registers and counts it acts on) is a *site*, built once
+per wiring; per state shape and site one plan holds a compiled kernel, its
+constants and the output's shape, so a call runs the kernel on the amplitudes
+and applies its prune verdict.
+
 Conventions:
 
 * a term with occupation ``{m: n}`` represents ``amplitude * (a_m^dag)^n``
@@ -33,6 +39,7 @@ V = "V"
 POLS = (H, V)
 
 PRUNE_EPS = 1e-12
+PROB_EPS = 1e-15
 COHERENT_MERGE_EPS = 1e-9
 NORM_EPS = 1e-9
 PHOTON_CAP = 4
@@ -171,23 +178,26 @@ def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
     return tuple(map(tuple.__new__, itertools.repeat(FockTerm), rows))
 
 
-# What an operation derives from a state's keys alone, keyed by (Shape, operation
-# shape); interned keys are keyed by (None, (keys, label bits)), compiled kernels
-# by (None, source) and value-free wirings by (None, their arguments).  Reaching
-# the bound drops every entry, and an entry holds at most two shapes, so at most
+# What an operation derives from a state's keys alone, keyed by (Shape, site) or
+# (Shape, constant); a plan of two shapes, or the subset a prune keeps, by (that
+# pair, constant); interned keys by (None, (keys, label bits)), compiled kernels
+# by (None, source) and sites by (None, (kind, their arguments)).  Reaching the
+# bound drops every entry, and an entry holds at most two shapes, so at most
 # 2 * _RETAINED shapes outlive the states that carry them.  After 10,000
-# benchmark evaluations (no drop) the memo holds 302 entries in 0.77 MB (linear
-# optics), 980 in 1.02 MB (ideal qubus) and 1171 in 2.51 MB (physical qubus), by
-# deep getsizeof.  Of these, interned keys take 0.27, 0.38 and 0.86 MB and
-# kernels (46, 107 and 138 of them) 0.41, 0.38 and 1.22 MB; the plans that index
-# them, with their overlaps and Gram products, hold the rest.  run_all()'s random
-# circuits make one-off shapes, which the bound drops instead of keeping.
+# benchmark evaluations (no drop) the memo holds 286 entries in 0.74 MB (linear
+# optics), 903 in 1.06 MB (ideal qubus) and 1061 in 2.46 MB (physical qubus), by
+# deep getsizeof through containers, slots, closures and code.  Of these,
+# interned keys take 0.27, 0.37 and 0.85 MB and kernels (51, 117 and 152 of
+# them) 0.35, 0.35 and 1.03 MB; the plans and sites that index them, with their
+# overlaps and Gram products, hold the rest.  run_all()'s random circuits make
+# one-off shapes, which the bound drops instead of keeping.
 _RETAINED = 2048
 _MEMO: dict[tuple, object] = {}
 
 
-def _recall(shape: Shape | None, op, build):
-    """What ``op`` derives from ``shape``'s keys alone: ``build()`` on a miss."""
+def _recall(shape, op, build):
+    """What ``op`` derives from ``shape`` alone: ``build()`` on a miss.  A failed build
+    stores nothing, so a check that fails in it fails again on every call."""
     key = shape, op
     value = _MEMO.get(key)
     if value is None:
@@ -198,12 +208,55 @@ def _recall(shape: Shape | None, op, build):
     return value
 
 
-def _kernel(source: str):
-    """The ``kernel`` that ``source`` defines, compiled once: a plan's per-call arithmetic
-    as straight-line code, with integer indices and weights only in the source."""
+class _Site:
+    """One wiring of an operation that makes a state: its ``kind`` and ``plan(shape)``,
+    the builder of its :func:`_step` plan for a state of ``shape`` (a strip's or a
+    homodyne's picks the sites of its outcomes).  It holds no shape and hashes by
+    identity, as a :class:`Shape` does."""
+
+    __slots__ = ("kind", "plan")
+
+    def __init__(self, kind: str, plan):
+        self.kind, self.plan = kind, plan
+
+
+def _site(kind: str, args: tuple, plan) -> _Site:
+    """The site of ``kind`` on the wiring ``args``, built once with its ``plan`` builder."""
+    return _recall(None, (kind, *args), lambda: _Site(kind, plan))
+
+
+def _step(state, site, *values, registers=None, weight=1.0):
+    """``(p, output)`` of ``site`` on ``state``; p is 1 where nothing is measured.
+
+    The plan, built once per ``(state.shape, site)``, is ``(kernel, consts, shape)``.
+    ``kernel(A, *values, consts, PRUNE_EPS, PROB_EPS)`` returns nothing for an outcome at
+    p <= PROB_EPS (output: the empty state), else p, the column of ``shape``'s terms and,
+    if some prune, their sums.  The output carries ``registers`` (default: the input's)
+    and born weight ``weight`` times the input's times p; a plan of no shape gives None.
+    """
+    shape = state.shape
+    kernel, consts, out = _recall(shape, site, lambda: site.plan(shape))
+    registers = state.registers if registers is None else registers
+    result = kernel(state.amplitudes, *values, consts, PRUNE_EPS, PROB_EPS)
+    if result is None:
+        return 0.0, PhotonicState(registers, (), 0.0)
+    p, column, sums = result
+    if sums:  # the terms whose sums are at or below PRUNE_EPS go
+        keep = list(map(PRUNE_EPS.__lt__, map(abs, sums)))
+        kept, keys = tuple(itertools.compress(range(len(keep)), keep)), out.keys
+        out = _recall((out, kept), "subset", lambda: _interned(tuple(keys[i] for i in kept)))
+        column = list(itertools.compress(column, keep))
+    return p, out and _columns(registers, column, weight * float(state.born_weight) * p, out)
+
+
+def _kernel(lines: list[str], returned: str):
+    """The ``kernel`` that ``lines`` begin, returning ``returned``, compiled once per
+    source: a plan's per-call arithmetic as straight-line code, with integer indices
+    and weights only in the source."""
+    source = "\n".join(lines + [f"    return {returned}"])
 
     def build():
-        namespace = {"sqrt": math.sqrt}
+        namespace = {"sqrt": math.sqrt, "exp": cmath.exp}
         exec(compile(source, "<kernel>", "exec"), namespace)
         return namespace["kernel"]
 
@@ -251,18 +304,9 @@ class Shape:
     def __init__(self, keys: tuple, bits: bytes):
         self.keys, self.bits = keys, bits
 
-    def subset(self, kept: tuple[int, ...]) -> Shape:
-        """The shape of the terms at the indices ``kept``."""
-        return _recall(self, ("subset", kept), lambda: _interned(tuple(self.keys[i] for i in kept)))
-
     def paths(self) -> frozenset[str]:
         """The paths that hold a photon in some term."""
         return _recall(self, "paths", lambda: frozenset(m.path for o, _ in self.keys for m, _ in o))
-
-    def photons(self, watched: frozenset) -> tuple[int, ...]:
-        """Each term's photon count in the ``watched`` modes."""
-        return _recall(self, ("photons", watched),
-                       lambda: tuple(_photons(occ, watched) for occ, _ in self.keys))
 
     def norm_sq(self, state: PhotonicState) -> float:
         """``inner_product(state, state).real``, bit for bit, for a ``state`` of this shape."""
@@ -272,18 +316,18 @@ class Shape:
     def _norm_plan(self):
         """``(kernel, overlaps)``: :func:`_norm_lines` as a kernel of the amplitudes."""
         lines = ["def kernel(A, o):"]
-        total, overlaps = _norm_lines(self, [f"A[{k}]" for k in range(len(self.keys))], lines)
-        return _kernel("\n".join(lines + [f"    return {total}"])), overlaps
+        total, overlaps = _norm_lines(self.keys, [f"A[{k}]" for k in range(len(self.keys))], lines)
+        return _kernel(lines, total), overlaps
 
 
-def _norm_lines(shape: Shape, amps: list[str], lines: list[str]):
-    """Append to ``lines`` ``inner_product(s, s).real`` of ``shape``'s terms, whose
-    amplitudes are the source expressions ``amps``; returns its expression and overlaps.
-    Terms without labels and of distinct occupations are orthogonal: each |a|^2 times its
-    occupation weight, in term order, from the first (never -0.0, so 0.0 + it)."""
-    occs = [occ for occ, _ in shape.keys]
-    if not occs or any(coh for _, coh in shape.keys) or len(set(occs)) < len(occs):
-        return "t.real", _pair_lines(shape, shape, amps, amps, lines)
+def _norm_lines(keys, amps: list[str], lines: list[str], o: str = "o"):
+    """Append to ``lines`` ``inner_product(s, s).real`` of terms of ``keys``, whose
+    amplitudes are the source expressions ``amps``; returns its expression and overlaps
+    ``o``.  Terms without labels and of distinct occupations are orthogonal: each |a|^2
+    times its occupation weight, in term order, from the first (never -0.0, so 0.0 + it)."""
+    occs = [occ for occ, _ in keys]
+    if not occs or any(coh for _, coh in keys) or len(set(occs)) < len(occs):
+        return "t.real", _pair_lines(keys, keys, amps, amps, lines, o)
     for k, (occ, a) in enumerate(zip(occs, amps)):
         lines += [f"    x = {a}", f"    t {'+=' if k else '='} "
                   f"(x.real * x.real + x.imag * x.imag) * {_occ_norm(occ)}"]
@@ -333,15 +377,13 @@ def build_state(registers: Iterable[str], terms: Iterable[FockTerm],
         if len(t.coherent) != len(regs):
             raise InvalidInput(f"term carries {len(t.coherent)} coherent labels, "
                                f"state declares {len(regs)} registers")
-    state = PhotonicState(regs, terms, born_weight)
-    return _regrouped(state, "merge", range(len(terms)), state.amplitudes, regs)
+    return _step(PhotonicState(regs, terms, born_weight), _MERGE)[1]
 
 
 def _built(occs, amplitudes) -> PhotonicState:
     """``build_state((), terms)`` of register-free terms: ``occs`` carrying ``amplitudes``."""
     shape = _interned(tuple((_capped(occ), ()) for occ in occs))
-    members = range(len(amplitudes))
-    return _regrouped(_columns((), amplitudes, 1.0, shape), "merge", members, amplitudes, ())
+    return _step(_columns((), amplitudes, 1.0, shape), _MERGE)[1]
 
 
 def _group_lines(keys, parts, lines: list[str]):
@@ -353,44 +395,35 @@ def _group_lines(keys, parts, lines: list[str]):
     return sums, _interned(tuple((occ, coh) for occ, coh, _, _ in groups))
 
 
-def _merge_plan(keys, parts, lines: list[str]):
-    """How to merge terms of ``keys``: ``(kernel, shape)``.  The kernel that ``lines``
-    begin, whose last parameter is E, returns :func:`_group_lines`' sums and the prune
-    verdict, whether every sum's abs exceeds E; ``shape`` is that of the groups."""
-    sums, shape = _group_lines(keys, parts, lines)
-    return _kernel("\n".join(lines + [f"    return [{', '.join(sums)}], {_verdict(sums)}"])), shape
+def _merge_plan(keys, parts, lines: list[str], consts=(), measured=False, grouped=True):
+    """The :func:`_step` plan of terms of ``keys`` with amplitudes ``parts``, merged if
+    ``grouped`` (:func:`_group_lines`); its kernel, which ``lines`` begin, returns p 1, the
+    sums and, unless every sum's abs exceeds E, the sums again, which prune.  If
+    ``measured``, its constants are ``(consts, overlaps)``: it sums the terms' norm m as
+    their shape does and returns nothing if p = m / n <= P, else p and them over sqrt(m)."""
+    if grouped:
+        names, shape = _group_lines(keys, parts, lines)
+    else:
+        names, shape = parts, _interned(tuple(keys))
+    column, p = names, "1"
+    if measured:
+        total, overlaps = _norm_lines(shape.keys, names, lines)
+        lines += [f"    m = {total}", "    p = m / n", "    if p <= P:", "        return",
+                  "    f = 1 / sqrt(m)"]
+        column, p, consts = [f"{g} * f" for g in names], "p", (consts, overlaps)
+    lines.append(f"    c = [{', '.join(column)}]")
+    if grouped:
+        lines += [f"    if not ({_verdict(names)}):",
+                  f"        return {p}, c, [{', '.join(names)}]"]
+    return _kernel(lines, f"{p}, c, ()"), consts, shape
 
 
-def _pruned(shape: Shape, sums, column) -> tuple[Shape, list]:
-    """``shape`` and ``column`` without the terms whose ``sums`` are at or below PRUNE_EPS."""
-    keep = list(map(PRUNE_EPS.__lt__, map(abs, sums)))
-    kept = tuple(itertools.compress(range(len(keep)), keep))
-    return shape.subset(kept), list(itertools.compress(column, keep))
+def _merged(keys):
+    """The :func:`_step` plan that merges the terms of ``keys``, one per amplitude."""
+    return _merge_plan(keys, [f"A[{k}]" for k in range(len(keys))], ["def kernel(A, C, E, P):"])
 
 
-def _grouped_state(registers, merged, born_weight, shape: Shape) -> PhotonicState:
-    """The state of ``shape``'s terms from a merge kernel's sums and verdict, ``merged``:
-    the sums at or below PRUNE_EPS pruned, if any."""
-    sums, whole = merged
-    if not whole:
-        shape, sums = _pruned(shape, sums, sums)
-    return _columns(registers, sums, born_weight, shape)
-
-
-def _regrouped(state, op, members, amplitudes, registers, rekeyed=None, prune=True):
-    """The canonical state of the terms at ``members`` that carry ``amplitudes``, their
-    keys rewritten by ``rekeyed`` if given, unpruned unless ``prune``.  Merges, order
-    and shape are memoized under ``op``, which fixes all three."""
-    shape = state.shape
-
-    def plan():
-        keys = [shape.keys[k] for k in members]
-        parts = [f"A[{p}]" for p in range(len(keys))]
-        return _merge_plan(rekeyed(keys) if rekeyed else keys, parts, ["def kernel(A, E):"])
-
-    kernel, out = _recall(shape, op, plan)
-    sums, whole = kernel(amplitudes, PRUNE_EPS)
-    return _grouped_state(registers, (sums, whole or not prune), float(state.born_weight), out)
+_MERGE = _Site("merge", lambda shape: _merged(shape.keys))
 
 
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
@@ -420,21 +453,21 @@ def _overlaps(pairs, bra_labels, ket_labels):
     return cells, tuple(combo_of), overlaps
 
 
-def _pair_lines(bra: Shape, ket: Shape, bras: list[str], kets: list[str], lines: list[str]):
-    """Append to ``lines`` :func:`inner_product` into ``t`` of shapes whose amplitudes are
-    the source expressions ``bras`` and ``kets``: from 0j, per pair of terms of one
-    occupation, the conjugated bra times the ket, occupation weight and overlaps o[s]."""
+def _pair_lines(bra, ket, bras: list[str], kets: list[str], lines: list[str], o: str = "o"):
+    """Append to ``lines`` :func:`inner_product` into ``t`` of terms of keys ``bra`` and
+    ``ket`` whose amplitudes are the source expressions ``bras`` and ``kets``: from 0j, per
+    pair of terms of one occupation, the conjugated bra times the ket, occupation weight
+    and overlaps ``o``; returns those."""
     by_occ: dict[tuple, list[int]] = {}
-    for j, (occ, _) in enumerate(ket.keys):
+    for j, (occ, _) in enumerate(ket):
         by_occ.setdefault(occ, []).append(j)
-    pairs = [(i, j) for i, (occ, _) in enumerate(bra.keys) for j in by_occ.get(occ, ())]
-    labels = ([coh for _, coh in s.keys] for s in (bra, ket))
-    cells, combos, overlaps = _overlaps(pairs, *labels)
+    pairs = [(i, j) for i, (occ, _) in enumerate(bra) for j in by_occ.get(occ, ())]
+    cells, combos, overlaps = _overlaps(pairs, *([coh for _, coh in s] for s in (bra, ket)))
     lines += [f"    c{i} = {bras[i]}.conjugate()" for i in sorted({i for i, _ in pairs})]
     lines.append("    t = 0j")
     for (i, j), cell in zip(pairs, cells):
-        slots = "".join(f" * o[{s}]" for s in combos[cell])
-        lines.append(f"    t += c{i} * {kets[j]} * {_occ_norm(bra.keys[i][0])}{slots}")
+        slots = "".join(f" * {o}[{s}]" for s in combos[cell])
+        lines.append(f"    t += c{i} * {kets[j]} * {_occ_norm(bra[i][0])}{slots}")
     return overlaps
 
 
@@ -443,12 +476,12 @@ def _pairs(bra: Shape, ket: Shape):
     sum of :func:`_pair_lines` over bra amplitudes b and ket amplitudes a."""
 
     def plan():
-        lines = ["def kernel(b, a, o):"]
-        bras = [f"b[{i}]" for i in range(len(bra.keys))]
-        overlaps = _pair_lines(bra, ket, bras, [f"a[{j}]" for j in range(len(ket.keys))], lines)
-        return _kernel("\n".join(lines + ["    return t"])), overlaps
+        lines, kets = ["def kernel(b, a, o):"], [f"a[{j}]" for j in range(len(ket.keys))]
+        overlaps = _pair_lines(bra.keys, ket.keys, [f"b[{i}]" for i in range(len(bra.keys))],
+                               kets, lines)
+        return _kernel(lines, "t"), overlaps
 
-    return _recall(bra, ("pairs", ket), plan)
+    return _recall((bra, ket), "pairs", plan)
 
 
 def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
@@ -505,7 +538,7 @@ def _traced_plan(shape: Shape, target: Shape):
         lines.append(f"    w{k} = (0j{summed}).conjugate() * A[{i}] * {w}")
     lines += [f"    v{k} = w{k}.conjugate()" for k in range(n)] + ["    t = 0j"]
     lines += [f"    t += w{a} * v{b} * G[{a * n + b}]" for a in range(n) for b in range(n)]
-    return _kernel("\n".join(lines + ["    return t"])), tuple(products[c] for c in cells)
+    return _kernel(lines, "t"), tuple(products[c] for c in cells)
 
 
 def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
@@ -518,10 +551,8 @@ def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
         raise InvalidInput("target must not carry coherent registers")
     if not state.registers:
         return fidelity(state, target)
-    shape, target_shape = state.shape, target.shape
-    kernel, grams = _recall(
-        shape, ("traced", target_shape), lambda: _traced_plan(shape, target_shape)
-    )
+    shapes = state.shape, target.shape
+    kernel, grams = _recall(shapes, "traced", lambda: _traced_plan(*shapes))
     num = kernel(state.amplitudes, target.amplitudes, grams)
     denom = norm_sq(state) * norm_sq(target)
     if denom <= 0.0:
@@ -550,12 +581,14 @@ class QutritCoefficients:
     gamma: complex
 
     def __post_init__(self):
+        _finite(self.alpha, self.beta, self.gamma)
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2 + abs(self.gamma) ** 2
         if abs(n - 1.0) > NORM_EPS:
             raise InvalidInput(f"coefficients are not normalized: |c|^2 = {n}")
 
     @classmethod
     def normalize(cls, alpha: complex, beta: complex, gamma: complex) -> "QutritCoefficients":
+        _finite(alpha, beta, gamma)
         n = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2)
         if n == 0.0:
             raise InvalidInput("cannot normalize the zero vector")
@@ -563,6 +596,13 @@ class QutritCoefficients:
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (complex(self.alpha), complex(self.beta), complex(self.gamma))
+
+
+def _finite(*coefficients: complex) -> None:
+    """Refuse a NaN or infinite qutrit coefficient by name: a NaN passes the norm test."""
+    for name, value in zip(("alpha", "beta", "gamma"), coefficients):
+        if not cmath.isfinite(value):
+            raise InvalidInput(f"coefficient {name} = {value!r} is not finite")
 
 
 def path_modes(path: str) -> tuple[Mode, Mode]:
@@ -606,42 +646,41 @@ def vacuum_state() -> PhotonicState:
 def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
     """Tensor product of states living on disjoint paths and registers.  The
     product's merges and order, and the checks on paths and PHOTON_CAP, are built
-    once per ``a``'s shape and ``b``'s keys and label bits (so the entry holds two
+    once per ``a``'s shape and the site of ``b``'s shape (so the entry holds two
     shapes)."""
-    shape_a, shape_b = a.shape, b.shape
+    keys_b = b.shape.keys
 
-    def plan():
-        shared = shape_a.paths() & shape_b.paths()
+    def plan(shape):
+        shared = shape.paths() & {m.path for occ, _ in keys_b for m, _ in occ}
         if shared:
             raise WiringError(f"tensor factors share paths {sorted(shared)}")
-        pairs = list(itertools.product(enumerate(shape_a.keys), enumerate(shape_b.keys)))
+        pairs = list(itertools.product(enumerate(shape.keys), enumerate(keys_b)))
         keys = [(_capped(tuple(sorted(x[0] + y[0]))), x[1] + y[1]) for (_, x), (_, y) in pairs]
         parts = [f"A[{i}] * B[{j}]" for (i, _), (j, _) in pairs]
-        return _merge_plan(keys, parts, ["def kernel(A, B, E):"])
+        return _merge_plan(keys, parts, ["def kernel(A, B, C, E, P):"])
 
-    kernel, out_shape = _recall(shape_a, ("tensor", shape_b.keys, shape_b.bits), plan)
+    site = _recall(b.shape, "factor", lambda: _Site("tensor", plan))
+    registers = a.registers + b.registers
+    _, product = _step(a, site, b.amplitudes, registers=registers, weight=b.born_weight)
     if set(a.registers) & set(b.registers):
         raise WiringError("tensor factors share register labels")
-    merged = kernel(a.amplitudes, b.amplitudes, PRUNE_EPS)
-    born_weight = float(a.born_weight * b.born_weight)
-    return _grouped_state(a.registers + b.registers, merged, born_weight, out_shape)
+    return product
 
 
 def relabel_paths(state: PhotonicState, mapping: Mapping[str, str]) -> PhotonicState:
     """Rename spatial paths; refuses renames that would merge distinct paths.
     The check and the renamed keys' order are built once per shape and mapping."""
-    shape = state.shape
+    items = tuple(mapping.items())
 
-    def renamed(keys):
-        image: dict[str, str] = {}
+    def plan(shape):
+        rename, image = dict(items), {}
         for p in sorted(shape.paths()):
-            q = mapping.get(p, p)
+            q = rename.get(p, p)
             if q in image:
                 raise WiringError(f"paths {image[q]!r} and {p!r} both map to {q!r}")
             image[q] = p
         moved = {p: q for q, p in image.items()}
-        return [(_capped(tuple(sorted((Mode(moved[m.path], m.pol), n) for m, n in occ))), coh)
-                for occ, coh in keys]
+        return _merged([(_capped(tuple(sorted((Mode(moved[m.path], m.pol), n) for m, n in occ))),
+                         coh) for occ, coh in shape.keys])
 
-    op, members = ("relabel", tuple(mapping.items())), range(len(shape.keys))
-    return _regrouped(state, op, members, state.amplitudes, state.registers, rekeyed=renamed)
+    return _step(state, _site("relabel", (items,), plan))[1]

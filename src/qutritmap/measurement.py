@@ -8,14 +8,13 @@ and multiplied into ``born_weight`` of the renormalized branch state.
 The measurements expect canonical input (merged, pruned, sorted terms), as
 every function of this package returns it.  Any subset of canonical terms is
 canonical, so a branch keeps the kept terms' amplitudes and the subset of
-their shape as they stand instead of merging and sorting them again.
-
-Each outcome is a kernel (``fock._kernel``) per input shape: it gathers or merges the
-kept terms, sums their norm, cuts p at PROB_EPS and renormalizes; strips are kernels too.
+their shape as they stand instead of merging and sorting them again.  Each
+outcome is a ``fock._step`` plan per input shape; strips are kernels too.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,29 +22,25 @@ from typing import Iterable, Mapping, Sequence
 
 from .elements import apply_phase_shift, apply_sigma_x
 from .fock import (
-    PRUNE_EPS,
+    PROB_EPS,
     InvalidInput,
     Mode,
     PhotonicState,
     WiringError,
+    _Site,
     _columns,
-    _group_lines,
-    _grouped_state,
-    _interned,
     _kernel,
     _merge_plan,
-    _norm_lines,
-    _pruned,
+    _photons,
     _recall,
+    _site,
+    _step,
     _sum_lines,
-    _verdict,
     fidelity,
     norm_sq,
     path_modes,
     scaled,
 )
-
-PROB_EPS = 1e-15
 
 
 def _summed(values) -> float:
@@ -99,49 +94,28 @@ def _norm_in(state: PhotonicState, action: str) -> float:
     return n2
 
 
-def _outcome_plan(keys, parts: list[str], values=(), grouped: bool = False):
-    """An outcome's plan, ``(kernel, shape, values, overlaps)``: kept terms of ``keys`` with
-    amplitudes ``parts``, source expressions of input column A and ``values`` V, merged if
-    ``grouped`` into ``shape``.  ``kernel(A, V, o, n, P, E)`` sums their norm m as ``shape``
-    does; it returns nothing if p = m / n <= P, else p, the amplitudes over sqrt(m) and, if
-    some abs is at most E, the merged sums, which prune them."""
-    lines = ["def kernel(A, V, o, n, P, E):"]
-    if grouped:
-        names, shape = _group_lines(keys, parts, lines)
-    else:
-        names, shape = parts, _interned(tuple(keys))
-    total, overlaps = _norm_lines(shape, names, lines)
-    lines += [f"    m = {total}", "    p = m / n", "    if p <= P:", "        return",
-              "    f = 1 / sqrt(m)", f"    c = [{', '.join(f'{g} * f' for g in names)}]"]
-    if grouped:
-        lines += [f"    if not ({_verdict(names)}):", f"        return p, c, [{', '.join(names)}]"]
-    return _kernel("\n".join(lines + ["    return p, c, ()"])), shape, tuple(values), overlaps
-
-
-def _outcome(state, op, plan, norm_in: float, registers, born_weight):
-    """``(p, branch)`` of the outcome ``op`` that ``plan()`` builds, of a state of squared norm
-    ``norm_in``: born weight ``born_weight * p``, or ``(0.0, empty state)`` at p <= PROB_EPS."""
-    kernel, shape, values, overlaps = _recall(state.shape, op, plan)
-    out = kernel(state.amplitudes, values, overlaps, norm_in, PROB_EPS, PRUNE_EPS)
-    if out is None:
-        return 0.0, PhotonicState(registers, (), 0.0)
-    p, column, sums = out
-    if sums:
-        shape, column = _pruned(shape, sums, column)
-    return p, _columns(registers, column, born_weight * p, shape)
-
-
 def _selected(state: PhotonicState, needs: tuple, norm_in: float) -> tuple[float, PhotonicState]:
     """The outcome of the terms of a canonical state that hold ``lo`` to ``hi``
     photons in the ``watched`` modes of every ``(watched, lo, hi)`` in ``needs``."""
-    shape = state.shape
+    return _step(state, _recall(None, ("kept", needs), lambda: _selection(needs)), norm_in)
 
-    def plan():
-        counts = [(shape.photons(watched), lo, hi) for watched, lo, hi in needs]
-        idx = [k for k in range(len(shape.keys)) if all(lo <= c[k] <= hi for c, lo, hi in counts)]
-        return _outcome_plan([shape.keys[k] for k in idx], [f"A[{k}]" for k in idx])
 
-    return _outcome(state, ("kept", needs), plan, norm_in, state.registers, state.born_weight)
+def _selection(needs: tuple) -> _Site:
+    """The site of :func:`_selected`; refuses overlapping mode groups and a photon count
+    that is not one."""
+    if any(a & b for (a, _, _), (b, _, _) in itertools.combinations(needs, 2)):
+        raise WiringError("post-selection mode groups overlap")
+    for _, lo, _ in needs:
+        if not (lo >= 0 and float(lo).is_integer()):
+            raise InvalidInput(f"photon count must be a non-negative integer, got {lo!r}")
+
+    def plan(shape):
+        idx = [k for k, (occ, _) in enumerate(shape.keys)
+               if all(lo <= _photons(occ, watched) <= hi for watched, lo, hi in needs)]
+        return _merge_plan([shape.keys[k] for k in idx], [f"A[{k}]" for k in idx],
+                           ["def kernel(A, n, C, E, P):", "    V, o = C"], (), True, False)
+
+    return _Site("kept", plan)
 
 
 def detect_non_resolving(state: PhotonicState, modes: Iterable[Mode]) -> BranchDistribution:
@@ -169,8 +143,6 @@ def post_select_coincidence(
         if want not in ("click", "no-click"):
             raise InvalidInput(f"unknown requirement {want!r}")
         needs.append((frozenset(modes), *((1, math.inf) if want == "click" else (0, 0))))
-    if any(a & b for (a, _, _), (b, _, _) in itertools.combinations(needs, 2)):
-        raise WiringError("post-selection mode groups overlap")
     return _selected(state, tuple(needs), _norm_in(state, "post-select"))
 
 
@@ -191,16 +163,17 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
     modes are still entangled with the rest.
     """
     watched = frozenset(modes)
+    return _stripped(state, _site("strip", (watched,), lambda shape: _strip_plan(shape, watched)))
+
+
+def _stripped(state: PhotonicState, site: _Site) -> PhotonicState:
+    """:func:`strip_modes` at its ``site``: its split kernel picks the rank-1 merge."""
     shape = state.shape
-    if not shape.keys:
-        raise InvalidInput("cannot strip modes from a zero state")
-    kernel, rows = _recall(shape, ("strip", watched), lambda: _strip_plan(shape, watched))
+    kernel, pivots = _recall(shape, site, lambda: site.plan(shape))
     entries, tol, h, j = kernel(state.amplitudes, 1e-9, 1.0)  # the rank-1 tolerance factors
-    check, rest = _recall(shape, ("rank1", watched, h, j), lambda: _rank1_plan(shape, rows, h, j))
-    merged = check(entries, tol, PRUNE_EPS)
-    if merged is None:
+    factored, stripped = _step(state, pivots[h][j], entries, tol)
+    if not factored:
         raise WiringError("watched modes are entangled with the rest; cannot strip")
-    stripped = _grouped_state(state.registers, merged, float(state.born_weight), rest)
     n2 = norm_sq(stripped)
     if n2 <= PROB_EPS:
         raise InvalidInput("stripped state vanished")
@@ -208,10 +181,13 @@ def strip_modes(state: PhotonicState, modes: Iterable[Mode]) -> PhotonicState:
 
 
 def _strip_plan(shape, watched: frozenset):
-    """:func:`strip_modes`' plan: ``(kernel, rows)``.  Per detector signature (row) and rest
+    """:func:`strip_modes`' plan ``(kernel, pivots)``.  Per detector signature (row) and rest
     signature (column), first seen first, ``rows`` holds column, entry, rest and first term.
     ``kernel(A, K, U)`` returns the entries, each summed from 0j, tolerance K * max(U, max
-    |entry|^2), heaviest row (sum of |entry|^2) and pivot (largest |entry|); first of equals."""
+    |entry|^2), heaviest row h (sum of |entry|^2) and pivot j (largest |entry|; first of
+    equals), whose rank-1 merge (:func:`_rank1_plan`) has the site ``pivots[h][j]``."""
+    if not shape.keys:
+        raise InvalidInput("cannot strip modes from a zero state")
     columns, cells = {}, {}
     for i, (occ, coh) in enumerate(shape.keys):
         rest = (tuple((m, n) for m, n in occ if m not in watched), coh)
@@ -230,16 +206,18 @@ def _strip_plan(shape, watched: frozenset):
         lines += [f"    {'elif' if r else 'if'} h == {r}:", f"        j, b = 0, {row[0]}"]
         lines += [f"        if {a} > b: j, b = {at}, {a}" for at, a in enumerate(row[1:], 1)]
     top = f"max([{', '.join(a for row in x for a in row)}])"
-    lines.append(f"    return [{', '.join(f'r{e}' for e in range(len(cells)))}], "
-                 f"K * max(U, {top} ** 2), h, j")
-    return _kernel("\n".join(lines)), rows
+    kernel = _kernel(lines, f"[{', '.join(f'r{e}' for e in range(len(cells)))}], "
+                            f"K * max(U, {top} ** 2), h, j")
+    pivot = functools.partial(_rank1_plan, rows=rows)
+    return kernel, tuple(tuple(_Site("rank1", functools.partial(pivot, h=h, j=j))
+                               for j in range(len(row))) for h, row in enumerate(rows))
 
 
 def _rank1_plan(shape, rows, h: int, j: int):
     """:func:`strip_modes`' rank-1 check for heaviest row ``h`` and pivot ``j``: the merge
-    plan of the row's entries on its columns' rest keys, whose ``kernel(R, T, E)`` returns
-    nothing if another row's entry times the pivot is more than T from its pivot-column
-    entry times the heavy row's (0j where absent)."""
+    plan of the row's entries on its columns' rest keys, whose ``kernel(A, R, T, C, E, P)``
+    returns nothing if another row's entry times the pivot is more than T from its
+    pivot-column entry times the heavy row's (0j where absent)."""
 
     def at(side, col):
         return f"R[{side[col]}]" if col in side else "0j"
@@ -251,7 +229,7 @@ def _rank1_plan(shape, rows, h: int, j: int):
                    for c in {**ref, **row}]
     test = [f"    if {' or '.join(checks)}:", "        return"] if checks else []
     keys = [(occ, shape.keys[i][1]) for occ, i in zip(rest, sources)]
-    return _merge_plan(keys, [f"R[{e}]" for e in kept], ["def kernel(R, T, E):", *test])
+    return _merge_plan(keys, [f"R[{e}]" for e in kept], ["def kernel(A, R, T, C, E, P):", *test])
 
 
 @dataclass(frozen=True)
@@ -334,29 +312,28 @@ def erase_and_merge(
     """
     keep, strip = None if keep is None else tuple(keep), tuple(strip)
 
-    def wiring():  # per label its needs and the modes to strip; ports of one path overlap
+    def wiring():  # per label the sites of its selection and strip, and the projection's
         labels = []
         for label, fired in ports.items():
             needs = tuple((frozenset(path_modes(p)), *((1, math.inf) if p == fired else (0, 0)))
                           for p in ports.values())
-            labels.append((label, needs, frozenset(path_modes(fired) + strip)))
-        overlap = len(set(ports.values())) < len(ports)
-        return labels, overlap, None if keep is None else ((frozenset(keep), 1, 1),)
+            watched = frozenset(path_modes(fired) + strip)
+            stripping = _site("strip", (watched,), lambda shape, w=watched: _strip_plan(shape, w))
+            labels.append((label, _selection(needs), stripping))
+        return labels, None if keep is None else _selection(((frozenset(keep), 1, 1),))
 
-    labels, overlap, kept = _recall(None, ("eraser", tuple(ports.items()), keep, strip), wiring)
+    labels, kept = _recall(None, ("eraser", tuple(ports.items()), keep, strip), wiring)
     probabilities: dict[str, float] = {}
     branches = []
-    for label, needs, watched in labels:
-        if overlap:
-            raise WiringError("post-selection mode groups overlap")
-        p, branch = _selected(state, needs, _norm_in(state, "post-select"))
+    for label, selection, stripping in labels:
+        p, branch = _step(state, selection, _norm_in(state, "post-select"))
         if p > 0.0 and kept is not None:
-            q, branch = _selected(branch, kept, _norm_in(branch, "project"))
+            q, branch = _step(branch, kept, _norm_in(branch, "project"))
             p *= q
         probabilities[label] = p
         if p == 0.0:
             continue
         branch = rule.apply(label, branch)
-        branches.append((p, strip_modes(branch, watched)))
+        branches.append((p, _stripped(branch, stripping)))
     total, merged, min_fid = merge_branches(branches, tol=tol)
     return total, merged, min_fid, probabilities

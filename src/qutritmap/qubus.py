@@ -10,6 +10,7 @@ measurement branches.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .fock import (
@@ -19,17 +20,21 @@ from .fock import (
     PhotonicState,
     UnsupportedMode,
     WiringError,
+    _Site,
     _bits,
-    _columns,
-    _interned,
+    _group_lines,
+    _kernel,
+    _merge_plan,
+    _merged,
+    _norm_lines,
+    _pair_lines,
     _photons,
     _recall,
-    _regrouped,
+    _site,
     _sort_key,
-    inner_product,
-    norm_sq,
+    _step,
 )
-from .measurement import PROB_EPS, BranchDistribution, Outcome, _norm_in, _outcome, _outcome_plan
+from .measurement import PROB_EPS, BranchDistribution, Outcome, _norm_in
 
 
 def add_register(state: PhotonicState, register: str, alpha0: complex) -> PhotonicState:
@@ -48,47 +53,31 @@ def _register_index(state: PhotonicState, register: str) -> int:
         raise InvalidInput(f"no register {register!r} attached") from None
 
 
-def _dropped(state, idx: int, members: tuple[int, ...], amplitudes, prune=True):
-    """The canonical state of the terms at ``members``, register ``idx`` removed,
-    that carry ``amplitudes``; dropping the register can bring terms together."""
-    regs = state.registers[:idx] + state.registers[idx + 1 :]
-    return _regrouped(state, ("drop", idx, members), members, amplitudes, regs, prune=prune,
-                      rekeyed=lambda keys: [(occ, c[:idx] + c[idx + 1 :]) for occ, c in keys])
-
-
-def _read(state, idx: int, op: tuple, norm_in: float, members, chains):
-    """``(p, branch)`` of readout outcome ``op`` of register ``idx``: the terms at
+def _read_plan(shape, idx: int, members, chains):
+    """The :func:`fock._step` plan of a readout outcome of register ``idx``: the terms at
     ``members``, each times its ``chains`` of factors, merged without the register."""
-    shape = state.shape
-
-    def plan():
-        keys = [(occ, c[:idx] + c[idx + 1 :]) for occ, c in map(shape.keys.__getitem__, members)]
-        parts, values = [], []
-        for k, chain in zip(members, chains):
-            refs = range(len(values), len(values) + len(chain))
-            parts.append(f"A[{k}]" + "".join(f" * V[{v}]" for v in refs))
-            values += chain
-        return _outcome_plan(keys, parts, values, grouped=True)
-
-    registers = state.registers[:idx] + state.registers[idx + 1 :]
-    return _outcome(state, op, plan, norm_in, registers, float(state.born_weight))
+    keys = [(occ, c[:idx] + c[idx + 1 :]) for occ, c in map(shape.keys.__getitem__, members)]
+    parts, values = [], []
+    for k, chain in zip(members, chains):
+        refs = range(len(values), len(values) + len(chain))
+        parts.append(f"A[{k}]" + "".join(f" * V[{v}]" for v in refs))
+        values += chain
+    return _merge_plan(keys, parts, ["def kernel(A, n, C, E, P):", "    V, o = C"], tuple(values),
+                       measured=True)
 
 
 def _relabeled(state: PhotonicState, op: tuple, registers, relabel) -> PhotonicState:
     """``state`` on ``registers`` with each term's labels rewritten by ``relabel(occ,
-    labels)``: a one-to-one rewrite, fixed by ``op``, that keeps labels
-    COHERENT_MERGE_EPS apart, so nothing merges.  The new labels, order and shape
-    are built once per shape."""
-    shape = state.shape
+    labels)``: a one-to-one rewrite, keyed by ``op``, that keeps labels COHERENT_MERGE_EPS
+    apart, so nothing merges; the new labels and order are built once per shape."""
 
-    def plan():
+    def plan(shape):
         keys = [(occ, relabel(occ, coh)) for occ, coh in shape.keys]
         order = sorted(range(len(keys)), key=lambda k: _sort_key(keys[k]))
-        return order, _interned(tuple(keys[k] for k in order))
+        return _merge_plan([keys[k] for k in order], [f"A[{k}]" for k in order],
+                           ["def kernel(A, C, E, P):"], grouped=False)
 
-    order, out_shape = _recall(shape, op, plan)
-    amps = list(map(state.amplitudes.__getitem__, order))
-    return _columns(registers, amps, state.born_weight, out_shape)
+    return _step(state, _site(op[0], op[1:], plan), registers=registers)[1]
 
 
 def apply_xpm(
@@ -173,47 +162,43 @@ def project_photon_number(
     """
     if mode not in ("ideal", "physical"):
         raise InvalidInput(f"unknown measurement mode {mode!r}")
+
+    def classes(idx, _):
+        return _recall(None, ("readout", mode, idx), lambda: tuple(
+            (label, None, _Site("readout", functools.partial(_readout_plan, idx=idx, mode=mode,
+                                                             label=label)))
+            for label in ("0", "odd", "even")))
+
+    outcomes = _measured(state, register, classes)
+    return BranchDistribution(tuple(o for o in outcomes if o.probability > PROB_EPS))
+
+
+def _measured(state, register: str, branches) -> list[Outcome]:
+    """Each outcome of a readout of ``register``, which it destroys: ``branches(idx,
+    shape)`` lists their labels, values and sites."""
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
-    shape = state.shape
-    pure, mixed = _recall(shape, ("readout", idx, mode), lambda: _readout_plan(shape, idx, mode))
-    classes = [(label, *_read(state, idx, ("readout", idx, mode, label), norm_in, *terms))
-               for label, *terms in pure]
-    if mixed is not None:
-        # From the class Gram of psi, the lit terms: e^{z-m} = <b|b'>, e^{-z-m} = <b|-b'>;
-        # with P the parity b -> -b, the odd mass is (<psi|psi> - <psi|P psi>)/2 and the
-        # even (<psi|psi> + <psi|P psi>)/2 less vac, the unpruned norm of psi's vacuum part.
-        lit, factors, vacuum = mixed
-        amps = [state.amplitudes[k] for k in lit]
-        lit_amps = [a * f for a, f in zip(amps, factors)] if factors else amps
-        vac = norm_sq(_dropped(state, idx, lit, [a * f for a, f in zip(lit_amps, vacuum)], False))
-        lit_shape = shape.subset(lit)
-        mirror_shape = _recall(lit_shape, ("mirror", idx), lambda: _interned(tuple(
-            (occ, c[:idx] + (-c[idx],) + c[idx + 1 :]) for occ, c in lit_shape.keys)))
-        psi, mirror = (_columns(state.registers, lit_amps, 1.0, s)
-                       for s in (lit_shape, mirror_shape))
-        n2, flip = inner_product(psi, psi).real, inner_product(psi, mirror).real
-        classes += [("odd", 0.5 * (n2 - flip) / norm_in, None),
-                    ("even", (0.5 * (n2 + flip) - vac) / norm_in, None)]
-    outcomes = [Outcome(label, None, p, branch) for label, p, branch in classes if p > PROB_EPS]
-    return BranchDistribution(tuple(outcomes))
+    registers = state.registers[:idx] + state.registers[idx + 1 :]
+    return [Outcome(label, value, *_step(state, site, norm_in, registers=registers))
+            for label, value, site in branches(idx, state.shape)]
 
 
-def _readout_plan(shape, idx: int, mode: str):
-    """What :func:`project_photon_number` reads from labels ``idx``: per pure class, label,
-    members and their chains of factors ("0": undisplaced terms, or all times <0|b> if
-    physical; "odd", "even" if lit labels are +beta or -beta of one beta: lit terms, rescaled
-    if ideal, times sign and k_odd or times k_even); else any lit terms, rescales, <0|b>."""
+def _readout_plan(shape, idx: int, mode: str, label: str):
+    """The plan of :func:`project_photon_number`'s class ``label`` of labels ``idx``.  A
+    pure class reads members and chains of factors ("0": undisplaced terms, or all times
+    <0|b> if physical; "odd", "even" if lit labels are +beta or -beta of one beta: lit terms,
+    rescaled if ideal, times sign and k_odd or times k_even); else odd and even are mixed,
+    or never occur."""
     betas = [coh[idx] for _, coh in shape.keys]
     quiet = [abs(b) <= COHERENT_MERGE_EPS for b in betas]
     lit = tuple(k for k, q in enumerate(quiet) if not q)
     if mode == "ideal":
         factors = tuple(1.0 / math.sqrt(-math.expm1(-abs(betas[k]) ** 2)) for k in lit)
         zero = tuple(k for k, q in enumerate(quiet) if q)
-        pure = [("0", zero, [()] * len(zero))]
+        pure = {"0": (zero, [()] * len(zero))}
     else:
         factors = ()
-        pure = [("0", tuple(range(len(betas))), [(math.exp(-0.5 * abs(b) ** 2),) for b in betas])]
+        pure = {"0": (tuple(range(len(betas))), [(math.exp(-0.5 * abs(b) ** 2),) for b in betas])}
     heads = [(f,) for f in factors] or [()] * len(lit)
     lit_betas = [betas[k] for k in lit]
     signs = tuple(1.0 if abs(b - lit_betas[0]) <= COHERENT_MERGE_EPS else -1.0 for b in lit_betas)
@@ -221,11 +206,36 @@ def _readout_plan(shape, idx: int, mode: str):
                    for b, s in zip(lit_betas, signs)):
         m = abs(lit_betas[0]) ** 2
         k_odd, k_even = math.sqrt(-0.5 * math.expm1(-2.0 * m)), -math.expm1(-m) / math.sqrt(2.0)
-        pure.append(("odd", lit, [h + (s, k_odd) for h, s in zip(heads, signs)]))
-        pure.append(("even", lit, [h + (k_even,) for h in heads]))
-    elif lit:
-        return pure, (lit, factors, tuple(math.exp(-0.5 * abs(b) ** 2) for b in lit_betas))
-    return pure, None
+        pure["odd"] = lit, [h + (s, k_odd) for h, s in zip(heads, signs)]
+        pure["even"] = lit, [h + (k_even,) for h in heads]
+    if label in pure:
+        return _read_plan(shape, idx, *pure[label])
+    if not lit:
+        return _kernel(["def kernel(A, n, C, E, P):"], ""), (), None
+    vacuum = tuple(math.exp(-0.5 * abs(b) ** 2) for b in lit_betas)
+    return _mixed_plan(shape, idx, lit, factors, vacuum, label == "odd")
+
+
+def _mixed_plan(shape, idx: int, lit, factors, vacuum, odd: bool):
+    """A mixed odd or even readout class: its plan has no shape and returns the exact p.
+    From the class Gram of psi, lit terms times ``factors``: e^{z-m} = <b|b'>, e^{-z-m} =
+    <b|-b'>; with P the parity b -> -b, the odd mass is (<psi|psi> - <psi|P psi>)/2 and the
+    even (<psi|psi> + <psi|P psi>)/2 less the unpruned norm of psi times <0|b>, ``vacuum``."""
+    lines = ["def kernel(A, n, C, E, P):", "    V, W, o, u, w = C"]
+    names = [f"L{i}" for i in range(len(lit))]
+    lines += [f"    L{i} = A[{k}]" + (f" * V[{i}]" if factors else "") for i, k in enumerate(lit)]
+    keys = [shape.keys[k] for k in lit]
+    mirror = [(occ, c[:idx] + (-c[idx],) + c[idx + 1 :]) for occ, c in keys]
+    o = _pair_lines(keys, keys, names, names, lines)
+    lines.append("    s = t.real")
+    u = _pair_lines(keys, mirror, names, names, lines, "u")
+    lines.append("    q = t.real")
+    if odd:
+        return _kernel(lines, "(s - q) / 2 / n, (), ()"), (factors, vacuum, o, u, None), None
+    dropped = [(occ, c[:idx] + c[idx + 1 :]) for occ, c in keys]
+    sums, grouped = _group_lines(dropped, [f"L{i} * W[{i}]" for i in range(len(lit))], lines)
+    total, w = _norm_lines(grouped.keys, sums, lines, "w")
+    return _kernel(lines, f"((s + q) / 2 - {total}) / n, (), ()"), (factors, vacuum, o, u, w), None
 
 
 def project_quadrature_x(
@@ -242,41 +252,43 @@ def project_quadrature_x(
         raise UnsupportedMode("finite-resolution homodyne is not modelled")
     if mode != "ideal":
         raise InvalidInput(f"unknown measurement mode {mode!r}")
-    idx = _register_index(state, register)
-    norm_in = _norm_in(state, "measure")
-    shape = state.shape
 
-    def groups():  # per resolved Re(beta): outcome label, value and terms
-        xs = [c[idx].real for _, c in shape.keys]
-        centers: list[float] = []
-        for x in xs:
-            if not any(abs(x - c) <= COHERENT_MERGE_EPS for c in centers):
-                centers.append(x)
-        return [(f"x={x0:.9g}", float(x0),
-                 tuple(k for k, x in enumerate(xs) if abs(x - x0) <= COHERENT_MERGE_EPS))
-                for x0 in sorted(centers)]
+    def groups(idx, shape):
+        site = _site("quadrature", (idx,), lambda s: _quadrature_groups(s, idx))
+        return _recall(shape, site, lambda: site.plan(shape))
 
-    outcomes = []
-    for label, x0, kept in _recall(shape, ("quadrature", idx), groups):
-        p, branch = _read(state, idx, ("quadrature", idx, kept), norm_in, kept, [()] * len(kept))
-        if p > 0.0:
-            outcomes.append(Outcome(label, x0, p, branch))
-    return BranchDistribution(tuple(outcomes))
+    outcomes = _measured(state, register, groups)
+    return BranchDistribution(tuple(o for o in outcomes if o.probability > 0.0))
+
+
+def _quadrature_groups(shape, idx: int):
+    """Per resolved Re(beta) of labels ``idx``: outcome label, value and site of its terms."""
+    xs = [c[idx].real for _, c in shape.keys]
+    centers: list[float] = []
+    for x in xs:
+        if not any(abs(x - c) <= COHERENT_MERGE_EPS for c in centers):
+            centers.append(x)
+    groups = []
+    for x0 in sorted(centers):
+        kept = tuple(k for k, x in enumerate(xs) if abs(x - x0) <= COHERENT_MERGE_EPS)
+        plan = functools.partial(_read_plan, idx=idx, members=kept, chains=[()] * len(kept))
+        groups.append((f"x={x0:.9g}", float(x0), _Site("quadrature", plan)))
+    return groups
 
 
 def drop_register(state: PhotonicState, register: str) -> PhotonicState:
     """Detach a register that is in a product with the photonic part."""
     idx = _register_index(state, register)
-    shape = state.shape
-    if not shape.keys:
-        raise InvalidInput("cannot drop a register from a zero state")
 
-    def uniform():
+    def plan(shape):
+        if not shape.keys:
+            raise InvalidInput("cannot drop a register from a zero state")
         ref = shape.keys[0][1][idx]
-        return not any(abs(c[idx] - ref) > COHERENT_MERGE_EPS for _, c in shape.keys)
+        if any(abs(c[idx] - ref) > COHERENT_MERGE_EPS for _, c in shape.keys):
+            raise WiringError(
+                f"register {register!r} is correlated with the photons; measure it instead"
+            )
+        return _merged([(occ, c[:idx] + c[idx + 1 :]) for occ, c in shape.keys])
 
-    if not _recall(shape, ("uniform", idx), uniform):
-        raise WiringError(
-            f"register {register!r} is correlated with the photons; measure it instead"
-        )
-    return _dropped(state, idx, tuple(range(len(shape.keys))), state.amplitudes)
+    registers = state.registers[:idx] + state.registers[idx + 1 :]
+    return _step(state, _site("drop", (idx, register), plan), registers=registers)[1]

@@ -41,8 +41,9 @@ from .fock import (
     QutritCoefficients,
     UnsupportedMode,
     WiringError,
-    _recall,
-    _regrouped,
+    _merge_plan,
+    _site,
+    _step,
     ancilla_plus,
     fidelity,
     make_biphotonic_qutrit,
@@ -576,9 +577,9 @@ def _entangler_reference(
     of the ancilla superposition and undoing its 1/sqrt(2) weight.  Which
     terms match, and the checks on the input, are worked out once per shape.
     """
-    shape = state.shape
+    paths = tuple(paths)
 
-    def matching():
+    def plan(shape):
         kept = []
         for k, (occ, _) in enumerate(shape.keys):
             qutrit = [m.pol for m, n in occ if m.path in paths for _ in range(n)]
@@ -590,11 +591,10 @@ def _entangler_reference(
                 raise WiringError("entangler ancilla must hold exactly one photon")
             if anc == qutrit:
                 kept.append(k)
-        return tuple(kept)
+        return _merge_plan([shape.keys[k] for k in kept], [f"A[{k}] * C[0]" for k in kept],
+                           ["def kernel(A, C, E, P):"], (math.sqrt(2.0),))
 
-    kept = _recall(shape, ("matching", tuple(paths), ancilla), matching)
-    weighted = [state.amplitudes[k] * math.sqrt(2.0) for k in kept]
-    return _regrouped(state, ("reference", kept), kept, weighted, state.registers)
+    return _step(state, _site("reference", (paths, ancilla), plan))[1]
 
 
 def entangler_branches(

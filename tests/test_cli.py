@@ -196,6 +196,19 @@ def test_config_file_fills_flags_and_flags_win(capsys, tmp_path):
     assert json.loads(out)["parameters"]["theta"] == 0.4
 
 
+def test_non_finite_inputs_exit_2_naming_the_bad_value(capsys, tmp_path):
+    code, _, err = run_cli(
+        ["run", "--scheme", "linear-forward", "--alpha", "nan", "--beta", "0", "--gamma", "0"],
+        capsys,
+    )
+    assert code == 2 and "coefficient alpha = (nan+0j) is not finite" in err
+    matrix_file = tmp_path / "nan.json"
+    matrix_file.write_text("[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    code, _, err = run_cli(["run", "--scheme", "u3-linear", "--matrix", str(matrix_file)], capsys)
+    assert code == 2 and "matrix entry (0, 0) = (nan+0j) is not finite" in err
+    assert "zero state" not in err
+
+
 def test_errors_exit_nonzero_with_diagnostics(capsys, tmp_path):
     code, _, err = run_cli(["run", "--scheme", "u3-linear"], capsys)
     assert code == 2 and "matrix" in err

@@ -18,6 +18,7 @@ from qutritmap.elements import (
     apply_phase_shift,
     apply_qft,
     apply_sigma_x,
+    assert_unitary,
     reck_decompose,
     reck_recompose,
     route_pbs,
@@ -25,6 +26,7 @@ from qutritmap.elements import (
 )
 from qutritmap.fock import (
     FockTerm,
+    InvalidInput,
     Mode,
     QutritCoefficients,
     amplitude_of,
@@ -312,3 +314,13 @@ def test_substitute_modes_accumulates_on_shared_target():
     )
     assert amplitude_of(out, {Mode("c", "H"): 2}) == pytest.approx(1.0)
     assert norm_sq(out) == pytest.approx(2.0)  # bunching factor 2!
+
+
+def test_non_finite_matrices_are_refused_by_entry():
+    # a NaN entry makes every norm test false, so it would pass as unitary
+    for bad in (math.nan, math.inf, complex(0, math.nan)):
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        for check in (assert_unitary, reck_decompose):
+            with pytest.raises(InvalidInput, match=r"matrix entry \(1, 2\) = .* is not finite"):
+                check(u)

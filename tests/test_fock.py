@@ -238,6 +238,19 @@ def test_coefficients_validate_norm():
         QutritCoefficients(1.0, 1.0, 0.0)
 
 
+def test_coefficients_refuse_non_finite_values_by_name():
+    # abs(nan - 1) > eps is false, so a NaN would pass the norm test
+    nan, inf = math.nan, math.inf
+    cases = [((nan, 0, 0), "alpha"), ((0, complex(0, inf), 0), "beta"), ((1, 0, nan), "gamma")]
+    for args, name in cases:
+        for make in (QutritCoefficients, QutritCoefficients.normalize):
+            with pytest.raises(InvalidInput, match=f"coefficient {name} = .* is not finite"):
+                make(*args)
+    for args, name in (((inf, 1, 0), "alpha"), ((1, nan, 0), "beta"), ((0, 1, -inf), "gamma")):
+        with pytest.raises(InvalidInput, match=f"coefficient {name} = "):
+            QutritCoefficients.normalize(*args)
+
+
 @given(
     a=complex_amp.filter(lambda z: abs(z) > 1e-3),
     b=complex_amp,

@@ -96,6 +96,16 @@ def test_project_total_photons():
     assert p0 == 0.0
 
 
+def test_project_total_photons_refuses_impossible_counts():
+    s = two_branch_state()
+    modes = path_modes("d") + path_modes("a")
+    for n in (-1, 1.5, math.nan, math.inf):
+        for _ in range(2):  # a refused count builds no site, so it is refused again
+            with pytest.raises(InvalidInput, match="non-negative integer"):
+                project_total_photons(s, modes, n)
+    assert project_total_photons(s, modes, 2.0) == project_total_photons(s, modes, 2)
+
+
 def test_strip_modes_product_state():
     c = QutritCoefficients.normalize(1.0, -2.0j, 0.5)
     q = make_spatial_qutrit(c, ("x", "y", "z"))

@@ -91,10 +91,12 @@ def branch_loop(kept, norm_in):
 def selected_loop(state, needs, norm_in):
     """``measurement._selected`` as it was: the kept subset, then :func:`branch_loop`."""
     shape = state.shape
-    counts = [(shape.photons(watched), lo, hi) for watched, lo, hi in needs]
+    counts = [([fock._photons(occ, watched) for occ, _ in shape.keys], lo, hi)
+              for watched, lo, hi in needs]
     idx = tuple(k for k in range(len(shape.keys)) if all(lo <= c[k] <= hi for c, lo, hi in counts))
     amps = list(map(state.amplitudes.__getitem__, idx))
-    kept = fock._columns(state.registers, amps, state.born_weight, shape.subset(idx))
+    subset = fock._interned(tuple(shape.keys[k] for k in idx))
+    kept = fock._columns(state.registers, amps, state.born_weight, subset)
     return branch_loop(kept, norm_in)
 
 
@@ -138,10 +140,11 @@ def strip_loop(state, modes):
             if abs(lhs - rhs) > tol:
                 raise WiringError("watched modes are entangled with the rest; cannot strip")
     rest, sources = zip(*split[heaviest][1])
-    stripped = fock._regrouped(
-        state, ("rest", watched, heaviest), sources, list(ref.values()), state.registers,
-        rekeyed=lambda keys: [(occ, coh) for occ, (_, coh) in zip(rest, keys)],
-    )
+    # the heavy row's entries on its columns' rest occupations and first terms' labels,
+    # merged, pruned and sorted
+    stripped = build_state(state.registers, [
+        FockTerm(occ, state.shape.keys[i][1], a) for occ, i, a in zip(rest, sources, ref.values())
+    ], float(state.born_weight))
     n2 = norm_sq(stripped)
     if n2 <= PROB_EPS:
         raise InvalidInput("stripped state vanished")
@@ -179,7 +182,7 @@ def traced_loop(state, target):
 
 
 def verdict_loop(sums):
-    """``fock._grouped_state``'s keep list, whose all() the kernel's verdict replaced."""
+    """The prune's keep list, whose all() the kernel's verdict replaced."""
     return all(list(map(PRUNE_EPS.__lt__, map(abs, sums))))
 
 
@@ -319,16 +322,23 @@ def test_merge_kernel_verdicts_match_the_keep_loop(nregs, labels, terms, factor)
                                     for mode, a in zip(path_modes("x"), factor)))
     for state in twins(PhotonicState(regs, raw)):
         built = build_state(regs, state.terms)
-        kernel, _ = fock._MEMO[state.shape, "merge"]
-        sums, whole = kernel(state.amplitudes, PRUNE_EPS)
+        assert fock._MERGE.kind == "merge"
+        kernel, consts, _ = fock._MEMO[state.shape, fock._MERGE]
+        p, sums, pruned = kernel(state.amplitudes, consts, PRUNE_EPS, PROB_EPS)
+        assert p == 1
         assert [hexed(s) for s in sums] == [hexed(s) for s in sums_loop(state)]
-        assert whole is verdict_loop(sums)
+        assert (not pruned) is verdict_loop(sums)
+        assert [hexed(s) for s in pruned] in ([], [hexed(s) for s in sums])
         kept = [hexed(s) for s in sums if abs(s) > PRUNE_EPS]
         assert [hexed(a) for a in built.amplitudes] == kept
 
         product = tensor(built, other)
-        kernel, _ = fock._MEMO[built.shape, ("tensor", other.shape.keys, other.shape.bits)]
-        sums, whole = kernel(built.amplitudes, other.amplitudes, PRUNE_EPS)
-        assert whole is verdict_loop(sums)
+        site = fock._MEMO[other.shape, "factor"]
+        assert site.kind == "tensor"
+        kernel, consts, _ = fock._MEMO[built.shape, site]
+        p, sums, pruned = kernel(built.amplitudes, other.amplitudes, consts, PRUNE_EPS, PROB_EPS)
+        assert p == 1
+        assert (not pruned) is verdict_loop(sums)
+        assert [hexed(s) for s in pruned] in ([], [hexed(s) for s in sums])
         kept = [hexed(s) for s in sums if abs(s) > PRUNE_EPS]
         assert [hexed(a) for a in product.amplitudes] == kept
