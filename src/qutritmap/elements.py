@@ -185,6 +185,8 @@ def apply_beam_splitter(
 
 def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> PhotonicState:
     """Multiply a canonical state by exp(i*n*phi); a path targets both pols."""
+    if not math.isfinite(phi):
+        raise InvalidInput(f"phi = {phi!r} is not finite")
     return _step(state, _site("shift", (target,), lambda shape: _shift_plan(shape, target)), phi)[1]
 
 

@@ -31,6 +31,7 @@ import itertools
 import math
 import operator
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -184,13 +185,13 @@ def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
 # by (None, source) and sites by (None, (kind, their arguments)).  Reaching the
 # bound drops every entry, and an entry holds at most two shapes, so at most
 # 2 * _RETAINED shapes outlive the states that carry them.  After 10,000
-# benchmark evaluations (no drop) the memo holds 286 entries in 0.74 MB (linear
-# optics), 903 in 1.06 MB (ideal qubus) and 1061 in 2.46 MB (physical qubus), by
+# benchmark evaluations (no drop) the memo holds 262 entries in 0.72 MB (linear
+# optics), 872 in 1.00 MB (ideal qubus) and 1017 in 2.35 MB (physical qubus), by
 # deep getsizeof through containers, slots, closures and code.  Of these,
-# interned keys take 0.27, 0.37 and 0.85 MB and kernels (51, 117 and 152 of
-# them) 0.35, 0.35 and 1.03 MB; the plans and sites that index them, with their
-# overlaps and Gram products, hold the rest.  run_all()'s random circuits make
-# one-off shapes, which the bound drops instead of keeping.
+# interned keys take 0.27, 0.36 and 0.84 MB and kernels (51, 116 and 152 of
+# them) 0.36, 0.32 and 0.95 MB; the plans, outcome tables and sites that index
+# them, with their overlaps and Gram products, hold the rest.  run_all()'s random
+# circuits make one-off shapes, which the bound drops instead of keeping.
 _RETAINED = 2048
 _MEMO: dict[tuple, object] = {}
 
@@ -210,9 +211,9 @@ def _recall(shape, op, build):
 
 class _Site:
     """One wiring of an operation that makes a state: its ``kind`` and ``plan(shape)``,
-    the builder of its :func:`_step` plan for a state of ``shape`` (a strip's or a
-    homodyne's picks the sites of its outcomes).  It holds no shape and hashes by
-    identity, as a :class:`Shape` does."""
+    the builder of its :func:`_step` plan for a state of ``shape`` (a strip's picks the
+    site of its rank-1 merge, a readout's is its outcome table).  It holds no shape and
+    hashes by identity, as a :class:`Shape` does."""
 
     __slots__ = ("kind", "plan")
 
@@ -228,11 +229,12 @@ def _site(kind: str, args: tuple, plan) -> _Site:
 def _step(state, site, *values, registers=None, weight=1.0):
     """``(p, output)`` of ``site`` on ``state``; p is 1 where nothing is measured.
 
-    The plan, built once per ``(state.shape, site)``, is ``(kernel, consts, shape)``.
-    ``kernel(A, *values, consts, PRUNE_EPS, PROB_EPS)`` returns nothing for an outcome at
-    p <= PROB_EPS (output: the empty state), else p, the column of ``shape``'s terms and,
-    if some prune, their sums.  The output carries ``registers`` (default: the input's)
-    and born weight ``weight`` times the input's times p; a plan of no shape gives None.
+    The plan, built once per ``(state.shape, site)``, is ``(kernel, consts, shape)``, and
+    ``shape`` is the output's.  ``kernel(A, *values, consts, PRUNE_EPS, PROB_EPS)`` returns
+    nothing for an outcome at p <= PROB_EPS or a stored refusal (output: p 0 and the empty
+    state), else p, the column of ``shape``'s terms and, if some prune, their sums.  The
+    output carries ``registers`` (default: the input's) and born weight ``weight`` times
+    the input's times p.
     """
     shape = state.shape
     kernel, consts, out = _recall(shape, site, lambda: site.plan(shape))
@@ -246,7 +248,7 @@ def _step(state, site, *values, registers=None, weight=1.0):
         kept, keys = tuple(itertools.compress(range(len(keep)), keep)), out.keys
         out = _recall((out, kept), "subset", lambda: _interned(tuple(keys[i] for i in kept)))
         column = list(itertools.compress(column, keep))
-    return p, out and _columns(registers, column, weight * float(state.born_weight) * p, out)
+    return p, _columns(registers, column, weight * float(state.born_weight) * p, out)
 
 
 def _kernel(lines: list[str], returned: str):
@@ -306,7 +308,7 @@ class Shape:
 
     def paths(self) -> frozenset[str]:
         """The paths that hold a photon in some term."""
-        return _recall(self, "paths", lambda: frozenset(m.path for o, _ in self.keys for m, _ in o))
+        return frozenset(m.path for o, _ in self.keys for m, _ in o)
 
     def norm_sq(self, state: PhotonicState) -> float:
         """``inner_product(state, state).real``, bit for bit, for a ``state`` of this shape."""
@@ -581,28 +583,39 @@ class QutritCoefficients:
     gamma: complex
 
     def __post_init__(self):
-        _finite(self.alpha, self.beta, self.gamma)
-        n = abs(self.alpha) ** 2 + abs(self.beta) ** 2 + abs(self.gamma) ** 2
+        n = _squares(self.alpha, self.beta, self.gamma)
         if abs(n - 1.0) > NORM_EPS:
             raise InvalidInput(f"coefficients are not normalized: |c|^2 = {n}")
 
     @classmethod
     def normalize(cls, alpha: complex, beta: complex, gamma: complex) -> "QutritCoefficients":
-        _finite(alpha, beta, gamma)
-        n = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2)
-        if n == 0.0:
-            raise InvalidInput("cannot normalize the zero vector")
+        n2 = _squares(alpha, beta, gamma)
+        if not sys.float_info.min <= n2 < math.inf:  # a square under- or overflowed
+            parts = [complex(x) for x in (alpha, beta, gamma)]
+            top = max(abs(x) for c in parts for x in (c.real, c.imag))
+            if top == 0.0:
+                raise InvalidInput("cannot normalize the zero vector")
+            e = -math.frexp(top)[1]  # scaled by a power of two, the largest part in [0.5, 1)
+            alpha, beta, gamma = (complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+                                  for c in parts)
+            n2 = _squares(alpha, beta, gamma)
+        n = math.sqrt(n2)
         return cls(complex(alpha) / n, complex(beta) / n, complex(gamma) / n)
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (complex(self.alpha), complex(self.beta), complex(self.gamma))
 
 
-def _finite(*coefficients: complex) -> None:
-    """Refuse a NaN or infinite qutrit coefficient by name: a NaN passes the norm test."""
-    for name, value in zip(("alpha", "beta", "gamma"), coefficients):
+def _squares(alpha: complex, beta: complex, gamma: complex) -> float:
+    """|alpha|^2 + |beta|^2 + |gamma|^2, inf where a square overflows; refuses a NaN or
+    infinite coefficient by name, as a NaN passes the norm test."""
+    for name, value in zip(("alpha", "beta", "gamma"), (alpha, beta, gamma)):
         if not cmath.isfinite(value):
             raise InvalidInput(f"coefficient {name} = {value!r} is not finite")
+    try:
+        return abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def path_modes(path: str) -> tuple[Mode, Mode]:

@@ -87,10 +87,13 @@ class BranchDistribution:
 
 
 def _norm_in(state: PhotonicState, action: str) -> float:
-    """Squared norm of a state about to be measured; refuses a zero state."""
+    """Squared norm of a state about to be measured; refuses a zero state and a norm
+    that is not finite (a NaN passes every comparison with a bound)."""
     n2 = norm_sq(state)
     if n2 <= PROB_EPS:
         raise InvalidInput(f"cannot {action} a zero state")
+    if not n2 < math.inf:
+        raise InvalidInput(f"cannot {action} a state of squared norm {n2!r}")
     return n2
 
 

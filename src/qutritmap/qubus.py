@@ -23,6 +23,7 @@ from .fock import (
     _Site,
     _bits,
     _group_lines,
+    _interned,
     _kernel,
     _merge_plan,
     _merged,
@@ -43,7 +44,8 @@ def add_register(state: PhotonicState, register: str, alpha0: complex) -> Photon
         raise WiringError(f"register {register!r} already attached")
     label = complex(alpha0)
     op = ("register", _bits(label.real, label.imag))
-    return _relabeled(state, op, state.registers + (register,), lambda _, c: c + (label,))
+    return _relabeled(state, op, state.registers + (register,), lambda _, c: c + (label,),
+                      alpha0=label)
 
 
 def _register_index(state: PhotonicState, register: str) -> int:
@@ -66,12 +68,16 @@ def _read_plan(shape, idx: int, members, chains):
                        measured=True)
 
 
-def _relabeled(state: PhotonicState, op: tuple, registers, relabel) -> PhotonicState:
+def _relabeled(state: PhotonicState, op: tuple, registers, relabel, **finite) -> PhotonicState:
     """``state`` on ``registers`` with each term's labels rewritten by ``relabel(occ,
     labels)``: a one-to-one rewrite, keyed by ``op``, that keeps labels COHERENT_MERGE_EPS
-    apart, so nothing merges; the new labels and order are built once per shape."""
+    apart, so nothing merges; the new labels and order are built once per shape, after
+    checking that each of the ``finite`` parameters, whose bits ``op`` holds, is finite."""
 
     def plan(shape):
+        for name, value in finite.items():
+            if not cmath.isfinite(value):
+                raise InvalidInput(f"{name} = {value!r} is not finite")
         keys = [(occ, relabel(occ, coh)) for occ, coh in shape.keys]
         order = sorted(range(len(keys)), key=lambda k: _sort_key(keys[k]))
         return _merge_plan([keys[k] for k in order], [f"A[{k}]" for k in order],
@@ -90,14 +96,16 @@ def apply_xpm(
     def relabel(occ, c):
         return c[:idx] + (c[idx] * cmath.exp(1j * _photons(occ, watched) * theta),) + c[idx + 1 :]
 
-    return _relabeled(state, ("xpm", idx, watched, _bits(theta)), state.registers, relabel)
+    return _relabeled(state, ("xpm", idx, watched, _bits(theta)), state.registers, relabel,
+                      theta=theta)
 
 
 def coherent_phase(state: PhotonicState, register: str, phi: float) -> PhotonicState:
     """Rotate one register's label by ``phi``; canonical input."""
     idx = _register_index(state, register)
     return _relabeled(state, ("phase", idx, _bits(phi)), state.registers,
-                      lambda _, c: c[:idx] + (c[idx] * cmath.exp(1j * phi),) + c[idx + 1 :])
+                      lambda _, c: c[:idx] + (c[idx] * cmath.exp(1j * phi),) + c[idx + 1 :],
+                      phi=phi)
 
 
 def coherent_bs50(state: PhotonicState, reg_a: str, reg_b: str) -> PhotonicState:
@@ -138,7 +146,7 @@ def couple_probes(state: PhotonicState, reg_a: str, reg_b: str, alpha: float, th
     # Terms of one occupation get the same new labels, so the one sort of
     # _relabeled orders the terms as each of the chain's five does.
     op = ("probes", *watched, _bits(label.real, label.imag, theta))
-    return _relabeled(state, op, regs, relabel)
+    return _relabeled(state, op, regs, relabel, alpha=label, theta=theta)
 
 
 def project_photon_number(
@@ -162,33 +170,37 @@ def project_photon_number(
     """
     if mode not in ("ideal", "physical"):
         raise InvalidInput(f"unknown measurement mode {mode!r}")
-
-    def classes(idx, _):
-        return _recall(None, ("readout", mode, idx), lambda: tuple(
-            (label, None, _Site("readout", functools.partial(_readout_plan, idx=idx, mode=mode,
-                                                             label=label)))
-            for label in ("0", "odd", "even")))
-
-    outcomes = _measured(state, register, classes)
-    return BranchDistribution(tuple(o for o in outcomes if o.probability > PROB_EPS))
+    return _measured(state, register, "readout", _readout_table, mode)
 
 
-def _measured(state, register: str, branches) -> list[Outcome]:
-    """Each outcome of a readout of ``register``, which it destroys: ``branches(idx,
-    shape)`` lists their labels, values and sites."""
+def _measured(state, register: str, kind: str, table, *args) -> BranchDistribution:
+    """The outcomes above PROB_EPS of a readout of ``register``, which it destroys.
+
+    Per input shape the readout's site (``kind`` on the register and ``args``) holds its
+    outcome table, ``table(shape, idx, *args)``: per outcome its label, value and
+    :func:`fock._step` site, and ``mixed``, empty or ``(labels, kernel, consts)`` whose
+    ``kernel(A, n, consts)`` returns the exact p of each mixed class, which has no state.
+    """
     idx = _register_index(state, register)
     norm_in = _norm_in(state, "measure")
     registers = state.registers[:idx] + state.registers[idx + 1 :]
-    return [Outcome(label, value, *_step(state, site, norm_in, registers=registers))
-            for label, value, site in branches(idx, state.shape)]
+    site = _site(kind, (idx, *args), lambda shape: table(shape, idx, *args))
+    pure, mixed = _recall(state.shape, site, lambda: site.plan(state.shape))
+    outcomes = [Outcome(label, value, *_step(state, sub, norm_in, registers=registers))
+                for label, value, sub in pure]
+    if mixed:
+        labels, kernel, consts = mixed
+        outcomes += [Outcome(label, None, p, None)
+                     for label, p in zip(labels, kernel(state.amplitudes, norm_in, consts))]
+    return BranchDistribution(tuple(o for o in outcomes if o.probability > PROB_EPS))
 
 
-def _readout_plan(shape, idx: int, mode: str, label: str):
-    """The plan of :func:`project_photon_number`'s class ``label`` of labels ``idx``.  A
-    pure class reads members and chains of factors ("0": undisplaced terms, or all times
-    <0|b> if physical; "odd", "even" if lit labels are +beta or -beta of one beta: lit terms,
+def _readout_table(shape, idx: int, mode: str):
+    """:func:`project_photon_number`'s outcome table for labels ``idx``.  A pure class
+    reads members and chains of factors ("0": undisplaced terms, or all times <0|b> if
+    physical; "odd", "even" if lit labels are +beta or -beta of one beta: lit terms,
     rescaled if ideal, times sign and k_odd or times k_even); else odd and even are mixed,
-    or never occur."""
+    or, with no lit label, never occur."""
     betas = [coh[idx] for _, coh in shape.keys]
     quiet = [abs(b) <= COHERENT_MERGE_EPS for b in betas]
     lit = tuple(k for k, q in enumerate(quiet) if not q)
@@ -202,26 +214,26 @@ def _readout_plan(shape, idx: int, mode: str, label: str):
     heads = [(f,) for f in factors] or [()] * len(lit)
     lit_betas = [betas[k] for k in lit]
     signs = tuple(1.0 if abs(b - lit_betas[0]) <= COHERENT_MERGE_EPS else -1.0 for b in lit_betas)
+    mixed = ()
     if lit and all(abs(b - s * lit_betas[0]) <= COHERENT_MERGE_EPS
                    for b, s in zip(lit_betas, signs)):
         m = abs(lit_betas[0]) ** 2
         k_odd, k_even = math.sqrt(-0.5 * math.expm1(-2.0 * m)), -math.expm1(-m) / math.sqrt(2.0)
         pure["odd"] = lit, [h + (s, k_odd) for h, s in zip(heads, signs)]
         pure["even"] = lit, [h + (k_even,) for h in heads]
-    if label in pure:
-        return _read_plan(shape, idx, *pure[label])
-    if not lit:
-        return _kernel(["def kernel(A, n, C, E, P):"], ""), (), None
-    vacuum = tuple(math.exp(-0.5 * abs(b) ** 2) for b in lit_betas)
-    return _mixed_plan(shape, idx, lit, factors, vacuum, label == "odd")
+    elif lit:
+        mixed = ("odd", "even"), *_mixed_plan(shape, idx, lit, factors)
+    return tuple(
+        (label, None, _Site("readout", functools.partial(_read_plan, idx=idx, members=m, chains=c)))
+        for label, (m, c) in pure.items()), mixed
 
 
-def _mixed_plan(shape, idx: int, lit, factors, vacuum, odd: bool):
-    """A mixed odd or even readout class: its plan has no shape and returns the exact p.
-    From the class Gram of psi, lit terms times ``factors``: e^{z-m} = <b|b'>, e^{-z-m} =
+def _mixed_plan(shape, idx: int, lit, factors):
+    """``(kernel, consts)`` of the mixed odd and even classes: the exact p of each, from
+    one class Gram of psi, lit terms times ``factors``: e^{z-m} = <b|b'>, e^{-z-m} =
     <b|-b'>; with P the parity b -> -b, the odd mass is (<psi|psi> - <psi|P psi>)/2 and the
-    even (<psi|psi> + <psi|P psi>)/2 less the unpruned norm of psi times <0|b>, ``vacuum``."""
-    lines = ["def kernel(A, n, C, E, P):", "    V, W, o, u, w = C"]
+    even (<psi|psi> + <psi|P psi>)/2 less the unpruned norm of psi times <0|b>."""
+    lines = ["def kernel(A, n, C):", "    V, W, o, u, w = C"]
     names = [f"L{i}" for i in range(len(lit))]
     lines += [f"    L{i} = A[{k}]" + (f" * V[{i}]" if factors else "") for i, k in enumerate(lit)]
     keys = [shape.keys[k] for k in lit]
@@ -230,12 +242,12 @@ def _mixed_plan(shape, idx: int, lit, factors, vacuum, odd: bool):
     lines.append("    s = t.real")
     u = _pair_lines(keys, mirror, names, names, lines, "u")
     lines.append("    q = t.real")
-    if odd:
-        return _kernel(lines, "(s - q) / 2 / n, (), ()"), (factors, vacuum, o, u, None), None
     dropped = [(occ, c[:idx] + c[idx + 1 :]) for occ, c in keys]
     sums, grouped = _group_lines(dropped, [f"L{i} * W[{i}]" for i in range(len(lit))], lines)
     total, w = _norm_lines(grouped.keys, sums, lines, "w")
-    return _kernel(lines, f"((s + q) / 2 - {total}) / n, (), ()"), (factors, vacuum, o, u, w), None
+    vacuum = tuple(math.exp(-0.5 * abs(c[idx]) ** 2) for _, c in keys)
+    kernel = _kernel(lines, f"(s - q) / 2 / n, ((s + q) / 2 - {total}) / n")
+    return kernel, (factors, vacuum, o, u, w)
 
 
 def project_quadrature_x(
@@ -252,17 +264,12 @@ def project_quadrature_x(
         raise UnsupportedMode("finite-resolution homodyne is not modelled")
     if mode != "ideal":
         raise InvalidInput(f"unknown measurement mode {mode!r}")
-
-    def groups(idx, shape):
-        site = _site("quadrature", (idx,), lambda s: _quadrature_groups(s, idx))
-        return _recall(shape, site, lambda: site.plan(shape))
-
-    outcomes = _measured(state, register, groups)
-    return BranchDistribution(tuple(o for o in outcomes if o.probability > 0.0))
+    return _measured(state, register, "quadrature", _quadrature_groups)
 
 
 def _quadrature_groups(shape, idx: int):
-    """Per resolved Re(beta) of labels ``idx``: outcome label, value and site of its terms."""
+    """:func:`project_quadrature_x`'s outcome table for labels ``idx``: per resolved
+    Re(beta), its label, value and the site of its terms; nothing is mixed."""
     xs = [c[idx].real for _, c in shape.keys]
     centers: list[float] = []
     for x in xs:
@@ -273,11 +280,23 @@ def _quadrature_groups(shape, idx: int):
         kept = tuple(k for k, x in enumerate(xs) if abs(x - x0) <= COHERENT_MERGE_EPS)
         plan = functools.partial(_read_plan, idx=idx, members=kept, chains=[()] * len(kept))
         groups.append((f"x={x0:.9g}", float(x0), _Site("quadrature", plan)))
-    return groups
+    return tuple(groups), ()
 
 
 def drop_register(state: PhotonicState, register: str) -> PhotonicState:
-    """Detach a register that is in a product with the photonic part."""
+    """Detach a register that is in a product with the photonic part; raises
+    :class:`WiringError` on every call where it is correlated with the photons."""
+    dropped = _dropped(state, register)
+    if dropped is None:
+        raise WiringError(
+            f"register {register!r} is correlated with the photons; measure it instead"
+        )
+    return dropped
+
+
+def _dropped(state: PhotonicState, register: str) -> PhotonicState | None:
+    """``state`` without ``register``, or None where the register is correlated with the
+    photons: that shape's plan is a stored refusal, whose kernel returns nothing."""
     idx = _register_index(state, register)
 
     def plan(shape):
@@ -285,10 +304,9 @@ def drop_register(state: PhotonicState, register: str) -> PhotonicState:
             raise InvalidInput("cannot drop a register from a zero state")
         ref = shape.keys[0][1][idx]
         if any(abs(c[idx] - ref) > COHERENT_MERGE_EPS for _, c in shape.keys):
-            raise WiringError(
-                f"register {register!r} is correlated with the photons; measure it instead"
-            )
+            return _kernel(["def kernel(A, C, E, P):"], ""), (), _interned(())
         return _merged([(occ, c[:idx] + c[idx + 1 :]) for occ, c in shape.keys])
 
-    registers = state.registers[:idx] + state.registers[idx + 1 :]
-    return _step(state, _site("drop", (idx, register), plan), registers=registers)[1]
+    p, dropped = _step(state, _site("drop", (idx,), plan),
+                       registers=state.registers[:idx] + state.registers[idx + 1 :])
+    return dropped if p else None

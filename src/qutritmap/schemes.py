@@ -75,10 +75,10 @@ from .measurement import (
     strip_modes,
 )
 from .qubus import (
+    _dropped,
     add_register,
     apply_xpm,
     couple_probes,
-    drop_register,
     project_photon_number,
     project_quadrature_x,
 )
@@ -141,6 +141,15 @@ class SchemeReport:
     def success_probability(self) -> float:
         """The product of the branch-log probabilities."""
         return math.prod(e.probability for e in self.branch_log)
+
+
+def _report(scheme: str, state, target, log, parameters, checks, output_fidelity=None):
+    """The :class:`SchemeReport` of ``scheme``'s output ``state``: ``checks`` gains its
+    born weight, and its fidelity, unless given, is its traced fidelity to ``target``."""
+    checks["output_born_weight"] = state.born_weight
+    if output_fidelity is None:
+        output_fidelity = traced_fidelity(state, target)
+    return SchemeReport(scheme, output_fidelity, state, log, parameters, checks)
 
 
 def _coeffs(c) -> QutritCoefficients:
@@ -292,15 +301,7 @@ def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
     )
     checks = {f"eraser_{k}_probability": p for k, p in p_ports.items()}
     checks["eraser_min_branch_fidelity"] = min_fid
-    checks["output_born_weight"] = merged.born_weight
-    return SchemeReport(
-        scheme="linear-forward",
-        output_fidelity=fidelity(merged, target),
-        output_state=merged,
-        branch_log=log,
-        parameters={"t": t, "t_squared": t * t},
-        checks=checks,
-    )
+    return _report("linear-forward", merged, target, log, {"t": t, "t_squared": t * t}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -415,20 +416,12 @@ def scheme_linear_inverse(
     target = make_biphotonic_qutrit(c, "out")
 
     p_d2, q_d2, s_d2 = _linear_inverse_branch(pre, "eD2", "eD1")
-    checks = {"output_born_weight": s.born_weight}
+    checks = {}
     if p_d2 > 0.0:
         checks["discarded_d2_probability"] = p_d2 * q_d2
     if s_d2 is not None:
         checks["discarded_d2_fidelity"] = fidelity(s_d2, target)
-
-    return SchemeReport(
-        scheme="linear-inverse",
-        output_fidelity=fidelity(s, target),
-        output_state=s,
-        branch_log=log,
-        parameters=params,
-        checks=checks,
-    )
+    return _report("linear-inverse", s, target, log, params, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +488,12 @@ def scheme_kerr_forward(
         s = apply_xpm(s, "probe-1", (Mode("5", H), Mode("6", V)), -theta)
         s = apply_xpm(s, "probe-2", (Mode("1l", V),), theta)
         s = apply_xpm(s, "probe-2", (Mode("7", V),), -theta)
-        log_entries = []
+        p_meas_log = ()
         for reg in ("probe-1", "probe-2"):
             dist = project_quadrature_x(s, reg, mode=meas_mode)
             kept = _quadrature_group(dist, reg, alpha)
-            log_entries.append(
-                BranchLogEntry(f"quadrature-{reg}", kept.label, kept.probability)
-            )
+            p_meas_log += (BranchLogEntry(f"quadrature-{reg}", kept.label, kept.probability),)
             s = kept.state
-        p_meas_log = tuple(log_entries)
     else:
         # After the coupler every wanted component leaves probe-1 in vacuum,
         # while single-route components imprint +/- theta on it.
@@ -531,28 +521,13 @@ def scheme_kerr_forward(
     merged = apply_sigma_x(merged, "7")
     checks.update({f"eraser_{k}_probability": p for k, p in p_ports.items()})
     checks["eraser_min_branch_fidelity"] = min_fid
-    if merged.registers:
-        try:
-            merged = drop_register(merged, "probe-2")
-        except WiringError:
-            pass
+    if merged.registers:  # probe-2 stays where it is correlated with the photons
+        merged = _dropped(merged, "probe-2") or merged
 
     target = make_spatial_qutrit(c, ("5", "6", "7"))
     log = p_meas_log + (BranchLogEntry("pair-eraser", "dp|dm", p_det),)
-    checks["output_born_weight"] = merged.born_weight
-    return SchemeReport(
-        scheme="kerr-forward",
-        output_fidelity=traced_fidelity(merged, target),
-        output_state=merged,
-        branch_log=log,
-        parameters={
-            "t": t,
-            "t_squared": t * t,
-            "qubus_alpha": alpha,
-            "theta": theta,
-        },
-        checks=checks,
-    )
+    return _report("kerr-forward", merged, target, log,
+                   {"t": t, "t_squared": t * t, "qubus_alpha": alpha, "theta": theta}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +608,10 @@ def entangler_branches(
     corrected = [(o.label, o.probability, rule.apply(o.label, o.state)) for o in dist.outcomes]
     dropped = []
     for label, p, st in corrected:
-        try:
-            dropped.append((label, p, drop_register(st, f"{register_prefix}-2")))
-        except WiringError:
+        st = _dropped(st, f"{register_prefix}-2")
+        if st is None:  # correlated with the photons
             return corrected
+        dropped.append((label, p, st))
     return dropped
 
 
@@ -671,19 +646,13 @@ def scheme_entangler(
         checks[f"branch_n{label}_probability"] = p
         checks[f"branch_n{label}_fidelity"] = f
         mean_fid += p * f
-    tol = _merge_tol(meas_mode)
-    p_all, merged, min_fid = merge_branches([(p, st) for _, p, st in branches], tol=tol)
+    p_all, merged, min_fid = merge_branches([(p, st) for _, p, st in branches],
+                                            tol=_merge_tol(meas_mode))
     checks["merge_min_fidelity"] = min_fid
-    checks["output_born_weight"] = merged.born_weight
     log = (BranchLogEntry("probe-number", "all n merged", p_all),)
-    return SchemeReport(
-        scheme="entangler",
-        output_fidelity=mean_fid / p_all,
-        output_state=merged,
-        branch_log=log,
-        parameters={"qubus_alpha": float(qubus_alpha), "theta": float(theta)},
-        checks=checks,
-    )
+    return _report("entangler", merged, None, log,
+                   {"qubus_alpha": float(qubus_alpha), "theta": float(theta)}, checks,
+                   mean_fid / p_all)
 
 
 # ---------------------------------------------------------------------------
@@ -810,15 +779,7 @@ def scheme_kerr_inverse(
     state = make_spatial_qutrit(c, paths)
     log, s, checks = _kerr_inverse_run(state, paths, alpha, theta, meas_mode)
     target = make_biphotonic_qutrit(c, "out")
-    checks["output_born_weight"] = s.born_weight
-    return SchemeReport(
-        scheme="kerr-inverse",
-        output_fidelity=traced_fidelity(s, target),
-        output_state=s,
-        branch_log=log,
-        parameters={"qubus_alpha": alpha, "theta": theta},
-        checks=checks,
-    )
+    return _report("kerr-inverse", s, target, log, {"qubus_alpha": alpha, "theta": theta}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -851,44 +812,32 @@ def u3_biphotonic(
     if u.shape != (3, 3):
         raise InvalidInput(f"expected a 3x3 matrix, got shape {u.shape}")
     mesh = reck_decompose(u)  # checks that u is unitary before any optics run
+    spatial = ("s0", "s1", "s2")
     if backend == "linear":
-        fwd = scheme_linear_forward(c, t)
-        outputs = ("6", "3", "7")
+        fwd, outputs = scheme_linear_forward(c, t), ("6", "3", "7")
+        params = default_linear_inverse_params(t1, t2, t3)
+
+        def inverse(s):  # its log and output, and no checks, as _kerr_inverse_run's
+            return (*_linear_inverse_run(s, spatial, **params)[1:], {})
     elif backend == "kerr":
         alpha, theta = _check_merge_probe(qubus_alpha, theta)
-        fwd = scheme_kerr_forward(
-            c, t, meas_mode=meas_mode, qubus_alpha=alpha, theta=theta
-        )
-        outputs = ("5", "6", "7")
+        fwd = scheme_kerr_forward(c, t, meas_mode=meas_mode, qubus_alpha=alpha, theta=theta)
+        outputs, params = ("5", "6", "7"), {"qubus_alpha": alpha, "theta": theta}
+
+        def inverse(s):
+            return _kerr_inverse_run(s, spatial, alpha, theta, meas_mode)
     else:
         raise InvalidInput(f"unknown backend {backend!r}")
 
-    spatial = ("s0", "s1", "s2")
     s = relabel_paths(fwd.output_state, dict(zip(outputs, spatial)))
-    s = apply_lomi(s, mesh, spatial)
-
+    inv_log, s, inv_checks = inverse(apply_lomi(s, mesh, spatial))
     checks = {f"forward_{k}": v for k, v in fwd.checks.items()}
     checks["forward_fidelity"] = fwd.output_fidelity
-    if backend == "linear":
-        params = default_linear_inverse_params(t1, t2, t3)
-        _, inv_log, s = _linear_inverse_run(s, spatial, **params)
-    else:
-        inv_log, s, inv_checks = _kerr_inverse_run(s, spatial, alpha, theta, meas_mode)
-        checks.update({f"inverse_{k}": v for k, v in inv_checks.items()})
-        params = {"qubus_alpha": alpha, "theta": theta}
-
+    checks.update({f"inverse_{k}": v for k, v in inv_checks.items()})
     vec = u @ np.array(c.as_tuple())
     target = make_biphotonic_qutrit(QutritCoefficients.normalize(*vec), "out")
-    log = fwd.branch_log + inv_log
-    checks["output_born_weight"] = s.born_weight
-    return SchemeReport(
-        scheme=f"u3-{backend}",
-        output_fidelity=traced_fidelity(s, target),
-        output_state=s,
-        branch_log=log,
-        parameters={"t": fwd.parameters["t"], **params},
-        checks=checks,
-    )
+    return _report(f"u3-{backend}", s, target, fwd.branch_log + inv_log,
+                   {"t": fwd.parameters["t"], **params}, checks)
 
 
 def _u3_linear(c, u, t=None, t1=None, t2=None, t3=None) -> SchemeReport:

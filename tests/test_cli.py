@@ -209,6 +209,18 @@ def test_non_finite_inputs_exit_2_naming_the_bad_value(capsys, tmp_path):
     assert "zero state" not in err
 
 
+def test_coefficients_of_extreme_magnitude_run(capsys):
+    for alpha in ("1e200", "1e-200"):
+        code, out, err = run_cli(
+            ["run", "--scheme", "linear-forward", "--alpha", alpha, "--beta", "0", "--gamma", "0"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["input"]["alpha"] == [1.0, 0.0]
+        assert payload["output_fidelity"] == pytest.approx(1.0)
+
+
 def test_errors_exit_nonzero_with_diagnostics(capsys, tmp_path):
     code, _, err = run_cli(["run", "--scheme", "u3-linear"], capsys)
     assert code == 2 and "matrix" in err

@@ -238,6 +238,34 @@ def test_coefficients_validate_norm():
         QutritCoefficients(1.0, 1.0, 0.0)
 
 
+def test_coefficients_of_extreme_magnitude_normalize():
+    root_half = 1.0 / math.sqrt(2.0)
+    cases = [
+        ((1e200, 0, 0), (1, 0, 0)),
+        ((1e-200, 0, 0), (1, 0, 0)),
+        ((1e-160, 0, 0), (1, 0, 0)),  # a subnormal sum of squares, too coarse to divide by
+        ((1e-170, 1e-170, 0), (root_half, root_half, 0)),
+        ((0, 3e300j, -4e300), (0, 0.6j, -0.8)),
+        ((1e308 + 1e308j, 0, 0), (complex(root_half, root_half), 0, 0)),
+    ]
+    for given, want in cases:
+        c = QutritCoefficients.normalize(*given)
+        assert c.as_tuple() == pytest.approx(want, abs=1e-15), given
+    with pytest.raises(InvalidInput, match="zero vector"):
+        QutritCoefficients.normalize(0.0, -0.0, 0j)
+    with pytest.raises(InvalidInput, match="not normalized"):
+        QutritCoefficients(1e200, 0, 0)  # no raw OverflowError
+
+
+def test_normalize_keeps_its_arithmetic_where_the_squares_are_finite():
+    for given in [(0.3 - 0.0j, -0.0 + 0.4j, -0.5), (1e150, 2e150j, 0), (1e-150, 0, 3e-151)]:
+        n = math.sqrt(abs(given[0]) ** 2 + abs(given[1]) ** 2 + abs(given[2]) ** 2)
+        want = [complex(x) / n for x in given]
+        got = QutritCoefficients.normalize(*given).as_tuple()
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            (z.real.hex(), z.imag.hex()) for z in want]
+
+
 def test_coefficients_refuse_non_finite_values_by_name():
     # abs(nan - 1) > eps is false, so a NaN would pass the norm test
     nan, inf = math.nan, math.inf

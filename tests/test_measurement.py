@@ -15,6 +15,7 @@ from qutritmap.fock import (
     FockTerm,
     InvalidInput,
     Mode,
+    PhotonicState,
     QutritCoefficients,
     SimulationError,
     WiringError,
@@ -327,3 +328,11 @@ def test_branches_keep_canonical_terms_as_they_stand(nregs, specs, born_weight, 
     with mock.patch.object(measurement, "_selected", rebuilt_selection):
         want = [outcome_repr(*call) for call in calls]
     assert got == want
+
+
+def test_a_state_of_nan_norm_is_not_measured():
+    nan = PhotonicState((), (FockTerm(((Mode("a", "H"), 1),), (), complex(math.nan, 0.0)),))
+    with pytest.raises(InvalidInput, match="squared norm nan"):
+        post_select_coincidence(nan, [(path_modes("a"), "click")])
+    with pytest.raises(InvalidInput, match="squared norm nan"):
+        project_total_photons(nan, path_modes("a"), 1)

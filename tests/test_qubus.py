@@ -17,11 +17,13 @@ from qutritmap.fock import (
     norm_sq,
     single_photon,
 )
+from qutritmap.elements import apply_phase_shift
 from qutritmap.qubus import (
     add_register,
     apply_xpm,
     coherent_bs50,
     coherent_phase,
+    couple_probes,
     drop_register,
     project_photon_number,
     project_quadrature_x,
@@ -212,3 +214,22 @@ def test_missing_register_raises():
     s = single_photon("a")
     with pytest.raises(InvalidInput):
         project_photon_number(s, "nope")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_probe_parameters_are_refused_by_name(bad):
+    a = single_photon("a")
+    watched = (Mode("a", "H"),)
+    probed = add_register(a, "r", 1.0)
+    cases = [
+        ("alpha0", lambda: add_register(a, "r", complex(0.5, bad))),
+        ("theta", lambda: apply_xpm(probed, "r", watched, bad)),
+        ("phi", lambda: coherent_phase(probed, "r", bad)),
+        ("alpha", lambda: couple_probes(a, "p", "q", bad, 0.3, watched, ())),
+        ("theta", lambda: couple_probes(a, "p", "q", 1.0, bad, watched, ())),
+        ("phi", lambda: apply_phase_shift(a, "a", bad)),
+    ]
+    for name, call in cases:
+        for _ in range(2):  # a refused plan is not stored: it is refused again
+            with pytest.raises(InvalidInput, match=f"^{name} = .* is not finite"):
+                call()
