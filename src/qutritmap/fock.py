@@ -13,7 +13,10 @@ Every operation that makes a state runs through :func:`_step`.  Its wiring
 (the paths, modes, registers and counts it acts on) is a *site*, built once
 per wiring; per state shape and site one plan holds a compiled kernel, its
 constants and the output's shape, so a call runs the kernel on the amplitudes
-and applies its prune verdict.
+and applies its prune verdict.  A fixed chain of steps (a *segment*, see
+:func:`_segment`) keeps one *tape* per input shape: its steps' kernels and values,
+replayed on the amplitudes alone while every prune, outcome cut and measured norm
+falls as it did when the tape was recorded.
 
 Conventions:
 
@@ -185,13 +188,13 @@ def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
 # by (None, source) and sites by (None, (kind, their arguments)).  Reaching the
 # bound drops every entry, and an entry holds at most two shapes, so at most
 # 2 * _RETAINED shapes outlive the states that carry them.  After 10,000
-# benchmark evaluations (no drop) the memo holds 262 entries in 0.72 MB (linear
-# optics), 872 in 1.00 MB (ideal qubus) and 1017 in 2.35 MB (physical qubus), by
-# deep getsizeof through containers, slots, closures and code.  Of these,
-# interned keys take 0.27, 0.36 and 0.84 MB and kernels (51, 116 and 152 of
-# them) 0.36, 0.32 and 0.95 MB; the plans, outcome tables and sites that index
-# them, with their overlaps and Gram products, hold the rest.  run_all()'s random
-# circuits make one-off shapes, which the bound drops instead of keeping.
+# benchmark evaluations (no drop) the memo holds 261 entries in 0.59 MB (linear
+# optics, 2 of them segment tapes), 869 in 0.90 MB (ideal qubus) and 1014 in
+# 1.97 MB (physical qubus), by deep getsizeof through containers, slots, closures
+# and code constants, each object once: interned keys take 0.27, 0.37 and 0.85 MB,
+# kernels (51, 116 and 152) 0.14, 0.14 and 0.40 MB and the tapes 0.01 MB more; the
+# plans, tables and sites hold the rest.  run_all()'s random circuits make one-off
+# shapes, which the bound drops instead of keeping.
 _RETAINED = 2048
 _MEMO: dict[tuple, object] = {}
 
@@ -212,8 +215,8 @@ def _recall(shape, op, build):
 class _Site:
     """One wiring of an operation that makes a state: its ``kind`` and ``plan(shape)``,
     the builder of its :func:`_step` plan for a state of ``shape`` (a strip's picks the
-    site of its rank-1 merge, a readout's is its outcome table).  It holds no shape and
-    hashes by identity, as a :class:`Shape` does."""
+    site of its rank-1 merge, a readout's is its outcome table, a segment's is None: a
+    run records its tape).  It holds no shape and hashes by identity, as a Shape does."""
 
     __slots__ = ("kind", "plan")
 
@@ -234,21 +237,85 @@ def _step(state, site, *values, registers=None, weight=1.0):
     nothing for an outcome at p <= PROB_EPS or a stored refusal (output: p 0 and the empty
     state), else p, the column of ``shape``'s terms and, if some prune, their sums.  The
     output carries ``registers`` (default: the input's) and born weight ``weight`` times
-    the input's times p.
+    the input's times p.  A ``"kept"`` site (a post-selection) takes its input's squared
+    norm as its one value.  A step on the chain of a recording :func:`_segment` joins its tape.
     """
     shape = state.shape
     kernel, consts, out = _recall(shape, site, lambda: site.plan(shape))
     registers = state.registers if registers is None else registers
-    result = kernel(state.amplitudes, *values, consts, PRUNE_EPS, PROB_EPS)
+    result, kept = kernel(state.amplitudes, *values, consts, PRUNE_EPS, PROB_EPS), None
     if result is None:
-        return 0.0, PhotonicState(registers, (), 0.0)
-    p, column, sums = result
-    if sums:  # the terms whose sums are at or below PRUNE_EPS go
-        keep = list(map(PRUNE_EPS.__lt__, map(abs, sums)))
-        kept, keys = tuple(itertools.compress(range(len(keep)), keep)), out.keys
-        out = _recall((out, kept), "subset", lambda: _interned(tuple(keys[i] for i in kept)))
-        column = list(itertools.compress(column, keep))
-    return p, _columns(registers, column, weight * float(state.born_weight) * p, out)
+        p, output = 0.0, _columns(registers, (), 0.0, _VOID)
+    else:
+        p, column, sums = result
+        if sums:
+            kept, column = _pruned(column, sums)
+            keys = out.keys
+            out = _recall((out, kept), "subset", lambda: _interned(tuple(keys[i] for i in kept)))
+        output = _columns(registers, column, weight * float(state.born_weight) * p, out)
+    if _tape is not None and state is _tape[0]:
+        norm = _recall(shape, "norm", shape._norm_plan) if site.kind == "kept" else None
+        _tape[0] = output
+        _tape[1].append(result and (kernel, values, consts, weight, kept, norm))
+        _tape[2] += [p] if norm else []
+    return p, output
+
+
+def _pruned(column, sums):
+    """``(kept, column)``: the indices of the terms whose ``sums`` exceed PRUNE_EPS, and theirs."""
+    keep = list(map(PRUNE_EPS.__lt__, map(abs, sums)))
+    return tuple(itertools.compress(range(len(keep)), keep)), list(itertools.compress(column, keep))
+
+
+_tape = None  # while a segment records: [its chain's current state, tape entries, ps]
+
+
+def _segment(name, body, state, *params):
+    """``(ps, body(state, *params))``, ps the p of each post-selection on the chain.
+
+    ``body`` is a fixed chain of steps from ``state`` whose values depend on ``params`` and
+    constants only (a post-selection's input norm aside).  Its first run per input shape and
+    site (``name``, the bits of ``params``) records a tape; later runs replay it on the
+    amplitudes, and run ``body`` again where a guard fails."""
+    global _tape
+    key = state.shape, _site("segment", (name, state.registers, _bits(*params)), None)
+    tape = _MEMO.get(key)
+    if tape and (done := _replayed(tape, state)):
+        return done
+    outer, _tape = _tape, [state, [], []]
+    try:
+        out = body(state, *params)
+        current, entries, ps = _tape
+    finally:
+        _tape = outer
+    if tape is None and out is current and None not in entries:
+        _recall(*key, lambda: (entries, out.registers, out.shape))
+    return tuple(ps), out
+
+
+def _replayed(tape, state):
+    """:func:`_segment`'s result from ``tape`` on ``state``'s amplitudes, or None where a
+    step cuts its outcome, prunes another subset or measures a norm that
+    :func:`measurement._norm_in` refuses (recomputed, never recorded: it is the state's)."""
+    entries, registers, shape = tape
+    column, born, ps = state.amplitudes, float(state.born_weight), []
+    for kernel, values, consts, weight, kept, norm in entries:
+        if norm:
+            values = (norm[0](column, norm[1]),)
+            if not PROB_EPS < values[0] < math.inf:
+                return None
+        result = kernel(column, *values, consts, PRUNE_EPS, PROB_EPS)
+        if result is None:
+            return None
+        p, column, sums = result
+        subset = None
+        if sums:
+            subset, column = _pruned(column, sums)
+        if subset != kept:
+            return None
+        born = weight * born * p
+        ps += [p] if norm else []
+    return tuple(ps), _columns(registers, column, born, shape)
 
 
 def _kernel(lines: list[str], returned: str):
@@ -289,7 +356,7 @@ def _bits(*parts: float) -> bytes:
 def _interned(keys: tuple) -> Shape:
     """The shape of ``keys``, interned by them and the exact bits of their labels."""
     bits = _bits(*[x for _, coh in keys for c in coh for x in (c.real, c.imag)])
-    return _recall(None, (keys, bits), lambda: Shape(keys, bits))
+    return _recall(None, (keys, bits), lambda: Shape(keys, bits) if keys else _VOID)
 
 
 class Shape:
@@ -320,6 +387,9 @@ class Shape:
         lines = ["def kernel(A, o):"]
         total, overlaps = _norm_lines(self.keys, [f"A[{k}]" for k in range(len(self.keys))], lines)
         return _kernel(lines, total), overlaps
+
+
+_VOID = Shape((), b"")  # the empty state's shape, which outlives memo drops
 
 
 def _norm_lines(keys, amps: list[str], lines: list[str], o: str = "o"):
@@ -607,13 +677,14 @@ class QutritCoefficients:
 
 
 def _squares(alpha: complex, beta: complex, gamma: complex) -> float:
-    """|alpha|^2 + |beta|^2 + |gamma|^2, inf where a square overflows; refuses a NaN or
+    """|alpha|^2 + |beta|^2 + |gamma|^2 of the coefficients as Python complex (so numpy
+    scalars overflow silently too), inf where a square overflows; refuses a NaN or
     infinite coefficient by name, as a NaN passes the norm test."""
     for name, value in zip(("alpha", "beta", "gamma"), (alpha, beta, gamma)):
         if not cmath.isfinite(value):
             raise InvalidInput(f"coefficient {name} = {value!r} is not finite")
     try:
-        return abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2
+        return abs(complex(alpha)) ** 2 + abs(complex(beta)) ** 2 + abs(complex(gamma)) ** 2
     except OverflowError:
         return math.inf
 

@@ -42,6 +42,7 @@ from .fock import (
     UnsupportedMode,
     WiringError,
     _merge_plan,
+    _segment,
     _site,
     _step,
     ancilla_plus,
@@ -224,14 +225,13 @@ def _quadrature_group(dist, register: str, value: float):
 # linear forward map
 
 
-def _linear_forward_premeasure(c: QutritCoefficients, t: float) -> PhotonicState:
-    """State after the full passive network, before phase fixing and the QFT.
+def _linear_forward_premeasure(s: PhotonicState, t: float) -> PhotonicState:
+    """State after the full passive network on the input ``s``, before phases and QFT.
 
     Populated paths: 3/6/7 (prospective outputs), P1/P2/P3 (eraser inputs),
     D1/D2 (heralding detectors).
     """
     spec = BeamSplitterSpec.from_t(t)
-    s = make_biphotonic_qutrit(c, "in")
     s = tensor(s, single_photon("ancH", H))
     s = tensor(s, single_photon("ancV", V))
     s = apply_beam_splitter(s, "in", None, "2", "1", spec)
@@ -246,6 +246,20 @@ def _linear_forward_premeasure(c: QutritCoefficients, t: float) -> PhotonicState
     return s
 
 
+def _linear_forward_heralded(s: PhotonicState, t: float) -> PhotonicState:
+    """The forward map's segment: the network, the pi phase shifts on 6 and 7, the D1&D2
+    heralding coincidence and the QFT on the eraser inputs."""
+    s = apply_phase_shift(_linear_forward_premeasure(s, t), "6", math.pi)
+    s = apply_phase_shift(s, "7", math.pi)
+    p_herald, s = post_select_coincidence(s, _HERALD)
+    if p_herald == 0.0:
+        raise WiringError("heralding coincidence has zero probability")
+    return apply_qft(s, ("P1", "P3", "P2"))
+
+
+_HERALD = ((path_modes("D1"), "click"), (path_modes("D2"), "click"))
+_FORWARD_KEEP = path_modes("6") + path_modes("3") + path_modes("7")
+_FORWARD_STRIP = path_modes("D1") + path_modes("D2")
 # Eraser detectors and their corrections, keyed by which QFT output fires.
 # QFT order is (P1, P3, P2), so detector k imprints exp(2 pi i j k / 3) on
 # input j.
@@ -277,21 +291,10 @@ def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
     t = math.sqrt(T2_LINEAR_FORWARD) if t is None else float(t)
     _check_unit_interval("t", t)
 
-    s = _linear_forward_premeasure(c, t)
-    s = apply_phase_shift(s, "6", math.pi)
-    s = apply_phase_shift(s, "7", math.pi)
-    p_herald, s = post_select_coincidence(
-        s, [(path_modes("D1"), "click"), (path_modes("D2"), "click")]
-    )
-    if p_herald == 0.0:
-        raise WiringError("heralding coincidence has zero probability")
-    s = apply_qft(s, ("P1", "P3", "P2"))
+    (p_herald,), s = _segment("linear-forward", _linear_forward_heralded,
+                              make_biphotonic_qutrit(c, "in"), t)
     p_eraser, merged, min_fid, p_ports = erase_and_merge(
-        s,
-        _FORWARD_ERASER_PORTS,
-        _FORWARD_ERASER_RULE,
-        keep=path_modes("6") + path_modes("3") + path_modes("7"),
-        strip=path_modes("D1") + path_modes("D2"),
+        s, _FORWARD_ERASER_PORTS, _FORWARD_ERASER_RULE, keep=_FORWARD_KEEP, strip=_FORWARD_STRIP
     )
 
     target = make_spatial_qutrit(c, ("6", "3", "7"))
@@ -338,23 +341,27 @@ def _linear_inverse_premeasure(
     return s
 
 
-def _linear_inverse_branch(pre: PhotonicState, fired: str, dark: str):
-    """One eraser outcome: ``fired`` clicks, ``dark`` does not, and two
+# Per fired eraser detector, its coincidence pattern: it clicks, the other stays dark.
+_INVERSE_ERASER = {a: ((path_modes(a), "click"), (path_modes(b), "no-click"))
+                   for a, b in (("eD1", "eD2"), ("eD2", "eD1"))}
+_OUT1 = path_modes("out1")
+
+
+def _linear_inverse_branch(pre: PhotonicState, fired: str):
+    """One eraser outcome: ``fired`` clicks, the other detector does not, and two
     photons then bunch on path ``out``.
 
     Returns ``(p_eraser, p_two, state)``; ``state`` is None when either
     probability is zero.
     """
-    p_eraser, s = post_select_coincidence(
-        pre, [(path_modes(fired), "click"), (path_modes(dark), "no-click")]
-    )
+    p_eraser, s = post_select_coincidence(pre, _INVERSE_ERASER[fired])
     if p_eraser == 0.0:
         return 0.0, 0.0, None
     s = apply_beam_splitter(s, "4", "7", "out1", "out2", _FIFTY)
-    p_two, s = project_total_photons(s, path_modes("out1"), 2)
+    p_two, s = project_total_photons(s, _OUT1, 2)
     if p_two == 0.0:
         return p_eraser, 0.0, None
-    s = strip_modes(s, path_modes(fired))
+    s = strip_modes(s, _INVERSE_ERASER[fired][0][0])
     return p_eraser, p_two, relabel_paths(s, {"out1": "out"})
 
 
@@ -365,8 +372,9 @@ def _linear_inverse_run(
     t2: float,
     t3: float,
 ):
-    pre = _linear_inverse_premeasure(state, paths, t1, t2, t3)
-    p_eraser, p_two, s = _linear_inverse_branch(pre, "eD1", "eD2")
+    pre = _segment(("linear-inverse", paths), lambda s, *ts: _linear_inverse_premeasure(
+        s, paths, *ts), state, t1, t2, t3)[1]
+    p_eraser, p_two, s = _linear_inverse_branch(pre, "eD1")
     if s is None:
         raise InvalidInput("the heralded eraser outcome has zero probability")
     log = (
@@ -415,7 +423,7 @@ def scheme_linear_inverse(
     pre, log, s = _linear_inverse_run(state, paths, **params)
     target = make_biphotonic_qutrit(c, "out")
 
-    p_d2, q_d2, s_d2 = _linear_inverse_branch(pre, "eD2", "eD1")
+    p_d2, q_d2, s_d2 = _linear_inverse_branch(pre, "eD2")
     checks = {}
     if p_d2 > 0.0:
         checks["discarded_d2_probability"] = p_d2 * q_d2
@@ -443,6 +451,7 @@ def _kerr_forward_routed(c: QutritCoefficients, t: float) -> PhotonicState:
 
 
 _PAIR_ERASER_PORTS = {"dp": "dp", "dm": "dm"}
+_KERR_KEEP = path_modes("5") + path_modes("6") + path_modes("7")
 _PAIR_ERASER_RULE = FeedForwardRule(
     {"dp": (), "dm": (Correction("phase", "7", math.pi),)}
 )
@@ -514,7 +523,7 @@ def scheme_kerr_forward(
         s,
         _PAIR_ERASER_PORTS,
         _PAIR_ERASER_RULE,
-        keep=path_modes("5") + path_modes("6") + path_modes("7"),
+        keep=_KERR_KEEP,
         tol=tol,
     )
     merged = apply_sigma_x(merged, "6")
@@ -676,6 +685,8 @@ def _attenuate_mode(
 
 
 _PATH_ERASER_PORTS = {p: p for p in ("5", "6", "7", "8")}
+_TAPS_DARK = ((path_modes("tapA"), "no-click"), (path_modes("tapB"), "no-click"))
+_M1, _OUT = path_modes("m1"), path_modes("out")
 _PATH_ERASER_RULE = FeedForwardRule(
     {
         "5": (),
@@ -730,18 +741,16 @@ def _kerr_inverse_run(
     # into one path, heralded by a probe that only sees the first output.
     s = _attenuate_mode(s, "a", H, "tapA")
     s = _attenuate_mode(s, "b", V, "tapB")
-    p_tap, s = post_select_coincidence(
-        s, [(path_modes("tapA"), "no-click"), (path_modes("tapB"), "no-click")]
-    )
+    p_tap, s = post_select_coincidence(s, _TAPS_DARK)
     s = apply_beam_splitter(s, "a", "b", "m1", "m2", _FIFTY)
     s = add_register(s, "merge-probe", alpha)
-    s = apply_xpm(s, "merge-probe", path_modes("m1"), theta)
+    s = apply_xpm(s, "merge-probe", _M1, theta)
     dist = project_quadrature_x(s, "merge-probe", mode="ideal")
     bunched = []
     for value, out_path in ((alpha * math.cos(2.0 * theta), "m1"), (alpha, "m2")):
         kept = _quadrature_group(dist, "merge-probe", value)
         st = relabel_paths(kept.state, {out_path: "out"})
-        q, st = project_total_photons(st, path_modes("out"), 2)
+        q, st = project_total_photons(st, _OUT, 2)
         checks[f"bunched_{out_path}_probability"] = kept.probability * q
         if kept.probability * q > 0.0:
             bunched.append((kept.probability * q, st))

@@ -10,6 +10,7 @@ import cmath
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,17 @@ def test_normalize_keeps_its_arithmetic_where_the_squares_are_finite():
         n = math.sqrt(abs(given[0]) ** 2 + abs(given[1]) ** 2 + abs(given[2]) ** 2)
         want = [complex(x) / n for x in given]
         got = QutritCoefficients.normalize(*given).as_tuple()
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            (z.real.hex(), z.imag.hex()) for z in want]
+
+
+def test_numpy_scalars_normalize_silently_as_python_complex():
+    cases = [(1e200, 0, 1j), (0.3 - 0.0j, -0.0 + 0.4j, -0.5), (1e-170, 1e-170j, 0)]
+    for given in cases:
+        want = QutritCoefficients.normalize(*given).as_tuple()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns where a square overflows
+            got = QutritCoefficients.normalize(*map(np.complex128, given)).as_tuple()
         assert [(z.real.hex(), z.imag.hex()) for z in got] == [
             (z.real.hex(), z.imag.hex()) for z in want]
 

@@ -107,7 +107,7 @@ def test_forward_premeasure_amplitudes():
     t = math.sqrt(T2_LINEAR_FORWARD)
     a, b, g = COEFFS.as_tuple()
     tt, rr = t * t, 1 - t * t
-    pre = _linear_forward_premeasure(COEFFS, t)
+    pre = _linear_forward_premeasure(make_biphotonic_qutrit(COEFFS, "in"), t)
     herald = {Mode("D1", H): 1, Mode("D2", V): 1}
     cases = [
         ({Mode("6", H): 1, Mode("P2", V): 1}, -a * tt / (4 * math.sqrt(2))),

@@ -9,9 +9,12 @@ entry holds for the plans it keys.
 """
 
 import functools
+import sys
+from unittest import mock
 
-from qutritmap import fock
-from qutritmap.fock import PhotonicState, UnsupportedMode
+from qutritmap import fock, schemes
+from qutritmap.fock import PhotonicState, QutritCoefficients, UnsupportedMode
+from qutritmap.schemes import scheme_entangler, scheme_kerr_forward, scheme_kerr_inverse
 from test_columns import scheme_runs
 
 
@@ -90,3 +93,35 @@ def test_the_site_walk_finds_a_shape_in_a_closure():
     site = fock._Site("probe", lambda shape: (state, shape))
     assert holds_shape(site, set())
     assert not holds_shape(fock._MERGE, set())
+
+
+def test_a_warmed_physical_qubus_run_interns_no_shape_in_a_step():
+    """A refused register drop returns the empty state on a shape interned once."""
+    c = QutritCoefficients.normalize(0.6, 0.3j, -0.5)
+
+    def run():
+        for alpha in (5.0, 10.0):
+            kwargs = {"qubus_alpha": alpha, "theta": 0.1, "meas_mode": "physical"}
+            for scheme in (scheme_kerr_forward, scheme_entangler, scheme_kerr_inverse):
+                scheme(c, **kwargs)
+
+    run()
+    real_interned, real_dropped, stepped, refused = fock._interned, schemes._dropped, [], []
+
+    def interned(keys):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not fock._step.__code__:
+            frame = frame.f_back
+        stepped.append(frame is not None)
+        return real_interned(keys)
+
+    def dropped(state, register):
+        kept = real_dropped(state, register)
+        refused.append(kept is None)
+        return kept
+
+    with mock.patch.object(fock, "_interned", interned), \
+            mock.patch.object(schemes, "_dropped", dropped):
+        run()
+    assert any(refused)
+    assert not any(stepped)
