@@ -13,10 +13,14 @@ Every operation that makes a state runs through :func:`_step`.  Its wiring
 (the paths, modes, registers and counts it acts on) is a *site*, built once
 per wiring; per state shape and site one plan holds a compiled kernel, its
 constants and the output's shape, so a call runs the kernel on the amplitudes
-and applies its prune verdict.  A fixed chain of steps (a *segment*, see
-:func:`_segment`) keeps one *tape* per input shape: its steps' kernels and values,
-replayed on the amplitudes alone while every prune, outcome cut and measured norm
-falls as it did when the tape was recorded.
+and applies its prune verdict.  A fixed block of steps (a *segment*, see
+:func:`_segment`) keeps one *tape* per input shape: its steps' kernels and values, which
+may fork (an eraser's labels, a readout's outcomes), and the calls that take values
+from states (:func:`_run`: norms, strips, merges), replayed on the amplitudes alone
+while every prune, outcome cut and decision falls as it did when the tape was
+recorded; a failed guard runs the block on the step path.  Segments nest by
+flattening: one called while another records runs its block, whose steps join the
+outer tape.
 
 Conventions:
 
@@ -157,8 +161,8 @@ class PhotonicState:
         # an immutable column: computed once)
         cells = vars(self)
         if name == "_norm_sq":
-            cells[name] = self.shape.norm_sq(self)
-        elif name == "terms":
+            return self.shape.norm_sq(self)
+        if name == "terms":
             cells[name] = _view(self)
         else:
             raise AttributeError(name)
@@ -185,16 +189,15 @@ def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
 # What an operation derives from a state's keys alone, keyed by (Shape, site) or
 # (Shape, constant); a plan of two shapes, or the subset a prune keeps, by (that
 # pair, constant); interned keys by (None, (keys, label bits)), compiled kernels
-# by (None, source) and sites by (None, (kind, their arguments)).  Reaching the
-# bound drops every entry, and an entry holds at most two shapes, so at most
-# 2 * _RETAINED shapes outlive the states that carry them.  After 10,000
-# benchmark evaluations (no drop) the memo holds 261 entries in 0.59 MB (linear
-# optics, 2 of them segment tapes), 869 in 0.90 MB (ideal qubus) and 1014 in
-# 1.97 MB (physical qubus), by deep getsizeof through containers, slots, closures
-# and code constants, each object once: interned keys take 0.27, 0.37 and 0.85 MB,
-# kernels (51, 116 and 152) 0.14, 0.14 and 0.40 MB and the tapes 0.01 MB more; the
-# plans, tables and sites hold the rest.  run_all()'s random circuits make one-off
-# shapes, which the bound drops instead of keeping.
+# by (None, source), sites by (None, (kind, their arguments)) and a segment's tape
+# by (its input's Shape, its site).  Reaching the bound drops every entry, and an
+# entry holds at most two shapes, so at most 2 * _RETAINED shapes outlive the
+# states that carry them.  After 10,000 benchmark evaluations (no drop) the memo
+# holds 268 entries in 0.61 MB (linear optics, 3 tapes), 895 in 1.12 MB (ideal
+# qubus, 21 tapes) and 1012 in 2.10 MB (physical qubus, 20 tapes), by deep getsizeof
+# through containers, slots, closures and code constants, each object once:
+# interned keys take 0.27, 0.38 and 0.86 MB, kernels 0.21, 0.21 and 0.61 MB and
+# tapes 0.03, 0.26 and 0.25 MB.  Random circuits' one-off shapes are dropped.
 _RETAINED = 2048
 _MEMO: dict[tuple, object] = {}
 
@@ -233,89 +236,137 @@ def _step(state, site, *values, registers=None, weight=1.0):
     """``(p, output)`` of ``site`` on ``state``; p is 1 where nothing is measured.
 
     The plan, built once per ``(state.shape, site)``, is ``(kernel, consts, shape)``, and
-    ``shape`` is the output's.  ``kernel(A, *values, consts, PRUNE_EPS, PROB_EPS)`` returns
-    nothing for an outcome at p <= PROB_EPS or a stored refusal (output: p 0 and the empty
-    state), else p, the column of ``shape``'s terms and, if some prune, their sums.  The
-    output carries ``registers`` (default: the input's) and born weight ``weight`` times
-    the input's times p.  A ``"kept"`` site (a post-selection) takes its input's squared
-    norm as its one value.  A step on the chain of a recording :func:`_segment` joins its tape.
+    ``shape`` is the output's; :func:`_applied` runs the kernel.  The output carries
+    ``registers`` (default: the input's) and born weight ``weight`` times the input's times
+    p.  A step on a value of a recording :func:`_segment` joins its tape.
     """
     shape = state.shape
     kernel, consts, out = _recall(shape, site, lambda: site.plan(shape))
     registers = state.registers if registers is None else registers
-    result, kept = kernel(state.amplitudes, *values, consts, PRUNE_EPS, PROB_EPS), None
-    if result is None:
-        p, output = 0.0, _columns(registers, (), 0.0, _VOID)
-    else:
-        p, column, sums = result
-        if sums:
-            kept, column = _pruned(column, sums)
+    args = kernel, weight, registers, state, *values, consts, PRUNE_EPS, PROB_EPS
+    kept, p, output = stepped = _applied(*args)
+    if _tape is not None and id(state) in _tape.slot_of:
+        _tape.join(_applied, args, stepped, True)
+    if kept is not False:
+        if kept is not None:
             keys = out.keys
             out = _recall((out, kept), "subset", lambda: _interned(tuple(keys[i] for i in kept)))
-        output = _columns(registers, column, weight * float(state.born_weight) * p, out)
-    if _tape is not None and state is _tape[0]:
-        norm = _recall(shape, "norm", shape._norm_plan) if site.kind == "kept" else None
-        _tape[0] = output
-        _tape[1].append(result and (kernel, values, consts, weight, kept, norm))
-        _tape[2] += [p] if norm else []
+        vars(output)["shape"] = out
     return p, output
 
 
-def _pruned(column, sums):
-    """``(kept, column)``: the indices of the terms whose ``sums`` exceed PRUNE_EPS, and theirs."""
-    keep = list(map(PRUNE_EPS.__lt__, map(abs, sums)))
-    return tuple(itertools.compress(range(len(keep)), keep)), list(itertools.compress(column, keep))
+def _applied(kernel, weight, registers, state, *args):
+    """``(kept, p, output)`` of a step's ``kernel(A, *args)``, which returns nothing for an
+    outcome at p <= PROB_EPS or a stored refusal (kept False: p 0 and the empty state), else
+    p, the output column and, if some prune, which terms pass (kept: their indices, else
+    None).  The output's shape is its caller's to set."""
+    result = kernel(state.amplitudes, *args)
+    if result is None:
+        return False, 0.0, _columns(registers, (), 0.0, _VOID)
+    p, column, mask = result
+    kept = None
+    if mask:
+        kept, column = _pruned(column, mask)
+    return kept, p, _columns(registers, column, weight * float(state.born_weight) * p, None)
 
 
-_tape = None  # while a segment records: [its chain's current state, tape entries, ps]
+def _pruned(column, mask):
+    """``(kept, column)``: the indices of the terms that ``mask`` passes, and theirs."""
+    return tuple(itertools.compress(range(len(mask)), mask)), list(itertools.compress(column, mask))
+
+
+def _run(fn, *args, decided=False):
+    """``fn(*args)``, a function of states' columns, plan pieces and numbers only, whose
+    first result is a decision if ``decided`` (a pivot, which branches are live): where an
+    argument is a value of a recording :func:`_segment`, the call joins its tape."""
+    out = fn(*args)
+    if _tape is not None and any(id(a) in _tape.slot_of for a in args):  # else a constant
+        _tape.join(fn, args, out, decided)
+    return out
+
+
+class _Recording:
+    """An open tape: its entries and, by id, the slot of each value the segment made (None
+    where two entries returned one object); it holds them, so no id is reused."""
+
+    def __init__(self, state):
+        self.slot_of, self.held, self.entries, self.broken = {id(state): 0}, [state], [], False
+
+    def specs(self, args):
+        """``args`` as a tape holds them: the constants, and ``(position, slot)`` per value
+        of the segment, read from the replay's slots."""
+        slots = [self.slot_of.get(id(a), -1) for a in args]
+        self.broken |= None in slots
+        read = [slot is not None and slot >= 0 for slot in slots]
+        return (tuple(None if r else a for a, r in zip(args, read)),
+                tuple((at, slot) for at, (slot, r) in enumerate(zip(slots, read)) if r))
+
+    def join(self, fn, args, out, decided):
+        """Append the call ``fn(*args)``, whose results after its decision take the next slots."""
+        self.entries.append((fn, *self.specs(args), decided, out[0] if decided else None))
+        for value in out[decided:] if type(out) is tuple else (out,):
+            self.slot_of[id(value)] = None if id(value) in self.slot_of else len(self.held)
+            self.held.append(value)
+
+    def tape(self, values, out):
+        """The stored tape of a body that returned ``(values, out)``, or None."""
+        values, slot = self.specs(values), self.slot_of.get(id(out))
+        if self.broken or slot is None:
+            return None
+        return tuple(self.entries), values, slot, out.shape
+
+
+_tape = None  # the _Recording of the segment being recorded
 
 
 def _segment(name, body, state, *params):
-    """``(ps, body(state, *params))``, ps the p of each post-selection on the chain.
-
-    ``body`` is a fixed chain of steps from ``state`` whose values depend on ``params`` and
-    constants only (a post-selection's input norm aside).  Its first run per input shape and
-    site (``name``, the bits of ``params``) records a tape; later runs replay it on the
-    amplitudes, and run ``body`` again where a guard fails."""
+    """``body(state, *params)``, a block of steps from ``state`` (forking: a step joins on
+    any state it made) that returns ``(values, output state)``.  Its values depend on
+    ``params`` and constants only, save those computed through :func:`_run`.  The first run
+    per input shape and site (``name``, registers, bits of ``params``) records a tape; later
+    runs replay it, or run ``body`` where a guard fails.  Nested, it joins the outer tape."""
     global _tape
+    if _tape is not None:
+        return body(state, *params)
     key = state.shape, _site("segment", (name, state.registers, _bits(*params)), None)
     tape = _MEMO.get(key)
     if tape and (done := _replayed(tape, state)):
         return done
-    outer, _tape = _tape, [state, [], []]
+    _tape = recording = _Recording(state)
     try:
-        out = body(state, *params)
-        current, entries, ps = _tape
+        values, out = body(state, *params)
     finally:
-        _tape = outer
-    if tape is None and out is current and None not in entries:
-        _recall(*key, lambda: (entries, out.registers, out.shape))
-    return tuple(ps), out
+        _tape = None
+    if tape is None and (kept := recording.tape(values, out)):
+        _recall(*key, lambda: kept)
+    return values, out
+
+
+def _filled(args, refs, slots):
+    """The arguments ``args`` with each value of a segment read from its replay slot."""
+    args = list(args)
+    for at, slot in refs:
+        args[at] = slots[slot]
+    return args
 
 
 def _replayed(tape, state):
     """:func:`_segment`'s result from ``tape`` on ``state``'s amplitudes, or None where a
-    step cuts its outcome, prunes another subset or measures a norm that
-    :func:`measurement._norm_in` refuses (recomputed, never recorded: it is the state's)."""
-    entries, registers, shape = tape
-    column, born, ps = state.amplitudes, float(state.born_weight), []
-    for kernel, values, consts, weight, kept, norm in entries:
-        if norm:
-            values = (norm[0](column, norm[1]),)
-            if not PROB_EPS < values[0] < math.inf:
+    call decides otherwise (a step cuts an outcome it kept or keeps one it cut, prunes
+    another subset) or raises.  Inner states carry no shape: a tape holds two."""
+    entries, values, slot, shape = tape
+    slots = [state]
+    try:
+        for fn, args, refs, decided, decision in entries:
+            out = fn(*_filled(args, refs, slots))
+            if decided and out[0] != decision:
                 return None
-        result = kernel(column, *values, consts, PRUNE_EPS, PROB_EPS)
-        if result is None:
-            return None
-        p, column, sums = result
-        subset = None
-        if sums:
-            subset, column = _pruned(column, sums)
-        if subset != kept:
-            return None
-        born = weight * born * p
-        ps += [p] if norm else []
-    return tuple(ps), _columns(registers, column, born, shape)
+            slots += out[decided:] if type(out) is tuple else (out,)
+    except (SimulationError, ArithmeticError):
+        return None
+    out = slots[slot]
+    return tuple(_filled(*values, slots)), _columns(out.registers, out.amplitudes,
+                                                   out.born_weight, shape)
 
 
 def _kernel(lines: list[str], returned: str):
@@ -341,11 +392,6 @@ def _sum_lines(parts: list[str], name: str, lines: list[str]) -> str:
     for at in range(_CHUNK, len(parts), _CHUNK):
         lines.append(f"    {name} = {name} + {' + '.join(parts[at:at + _CHUNK])}")
     return name
-
-
-def _verdict(names: list[str]) -> str:
-    """Whether every one of ``names`` has abs above E, so a NaN fails (no names: true)."""
-    return " and ".join(f"abs({name}) > E" for name in names) or "E > 0"
 
 
 def _bits(*parts: float) -> bytes:
@@ -379,8 +425,7 @@ class Shape:
 
     def norm_sq(self, state: PhotonicState) -> float:
         """``inner_product(state, state).real``, bit for bit, for a ``state`` of this shape."""
-        kernel, overlaps = _recall(self, "norm", self._norm_plan)
-        return kernel(state.amplitudes, overlaps)
+        return _norm(state, _norms(self))
 
     def _norm_plan(self):
         """``(kernel, overlaps)``: :func:`_norm_lines` as a kernel of the amplitudes."""
@@ -390,6 +435,20 @@ class Shape:
 
 
 _VOID = Shape((), b"")  # the empty state's shape, which outlives memo drops
+
+
+def _norms(shape: Shape):
+    """The norm plan ``(kernel, overlaps)`` of ``shape``'s states."""
+    return _recall(shape, "norm", shape._norm_plan)
+
+
+def _norm(state: PhotonicState, norms) -> float:
+    """``inner_product(state, state).real``, bit for bit, by the norm plan ``norms`` of its
+    shape; computed once per state."""
+    cells = vars(state)
+    if "_norm_sq" not in cells:
+        cells["_norm_sq"] = norms[0](state.amplitudes, norms[1])
+    return cells["_norm_sq"]
 
 
 def _norm_lines(keys, amps: list[str], lines: list[str], o: str = "o"):
@@ -452,9 +511,10 @@ def build_state(registers: Iterable[str], terms: Iterable[FockTerm],
     return _step(PhotonicState(regs, terms, born_weight), _MERGE)[1]
 
 
-def _built(occs, amplitudes) -> PhotonicState:
-    """``build_state((), terms)`` of register-free terms: ``occs`` carrying ``amplitudes``."""
-    shape = _interned(tuple((_capped(occ), ()) for occ in occs))
+def _built(key: tuple, occs, amplitudes) -> PhotonicState:
+    """``build_state((), terms)`` of register-free terms: ``occs()``, checked and interned
+    once per ``key``, carrying ``amplitudes``."""
+    shape = _recall(None, key, lambda: _interned(tuple((_capped(occ), ()) for occ in occs())))
     return _step(_columns((), amplitudes, 1.0, shape), _MERGE)[1]
 
 
@@ -470,9 +530,10 @@ def _group_lines(keys, parts, lines: list[str]):
 def _merge_plan(keys, parts, lines: list[str], consts=(), measured=False, grouped=True):
     """The :func:`_step` plan of terms of ``keys`` with amplitudes ``parts``, merged if
     ``grouped`` (:func:`_group_lines`); its kernel, which ``lines`` begin, returns p 1, the
-    sums and, unless every sum's abs exceeds E, the sums again, which prune.  If
-    ``measured``, its constants are ``(consts, overlaps)``: it sums the terms' norm m as
-    their shape does and returns nothing if p = m / n <= P, else p and them over sqrt(m)."""
+    sums and, unless every sum's abs exceeds E (a NaN's does not), which of them do: the
+    mask that prunes.  If ``measured``, its constants are ``(consts, overlaps)``: it sums
+    the terms' norm m as their shape does and returns nothing if p = m / n <= P, else p
+    and them over sqrt(m)."""
     if grouped:
         names, shape = _group_lines(keys, parts, lines)
     else:
@@ -485,8 +546,8 @@ def _merge_plan(keys, parts, lines: list[str], consts=(), measured=False, groupe
         column, p, consts = [f"{g} * f" for g in names], "p", (consts, overlaps)
     lines.append(f"    c = [{', '.join(column)}]")
     if grouped:
-        lines += [f"    if not ({_verdict(names)}):",
-                  f"        return {p}, c, [{', '.join(names)}]"]
+        lines += [f"    if not ({' and '.join(f'abs({g}) > E' for g in names) or 'E > 0'}):",
+                  f"        return {p}, c, [{', '.join(f'abs({g}) > E' for g in names)}]"]
     return _kernel(lines, f"{p}, c, ()"), consts, shape
 
 
@@ -558,11 +619,16 @@ def _pairs(bra: Shape, ket: Shape):
 
 def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
     """<bra|ket> including register overlaps; born weights are ignored."""
+    return _inner(bra, ket, _pairs(bra.shape, ket.shape))
+
+
+def _inner(bra: PhotonicState, ket: PhotonicState, pairs) -> complex:
+    """:func:`inner_product` by the plan ``pairs`` of the two shapes."""
     if bra.registers != ket.registers:
         raise InvalidInput(
             f"register mismatch: {bra.registers} vs {ket.registers}"
         )
-    kernel, overlaps = _pairs(bra.shape, ket.shape)
+    kernel, overlaps = pairs
     return kernel(bra.amplitudes, ket.amplitudes, overlaps)
 
 
@@ -584,10 +650,17 @@ def normalized(state: PhotonicState) -> PhotonicState:
 
 def fidelity(state: PhotonicState, target: PhotonicState) -> float:
     """|<target|state>|^2 for normalized views of both arguments."""
-    denom = norm_sq(state) * norm_sq(target)
+    shapes = state.shape, target.shape
+    return _fidelity(state, target, _pairs(*shapes[::-1]), *map(_norms, shapes))
+
+
+def _fidelity(state, target, pairs, norms_state, norms_target) -> float:
+    """:func:`fidelity` by the plans of its shapes: ``pairs`` of target and state and
+    each one's norm plan."""
+    denom = _norm(state, norms_state) * _norm(target, norms_target)
     if denom <= 0.0:
         raise InvalidInput("fidelity of a zero state is undefined")
-    val = abs(inner_product(target, state)) ** 2 / denom
+    val = abs(_inner(target, state, pairs)) ** 2 / denom
     return min(max(val, 0.0), 1.0)
 
 
@@ -702,29 +775,31 @@ def make_biphotonic_qutrit(coeffs: QutritCoefficients, path: str = "in") -> Phot
     """
     h, v = path_modes(path)
     a, b, g = coeffs.as_tuple()
-    return _built((((h, 2),), ((h, 1), (v, 1)), ((v, 2),)), [a / math.sqrt(2), b, g / math.sqrt(2)])
+    return _built(("biphotonic", path), lambda: (((h, 2),), ((h, 1), (v, 1)), ((v, 2),)),
+                  [a / math.sqrt(2), b, g / math.sqrt(2)])
 
 
 def make_spatial_qutrit(coeffs: QutritCoefficients, paths: tuple[str, str, str]) -> PhotonicState:
     """One photon spread over three paths, horizontally polarized."""
     if len(set(paths)) != 3:
         raise WiringError(f"spatial qutrit needs three distinct paths, got {paths}")
-    return _built([((path_modes(p)[0], 1),) for p in paths], list(coeffs.as_tuple()))
+    return _built(("spatial", tuple(paths)), lambda: [((path_modes(p)[0], 1),) for p in paths],
+                  list(coeffs.as_tuple()))
 
 
 def single_photon(path: str, pol: str = H) -> PhotonicState:
     mode = path_modes(path)[POLS.index(pol)] if pol in POLS else Mode(path, pol)  # refuses
-    return _built([((mode, 1),)], [1 + 0j])
+    return _built(("photon", mode), lambda: [((mode, 1),)], [1 + 0j])
 
 
 def ancilla_plus(path: str) -> PhotonicState:
     """One photon in (|H> + |V>)/sqrt(2) on the given path."""
     s = complex(1.0 / math.sqrt(2))
-    return _built([((mode, 1),) for mode in path_modes(path)], [s, s])
+    return _built(("plus", path), lambda: [((mode, 1),) for mode in path_modes(path)], [s, s])
 
 
 def vacuum_state() -> PhotonicState:
-    return _built([()], [1 + 0j])
+    return _built(("vacuum",), lambda: [()], [1 + 0j])
 
 
 def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:

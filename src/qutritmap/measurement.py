@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -29,15 +30,19 @@ from .fock import (
     WiringError,
     _Site,
     _columns,
+    _fidelity,
     _kernel,
     _merge_plan,
+    _norm,
+    _norms,
+    _pairs,
     _photons,
     _recall,
+    _run,
+    _segment,
     _site,
     _step,
     _sum_lines,
-    fidelity,
-    norm_sq,
     path_modes,
     scaled,
 )
@@ -89,7 +94,12 @@ class BranchDistribution:
 def _norm_in(state: PhotonicState, action: str) -> float:
     """Squared norm of a state about to be measured; refuses a zero state and a norm
     that is not finite (a NaN passes every comparison with a bound)."""
-    n2 = norm_sq(state)
+    return _run(_measurable, state, _norms(state.shape), action)
+
+
+def _measurable(state: PhotonicState, norms, action: str) -> float:
+    """:func:`_norm_in` by the norm plan ``norms`` of the state's shape."""
+    n2 = _norm(state, norms)
     if n2 <= PROB_EPS:
         raise InvalidInput(f"cannot {action} a zero state")
     if not n2 < math.inf:
@@ -173,22 +183,34 @@ def _stripped(state: PhotonicState, site: _Site) -> PhotonicState:
     """:func:`strip_modes` at its ``site``: its split kernel picks the rank-1 merge."""
     shape = state.shape
     kernel, pivots = _recall(shape, site, lambda: site.plan(shape))
-    entries, tol, h, j = kernel(state.amplitudes, 1e-9, 1.0)  # the rank-1 tolerance factors
-    factored, stripped = _step(state, pivots[h][j], entries, tol)
+    h, entries, pivot = _run(_split, state, kernel, decided=True)
+    factored, stripped = _step(state, pivots[h], entries, pivot)
     if not factored:
         raise WiringError("watched modes are entangled with the rest; cannot strip")
-    n2 = norm_sq(stripped)
+    return _run(_rescaled, stripped, state, _norms(stripped.shape), _norms(shape))
+
+
+def _split(state: PhotonicState, kernel):
+    """A strip's split ``kernel`` on ``state``: its heaviest row, entries and pivot."""
+    entries, pivot, h = kernel(state.amplitudes, 1e-9, 1.0)  # the rank-1 tolerance factors
+    return h, entries, pivot
+
+
+def _rescaled(stripped: PhotonicState, state: PhotonicState, norms_stripped, norms):
+    """``stripped`` at the norm of ``state``, by their shapes' norm plans."""
+    n2 = _norm(stripped, norms_stripped)
     if n2 <= PROB_EPS:
         raise InvalidInput("stripped state vanished")
-    return scaled(stripped, (norm_sq(state) / n2) ** 0.5)
+    return scaled(stripped, (_norm(state, norms) / n2) ** 0.5)
 
 
 def _strip_plan(shape, watched: frozenset):
     """:func:`strip_modes`' plan ``(kernel, pivots)``.  Per detector signature (row) and rest
     signature (column), first seen first, ``rows`` holds column, entry, rest and first term.
-    ``kernel(A, K, U)`` returns the entries, each summed from 0j, tolerance K * max(U, max
-    |entry|^2), heaviest row h (sum of |entry|^2) and pivot j (largest |entry|; first of
-    equals), whose rank-1 merge (:func:`_rank1_plan`) has the site ``pivots[h][j]``."""
+    ``kernel(A, K, U)`` returns the entries, each summed from 0j, the pivot (tolerance K *
+    max(U, max |entry|^2) and column j, the largest |entry| of row h; first of equals) and
+    the heaviest row h (sum of |entry|^2), whose rank-1 merge (:func:`_rank1_plan`) has the
+    site ``pivots[h]``."""
     if not shape.keys:
         raise InvalidInput("cannot strip modes from a zero state")
     columns, cells = {}, {}
@@ -210,29 +232,30 @@ def _strip_plan(shape, watched: frozenset):
         lines += [f"        if {a} > b: j, b = {at}, {a}" for at, a in enumerate(row[1:], 1)]
     top = f"max([{', '.join(a for row in x for a in row)}])"
     kernel = _kernel(lines, f"[{', '.join(f'r{e}' for e in range(len(cells)))}], "
-                            f"K * max(U, {top} ** 2), h, j")
-    pivot = functools.partial(_rank1_plan, rows=rows)
-    return kernel, tuple(tuple(_Site("rank1", functools.partial(pivot, h=h, j=j))
-                               for j in range(len(row))) for h, row in enumerate(rows))
+                            f"(K * max(U, {top} ** 2), j), h")
+    return kernel, tuple(_Site("rank1", functools.partial(_rank1_plan, rows=rows, h=h))
+                         for h in range(len(rows)))
 
 
-def _rank1_plan(shape, rows, h: int, j: int):
-    """:func:`strip_modes`' rank-1 check for heaviest row ``h`` and pivot ``j``: the merge
-    plan of the row's entries on its columns' rest keys, whose ``kernel(A, R, T, C, E, P)``
-    returns nothing if another row's entry times the pivot is more than T from its
-    pivot-column entry times the heavy row's (0j where absent)."""
+def _rank1_plan(shape, rows, h: int):
+    """:func:`strip_modes`' rank-1 check for heaviest row ``h``: the merge plan of the row's
+    entries on its columns' rest keys, whose ``kernel(A, R, D, C, E, P)``, D the pivot's
+    tolerance T and column j, returns nothing if another row's entry times the pivot x is
+    more than T from its pivot-column entry y times the heavy row's (0j where absent)."""
 
     def at(side, col):
         return f"R[{side[col]}]" if col in side else "0j"
 
     cols, kept, rest, sources = zip(*rows[h])
     ref, checks = dict(zip(cols, kept)), []
-    for row in (dict((c, e) for c, e, _, _ in row) for row in rows[:h] + rows[h + 1 :]):
-        checks += [f"abs({at(row, c)} * R[{kept[j]}] - {at(row, cols[j])} * {at(ref, c)}) > T"
-                   for c in {**ref, **row}]
-    test = [f"    if {' or '.join(checks)}:", "        return"] if checks else []
+    lines = ["def kernel(A, R, D, C, E, P):", "    T, j = D",
+             f"    x = ({''.join(f'R[{e}], ' for e in kept)})[j]"]
+    for r, row in enumerate(dict((c, e) for c, e, _, _ in row) for row in rows[:h] + rows[h + 1 :]):
+        lines.append(f"    y{r} = ({''.join(f'{at(row, c)}, ' for c in cols)})[j]")
+        checks += [f"abs({at(row, c)} * x - y{r} * {at(ref, c)}) > T" for c in {**ref, **row}]
+    lines += [f"    if {' or '.join(checks)}:", "        return"] if checks else []
     keys = [(occ, shape.keys[i][1]) for occ, i in zip(rest, sources)]
-    return _merge_plan(keys, [f"R[{e}]" for e in kept], ["def kernel(A, R, T, C, E, P):", *test])
+    return _merge_plan(keys, [f"R[{e}]" for e in kept], lines)
 
 
 @dataclass(frozen=True)
@@ -273,18 +296,34 @@ def merge_branches(
     pairwise fidelity is returned so callers can assert on it).  This is a
     classical mixture record, not an amplitude sum.
     """
-    live = [(p, s) for p, s in branches if p > PROB_EPS]
+    (alive,) = _run(_alive, *(p for p, _ in branches), decided=True)
+    live = list(itertools.compress(branches, alive))
     if not live:
         raise InvalidInput("all branches have zero probability")
-    total = _summed(p for p, _ in live)
-    first = live[0][1]
+    first = live[0][1].shape
+    plans = [(_pairs(first, s.shape), _norms(s.shape)) for _, s in live[1:]]
+    return _run(_merged, tol, _norms(first), plans, *itertools.chain.from_iterable(live))
+
+
+def _alive(*ps) -> tuple[tuple[bool, ...]]:
+    """Which of the branch probabilities ``ps`` exceed PROB_EPS."""
+    return (tuple(p > PROB_EPS for p in ps),)
+
+
+def _merged(tol: float, norms, plans, *live):
+    """:func:`merge_branches` of its live branches, ``p0, s0, p1, s1, ...``, by the norm
+    plan ``norms`` of the first's shape and, per later branch, ``plans``: the pair plan of
+    the first's shape and its own, and its norm plan."""
+    states = live[1::2]
+    total = _summed(live[::2])
+    first = states[0]
     min_fid = 1.0
-    for _, s in live[1:]:
-        f = fidelity(s, first)
+    for s, (pairs, norms_s) in zip(states[1:], plans):
+        f = _fidelity(s, first, pairs, norms_s, norms)
         min_fid = min(min_fid, f)
         if f < 1.0 - tol:
             raise WiringError(f"branches disagree: fidelity {f} below 1 - {tol}")
-    born_weight = _summed(s.born_weight for _, s in live)
+    born_weight = _summed(s.born_weight for s in states)
     merged = _columns(first.registers, first.amplitudes, born_weight, first.shape)
     if "_norm_sq" in vars(first):  # computed for the same terms
         vars(merged)["_norm_sq"] = first._norm_sq
@@ -325,18 +364,23 @@ def erase_and_merge(
             labels.append((label, _selection(needs), stripping))
         return labels, None if keep is None else _selection(((frozenset(keep), 1, 1),))
 
-    labels, kept = _recall(None, ("eraser", tuple(ports.items()), keep, strip), wiring)
-    probabilities: dict[str, float] = {}
-    branches = []
-    for label, selection, stripping in labels:
-        p, branch = _step(state, selection, _norm_in(state, "post-select"))
-        if p > 0.0 and kept is not None:
-            q, branch = _step(branch, kept, _norm_in(branch, "project"))
-            p *= q
-        probabilities[label] = p
-        if p == 0.0:
-            continue
-        branch = rule.apply(label, branch)
-        branches.append((p, _stripped(branch, stripping)))
-    total, merged, min_fid = merge_branches(branches, tol=tol)
-    return total, merged, min_fid, probabilities
+    wired = ("eraser", tuple(ports.items()), keep, strip)
+    labels, kept = _recall(None, wired, wiring)
+
+    def body(state, tol):  # one segment: every label, correction and strip, and the merge
+        norm_in = _norm_in(state, "post-select") if labels else None
+        ps, branches = [], []
+        for label, selection, stripping in labels:
+            p, branch = _step(state, selection, norm_in)
+            if p > 0.0 and kept is not None:
+                q, branch = _step(branch, kept, _norm_in(branch, "project"))
+                p = _run(operator.mul, p, q)
+            ps.append(p)
+            if p > 0.0:
+                branches.append((p, _stripped(rule.apply(label, branch), stripping)))
+        total, merged, min_fid = merge_branches(branches, tol=tol)
+        return (total, min_fid, *ps), merged
+
+    chains = tuple((label, tuple(chain)) for label, chain in rule.corrections.items())
+    (total, min_fid, *ps), merged = _segment((wired, chains), body, state, tol)
+    return total, merged, min_fid, dict(zip((label for label, _, _ in labels), ps))

@@ -31,6 +31,7 @@ from .fock import (
     _pair_lines,
     _photons,
     _recall,
+    _run,
     _site,
     _sort_key,
     _step,
@@ -190,9 +191,15 @@ def _measured(state, register: str, kind: str, table, *args) -> BranchDistributi
                 for label, value, sub in pure]
     if mixed:
         labels, kernel, consts = mixed
-        outcomes += [Outcome(label, None, p, None)
-                     for label, p in zip(labels, kernel(state.amplitudes, norm_in, consts))]
+        _, *ps = _run(_mixed, state, norm_in, kernel, consts, decided=True)
+        outcomes += [Outcome(label, None, p, None) for label, p in zip(labels, ps)]
     return BranchDistribution(tuple(o for o in outcomes if o.probability > PROB_EPS))
+
+
+def _mixed(state, norm_in: float, kernel, consts):
+    """Which mixed classes occur (p above PROB_EPS), then each one's p, from their kernel."""
+    ps = kernel(state.amplitudes, norm_in, consts)
+    return (tuple(p > PROB_EPS for p in ps), *ps)
 
 
 def _readout_table(shape, idx: int, mode: str):

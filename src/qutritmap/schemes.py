@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -42,6 +43,7 @@ from .fock import (
     UnsupportedMode,
     WiringError,
     _merge_plan,
+    _run,
     _segment,
     _site,
     _step,
@@ -254,7 +256,7 @@ def _linear_forward_heralded(s: PhotonicState, t: float) -> PhotonicState:
     p_herald, s = post_select_coincidence(s, _HERALD)
     if p_herald == 0.0:
         raise WiringError("heralding coincidence has zero probability")
-    return apply_qft(s, ("P1", "P3", "P2"))
+    return (p_herald,), apply_qft(s, ("P1", "P3", "P2"))
 
 
 _HERALD = ((path_modes("D1"), "click"), (path_modes("D2"), "click"))
@@ -372,8 +374,8 @@ def _linear_inverse_run(
     t2: float,
     t3: float,
 ):
-    pre = _segment(("linear-inverse", paths), lambda s, *ts: _linear_inverse_premeasure(
-        s, paths, *ts), state, t1, t2, t3)[1]
+    pre = _segment(("linear-inverse", paths), lambda s, *ts: ((), _linear_inverse_premeasure(
+        s, paths, *ts)), state, t1, t2, t3)[1]
     p_eraser, p_two, s = _linear_inverse_branch(pre, "eD1")
     if s is None:
         raise InvalidInput("the heralded eraser outcome has zero probability")
@@ -436,18 +438,59 @@ def scheme_linear_inverse(
 # Kerr forward map
 
 
-def _kerr_forward_routed(c: QutritCoefficients, t: float) -> PhotonicState:
-    """Photonic part of the Kerr forward map, before any probe couples.
+def _kerr_forward_routed(s: PhotonicState, t: float) -> PhotonicState:
+    """Photonic part of the Kerr forward map on the input ``s``, before any probe couples.
 
     Populated modes: (1,H), (1l,V), (4h,H), (5,H), (6,V), (7,V).
     """
-    s = make_biphotonic_qutrit(c, "in")
     s = apply_beam_splitter(s, "in", None, "1", "2", _FIFTY)
     s = apply_beam_splitter(s, "2", None, "4", "3", BeamSplitterSpec.from_t(t))
     s = route_pbs(s, ("1", None), ("1", "1l"))
     s = route_pbs(s, ("3", None), ("5", "6"))
     s = route_pbs(s, ("4", None), ("4h", "7"))
     return s
+
+
+def _kerr_forward_run(s, t, alpha, theta, tol, variant, meas_mode):
+    """The Kerr forward map from its input, as one segment: the routed network, the probes,
+    the kept readout outcome, the rebalance, the pair eraser and the flips.  Its values are
+    the eraser's P, minimum branch fidelity and P per port, then each quadrature readout's
+    kept label and p (separate-qnd), or the kept p and every outcome's p (double-xpm)."""
+    s = _kerr_forward_routed(s, t)
+    if variant == "separate-qnd":
+        s = add_register(s, "probe-1", alpha)
+        s = add_register(s, "probe-2", alpha)
+        s = apply_xpm(s, "probe-1", (Mode("1", H),), theta)
+        s = apply_xpm(s, "probe-1", (Mode("5", H), Mode("6", V)), -theta)
+        s = apply_xpm(s, "probe-2", (Mode("1l", V),), theta)
+        s = apply_xpm(s, "probe-2", (Mode("7", V),), -theta)
+        values = ()
+        for reg in ("probe-1", "probe-2"):
+            kept = _quadrature_group(project_quadrature_x(s, reg, mode=meas_mode), reg, alpha)
+            values += (kept.label, kept.probability)
+            s = kept.state
+    else:
+        # After the coupler every wanted component leaves probe-1 in vacuum,
+        # while single-route components imprint +/- theta on it.
+        probe1 = (Mode("1", H), Mode("7", V))
+        probe2 = (Mode("1l", V), Mode("5", H), Mode("6", V))
+        s = _probe_pair(s, "probe", alpha, theta, probe1, probe2)
+        dist = project_photon_number(s, "probe-1", mode=meas_mode)
+        kept = dist.get("0")
+        values, s = (kept.probability, *(o.probability for o in dist.outcomes)), kept.state
+
+    # Rebalance path 5, erase the left-arm pair and post-select.
+    s = apply_beam_splitter(s, "5", None, "5", "tap5", _FIFTY)
+    s = route_pbs(s, ("1", "1l"), ("m", "mjunk"))
+    s = route_pbs(s, ("m", None), ("dp", "dm"), basis="diag")
+    p_det, merged, min_fid, p_ports = erase_and_merge(
+        s, _PAIR_ERASER_PORTS, _PAIR_ERASER_RULE, keep=_KERR_KEEP, tol=tol
+    )
+    merged = apply_sigma_x(merged, "6")
+    merged = apply_sigma_x(merged, "7")
+    if merged.registers:  # probe-2 stays where it is correlated with the photons
+        merged = _dropped(merged, "probe-2") or merged
+    return (p_det, min_fid, *p_ports.values(), *values), merged
 
 
 _PAIR_ERASER_PORTS = {"dp": "dp", "dm": "dm"}
@@ -489,49 +532,19 @@ def scheme_kerr_forward(
         raise InvalidInput(f"unknown variant {variant!r}")
 
     checks: dict[str, float] = {}
-    s = _kerr_forward_routed(c, t)
+    (p_det, min_fid, *p_ports), merged = _segment(
+        ("kerr-forward", variant, meas_mode),
+        lambda s, *ps: _kerr_forward_run(s, *ps, variant, meas_mode),
+        make_biphotonic_qutrit(c, "in"), t, alpha, theta, tol)
+    p_ports, read = p_ports[:2], p_ports[2:]
     if variant == "separate-qnd":
-        s = add_register(s, "probe-1", alpha)
-        s = add_register(s, "probe-2", alpha)
-        s = apply_xpm(s, "probe-1", (Mode("1", H),), theta)
-        s = apply_xpm(s, "probe-1", (Mode("5", H), Mode("6", V)), -theta)
-        s = apply_xpm(s, "probe-2", (Mode("1l", V),), theta)
-        s = apply_xpm(s, "probe-2", (Mode("7", V),), -theta)
-        p_meas_log = ()
-        for reg in ("probe-1", "probe-2"):
-            dist = project_quadrature_x(s, reg, mode=meas_mode)
-            kept = _quadrature_group(dist, reg, alpha)
-            p_meas_log += (BranchLogEntry(f"quadrature-{reg}", kept.label, kept.probability),)
-            s = kept.state
+        p_meas_log = tuple(BranchLogEntry(f"quadrature-{reg}", label, p) for reg, label, p
+                           in zip(("probe-1", "probe-2"), read[::2], read[1::2]))
     else:
-        # After the coupler every wanted component leaves probe-1 in vacuum,
-        # while single-route components imprint +/- theta on it.
-        probe1 = (Mode("1", H), Mode("7", V))
-        probe2 = (Mode("1l", V), Mode("5", H), Mode("6", V))
-        s = _probe_pair(s, "probe", alpha, theta, probe1, probe2)
-        dist = project_photon_number(s, "probe-1", mode=meas_mode)
-        kept = dist.get("0")
-        checks["probe_total_probability"] = dist.total_probability
-        s = kept.state
-        p_meas_log = (BranchLogEntry("probe-number", "n=0", kept.probability),)
-
-    # Rebalance path 5, erase the left-arm pair and post-select.
-    s = apply_beam_splitter(s, "5", None, "5", "tap5", _FIFTY)
-    s = route_pbs(s, ("1", "1l"), ("m", "mjunk"))
-    s = route_pbs(s, ("m", None), ("dp", "dm"), basis="diag")
-    p_det, merged, min_fid, p_ports = erase_and_merge(
-        s,
-        _PAIR_ERASER_PORTS,
-        _PAIR_ERASER_RULE,
-        keep=_KERR_KEEP,
-        tol=tol,
-    )
-    merged = apply_sigma_x(merged, "6")
-    merged = apply_sigma_x(merged, "7")
-    checks.update({f"eraser_{k}_probability": p for k, p in p_ports.items()})
+        checks["probe_total_probability"] = _summed(read[1:])  # the distribution's total
+        p_meas_log = (BranchLogEntry("probe-number", "n=0", read[0]),)
+    checks.update({f"eraser_{k}_probability": p for k, p in zip(_PAIR_ERASER_PORTS, p_ports)})
     checks["eraser_min_branch_fidelity"] = min_fid
-    if merged.registers:  # probe-2 stays where it is correlated with the photons
-        merged = _dropped(merged, "probe-2") or merged
 
     target = make_spatial_qutrit(c, ("5", "6", "7"))
     log = p_meas_log + (BranchLogEntry("pair-eraser", "dp|dm", p_det),)
@@ -700,6 +713,52 @@ _PATH_ERASER_RULE = FeedForwardRule(
 )
 
 
+def _entangling_block(s, alpha, theta, tol, paths, ancilla, pattern, flips, meas_mode, prefix):
+    """A segment of the Kerr inverse map: the polarization flips on ``flips``, one
+    entangling block and the merge of its branches; its values are P and the fidelity."""
+    for path in flips:
+        s = apply_sigma_x(s, path)
+    branches = entangler_branches(s, paths, ancilla, pattern, alpha, theta, meas_mode, prefix)
+    p, s, fid = merge_branches([(q, st) for _, q, st in branches], tol=tol)
+    return (p, fid), s
+
+
+def _path_eraser(s, tol, paths):
+    """A segment of the Kerr inverse map: the network that erases which-path information
+    of the single photon, and its eraser; its values are P, the merge fidelity and each
+    port's P."""
+    s = route_pbs(s, (paths[1], paths[2]), ("merge12", "junk12"))
+    s = apply_beam_splitter(s, paths[0], "merge12", "e3", "e4", _FIFTY)
+    s = route_pbs(s, ("e3", None), ("5", "6"), basis="diag")
+    s = route_pbs(s, ("e4", None), ("7", "8"), basis="diag")
+    p, s, fid, p_ports = erase_and_merge(s, _PATH_ERASER_PORTS, _PATH_ERASER_RULE, tol=tol)
+    return (p, fid, *p_ports.values()), s
+
+
+def _rebalanced(s, alpha, theta, tol):
+    """A segment of the Kerr inverse map: rebalance the two-H and two-V components, then
+    merge the ancilla pair into one path, heralded by a probe that only sees the first
+    output.  Its values are the taps' P, the bunched merge's P and fidelity, each kept
+    probe group's P of two photons on ``out``, then every probe outcome's p."""
+    s = _attenuate_mode(s, "a", H, "tapA")
+    s = _attenuate_mode(s, "b", V, "tapB")
+    p_tap, s = post_select_coincidence(s, _TAPS_DARK)
+    s = apply_beam_splitter(s, "a", "b", "m1", "m2", _FIFTY)
+    s = add_register(s, "merge-probe", alpha)
+    s = apply_xpm(s, "merge-probe", _M1, theta)
+    dist = project_quadrature_x(s, "merge-probe", mode="ideal")
+    bunched, ps = [], []
+    for value, out_path in ((alpha * math.cos(2.0 * theta), "m1"), (alpha, "m2")):
+        kept = _quadrature_group(dist, "merge-probe", value)
+        st = relabel_paths(kept.state, {out_path: "out"})
+        q, st = project_total_photons(st, _OUT, 2)
+        ps.append(_run(operator.mul, kept.probability, q))
+        if ps[-1] > 0.0:
+            bunched.append((ps[-1], st))
+    p_bunch, s, fid_bunch = merge_branches(bunched, tol=tol)
+    return (p_tap, p_bunch, fid_bunch, *ps, *(o.probability for o in dist.outcomes)), s
+
+
 def _kerr_inverse_run(
     state: PhotonicState,
     paths: tuple[str, str, str],
@@ -717,47 +776,22 @@ def _kerr_inverse_run(
         (1, "a", "reflected", paths[1:]),
         (2, "b", "transmitted", paths[1:2]),
     ):
-        for path in flips:
-            s = apply_sigma_x(s, path)
-        branches = entangler_branches(
-            s, paths, ancilla, pattern, alpha, theta, meas_mode, f"ent{k}"
-        )
-        p, s, fid = merge_branches([(q, st) for _, q, st in branches], tol=tol)
+        wiring = paths, ancilla, pattern, flips, meas_mode, f"ent{k}"
+        (p, fid), s = _segment(("entangling-block", *wiring),
+                               lambda s, *ps: _entangling_block(s, *ps, *wiring),
+                               s, alpha, theta, tol)
         checks[f"entangler{k}_merge_fidelity"] = fid
         log.append(BranchLogEntry(f"entangler-{k}", "all n merged", p))
 
-    # Erase which-path information of the single photon.
-    s = route_pbs(s, (paths[1], paths[2]), ("merge12", "junk12"))
-    s = apply_beam_splitter(s, paths[0], "merge12", "e3", "e4", _FIFTY)
-    s = route_pbs(s, ("e3", None), ("5", "6"), basis="diag")
-    s = route_pbs(s, ("e4", None), ("7", "8"), basis="diag")
-    p_eraser, s, fid_eraser, p_ports = erase_and_merge(
-        s, _PATH_ERASER_PORTS, _PATH_ERASER_RULE, tol=tol
-    )
-    checks.update({f"eraser_{k}_probability": p for k, p in p_ports.items()})
+    (p_eraser, fid_eraser, *ps), s = _segment(("path-eraser", paths), lambda s, tol: _path_eraser(
+        s, tol, paths), s, tol)
+    checks.update({f"eraser_{k}_probability": p for k, p in zip(_PATH_ERASER_PORTS, ps)})
     checks["eraser_merge_fidelity"] = fid_eraser
 
-    # Rebalance the two-H and two-V components, then merge the ancilla pair
-    # into one path, heralded by a probe that only sees the first output.
-    s = _attenuate_mode(s, "a", H, "tapA")
-    s = _attenuate_mode(s, "b", V, "tapB")
-    p_tap, s = post_select_coincidence(s, _TAPS_DARK)
-    s = apply_beam_splitter(s, "a", "b", "m1", "m2", _FIFTY)
-    s = add_register(s, "merge-probe", alpha)
-    s = apply_xpm(s, "merge-probe", _M1, theta)
-    dist = project_quadrature_x(s, "merge-probe", mode="ideal")
-    bunched = []
-    for value, out_path in ((alpha * math.cos(2.0 * theta), "m1"), (alpha, "m2")):
-        kept = _quadrature_group(dist, "merge-probe", value)
-        st = relabel_paths(kept.state, {out_path: "out"})
-        q, st = project_total_photons(st, _OUT, 2)
-        checks[f"bunched_{out_path}_probability"] = kept.probability * q
-        if kept.probability * q > 0.0:
-            bunched.append((kept.probability * q, st))
-    checks["split_discard_probability"] = dist.total_probability - _summed(
-        checks[f"bunched_{p}_probability"] for p in ("m1", "m2")
-    )
-    p_bunch, s, fid_bunch = merge_branches(bunched, tol=tol)
+    (p_tap, p_bunch, fid_bunch, *ps), s = _segment("rebalance", _rebalanced, s, alpha, theta, tol)
+    checks.update({f"bunched_{p}_probability": q for p, q in zip(("m1", "m2"), ps)})
+    # the readout's total less what bunched
+    checks["split_discard_probability"] = _summed(ps[2:]) - _summed(ps[:2])
     checks["bunched_merge_fidelity"] = fid_bunch
 
     log += [

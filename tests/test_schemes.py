@@ -254,7 +254,7 @@ def test_kerr_routed_amplitudes():
     t = T_KERR_FORWARD
     r = math.sqrt(1 - t * t)
     a, b, g = COEFFS.as_tuple()
-    s = _kerr_forward_routed(COEFFS, t)
+    s = _kerr_forward_routed(make_biphotonic_qutrit(COEFFS, "in"), t)
     cases = [
         ({Mode("1", H): 1, Mode("5", H): 1}, a * r / math.sqrt(2)),
         ({Mode("1", H): 1, Mode("6", V): 1}, b * r / 2),

@@ -1,11 +1,17 @@
 """Segment tapes replay the step path bit for bit.
 
-The linear schemes run their fixed element chains through ``fock._segment``.
-The first run per input shape records a tape of the chain's steps; later runs
-replay it on the amplitudes alone, under three guards: every prune keeps the
-recorded subset, no outcome falls at p <= PROB_EPS, and every post-selection's
-input norm, computed again from the column, passes ``measurement._norm_in``'s
-bounds.  A failed guard runs the chain through the step path instead.
+The schemes run their fixed blocks of steps through ``fock._segment``: the linear
+maps' element chains, every eraser, the Kerr forward map through its kept readout
+outcome and the Kerr inverse map's entangling blocks, path eraser and rebalance
+taps.  The first run per input shape records a tape; its steps may fork (an
+eraser's labels, a readout's outcomes).  Later runs replay it on the amplitudes
+alone, under guards: every prune keeps the recorded subset, every outcome is cut
+(p <= PROB_EPS) where it was cut and kept where it was kept, and every value taken
+from a state (a measured norm, a strip's split and rescale, a merge's fidelities,
+a mixed readout's class masses) is computed again by the function the step path
+calls, which raises where the step path would and must decide as it did (a strip's
+heaviest row, which branches and classes are live).  A failed guard runs the block
+through the step path instead.
 
 The step path here is the same call on a cleared memo, which records and
 replays nothing.  Every replayed result is compared with it by ``float.hex``,
@@ -20,8 +26,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutritmap import fock, schemes
-from qutritmap.elements import BeamSplitterSpec, apply_beam_splitter
+from qutritmap import fock, measurement, schemes
+from qutritmap.elements import BeamSplitterSpec, apply_beam_splitter, apply_phase_shift
 from qutritmap.fock import (
     FockTerm,
     InvalidInput,
@@ -32,13 +38,28 @@ from qutritmap.fock import (
     make_spatial_qutrit,
     scaled,
 )
-from qutritmap.measurement import path_modes, post_select_coincidence
+from qutritmap.measurement import (
+    Correction,
+    FeedForwardRule,
+    erase_and_merge,
+    path_modes,
+    post_select_coincidence,
+    strip_modes,
+)
+from qutritmap.qubus import couple_probes, drop_register, project_photon_number
 from qutritmap.sampling import haar_unitary
 from test_shape import bits, shapes_in
-from test_sites import holds_shape
+from test_columns import scheme_runs
+from test_sites import holds_shape, run_all
 
 PATHS = ("s0", "s1", "s2")
 T_FORWARD = math.sqrt(schemes.T2_LINEAR_FORWARD)
+
+
+def tapes():
+    """Every ``(key, tape)`` in the memo."""
+    return [(key, value) for key, value in fock._MEMO.items()
+            if isinstance(key[1], fock._Site) and key[1].kind == "segment"]
 
 
 def outcome(run):
@@ -178,7 +199,8 @@ def pair(x, y):
 def split_and_click(state):
     """A 50:50 splitter and a click on its second output: p = |x - y|^2 / (2 (|x|^2 + |y|^2))."""
     s = apply_beam_splitter(state, "a", "b", "c", "d", BeamSplitterSpec.fifty_fifty())
-    return post_select_coincidence(s, [(path_modes("d"), "click")])[1]
+    p, s = post_select_coincidence(s, [(path_modes("d"), "click")])
+    return (p,), s
 
 
 def split_segment(state):
@@ -214,14 +236,238 @@ def test_a_tape_that_kept_the_measured_norm_would_fail_the_identity():
     expected, _ = step_path(run)
     fock._MEMO.clear()
     split_segment(pair(0.6, 0.8j))
-    for key, tape in list(fock._MEMO.items()):
-        if isinstance(key[1], fock._Site) and key[1].kind == "segment":
-            entries, registers, shape = tape
-            fock._MEMO[key] = [e[:5] + (None,) for e in entries], registers, shape
+    split = apply_beam_splitter(pair(0.6, 0.8j), "a", "b", "c", "d", BeamSplitterSpec.fifty_fifty())
+    warm = fock.norm_sq(split)  # what the warm run measured
+    for key, (entries, *rest) in tapes():
+        fock._MEMO[key] = ([(lambda *_: warm, *e[1:]) if e[0] is measurement._measurable else e
+                            for e in entries], *rest)
     got, tries = tracked(run)
     assert tries == [True]
     assert segment_hex(got) != segment_hex(expected)
     assert got[1].born_weight == 4 * expected[1].born_weight  # p against the warm norm
+
+
+# ---------------------------------------------------------------------------
+# forking tapes: erasers, strips, merges, readouts and drops
+
+
+def hexed(value):
+    """``value`` with every float by ``float.hex`` and every state by its bits."""
+    if isinstance(value, fock.PhotonicState):
+        return bits(value)
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [hexed(x) for x in value]
+    if isinstance(value, dict):
+        return {k: hexed(x) for k, x in value.items()}
+    return value
+
+
+def two_port(x, y, u, v):
+    """A photon on detector path a or b and one on path o: a (x H + y V) + b (u H + v V)
+    on o; a zero amplitude leaves its term out (another shape)."""
+    cells = (("a", "H", x), ("a", "V", y), ("b", "H", u), ("b", "V", v))
+    return build_state((), [FockTerm.from_occupations({Mode(d, "H"): 1, Mode("o", pol): 1}, (), a)
+                            for d, pol, a in cells if a])
+
+
+RULE = FeedForwardRule({"a": (), "b": (Correction("phase", "o", 0.5),)})
+
+
+def eraser(state, tol=1e-9):
+    return erase_and_merge(state, {"a": "a", "b": "b"}, RULE, tol=tol)
+
+
+def check(warm, run, replays):
+    """``run()`` after ``warm()`` recorded its tapes, against the step path: its replays
+    run through as ``replays`` says; returns the step path's outcome."""
+    expected, none = step_path(run)
+    got, tries = replayed(warm, run)
+    assert none == [] and tries == replays
+    assert hexed(got) == hexed(expected)
+    return expected
+
+
+AGREE = 0.6, 0.3j, 0.3, 0.15j  # b's output photon is a's: the branches merge
+
+
+def test_an_eraser_label_at_p_zero_replays_the_step_path():
+    live, cut = two_port(*AGREE), two_port(0.6, 0.3j, 3e-10, 1.5e-10j)  # b's p ~ 1e-19
+    was_kept = check(lambda: eraser(live), lambda: eraser(cut), [False])
+    was_cut = check(lambda: eraser(cut), lambda: eraser(live), [False])
+    assert was_kept[3]["b"] == 0.0 < was_cut[3]["b"]
+    # a zero coefficient: b never fires, and the tape of that shape keeps the cut label
+    expected = check(lambda: eraser(two_port(0.1, -0.8, 0, 0)),
+                     lambda: eraser(two_port(0.6, 0.3j, 0, 0)), [True])
+    assert expected[3]["b"] == 0.0
+
+
+def product(rows, cols):
+    """(rows[0] |dH> + rows[1] |dV>) (cols[0] |rH> + cols[1] |rV>), or the matrix of
+    amplitudes ``rows`` where ``cols`` is None: one strip row per pol of d."""
+    matrix = rows if cols is None else [[a * b for b in cols] for a in rows]
+    return build_state((), [FockTerm.from_occupations({Mode("d", dp): 1, Mode("r", rp): 1}, (), a)
+                            for dp, row in zip("HV", matrix) for rp, a in zip("HV", row)])
+
+
+def strip_segment(state):
+    return fock._segment("strip", lambda s: ((), strip_modes(s, path_modes("d"))), state)
+
+
+def test_a_strip_whose_pivot_moves_replays_the_step_path():
+    warm = lambda: strip_segment(product((0.8, 0.6), (0.8, 0.6j)))  # noqa: E731
+    # the pivot column moves: the replay picks it, as the step path does
+    check(warm, lambda: strip_segment(product((0.8, 0.6), (0.6, 0.8j))), [True])
+    # the heaviest row moves: another rank-1 merge, so the guard fails
+    check(warm, lambda: strip_segment(product((0.6, 0.8), (0.8, 0.6j))), [False])
+
+
+def test_an_entangled_strip_raises_as_the_step_path_on_every_call():
+    run = lambda: strip_segment(product([[0.6, 0.3], [0.3, -0.6]], None))  # noqa: E731
+    expected, _ = step_path(run)
+    assert expected == (fock.WiringError, "watched modes are entangled with the rest; cannot strip")
+    fock._MEMO.clear()
+    strip_segment(product((0.8, 0.6), (0.8, 0.6j)))
+    for _ in range(3):
+        assert tracked(run) == (expected, [False])
+
+
+def test_an_ideal_merge_below_one_minus_tol_raises_as_the_step_path():
+    run = lambda: eraser(two_port(0.6, 0.3j, 0.3, -0.15j))  # noqa: E731
+    expected, _ = step_path(run)
+    assert expected[0] is fock.WiringError and expected[1].startswith("branches disagree")
+    fock._MEMO.clear()
+    eraser(two_port(*AGREE))
+    for _ in range(3):
+        assert tracked(run) == (expected, [False])
+    # at tol inf (physical mode) the same branches merge, replayed
+    check(lambda: eraser(two_port(*AGREE), math.inf),
+          lambda: eraser(two_port(0.6, 0.3j, 0.3, -0.15j), math.inf), [True])
+
+
+def tell_apart(state):
+    """Probes p1 and p2 coupled to a photon on a (both) or b (p2 only): the photon on b
+    displaces p1 and moves p2."""
+    return couple_probes(state, "p1", "p2", 2.0, 0.3, path_modes("a"),
+                         path_modes("a") + path_modes("b"))
+
+
+def probe_readout(state):
+    """A probe pair that tells a photon on a from one on b, read by photon number:
+    every outcome's p and the state of "0" (the photon on a)."""
+    s = tell_apart(state)
+    dist = project_photon_number(s, "p1")
+    return tuple(o.probability for o in dist.outcomes), dist.get("0").state
+
+
+def test_a_readout_outcome_at_prob_eps_replays_the_step_path():
+    def run(x, y):
+        return lambda: fock._segment("readout", probe_readout, pair(x, y))
+
+    check(run(0.6, 0.8), run(0.8, -0.6j), [True])
+    expected = check(run(0.6, 0.8), run(1.0, 3e-10), [False])  # odd and even cut
+    assert len(expected[0]) == 1
+    expected = check(run(0.6, 0.8), run(3e-10, 1.0), [False])  # "0" cut: dist.get raises
+    assert expected == (InvalidInput, "no outcome labelled '0'")
+
+
+def test_a_merge_whose_live_branches_change_replays_the_step_path():
+    """Branch b passes both of its steps (p ~ 1e-12, then q ~ 1e-8) but its P, their
+    product, falls at PROB_EPS, so the merge drops it where the recording kept it."""
+    def state(x, w, z):
+        cells = (({"a": 1, "o": 1}, x), ({"b": 1, "o": 1}, w), ({"b": 1, "q": 1}, z))
+        return build_state((), [FockTerm.from_occupations({Mode(k, "H"): n for k, n in occ.items()},
+                                                          (), amp) for occ, amp in cells])
+
+    def run(*amps):
+        return lambda: erase_and_merge(state(*amps), {"a": "a", "b": "b"}, RULE,
+                                       keep=path_modes("o"))
+
+    expected = check(run(0.6, 0.5, 0.3), run(0.6, 1e-10, 1e-6), [False])
+    assert 0.0 < expected[3]["b"] <= fock.PROB_EPS
+
+
+def test_a_mixed_readout_class_at_prob_eps_replays_the_step_path():
+    """Zero, one or two photons on a move probe p1 to 0, beta1 or beta2 (not -beta1): the
+    odd and even classes are mixtures, cut where the photons on a are faint."""
+    def state(x, y, z):
+        cells = (({"a": 2}, x), ({"a": 1, "c": 1}, y), ({"c": 2}, z))
+        return build_state((), [FockTerm.from_occupations({Mode(k, "H"): n for k, n in occ.items()},
+                                                          (), amp) for occ, amp in cells])
+
+    def readout(s):
+        s = couple_probes(s, "p1", "p2", 2.0, 0.3, path_modes("a"), ())
+        dist = project_photon_number(s, "p1")
+        assert not any(o.state for o in dist.outcomes if o.label != "0")  # mixed classes
+        return tuple(o.probability for o in dist.outcomes), dist.get("0").state
+
+    def run(*amps):
+        return lambda: fock._segment("mixed", readout, state(*amps))
+
+    check(run(0.5, 0.5j, 0.6), run(-0.3, 0.4, 0.7j), [True])
+    expected = check(run(0.5, 0.5j, 0.6), run(3e-9, 3e-9j, 1.0), [False])
+    assert len(expected[0]) == 1  # odd and even cut
+
+
+def test_a_correlated_register_drop_in_physical_mode_replays_the_step_path():
+    c, d = (QutritCoefficients.normalize(0.6, 0.3j, -0.5),
+            QutritCoefficients.normalize(-0.2, 0.7, 0.1 + 0.6j))
+    kwargs = {"qubus_alpha": 5.0, "theta": 0.1, "meas_mode": "physical"}
+    expected = check(lambda: schemes.scheme_kerr_inverse(c, **kwargs),
+                     lambda: schemes.scheme_kerr_inverse(d, **kwargs), [True] * 4)
+    assert expected.checks["entangler1_merge_fidelity"] < 1.0
+    dead = [e for _, (entries, *_) in tapes() for e in entries if e[-1] is False]
+    assert dead  # the refused drops, which replay as refused
+
+    def dropped(s):
+        return (), drop_register(tell_apart(s), "p2")  # correlated with the photon
+
+    run = lambda: fock._segment("drop", dropped, pair(0.6, 0.8))  # noqa: E731
+    expected, _ = step_path(run)
+    assert expected[0] is fock.WiringError
+    for _ in range(2):
+        assert tracked(run) == (expected, [])
+    assert not tapes()
+
+
+def nested(state):
+    """An outer segment around an eraser's: a phase on o, then the eraser."""
+    total, merged, fid, ps = eraser(apply_phase_shift(state, "o", 0.25))
+    return (total, fid, *ps.values()), merged
+
+
+def test_a_nested_segment_joins_the_outer_tape():
+    def run(state):
+        return lambda: fock._segment("outer", nested, state)
+
+    check(run(two_port(0.3, 0.8j, -0.6, -1.6j)), run(two_port(*AGREE)), [True])
+    assert len(tapes()) == 1  # the eraser's steps joined the outer tape: no tape of its own
+    # a guard in the inner segment fails the outer replay
+    check(run(two_port(*AGREE)), run(two_port(0.6, 0.3j, 3e-10, 1.5e-10j)), [False])
+
+
+@given(c=coefficients, seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([2.0, 5.0]))
+@settings(max_examples=8, deadline=None)
+def test_qubus_schemes_replay_the_step_path_bit_for_bit(c, seed, alpha):
+    u = haar_unitary(np.random.default_rng(seed))
+    for mode, theta in (("ideal", 0.3), ("physical", 0.1)):
+        kw = {"qubus_alpha": alpha, "theta": theta, "meas_mode": mode}
+        runs = {
+            "kerr-forward": lambda c: schemes.scheme_kerr_forward(c, **kw),
+            "kerr-inverse": lambda c: schemes.scheme_kerr_inverse(c, **kw),
+            "u3-kerr": lambda c: schemes.u3_biphotonic(c, u, "kerr", **kw),
+        }
+        if mode == "ideal":
+            runs["separate-qnd"] = lambda c: schemes.scheme_kerr_forward(c, variant="separate-qnd",
+                                                                         **kw)
+        for name, run in runs.items():
+            expected, none = step_path(lambda: run(c))
+            got, tries = replayed(lambda: run(twin(c)), lambda: run(c))
+            assert none == [] and tries or not isinstance(expected, schemes.SchemeReport), name
+            if isinstance(expected, schemes.SchemeReport):
+                expected, got = report_hex(expected), report_hex(got)
+            assert got == expected, name
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +479,17 @@ def test_segment_sites_hold_no_shape_and_tapes_two_shapes():
     fock._MEMO.clear()
     schemes.u3_biphotonic(c, haar_unitary(np.random.default_rng(5)), "linear")
     schemes.scheme_linear_inverse(c)
-    tapes = [(key, value) for key, value in fock._MEMO.items()
-             if isinstance(key[1], fock._Site) and key[1].kind == "segment"]
-    assert len(tapes) == 2  # linear-forward, and linear-inverse on one input shape
-    for key, value in tapes:
+    found = tapes()
+    assert len(found) == 3  # linear-forward, its eraser, and linear-inverse on one input shape
+    for key, value in found:
         assert not holds_shape(key[1], set())
+        assert shapes_in((key, value)) <= 2
+
+
+def test_every_tape_of_every_scheme_holds_two_shapes():
+    fock._MEMO.clear()
+    run_all(list(scheme_runs()))
+    assert len(tapes()) >= 12
+    for key, value in tapes():
+        assert not holds_shape(key[1], set()) and not holds_shape(value[0], set())
         assert shapes_in((key, value)) <= 2
