@@ -18,9 +18,11 @@ and applies its prune verdict.  A fixed block of steps (a *segment*, see
 may fork (an eraser's labels, a readout's outcomes), and the calls that take values
 from states (:func:`_run`: norms, strips, merges), replayed on the amplitudes alone
 while every prune, outcome cut and decision falls as it did when the tape was
-recorded; a failed guard runs the block on the step path.  Segments nest by
-flattening: one called while another records runs its block, whose steps join the
-outer tape.
+recorded; a failed guard runs the block on the step path.  A tape's first replay
+compiles it, like a plan, into one straight-line function: one line per call, each
+followed by its guard, with the output of a step kept as its column and born weight
+until a call reads it as a state.  Segments nest by flattening: one called while
+another records runs its block, whose steps join the outer tape.
 
 Conventions:
 
@@ -188,16 +190,17 @@ def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
 
 # What an operation derives from a state's keys alone, keyed by (Shape, site) or
 # (Shape, constant); a plan of two shapes, or the subset a prune keeps, by (that
-# pair, constant); interned keys by (None, (keys, label bits)), compiled kernels
-# by (None, source), sites by (None, (kind, their arguments)) and a segment's tape
-# by (its input's Shape, its site).  Reaching the bound drops every entry, and an
-# entry holds at most two shapes, so at most 2 * _RETAINED shapes outlive the
-# states that carry them.  After 10,000 benchmark evaluations (no drop) the memo
-# holds 268 entries in 0.61 MB (linear optics, 3 tapes), 895 in 1.12 MB (ideal
-# qubus, 21 tapes) and 1012 in 2.10 MB (physical qubus, 20 tapes), by deep getsizeof
-# through containers, slots, closures and code constants, each object once:
-# interned keys take 0.27, 0.38 and 0.86 MB, kernels 0.21, 0.21 and 0.61 MB and
-# tapes 0.03, 0.26 and 0.25 MB.  Random circuits' one-off shapes are dropped.
+# pair, constant); interned keys by (None, (keys, label bits)), compiled kernels and
+# replays by (None, source), sites by (None, (kind, their arguments)) and a segment's
+# tape, with its replay and constants, by (its input's Shape, its site).  Reaching the
+# bound drops every entry, and an entry holds at most two shapes, so at most
+# 2 * _RETAINED shapes outlive the states that carry them.  After 10,000 benchmark
+# evaluations (no drop) the memo holds 271 entries in 0.97 MB (linear optics, 3 tapes
+# on 3 replay sources), 901 in 1.39 MB (ideal qubus, 21 tapes on 6) and 1019 in 2.86 MB
+# (physical qubus, 20 tapes on 7), by deep getsizeof through containers, slots,
+# closures and compiled code objects, each object once: interned keys take 0.27, 0.36
+# and 0.85 MB, compiled kernels and replays 0.59, 0.52 and 1.41 MB and tapes with
+# their constants 0.03, 0.27 and 0.26 MB.  Random circuits' one-off shapes are dropped.
 _RETAINED = 2048
 _MEMO: dict[tuple, object] = {}
 
@@ -236,43 +239,30 @@ def _step(state, site, *values, registers=None, weight=1.0):
     """``(p, output)`` of ``site`` on ``state``; p is 1 where nothing is measured.
 
     The plan, built once per ``(state.shape, site)``, is ``(kernel, consts, shape)``, and
-    ``shape`` is the output's; :func:`_applied` runs the kernel.  The output carries
-    ``registers`` (default: the input's) and born weight ``weight`` times the input's times
-    p.  A step on a value of a recording :func:`_segment` joins its tape.
+    ``shape`` is the output's.  ``kernel(A, *values, consts, PRUNE_EPS, PROB_EPS)`` returns
+    nothing for an outcome at p <= PROB_EPS or a stored refusal (p 0 and the empty state),
+    else p, the output column and, if some prune, the mask of the terms that pass.  The
+    output carries ``registers`` (default: the input's) and born weight ``weight`` times the
+    input's times p.  A step on a value of a recording :func:`_segment` joins its tape.
     """
     shape = state.shape
     kernel, consts, out = _recall(shape, site, lambda: site.plan(shape))
     registers = state.registers if registers is None else registers
-    args = kernel, weight, registers, state, *values, consts, PRUNE_EPS, PROB_EPS
-    kept, p, output = stepped = _applied(*args)
-    if _tape is not None and id(state) in _tape.slot_of:
-        _tape.join(_applied, args, stepped, True)
-    if kept is not False:
-        if kept is not None:
-            keys = out.keys
-            out = _recall((out, kept), "subset", lambda: _interned(tuple(keys[i] for i in kept)))
-        vars(output)["shape"] = out
-    return p, output
-
-
-def _applied(kernel, weight, registers, state, *args):
-    """``(kept, p, output)`` of a step's ``kernel(A, *args)``, which returns nothing for an
-    outcome at p <= PROB_EPS or a stored refusal (kept False: p 0 and the empty state), else
-    p, the output column and, if some prune, which terms pass (kept: their indices, else
-    None).  The output's shape is its caller's to set."""
-    result = kernel(state.amplitudes, *args)
+    result = kernel(state.amplitudes, *values, consts, PRUNE_EPS, PROB_EPS)
     if result is None:
-        return False, 0.0, _columns(registers, (), 0.0, _VOID)
-    p, column, mask = result
-    kept = None
-    if mask:
-        kept, column = _pruned(column, mask)
-    return kept, p, _columns(registers, column, weight * float(state.born_weight) * p, None)
-
-
-def _pruned(column, mask):
-    """``(kept, column)``: the indices of the terms that ``mask`` passes, and theirs."""
-    return tuple(itertools.compress(range(len(mask)), mask)), list(itertools.compress(column, mask))
+        mask, p, output = False, 0.0, _columns(registers, (), 0.0, _VOID)
+    else:
+        p, column, mask = result
+        if mask:
+            keys = out.keys
+            out = _recall((out, tuple(mask)), "subset",
+                          lambda: _interned(tuple(itertools.compress(keys, mask))))
+            column = list(itertools.compress(column, mask))
+        output = _columns(registers, column, weight * float(state.born_weight) * p, out)
+    if _tape is not None and id(state) in _tape.slot_of:
+        args = kernel, weight, registers, state, *values, consts, PRUNE_EPS, PROB_EPS
+        _tape.join(_step, args, (mask, p, output), True)
+    return p, output
 
 
 def _run(fn, *args, decided=False):
@@ -286,15 +276,16 @@ def _run(fn, *args, decided=False):
 
 
 class _Recording:
-    """An open tape: its entries and, by id, the slot of each value the segment made (None
-    where two entries returned one object); it holds them, so no id is reused."""
+    """An open tape: its entries and, by id, the slot of each value the segment made (-1
+    for a constant, None where two entries returned one object); it holds them, so no id is
+    reused."""
 
     def __init__(self, state):
         self.slot_of, self.held, self.entries, self.broken = {id(state): 0}, [state], [], False
 
     def specs(self, args):
         """``args`` as a tape holds them: the constants, and ``(position, slot)`` per value
-        of the segment, read from the replay's slots."""
+        of the segment."""
         slots = [self.slot_of.get(id(a), -1) for a in args]
         self.broken |= None in slots
         read = [slot is not None and slot >= 0 for slot in slots]
@@ -302,18 +293,25 @@ class _Recording:
                 tuple((at, slot) for at, (slot, r) in enumerate(zip(slots, read)) if r))
 
     def join(self, fn, args, out, decided):
-        """Append the call ``fn(*args)``, whose results after its decision take the next slots."""
-        self.entries.append((fn, *self.specs(args), decided, out[0] if decided else None))
-        for value in out[decided:] if type(out) is tuple else (out,):
-            self.slot_of[id(value)] = None if id(value) in self.slot_of else len(self.held)
+        """Append the call ``fn(*args)`` as ``(fn, args, refs, decided, arity, decision)``.
+        Its results after its decision take the next slots (arity: their count, None for
+        one result that is no tuple); where the decision is False (a step's cut, which
+        fixes its p and empty state), they are constants of the tape."""
+        made = out[decided:] if type(out) is tuple else (out,)
+        arity = len(made) if type(out) is tuple else None
+        self.entries.append((fn, *self.specs(args), decided, arity, out[0] if decided else None))
+        for value in made:
+            slot = -1 if decided and out[0] is False else len(self.held)
+            self.slot_of[id(value)] = slot if self.slot_of.get(id(value), slot) == slot else None
             self.held.append(value)
 
     def tape(self, values, out):
-        """The stored tape of a body that returned ``(values, out)``, or None."""
+        """The stored tape of a body that returned ``(values, out)``, or None; its compiled
+        replay, the last item, is made on its first replay."""
         values, slot = self.specs(values), self.slot_of.get(id(out))
-        if self.broken or slot is None:
+        if self.broken or slot is None or slot < 0:
             return None
-        return tuple(self.entries), values, slot, out.shape
+        return tuple(self.entries), values, slot, out.shape, None
 
 
 _tape = None  # the _Recording of the segment being recorded
@@ -323,15 +321,19 @@ def _segment(name, body, state, *params):
     """``body(state, *params)``, a block of steps from ``state`` (forking: a step joins on
     any state it made) that returns ``(values, output state)``.  Its values depend on
     ``params`` and constants only, save those computed through :func:`_run`.  The first run
-    per input shape and site (``name``, registers, bits of ``params``) records a tape; later
-    runs replay it, or run ``body`` where a guard fails.  Nested, it joins the outer tape."""
+    per input shape and site (``name``, registers, bits of ``params``) records a tape; the
+    first replay compiles it (:func:`_compiled`), and every replay runs that, or ``body``
+    where a guard fails.  Nested, it joins the outer tape."""
     global _tape
     if _tape is not None:
         return body(state, *params)
     key = state.shape, _site("segment", (name, state.registers, _bits(*params)), None)
     tape = _MEMO.get(key)
-    if tape and (done := _replayed(tape, state)):
-        return done
+    if tape is not None:
+        if tape[-1] is None:
+            tape = _MEMO[key] = (*tape[:-1], _compiled(*tape[:-1]))
+        if done := _replayed(tape, state):
+            return done
     _tape = recording = _Recording(state)
     try:
         values, out = body(state, *params)
@@ -342,41 +344,89 @@ def _segment(name, body, state, *params):
     return values, out
 
 
-def _filled(args, refs, slots):
-    """The arguments ``args`` with each value of a segment read from its replay slot."""
-    args = list(args)
-    for at, slot in refs:
-        args[at] = slots[slot]
-    return args
-
-
 def _replayed(tape, state):
-    """:func:`_segment`'s result from ``tape`` on ``state``'s amplitudes, or None where a
-    call decides otherwise (a step cuts an outcome it kept or keeps one it cut, prunes
-    another subset) or raises.  Inner states carry no shape: a tape holds two."""
-    entries, values, slot, shape = tape
-    slots = [state]
+    """:func:`_segment`'s result from the compiled replay of ``tape`` on ``state``, or None
+    where a guard fails (a step cuts an outcome it kept or keeps one it cut, prunes another
+    subset, a call decides otherwise) or a call raises."""
+    replay, consts = tape[-1]
     try:
-        for fn, args, refs, decided, decision in entries:
-            out = fn(*_filled(args, refs, slots))
-            if decided and out[0] != decision:
-                return None
-            slots += out[decided:] if type(out) is tuple else (out,)
+        return replay(state, consts)
     except (SimulationError, ArithmeticError):
         return None
-    out = slots[slot]
-    return tuple(_filled(*values, slots)), _columns(out.registers, out.amplitudes,
-                                                   out.born_weight, shape)
+
+
+def _compiled(entries, values, slot, shape):
+    """``(replay, consts)``: a tape as one straight-line kernel ``replay(S, K)`` of the input
+    state S and the constants K (kernels, plan pieces, decisions, registers), which returns
+    :func:`_segment`'s result, or nothing where a call decides otherwise.  Each entry is one
+    call and its guard.  A step's output stays its column and born weight, and becomes a
+    state only where a :func:`_run` call, a value or the output reads it."""
+    consts, index, lines = [], {}, ["def kernel(S, K):"]
+    made, cols = {0: "S"}, {}  # per slot its value's name; per step's state its parts
+
+    def const(x):
+        if id(x) not in index:
+            index[id(x)] = len(consts)
+            consts.append(x)
+        return f"K[{index[id(x)]}]"
+
+    def read(s):  # the value in slot s; a step's state is built on its first read
+        if s not in made:
+            lines.append(f"    v{s} = columns({', '.join(cols[s])}, {const(None)})")
+            made[s] = f"v{s}"
+        return made[s]
+
+    def filled(args, refs, start=0):
+        return [read(refs[at]) if at in refs else const(a) for at, a in enumerate(args, start)]
+
+    n = 1  # the entry's first slot
+    for fn, args, refs, decided, arity, decision in entries:
+        refs = dict(refs)
+        if fn is not _step:
+            call = f"{const(fn)}({', '.join(filled(args, refs))})"
+            names = [f"v{k}" for k in range(n, n + (1 if arity is None else arity))]
+            made.update(zip(range(n, n + len(names)), names))
+            target = names[0] if arity is None else "".join(f"{v}, " for v in names)
+            if decided:
+                lines += [f"    o = {call}", f"    if o[0] != {const(decision)}: return"]
+                target, call = "_, " + target, "o"
+            lines.append(f"    {(target or '_').rstrip()} = {call}")
+            n += len(names)
+            continue
+        s = refs.pop(3, None)  # the input state: a slot, or a constant
+        (kernel, weight, registers), rest = filled(args[:3], refs), filled(args[4:], refs, 4)
+        state = const(args[3]) if s is None else read(s) if s not in cols else None
+        column, born = cols[s][1:] if state is None else (f"{state}.amplitudes",
+                                                            f"float({state}.born_weight)")
+        call = f"{kernel}({column}, {', '.join(rest)})"
+        if decision is False:  # a cut: its p and empty state are constants
+            lines.append(f"    if {call}: return")
+        else:
+            p, c = f"v{n}", f"c{n + 1}"
+            lines += [f"    r = {call}", "    if not r: return", f"    {p}, {c}, m = r"]
+            if decision:  # the prune keeps the recorded subset
+                kept = ", ".join(f"{c}[{i}]" for i, x in enumerate(decision) if x)
+                lines += [f"    if m != {const(decision)}: return", f"    {c} = [{kept}]"]
+            else:
+                lines.append("    if m: return")
+            lines.append(f"    b{n + 1} = {weight} * {born} * {p}")
+            made[n], cols[n + 1] = p, (registers, c, f"b{n + 1}")
+        n += 2
+    parts = cols.get(slot) or [f"{read(slot)}.{a}" for a in ("registers", "amplitudes",
+                                                              "born_weight")]
+    returned = "({}), columns({}, {})".format("".join(x + ", " for x in filled(
+        values[0], dict(values[1]))), ", ".join(parts), const(shape))
+    return _kernel(lines, returned), tuple(consts)
 
 
 def _kernel(lines: list[str], returned: str):
     """The ``kernel`` that ``lines`` begin, returning ``returned``, compiled once per
-    source: a plan's per-call arithmetic as straight-line code, with integer indices
-    and weights only in the source."""
+    source: a plan's per-call arithmetic, or a tape's replay, as straight-line code,
+    with integer indices and weights only in the source."""
     source = "\n".join(lines + [f"    return {returned}"])
 
     def build():
-        namespace = {"sqrt": math.sqrt, "exp": cmath.exp}
+        namespace = {"sqrt": math.sqrt, "exp": cmath.exp, "columns": _columns}
         exec(compile(source, "<kernel>", "exec"), namespace)
         return namespace["kernel"]
 
@@ -425,7 +475,7 @@ class Shape:
 
     def norm_sq(self, state: PhotonicState) -> float:
         """``inner_product(state, state).real``, bit for bit, for a ``state`` of this shape."""
-        return _norm(state, _norms(self))
+        return _norm(state, _norms_of(state))
 
     def _norm_plan(self):
         """``(kernel, overlaps)``: :func:`_norm_lines` as a kernel of the amplitudes."""
@@ -442,9 +492,15 @@ def _norms(shape: Shape):
     return _recall(shape, "norm", shape._norm_plan)
 
 
+def _norms_of(state: PhotonicState):
+    """:func:`_norms` of ``state``'s shape, or None where its norm is cached and no segment
+    records (a replay makes its states anew, so a tape keeps the plan)."""
+    return None if _tape is None and "_norm_sq" in vars(state) else _norms(state.shape)
+
+
 def _norm(state: PhotonicState, norms) -> float:
     """``inner_product(state, state).real``, bit for bit, by the norm plan ``norms`` of its
-    shape; computed once per state."""
+    shape (None where it is computed); computed once per state."""
     cells = vars(state)
     if "_norm_sq" not in cells:
         cells["_norm_sq"] = norms[0](state.amplitudes, norms[1])
@@ -650,8 +706,8 @@ def normalized(state: PhotonicState) -> PhotonicState:
 
 def fidelity(state: PhotonicState, target: PhotonicState) -> float:
     """|<target|state>|^2 for normalized views of both arguments."""
-    shapes = state.shape, target.shape
-    return _fidelity(state, target, _pairs(*shapes[::-1]), *map(_norms, shapes))
+    return _fidelity(state, target, _pairs(target.shape, state.shape), _norms_of(state),
+                     _norms_of(target))
 
 
 def _fidelity(state, target, pairs, norms_state, norms_target) -> float:

@@ -34,7 +34,7 @@ from .fock import (
     _kernel,
     _merge_plan,
     _norm,
-    _norms,
+    _norms_of,
     _pairs,
     _photons,
     _recall,
@@ -94,7 +94,7 @@ class BranchDistribution:
 def _norm_in(state: PhotonicState, action: str) -> float:
     """Squared norm of a state about to be measured; refuses a zero state and a norm
     that is not finite (a NaN passes every comparison with a bound)."""
-    return _run(_measurable, state, _norms(state.shape), action)
+    return _run(_measurable, state, _norms_of(state), action)
 
 
 def _measurable(state: PhotonicState, norms, action: str) -> float:
@@ -187,7 +187,7 @@ def _stripped(state: PhotonicState, site: _Site) -> PhotonicState:
     factored, stripped = _step(state, pivots[h], entries, pivot)
     if not factored:
         raise WiringError("watched modes are entangled with the rest; cannot strip")
-    return _run(_rescaled, stripped, state, _norms(stripped.shape), _norms(shape))
+    return _run(_rescaled, stripped, state, _norms_of(stripped), _norms_of(state))
 
 
 def _split(state: PhotonicState, kernel):
@@ -300,9 +300,9 @@ def merge_branches(
     live = list(itertools.compress(branches, alive))
     if not live:
         raise InvalidInput("all branches have zero probability")
-    first = live[0][1].shape
-    plans = [(_pairs(first, s.shape), _norms(s.shape)) for _, s in live[1:]]
-    return _run(_merged, tol, _norms(first), plans, *itertools.chain.from_iterable(live))
+    first = live[0][1]
+    plans = [(_pairs(first.shape, s.shape), _norms_of(s)) for _, s in live[1:]]
+    return _run(_merged, tol, _norms_of(first), plans, *itertools.chain.from_iterable(live))
 
 
 def _alive(*ps) -> tuple[tuple[bool, ...]]:

@@ -11,7 +11,9 @@ from a state (a measured norm, a strip's split and rescale, a merge's fidelities
 a mixed readout's class masses) is computed again by the function the step path
 calls, which raises where the step path would and must decide as it did (a strip's
 heaviest row, which branches and classes are live).  A failed guard runs the block
-through the step path instead.
+through the step path instead.  A tape's first replay compiles it into one
+straight-line function of the input state and a constants tuple, which every
+replay below runs.
 
 The step path here is the same call on a cleared memo, which records and
 replays nothing.  Every replayed result is compared with it by ``float.hex``,
@@ -19,7 +21,9 @@ and its errors by type and message.
 """
 
 import cmath
+import gc
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -190,6 +194,28 @@ def test_a_prune_of_another_subset_bails_to_the_step_path():
     assert len(got[1].amplitudes) < len(replayed(warm, warm)[0][1].amplitudes)
 
 
+def mix(x, y, z):
+    """One photon in path a, b or e, with amplitudes x, y and z."""
+    return build_state((), [FockTerm.from_occupations({Mode(path, "H"): 1}, (), amp)
+                            for path, amp in zip("abe", (x, y, z))])
+
+
+def splitter_segment(state):
+    """A 50:50 splitter on a and b: one of its outputs c and d cancels where |x| = |y|."""
+    return fock._segment("splitter", lambda s: ((), apply_beam_splitter(
+        s, "a", "b", "c", "d", BeamSplitterSpec.fifty_fifty())), state)
+
+
+def test_a_prune_of_terms_the_recording_kept_bails_to_the_step_path():
+    for warm, run in (((0.6, 0.3, 0.2), (0.5, 0.5, 0.2)),  # d cancels where nothing did
+                      ((0.5, 0.5, 0.2), (0.5, -0.5, 0.2))):  # c cancels where d did
+        expected, _ = step_path(lambda: splitter_segment(mix(*run)))
+        got, tries = replayed(lambda: splitter_segment(mix(*warm)),
+                              lambda: splitter_segment(mix(*run)))
+        assert tries == [False]
+        assert segment_hex(got) == segment_hex(expected) and len(got[1].amplitudes) == 2
+
+
 def pair(x, y):
     """One photon in path a or b, with amplitudes x and y."""
     return build_state((), [FockTerm.from_occupations({Mode("a", "H"): 1}, (), x),
@@ -301,6 +327,27 @@ def test_an_eraser_label_at_p_zero_replays_the_step_path():
     expected = check(lambda: eraser(two_port(0.1, -0.8, 0, 0)),
                      lambda: eraser(two_port(0.6, 0.3j, 0, 0)), [True])
     assert expected[3]["b"] == 0.0
+
+
+THREE = FeedForwardRule({"a": (), "b": (Correction("phase", "o", 0.5),),
+                         "c": (Correction("phase", "o", -0.5),)})
+
+
+def eraser3(state):
+    """The eraser with a third detector, on path c, where no photon ever is."""
+    return erase_and_merge(state, {"a": "a", "b": "b", "c": "c"}, THREE)
+
+
+def test_two_cut_labels_store_a_tape_that_replays_the_step_path():
+    """Labels b and c cut: both return the one literal p 0.0, which the tape keeps as a
+    constant that their guards fix, so the eraser stores a tape."""
+    expected = check(lambda: eraser3(two_port(0.1, -0.8, 0, 0)),
+                     lambda: eraser3(two_port(0.6, 0.3j, 0, 0)), [True])
+    assert len(tapes()) == 1 and expected[3]["b"] == expected[3]["c"] == 0.0
+    # the recording kept b and the replay cuts it: the guard fails
+    expected = check(lambda: eraser3(two_port(*AGREE)),
+                     lambda: eraser3(two_port(0.6, 0.3j, 3e-10, 1.5e-10j)), [False])
+    assert len(tapes()) == 1 and expected[3]["b"] == 0.0
 
 
 def product(rows, cols):
@@ -471,6 +518,55 @@ def test_qubus_schemes_replay_the_step_path_bit_for_bit(c, seed, alpha):
 
 
 # ---------------------------------------------------------------------------
+# compiled replays
+
+
+def compiled():
+    """Per tape with a compiled replay, ``(replay, consts)``."""
+    return [value[-1] for _, value in tapes() if value[-1] is not None]
+
+
+def test_a_tape_compiles_on_its_first_replay_and_shapes_of_one_structure_share_its_source():
+    fock._MEMO.clear()
+    for spectator in "xy":  # a photon on its own path: another shape of the same structure
+        state = fock.tensor(pair(0.6, 0.8j), fock.single_photon(spectator))
+        split_segment(state)
+        assert len(compiled()) == len(tapes()) - 1  # the new tape is not compiled yet
+        split_segment(state)
+    (shape_x, _), (shape_y, _) = (key for key, _ in tapes())
+    assert shape_x is not shape_y
+    (replay_x, consts_x), (replay_y, consts_y) = compiled()
+    assert replay_x is replay_y and consts_x != consts_y  # one source; the shapes are constants
+    ((none, source),) = [key for key, value in fock._MEMO.items() if value is replay_x]
+    assert none is None and source.startswith("def kernel(S, K):")
+
+
+def test_a_cleared_memo_leaves_no_compiled_replay_alive():
+    fock._MEMO.clear()
+    for _ in range(2):
+        split_segment(pair(0.6, 0.8))
+    ((replay, _),) = compiled()
+    alive = weakref.ref(replay)
+    del replay
+    fock._MEMO.clear()
+    gc.collect()
+    assert alive() is None
+
+
+def test_a_first_replay_whose_guard_fails_runs_the_step_path():
+    """The first replay compiles the tape, whose guard then fails: the call returns the
+    step path's result or raises its error, and the compiled replay stays."""
+    tiny = QutritCoefficients.normalize(0.6, 5e-12, 0.8)  # pruned on the way
+    check(lambda: forward_segment(make_biphotonic_qutrit(twin(tiny), "in")),
+          lambda: forward_segment(make_biphotonic_qutrit(tiny, "in")), [False])
+    assert len(compiled()) == len(tapes()) == 1
+    expected = check(lambda: strip_segment(product((0.8, 0.6), (0.8, 0.6j))),
+                     lambda: strip_segment(product([[0.6, 0.3], [0.3, -0.6]], None)), [False])
+    assert expected[0] is fock.WiringError
+    assert len(compiled()) == len(tapes()) == 1
+
+
+# ---------------------------------------------------------------------------
 # what the memo keeps
 
 
@@ -488,8 +584,11 @@ def test_segment_sites_hold_no_shape_and_tapes_two_shapes():
 
 def test_every_tape_of_every_scheme_holds_two_shapes():
     fock._MEMO.clear()
-    run_all(list(scheme_runs()))
-    assert len(tapes()) >= 12
+    runs = list(scheme_runs())
+    run_all(runs)
+    run_all(runs)  # each tape's first replay compiles it
+    assert len(tapes()) >= 12 and len(compiled()) == len(tapes())
     for key, value in tapes():
         assert not holds_shape(key[1], set()) and not holds_shape(value[0], set())
+        assert not holds_shape(value[-1][0], set())  # the replay: all it holds is in consts
         assert shapes_in((key, value)) <= 2
