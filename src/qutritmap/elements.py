@@ -29,6 +29,8 @@ from .fock import (
     _merge_plan,
     _photons,
     _recall,
+    _run,
+    _segment,
     _site,
     _step,
     path_modes,
@@ -157,7 +159,8 @@ def _substitution(kind: str, op: tuple, inputs: tuple = (), outputs: tuple = ())
 def _paths_substituted(state, inputs, outputs, matrix) -> PhotonicState:
     """Send input path j, both polarizations, to ``sum_k matrix[k][j]`` output path k;
     a ``None`` input is a vacuum port.  The site holds each input mode's target modes
-    and the matrix column it reads."""
+    and the matrix column it reads, picked in a :func:`fock._run` call (``matrix`` may be
+    a value of a recording segment)."""
     inputs, outputs = tuple(inputs), tuple(outputs)
 
     def build():
@@ -167,8 +170,13 @@ def _paths_substituted(state, inputs, outputs, matrix) -> PhotonicState:
         return _substitution("paths", op, inputs, outputs), [j for _, j in rows]
 
     site, js = _recall(None, ("paths", inputs, outputs), build)
+    return _step(state, site, _run(_picked, matrix, js))[1]
+
+
+def _picked(matrix, js) -> list:
+    """The columns ``js`` of ``matrix``, one per substituted mode."""
     columns = list(zip(*matrix))
-    return _step(state, site, [columns[j] for j in js])[1]
+    return [columns[j] for j in js]
 
 
 def apply_beam_splitter(
@@ -185,9 +193,13 @@ def apply_beam_splitter(
 
 def apply_phase_shift(state: PhotonicState, target: str | Mode, phi: float) -> PhotonicState:
     """Multiply a canonical state by exp(i*n*phi); a path targets both pols."""
+    _check_finite(phi)
+    return _step(state, _site("shift", (target,), lambda shape: _shift_plan(shape, target)), phi)[1]
+
+
+def _check_finite(phi: float):
     if not math.isfinite(phi):
         raise InvalidInput(f"phi = {phi!r} is not finite")
-    return _step(state, _site("shift", (target,), lambda shape: _shift_plan(shape, target)), phi)[1]
 
 
 def _shift_plan(shape: Shape, target: str | Mode):
@@ -334,14 +346,6 @@ def reck_decompose(u: np.ndarray) -> ReckDecomposition:
     return ReckDecomposition(tuple(reversed(elim)), phases)
 
 
-def reck_recompose(decomp: ReckDecomposition) -> np.ndarray:
-    n = decomp.dim
-    m = np.diag(np.exp(1j * np.array(decomp.phases)))
-    for p, q, theta, phi in decomp.rotations:
-        m = m @ _block(n, p, q, theta, phi)
-    return m
-
-
 def apply_lomi(
     state: PhotonicState, decomp: ReckDecomposition, paths: Sequence[str]
 ) -> PhotonicState:
@@ -350,16 +354,32 @@ def apply_lomi(
     Each block becomes a phase shifter on ``paths[p]`` followed by a
     ROTATION-convention beam splitter on the pair; the phase screen is
     applied last.  Deliberately not a matrix shortcut, so tests can compare
-    against :func:`apply_path_unitary`.
+    against :func:`apply_path_unitary`.  One segment, keyed by its wiring (the
+    blocks, the screen phases not exactly 0), whose angles are free parameters.
     """
     if len(paths) != decomp.dim or len(set(paths)) != len(paths):
         raise WiringError("paths must be distinct and match the decomposition")
-    s = state
-    for p, q, theta, phi in reversed(decomp.rotations):
-        s = apply_phase_shift(s, paths[p], phi)
-        spec = BeamSplitterSpec(math.cos(theta), math.sin(theta), BsConvention.ROTATION)
-        s = apply_beam_splitter(s, paths[q], paths[p], paths[q], paths[p], spec)
-    for k, phi in enumerate(decomp.phases):
-        if phi != 0.0:
-            s = apply_phase_shift(s, paths[k], phi)
-    return s
+    rotations = tuple(reversed(decomp.rotations))
+    screen = [(path, phi) for path, phi in zip(paths, decomp.phases) if phi != 0.0]
+    for phi in [phi for *_, phi in rotations] + [phi for _, phi in screen]:
+        _check_finite(phi)
+    wiring = tuple((paths[q], paths[p]) for p, q, _, _ in rotations), tuple(p for p, _ in screen)
+    angles = [x for *_, theta, phi in rotations for x in (phi, theta)] + [phi for _, phi in screen]
+    return _segment(("mesh", wiring), lambda s, *a: _mesh(s, wiring, *a), state, free=angles)[1]
+
+
+def _mesh(s, wiring, *angles):
+    """:func:`apply_lomi`'s segment: per block (paths ``b``, ``a``) the phase on ``a`` and the
+    splitter, whose matrix a :func:`fock._run` call makes from its angle; then the screen."""
+    blocks, screen = wiring
+    for (b, a), phi, theta in zip(blocks, angles[::2], angles[1::2]):
+        s = apply_phase_shift(s, a, phi)
+        s = _paths_substituted(s, (b, a), (b, a), _run(_rotation, theta))
+    for path, phi in zip(screen, angles[2 * len(blocks):]):
+        s = apply_phase_shift(s, path, phi)
+    return (), s
+
+
+def _rotation(theta: float) -> list:
+    """The rows of the ROTATION-convention splitter at angle ``theta``, checked."""
+    return list(BeamSplitterSpec(math.cos(theta), math.sin(theta), BsConvention.ROTATION).matrix())

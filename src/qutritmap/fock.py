@@ -14,15 +14,7 @@ Every operation that makes a state runs through :func:`_step`.  Its wiring
 per wiring; per state shape and site one plan holds a compiled kernel, its
 constants and the output's shape, so a call runs the kernel on the amplitudes
 and applies its prune verdict.  A fixed block of steps (a *segment*, see
-:func:`_segment`) keeps one *tape* per input shape: its steps' kernels and values, which
-may fork (an eraser's labels, a readout's outcomes), and the calls that take values
-from states (:func:`_run`: norms, strips, merges), replayed on the amplitudes alone
-while every prune, outcome cut and decision falls as it did when the tape was
-recorded; a failed guard runs the block on the step path.  A tape's first replay
-compiles it, like a plan, into one straight-line function: one line per call, each
-followed by its guard, with the output of a step kept as its column and born weight
-until a call reads it as a state.  Segments nest by flattening: one called while
-another records runs its block, whose steps join the outer tape.
+:func:`_segment` and the README) replays a guarded, compiled *tape* per input shape.
 
 Conventions:
 
@@ -194,13 +186,7 @@ def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
 # replays by (None, source), sites by (None, (kind, their arguments)) and a segment's
 # tape, with its replay and constants, by (its input's Shape, its site).  Reaching the
 # bound drops every entry, and an entry holds at most two shapes, so at most
-# 2 * _RETAINED shapes outlive the states that carry them.  After 10,000 benchmark
-# evaluations (no drop) the memo holds 271 entries in 0.97 MB (linear optics, 3 tapes
-# on 3 replay sources), 901 in 1.39 MB (ideal qubus, 21 tapes on 6) and 1019 in 2.86 MB
-# (physical qubus, 20 tapes on 7), by deep getsizeof through containers, slots,
-# closures and compiled code objects, each object once: interned keys take 0.27, 0.36
-# and 0.85 MB, compiled kernels and replays 0.59, 0.52 and 1.41 MB and tapes with
-# their constants 0.03, 0.27 and 0.26 MB.  Random circuits' one-off shapes are dropped.
+# 2 * _RETAINED shapes outlive the states that carry them (sizes: see the README).
 _RETAINED = 2048
 _MEMO: dict[tuple, object] = {}
 
@@ -268,20 +254,28 @@ def _step(state, site, *values, registers=None, weight=1.0):
 def _run(fn, *args, decided=False):
     """``fn(*args)``, a function of states' columns, plan pieces and numbers only, whose
     first result is a decision if ``decided`` (a pivot, which branches are live): where an
-    argument is a value of a recording :func:`_segment`, the call joins its tape."""
-    out = fn(*args)
+    argument is a value of a recording :func:`_segment`, the call joins its tape.  Per
+    ``(position, plan position)`` of ``fn.reads``, ``fn`` gets that state's column (plan
+    position None) or its norm by the norm plan there."""
+    given = args
+    if reads := getattr(fn, "reads", None):
+        given = list(args)
+        for at, plan in reads:
+            given[at] = args[at].amplitudes if plan is None else _norm(args[at], args[plan])
+    out = fn(*given)
     if _tape is not None and any(id(a) in _tape.slot_of for a in args):  # else a constant
-        _tape.join(fn, args, out, decided)
+        out = _tape.join(fn, args, out, decided)
     return out
 
 
 class _Recording:
-    """An open tape: its entries and, by id, the slot of each value the segment made (-1
-    for a constant, None where two entries returned one object); it holds them, so no id is
-    reused."""
+    """An open tape: its entries and, by id, the slot of each value the segment made or took
+    as input (-1 for a constant, None where two entries returned one object); it holds them,
+    so no id is reused."""
 
-    def __init__(self, state):
-        self.slot_of, self.held, self.entries, self.broken = {id(state): 0}, [state], [], False
+    def __init__(self, *inputs):
+        self.slot_of, self.held = {id(x): k for k, x in enumerate(inputs)}, list(inputs)
+        self.entries, self.broken, self.free = [], False, len(inputs) - 1
 
     def specs(self, args):
         """``args`` as a tape holds them: the constants, and ``(position, slot)`` per value
@@ -296,14 +290,20 @@ class _Recording:
         """Append the call ``fn(*args)`` as ``(fn, args, refs, decided, arity, decision)``.
         Its results after its decision take the next slots (arity: their count, None for
         one result that is no tuple); where the decision is False (a step's cut, which
-        fixes its p and empty state), they are constants of the tape."""
-        made = out[decided:] if type(out) is tuple else (out,)
+        fixes its p and empty state), they are constants of the tape.  Returns ``out``, each
+        float result that another entry gave (a cached norm, a literal 1.0) a fresh copy."""
+        cut, made = decided and out[0] is False, out[decided:] if type(out) is tuple else (out,)
+        if not cut and any(id(v) in self.slot_of for v in made):
+            made = tuple(struct.unpack("d", _bits(v))[0] if type(v) is float and id(v) in
+                         self.slot_of else v for v in made)
+            out = (*out[:decided], *made) if type(out) is tuple else made[0]
         arity = len(made) if type(out) is tuple else None
         self.entries.append((fn, *self.specs(args), decided, arity, out[0] if decided else None))
         for value in made:
-            slot = -1 if decided and out[0] is False else len(self.held)
+            slot = -1 if cut else len(self.held)
             self.slot_of[id(value)] = slot if self.slot_of.get(id(value), slot) == slot else None
             self.held.append(value)
+        return out
 
     def tape(self, values, out):
         """The stored tape of a body that returned ``(values, out)``, or None; its compiled
@@ -311,32 +311,35 @@ class _Recording:
         values, slot = self.specs(values), self.slot_of.get(id(out))
         if self.broken or slot is None or slot < 0:
             return None
-        return tuple(self.entries), values, slot, out.shape, None
+        return tuple(self.entries), values, slot, out.shape, self.free, None
 
 
 _tape = None  # the _Recording of the segment being recorded
+_REPLAY = True  # a test hook: where False, every segment runs its body and records nothing
 
 
-def _segment(name, body, state, *params):
-    """``body(state, *params)``, a block of steps from ``state`` (forking: a step joins on
-    any state it made) that returns ``(values, output state)``.  Its values depend on
-    ``params`` and constants only, save those computed through :func:`_run`.  The first run
-    per input shape and site (``name``, registers, bits of ``params``) records a tape; the
-    first replay compiles it (:func:`_compiled`), and every replay runs that, or ``body``
-    where a guard fails.  Nested, it joins the outer tape."""
+def _segment(name, body, state, *params, free=()):
+    """``body(state, *params, *free)``, a block of steps from ``state`` (forking: a step joins
+    on any state it made) that returns ``(values, output state)``.  Its values depend on
+    ``params``, ``free`` and constants only, save those computed through :func:`_run`.  The
+    first run per input shape and site (``name``, registers, bits of ``params``) records a
+    tape of inputs ``state`` and ``free`` (see the README); the first replay compiles it
+    (:func:`_compiled`), and every replay runs that, or ``body`` where a guard fails.
+    Nested, or where ``_REPLAY`` is off, it runs ``body``."""
     global _tape
-    if _tape is not None:
-        return body(state, *params)
+    if _tape is not None or not _REPLAY:
+        return body(state, *params, *free)
     key = state.shape, _site("segment", (name, state.registers, _bits(*params)), None)
     tape = _MEMO.get(key)
     if tape is not None:
         if tape[-1] is None:
             tape = _MEMO[key] = (*tape[:-1], _compiled(*tape[:-1]))
-        if done := _replayed(tape, state):
+        if done := _replayed(tape, state, free):
             return done
-    _tape = recording = _Recording(state)
+    free = struct.unpack(f"{len(free)}d", _bits(*free))  # fresh floats: no constant is one
+    _tape = recording = _Recording(state, *free)
     try:
-        values, out = body(state, *params)
+        values, out = body(state, *params, *free)
     finally:
         _tape = None
     if tape is None and (kept := recording.tape(values, out)):
@@ -344,25 +347,27 @@ def _segment(name, body, state, *params):
     return values, out
 
 
-def _replayed(tape, state):
-    """:func:`_segment`'s result from the compiled replay of ``tape`` on ``state``, or None
-    where a guard fails (a step cuts an outcome it kept or keeps one it cut, prunes another
-    subset, a call decides otherwise) or a call raises."""
+def _replayed(tape, state, free):
+    """:func:`_segment`'s result from the compiled replay of ``tape`` on ``state`` and the
+    free parameters ``free``, or None where a guard fails (a step cuts an outcome it kept or
+    keeps one it cut, prunes another subset, a call decides otherwise) or a call raises."""
     replay, consts = tape[-1]
     try:
-        return replay(state, consts)
+        return replay(state, consts, free)
     except (SimulationError, ArithmeticError):
         return None
 
 
-def _compiled(entries, values, slot, shape):
-    """``(replay, consts)``: a tape as one straight-line kernel ``replay(S, K)`` of the input
-    state S and the constants K (kernels, plan pieces, decisions, registers), which returns
-    :func:`_segment`'s result, or nothing where a call decides otherwise.  Each entry is one
-    call and its guard.  A step's output stays its column and born weight, and becomes a
-    state only where a :func:`_run` call, a value or the output reads it."""
-    consts, index, lines = [], {}, ["def kernel(S, K):"]
-    made, cols = {0: "S"}, {}  # per slot its value's name; per step's state its parts
+def _compiled(entries, values, slot, shape, free):
+    """``(replay, consts)``: a tape as one straight-line kernel ``replay(S, K, F)`` of the
+    input state S, the constants K (kernels, plan pieces, decisions, registers) and the
+    ``free`` parameters F, which returns :func:`_segment`'s result, or nothing where a call
+    decides otherwise.  Each entry is one call and its guard.  A step's output stays its
+    column and born weight (and norm, once read: ``fn.reads``), and becomes a state only
+    where a :func:`_run` call, a value or the output reads it whole."""
+    consts, index, lines = [], {}, ["def kernel(S, K, F):"]
+    made = {k: f"F[{k - 1}]" if k else "S" for k in range(free + 1)}  # per slot its value's name
+    cols, norms = {}, {}  # per step's state its parts, and its norm once read
 
     def const(x):
         if id(x) not in index:
@@ -376,14 +381,23 @@ def _compiled(entries, values, slot, shape):
             made[s] = f"v{s}"
         return made[s]
 
-    def filled(args, refs, start=0):
-        return [read(refs[at]) if at in refs else const(a) for at, a in enumerate(args, start)]
+    def part(s, plan):  # the state in slot s as its column, or its norm by the norm plan
+        column = cols[s][1] if s in cols else f"{read(s)}.amplitudes"
+        if plan is not None and s not in norms:
+            lines.append(f"    n{s} = {const(plan[0])}({column}, {const(plan[1])})")
+            norms[s] = f"n{s}"
+        return column if plan is None else norms[s]
 
-    n = 1  # the entry's first slot
+    def filled(args, refs, start=0, reads=()):
+        reads = {at: None if plan is None else args[plan] for at, plan in reads}
+        return [(part(refs[at], reads[at]) if at in reads else read(refs[at])) if at in refs
+                else const(a) for at, a in enumerate(args, start)]
+
+    n = 1 + free  # the entry's first slot
     for fn, args, refs, decided, arity, decision in entries:
         refs = dict(refs)
         if fn is not _step:
-            call = f"{const(fn)}({', '.join(filled(args, refs))})"
+            call = f"{const(fn)}({', '.join(filled(args, refs, 0, getattr(fn, 'reads', ())))})"
             names = [f"v{k}" for k in range(n, n + (1 if arity is None else arity))]
             made.update(zip(range(n, n + len(names)), names))
             target = names[0] if arity is None else "".join(f"{v}, " for v in names)
@@ -613,6 +627,8 @@ def _merged(keys):
 
 
 _MERGE = _Site("merge", lambda shape: _merged(shape.keys))
+_SCALE = _Site("scale", lambda shape: (_kernel(["def kernel(A, f, C, E, P):"], "1, [{}], ()".format(
+    ", ".join(f"A[{k}] * f" for k in range(len(shape.keys))))), (), shape))  # see scaled
 
 
 def coherent_overlap(beta: complex, gamma: complex) -> complex:
@@ -693,8 +709,8 @@ def norm_sq(state: PhotonicState) -> float:
 
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
-    amps = list(map(operator.mul, state.amplitudes, itertools.repeat(factor)))
-    return _columns(state.registers, amps, state.born_weight, state.shape)
+    """Each amplitude times ``factor``: a step, so it joins a recording tape."""
+    return _step(state, _SCALE, factor)[1]
 
 
 def normalized(state: PhotonicState) -> PhotonicState:
@@ -706,17 +722,20 @@ def normalized(state: PhotonicState) -> PhotonicState:
 
 def fidelity(state: PhotonicState, target: PhotonicState) -> float:
     """|<target|state>|^2 for normalized views of both arguments."""
-    return _fidelity(state, target, _pairs(target.shape, state.shape), _norms_of(state),
-                     _norms_of(target))
+    return _run(_fidelity, state, target, _pairs(target.shape, state.shape), _norms_of(state),
+                _norms_of(target))
 
 
-def _fidelity(state, target, pairs, norms_state, norms_target) -> float:
-    """:func:`fidelity` by the plans of its shapes: ``pairs`` of target and state and
-    each one's norm plan."""
+def _fidelity(state, target, pairs, norms_state, norms_target, traced=False) -> float:
+    """:func:`fidelity` by the plans of its shapes: ``pairs`` of target and state (if
+    ``traced``, :func:`traced_fidelity`'s plan of the two) and each one's norm plan."""
     denom = _norm(state, norms_state) * _norm(target, norms_target)
     if denom <= 0.0:
         raise InvalidInput("fidelity of a zero state is undefined")
-    val = abs(_inner(target, state, pairs)) ** 2 / denom
+    if traced:
+        val = pairs[0](state.amplitudes, target.amplitudes, pairs[1]).real / denom
+    else:
+        val = abs(_inner(target, state, pairs)) ** 2 / denom
     return min(max(val, 0.0), 1.0)
 
 
@@ -753,13 +772,8 @@ def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
     if not state.registers:
         return fidelity(state, target)
     shapes = state.shape, target.shape
-    kernel, grams = _recall(shapes, "traced", lambda: _traced_plan(*shapes))
-    num = kernel(state.amplitudes, target.amplitudes, grams)
-    denom = norm_sq(state) * norm_sq(target)
-    if denom <= 0.0:
-        raise InvalidInput("fidelity of a zero state is undefined")
-    val = num.real / denom
-    return min(max(val, 0.0), 1.0)
+    traced = _recall(shapes, "traced", lambda: _traced_plan(*shapes))
+    return _run(_fidelity, state, target, traced, _norms_of(state), _norms_of(target), True)
 
 
 def amplitude_of(state: PhotonicState, occupations: Mapping[Mode, int]) -> complex:

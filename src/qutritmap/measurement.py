@@ -33,7 +33,6 @@ from .fock import (
     _fidelity,
     _kernel,
     _merge_plan,
-    _norm,
     _norms_of,
     _pairs,
     _photons,
@@ -97,9 +96,8 @@ def _norm_in(state: PhotonicState, action: str) -> float:
     return _run(_measurable, state, _norms_of(state), action)
 
 
-def _measurable(state: PhotonicState, norms, action: str) -> float:
-    """:func:`_norm_in` by the norm plan ``norms`` of the state's shape."""
-    n2 = _norm(state, norms)
+def _measurable(n2: float, norms, action: str) -> float:
+    """:func:`_norm_in` of a state of squared norm ``n2`` (by its shape's norm plan ``norms``)."""
     if n2 <= PROB_EPS:
         raise InvalidInput(f"cannot {action} a zero state")
     if not n2 < math.inf:
@@ -187,21 +185,25 @@ def _stripped(state: PhotonicState, site: _Site) -> PhotonicState:
     factored, stripped = _step(state, pivots[h], entries, pivot)
     if not factored:
         raise WiringError("watched modes are entangled with the rest; cannot strip")
-    return _run(_rescaled, stripped, state, _norms_of(stripped), _norms_of(state))
+    return scaled(stripped, _run(_rescale, stripped, state, _norms_of(stripped), _norms_of(state)))
 
 
-def _split(state: PhotonicState, kernel):
-    """A strip's split ``kernel`` on ``state``: its heaviest row, entries and pivot."""
-    entries, pivot, h = kernel(state.amplitudes, 1e-9, 1.0)  # the rank-1 tolerance factors
+def _split(amplitudes, kernel):
+    """A strip's split ``kernel`` on a state's ``amplitudes``: its heaviest row, entries, pivot."""
+    entries, pivot, h = kernel(amplitudes, 1e-9, 1.0)  # the rank-1 tolerance factors
     return h, entries, pivot
 
 
-def _rescaled(stripped: PhotonicState, state: PhotonicState, norms_stripped, norms):
-    """``stripped`` at the norm of ``state``, by their shapes' norm plans."""
-    n2 = _norm(stripped, norms_stripped)
+def _rescale(n2: float, n2_state: float, *norms) -> float:
+    """The factor that takes a stripped state's squared norm ``n2`` to its source's."""
     if n2 <= PROB_EPS:
         raise InvalidInput("stripped state vanished")
-    return scaled(stripped, (_norm(state, norms) / n2) ** 0.5)
+    return (n2_state / n2) ** 0.5
+
+
+# what fock._run hands each in place of a state: its norm, by the norm plan at the position
+# given, or (None) its column
+_measurable.reads, _split.reads, _rescale.reads = ((0, 1),), ((0, None),), ((0, 2), (1, 3))
 
 
 def _strip_plan(shape, watched: frozenset):

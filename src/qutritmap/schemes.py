@@ -114,6 +114,7 @@ _PHASE_RESOLUTION = 1e-6
 # terms of size |label|^2, so its rounding error is about 2 alpha^2 epsilon;
 # above this amplitude that error exceeds 1e-9 (alpha ~ 1500).
 _MAX_PROBE_ALPHA = math.sqrt(1e-9 / (2.0 * sys.float_info.epsilon))
+_ENTANGLER_PATHS = ("0", "1", "2")  # the entangler scheme's qutrit
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,11 @@ def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
     order.  ``t`` is the first splitter's transmissivity; the default is the
     balanced working point.
     """
-    c = _coeffs(c)
+    return _report("linear-forward", *_linear_forward(_coeffs(c), t))
+
+
+def _linear_forward(c: QutritCoefficients, t):
+    """:func:`scheme_linear_forward` up to its report, as :func:`_report` takes it."""
     t = math.sqrt(T2_LINEAR_FORWARD) if t is None else float(t)
     _check_unit_interval("t", t)
 
@@ -306,7 +311,7 @@ def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
     )
     checks = {f"eraser_{k}_probability": p for k, p in p_ports.items()}
     checks["eraser_min_branch_fidelity"] = min_fid
-    return _report("linear-forward", merged, target, log, {"t": t, "t_squared": t * t}, checks)
+    return merged, target, log, {"t": t, "t_squared": t * t}, checks
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +355,23 @@ _OUT1 = path_modes("out1")
 
 
 def _linear_inverse_branch(pre: PhotonicState, fired: str):
-    """One eraser outcome: ``fired`` clicks, the other detector does not, and two
-    photons then bunch on path ``out``.
+    """One eraser outcome, as a segment from ``pre``: ``fired`` clicks, the other detector
+    does not, and two photons then bunch on path ``out``.  Returns ``(p_eraser, p_two,
+    state)``; ``state`` is None when either probability is zero."""
 
-    Returns ``(p_eraser, p_two, state)``; ``state`` is None when either
-    probability is zero.
-    """
-    p_eraser, s = post_select_coincidence(pre, _INVERSE_ERASER[fired])
-    if p_eraser == 0.0:
-        return 0.0, 0.0, None
-    s = apply_beam_splitter(s, "4", "7", "out1", "out2", _FIFTY)
-    p_two, s = project_total_photons(s, _OUT1, 2)
-    if p_two == 0.0:
-        return p_eraser, 0.0, None
-    s = strip_modes(s, _INVERSE_ERASER[fired][0][0])
-    return p_eraser, p_two, relabel_paths(s, {"out1": "out"})
+    def body(s):
+        p_eraser, s = post_select_coincidence(s, _INVERSE_ERASER[fired])
+        if p_eraser == 0.0:
+            return (0.0, 0.0), s
+        s = apply_beam_splitter(s, "4", "7", "out1", "out2", _FIFTY)
+        p_two, s = project_total_photons(s, _OUT1, 2)
+        if p_two == 0.0:
+            return (p_eraser, 0.0), s
+        s = strip_modes(s, _INVERSE_ERASER[fired][0][0])
+        return (p_eraser, p_two), relabel_paths(s, {"out1": "out"})
+
+    (p_eraser, p_two), s = _segment(("linear-inverse-eraser", fired), body, pre)
+    return p_eraser, p_two, s if p_two else None
 
 
 def _linear_inverse_run(
@@ -523,7 +530,12 @@ def scheme_kerr_forward(
     mu = sqrt(2) alpha sin(theta); the output fidelity then falls below one
     by the leaked weight and improves as alpha theta grows.
     """
-    c = _coeffs(c)
+    return _report("kerr-forward", *_kerr_forward(_coeffs(c), t, variant, meas_mode, qubus_alpha,
+                                                  theta))
+
+
+def _kerr_forward(c: QutritCoefficients, t, variant, meas_mode, qubus_alpha, theta):
+    """:func:`scheme_kerr_forward` up to its report, as :func:`_linear_forward`."""
     t = T_KERR_FORWARD if t is None else float(t)
     _check_unit_interval("t", t)
     alpha, theta = _check_probe(qubus_alpha, theta)
@@ -548,8 +560,8 @@ def scheme_kerr_forward(
 
     target = make_spatial_qutrit(c, ("5", "6", "7"))
     log = p_meas_log + (BranchLogEntry("pair-eraser", "dp|dm", p_det),)
-    return _report("kerr-forward", merged, target, log,
-                   {"t": t, "t_squared": t * t, "qubus_alpha": alpha, "theta": theta}, checks)
+    return merged, target, log, {"t": t, "t_squared": t * t, "qubus_alpha": alpha,
+                                 "theta": theta}, checks
 
 
 # ---------------------------------------------------------------------------
@@ -654,27 +666,36 @@ def scheme_entangler(
     land in ``checks``.
     """
     c = _coeffs(c)
-    paths = ("0", "1", "2")
-    s = make_spatial_qutrit(c, paths)
-    for path in _entangler_paths(paths, pattern)[1]:
-        s = apply_sigma_x(s, path)
-    s = tensor(s, ancilla_plus("a"))
-    reference = _entangler_reference(s, paths, "a")
-    branches = entangler_branches(s, paths, "a", pattern, qubus_alpha, theta, meas_mode)
+    flips = _entangler_paths(_ENTANGLER_PATHS, pattern)[1]
+    alpha, theta = _check_probe(qubus_alpha, theta)
+    (p_all, min_fid, *branches), merged = _segment(
+        ("entangler", pattern, meas_mode), lambda s, *ps: _entangler_run(s, *ps, flips, pattern,
+                                                                         meas_mode),
+        make_spatial_qutrit(c, _ENTANGLER_PATHS), alpha, theta)
     checks: dict[str, float] = {}
     mean_fid = 0.0
-    for label, p, st in branches:
-        f = traced_fidelity(st, reference)
+    for label, p, f in zip(branches[::3], branches[1::3], branches[2::3]):
         checks[f"branch_n{label}_probability"] = p
         checks[f"branch_n{label}_fidelity"] = f
         mean_fid += p * f
-    p_all, merged, min_fid = merge_branches([(p, st) for _, p, st in branches],
-                                            tol=_merge_tol(meas_mode))
     checks["merge_min_fidelity"] = min_fid
     log = (BranchLogEntry("probe-number", "all n merged", p_all),)
-    return _report("entangler", merged, None, log,
-                   {"qubus_alpha": float(qubus_alpha), "theta": float(theta)}, checks,
+    return _report("entangler", merged, None, log, {"qubus_alpha": alpha, "theta": theta}, checks,
                    mean_fid / p_all)
+
+
+def _entangler_run(s, alpha, theta, flips, pattern, meas_mode):
+    """The entangler scheme from its spatial qutrit, as one segment; its values are the merged
+    P and fidelity, then each branch's label, p and fidelity to the ideal output."""
+    for path in flips:
+        s = apply_sigma_x(s, path)
+    s = tensor(s, ancilla_plus("a"))
+    reference = _entangler_reference(s, _ENTANGLER_PATHS, "a")
+    branches = entangler_branches(s, _ENTANGLER_PATHS, "a", pattern, alpha, theta, meas_mode)
+    values = [x for label, p, st in branches for x in (label, p, traced_fidelity(st, reference))]
+    p_all, merged, min_fid = merge_branches([(p, st) for _, p, st in branches],
+                                            tol=_merge_tol(meas_mode))
+    return (p_all, min_fid, *values), merged
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +735,7 @@ _PATH_ERASER_RULE = FeedForwardRule(
 
 
 def _entangling_block(s, alpha, theta, tol, paths, ancilla, pattern, flips, meas_mode, prefix):
-    """A segment of the Kerr inverse map: the polarization flips on ``flips``, one
+    """Part of the Kerr inverse map's segment: the polarization flips on ``flips``, one
     entangling block and the merge of its branches; its values are P and the fidelity."""
     for path in flips:
         s = apply_sigma_x(s, path)
@@ -724,7 +745,7 @@ def _entangling_block(s, alpha, theta, tol, paths, ancilla, pattern, flips, meas
 
 
 def _path_eraser(s, tol, paths):
-    """A segment of the Kerr inverse map: the network that erases which-path information
+    """Part of the Kerr inverse map's segment: the network that erases which-path information
     of the single photon, and its eraser; its values are P, the merge fidelity and each
     port's P."""
     s = route_pbs(s, (paths[1], paths[2]), ("merge12", "junk12"))
@@ -736,7 +757,7 @@ def _path_eraser(s, tol, paths):
 
 
 def _rebalanced(s, alpha, theta, tol):
-    """A segment of the Kerr inverse map: rebalance the two-H and two-V components, then
+    """Part of the Kerr inverse map's segment: rebalance the two-H and two-V components, then
     merge the ancilla pair into one path, heralded by a probe that only sees the first
     output.  Its values are the taps' P, the bunched merge's P and fidelity, each kept
     probe group's P of two photons on ``out``, then every probe outcome's p."""
@@ -759,6 +780,21 @@ def _rebalanced(s, alpha, theta, tol):
     return (p_tap, p_bunch, fid_bunch, *ps, *(o.probability for o in dist.outcomes)), s
 
 
+def _kerr_inverse_blocks(s, alpha, theta, tol, paths, meas_mode):
+    """The Kerr inverse map from its spatial qutrit, as one segment; its values are each
+    entangling block's, the path eraser's and the rebalance's, in that order."""
+    s = tensor(tensor(s, ancilla_plus("a")), ancilla_plus("b"))
+    values = ()
+    for k, ancilla, pattern, flips in ((1, "a", "reflected", paths[1:]),
+                                       (2, "b", "transmitted", paths[1:2])):
+        block, s = _entangling_block(s, alpha, theta, tol, paths, ancilla, pattern, flips,
+                                     meas_mode, f"ent{k}")
+        values += block
+    erased, s = _path_eraser(s, tol, paths)
+    rebalanced, s = _rebalanced(s, alpha, theta, tol)
+    return (*values, *erased, *rebalanced), s
+
+
 def _kerr_inverse_run(
     state: PhotonicState,
     paths: tuple[str, str, str],
@@ -767,39 +803,22 @@ def _kerr_inverse_run(
     meas_mode: str,
 ):
     tol = _merge_tol(meas_mode)
-    checks: dict[str, float] = {}
-    log = []
-
-    s = tensor(state, ancilla_plus("a"))
-    s = tensor(s, ancilla_plus("b"))
-    for k, ancilla, pattern, flips in (
-        (1, "a", "reflected", paths[1:]),
-        (2, "b", "transmitted", paths[1:2]),
-    ):
-        wiring = paths, ancilla, pattern, flips, meas_mode, f"ent{k}"
-        (p, fid), s = _segment(("entangling-block", *wiring),
-                               lambda s, *ps: _entangling_block(s, *ps, *wiring),
-                               s, alpha, theta, tol)
-        checks[f"entangler{k}_merge_fidelity"] = fid
-        log.append(BranchLogEntry(f"entangler-{k}", "all n merged", p))
-
-    (p_eraser, fid_eraser, *ps), s = _segment(("path-eraser", paths), lambda s, tol: _path_eraser(
-        s, tol, paths), s, tol)
+    (p1, fid1, p2, fid2, p_eraser, fid_eraser, *ps), s = _segment(
+        ("kerr-inverse", paths, meas_mode),
+        lambda s, *ps: _kerr_inverse_blocks(s, *ps, paths, meas_mode), state, alpha, theta, tol)
+    ps, (p_tap, p_bunch, fid_bunch, *ps_bunch) = ps[:4], ps[4:]
+    checks = {"entangler1_merge_fidelity": fid1, "entangler2_merge_fidelity": fid2}
     checks.update({f"eraser_{k}_probability": p for k, p in zip(_PATH_ERASER_PORTS, ps)})
     checks["eraser_merge_fidelity"] = fid_eraser
-
-    (p_tap, p_bunch, fid_bunch, *ps), s = _segment("rebalance", _rebalanced, s, alpha, theta, tol)
-    checks.update({f"bunched_{p}_probability": q for p, q in zip(("m1", "m2"), ps)})
+    checks.update({f"bunched_{p}_probability": q for p, q in zip(("m1", "m2"), ps_bunch)})
     # the readout's total less what bunched
-    checks["split_discard_probability"] = _summed(ps[2:]) - _summed(ps[:2])
+    checks["split_discard_probability"] = _summed(ps_bunch[2:]) - _summed(ps_bunch[:2])
     checks["bunched_merge_fidelity"] = fid_bunch
-
-    log += [
-        BranchLogEntry("path-eraser", "5|6|7|8", p_eraser),
-        BranchLogEntry("rebalance-taps", "vacuum", p_tap),
-        BranchLogEntry("bunched-merge", "m1|m2", p_bunch),
-    ]
-    return tuple(log), s, checks
+    log = tuple(BranchLogEntry(*e) for e in (
+        ("entangler-1", "all n merged", p1), ("entangler-2", "all n merged", p2),
+        ("path-eraser", "5|6|7|8", p_eraser), ("rebalance-taps", "vacuum", p_tap),
+        ("bunched-merge", "m1|m2", p_bunch)))
+    return log, s, checks
 
 
 def scheme_kerr_inverse(
@@ -857,14 +876,14 @@ def u3_biphotonic(
     mesh = reck_decompose(u)  # checks that u is unitary before any optics run
     spatial = ("s0", "s1", "s2")
     if backend == "linear":
-        fwd, outputs = scheme_linear_forward(c, t), ("6", "3", "7")
+        fwd, outputs = _linear_forward(c, t), ("6", "3", "7")
         params = default_linear_inverse_params(t1, t2, t3)
 
         def inverse(s):  # its log and output, and no checks, as _kerr_inverse_run's
             return (*_linear_inverse_run(s, spatial, **params)[1:], {})
     elif backend == "kerr":
         alpha, theta = _check_merge_probe(qubus_alpha, theta)
-        fwd = scheme_kerr_forward(c, t, meas_mode=meas_mode, qubus_alpha=alpha, theta=theta)
+        fwd = _kerr_forward(c, t, "double-xpm", meas_mode, alpha, theta)
         outputs, params = ("5", "6", "7"), {"qubus_alpha": alpha, "theta": theta}
 
         def inverse(s):
@@ -872,15 +891,16 @@ def u3_biphotonic(
     else:
         raise InvalidInput(f"unknown backend {backend!r}")
 
-    s = relabel_paths(fwd.output_state, dict(zip(outputs, spatial)))
+    s, target, fwd_log, fwd_params, fwd_checks = fwd  # the forward map's, with no report
+    fwd_checks.update(output_born_weight=s.born_weight, fidelity=traced_fidelity(s, target))
+    checks = {f"forward_{k}": v for k, v in fwd_checks.items()}
+    s = relabel_paths(s, dict(zip(outputs, spatial)))
     inv_log, s, inv_checks = inverse(apply_lomi(s, mesh, spatial))
-    checks = {f"forward_{k}": v for k, v in fwd.checks.items()}
-    checks["forward_fidelity"] = fwd.output_fidelity
     checks.update({f"inverse_{k}": v for k, v in inv_checks.items()})
     vec = u @ np.array(c.as_tuple())
     target = make_biphotonic_qutrit(QutritCoefficients.normalize(*vec), "out")
-    return _report(f"u3-{backend}", s, target, fwd.branch_log + inv_log,
-                   {"t": fwd.parameters["t"], **params}, checks)
+    return _report(f"u3-{backend}", s, target, fwd_log + inv_log,
+                   {"t": fwd_params["t"], **params}, checks)
 
 
 def _u3_linear(c, u, t=None, t1=None, t2=None, t3=None) -> SchemeReport:

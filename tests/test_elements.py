@@ -19,8 +19,9 @@ from qutritmap.elements import (
     apply_qft,
     apply_sigma_x,
     assert_unitary,
+    ReckDecomposition,
+    _block,
     reck_decompose,
-    reck_recompose,
     route_pbs,
     substitute_modes,
 )
@@ -246,6 +247,15 @@ def test_qft_preserves_overlaps():
             apply_qft(s1, ("p0", "p1", "p2")), apply_qft(s2, ("p0", "p1", "p2"))
         )
         assert abs(before - after) < 1e-12
+
+
+def reck_recompose(decomp: ReckDecomposition) -> np.ndarray:
+    """The unitary of a decomposition: its phase screen times its blocks, T_K first."""
+    n = decomp.dim
+    m = np.diag(np.exp(1j * np.array(decomp.phases)))
+    for p, q, theta, phi in decomp.rotations:
+        m = m @ _block(n, p, q, theta, phi)
+    return m
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -1,9 +1,10 @@
 """Segment tapes replay the step path bit for bit.
 
 The schemes run their fixed blocks of steps through ``fock._segment``: the linear
-maps' element chains, every eraser, the Kerr forward map through its kept readout
-outcome and the Kerr inverse map's entangling blocks, path eraser and rebalance
-taps.  The first run per input shape records a tape; its steps may fork (an
+maps' element chains, every eraser, linear-inverse's two eraser outcomes, the Kerr
+forward map through its kept readout outcome, the Kerr inverse map and the entangler
+scheme whole, and the U(3) mesh, whose angles are free parameters: tape inputs, not
+key bits.  The first run per input shape records a tape; its steps may fork (an
 eraser's labels, a readout's outcomes).  Later runs replay it on the amplitudes
 alone, under guards: every prune keeps the recorded subset, every outcome is cut
 (p <= PROB_EPS) where it was cut and kept where it was kept, and every value taken
@@ -31,7 +32,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qutritmap import fock, measurement, schemes
-from qutritmap.elements import BeamSplitterSpec, apply_beam_splitter, apply_phase_shift
+from qutritmap.elements import (
+    BeamSplitterSpec,
+    ReckDecomposition,
+    apply_beam_splitter,
+    apply_lomi,
+    apply_phase_shift,
+    reck_decompose,
+)
 from qutritmap.fock import (
     FockTerm,
     InvalidInput,
@@ -78,8 +86,8 @@ def tracked(run):
     """``outcome(run)`` and, per tape it found, whether its replay ran through."""
     tries, real = [], fock._replayed
 
-    def replay(tape, state):
-        done = real(tape, state)
+    def replay(tape, *args):
+        done = real(tape, *args)
         tries.append(done is not None)
         return done
 
@@ -462,7 +470,7 @@ def test_a_correlated_register_drop_in_physical_mode_replays_the_step_path():
             QutritCoefficients.normalize(-0.2, 0.7, 0.1 + 0.6j))
     kwargs = {"qubus_alpha": 5.0, "theta": 0.1, "meas_mode": "physical"}
     expected = check(lambda: schemes.scheme_kerr_inverse(c, **kwargs),
-                     lambda: schemes.scheme_kerr_inverse(d, **kwargs), [True] * 4)
+                     lambda: schemes.scheme_kerr_inverse(d, **kwargs), [True])
     assert expected.checks["entangler1_merge_fidelity"] < 1.0
     dead = [e for _, (entries, *_) in tapes() for e in entries if e[-1] is False]
     assert dead  # the refused drops, which replay as refused
@@ -538,7 +546,8 @@ def test_a_tape_compiles_on_its_first_replay_and_shapes_of_one_structure_share_i
     (replay_x, consts_x), (replay_y, consts_y) = compiled()
     assert replay_x is replay_y and consts_x != consts_y  # one source; the shapes are constants
     ((none, source),) = [key for key, value in fock._MEMO.items() if value is replay_x]
-    assert none is None and source.startswith("def kernel(S, K):")
+    assert none is None and source.startswith("def kernel(S, K, F):")
+    assert source.count("columns(") == 1  # the output's: the measured norm is read from a column
 
 
 def test_a_cleared_memo_leaves_no_compiled_replay_alive():
@@ -576,10 +585,18 @@ def test_segment_sites_hold_no_shape_and_tapes_two_shapes():
     schemes.u3_biphotonic(c, haar_unitary(np.random.default_rng(5)), "linear")
     schemes.scheme_linear_inverse(c)
     found = tapes()
-    assert len(found) == 3  # linear-forward, its eraser, and linear-inverse on one input shape
+    # linear-forward, its eraser, the mesh, linear-inverse's network and its two outcomes
+    assert len(found) == 6
     for key, value in found:
         assert not holds_shape(key[1], set())
         assert shapes_in((key, value)) <= 2
+
+
+def segment_names():
+    """Per tape key in the memo, the name its segment was called with."""
+    names = {id(site): key[1][1] for key, site in fock._MEMO.items()
+             if key[0] is None and type(key[1]) is tuple and key[1][0] == "segment"}
+    return [names[id(key[1])] for key, _ in tapes()]
 
 
 def test_every_tape_of_every_scheme_holds_two_shapes():
@@ -588,7 +605,112 @@ def test_every_tape_of_every_scheme_holds_two_shapes():
     run_all(runs)
     run_all(runs)  # each tape's first replay compiles it
     assert len(tapes()) >= 12 and len(compiled()) == len(tapes())
+    kinds = {name[0] for name in segment_names() if type(name) is tuple}
+    assert {"entangler", "mesh", "kerr-inverse"} <= kinds
     for key, value in tapes():
         assert not holds_shape(key[1], set()) and not holds_shape(value[0], set())
         assert not holds_shape(value[-1][0], set())  # the replay: all it holds is in consts
         assert shapes_in((key, value)) <= 2
+
+
+# ---------------------------------------------------------------------------
+# free parameters: the U(3) mesh
+
+
+def mesh_run(decomp, c=QutritCoefficients.normalize(0.6, 0.3j, -0.5)):
+    return lambda: apply_lomi(make_spatial_qutrit(c, PATHS), decomp, PATHS)
+
+
+def near_block(eps):
+    """A unitary whose entries (2, 0) and (2, 1), the first two reck_decompose eliminates,
+    are -0.8 eps and -0.6 eps: below 1e-14 both rotations are skipped, else one is (the
+    first leaves (1, 0) at 0)."""
+    tilt = np.eye(3, dtype=complex)
+    tilt[1:, 1:] = [[math.cos(eps), math.sin(eps)], [-math.sin(eps), math.cos(eps)]]
+    return tilt @ np.array([[0.6, -0.8, 0], [0.8, 0.6, 0], [0, 0, 1j]])
+
+
+def test_a_mesh_tape_replays_haar_unitaries_one_tape_per_structure():
+    rng = np.random.default_rng(21)
+    warm, run = (reck_decompose(haar_unitary(rng)) for _ in range(2))
+    check(mesh_run(warm), mesh_run(run), [True])
+    fock._MEMO.clear()
+    state = make_spatial_qutrit(QutritCoefficients.normalize(0.6, 0.3j, -0.5), PATHS)
+    for _ in range(1000):
+        apply_lomi(state, reck_decompose(haar_unitary(rng)), PATHS)
+    blocks = PATHS[1::-1], PATHS[:0:-1], PATHS[1::-1]  # (s1, s0), (s2, s1), (s1, s0)
+    assert segment_names() == [("mesh", (blocks, PATHS))]  # and no screen phase is 0
+
+
+def test_a_changed_skipped_rotation_pattern_keys_another_mesh_tape():
+    kept, skipped = reck_decompose(near_block(5e-14)), reck_decompose(near_block(1e-15))
+    assert (len(kept.rotations), len(skipped.rotations)) == (2, 1)
+    check(mesh_run(kept), mesh_run(skipped), [])  # another structure: recorded, not replayed
+    for eps in (3e-14, 1e-9):  # the structure of kept, replayed or run on the step path
+        expected, _ = step_path(mesh_run(kept))
+        got, tries = replayed(mesh_run(reck_decompose(near_block(eps))), mesh_run(kept))
+        assert tries in ([True], [False]) and bits(got) == bits(expected)
+        assert len(tapes()) == 1
+
+
+def test_screen_phases_of_zero_and_minus_zero_leave_out_one_phase_shift():
+    screens = [(0.0, 0.3, -1.2), (-0.0, 2.5, 0.7), (1e-300, 0.3, -1.2)]
+    zero, minus_zero, tiny = (ReckDecomposition(((0, 1, 0.4, 1.1),), p) for p in screens)
+    check(mesh_run(zero), mesh_run(minus_zero), [True])
+    check(mesh_run(zero), mesh_run(tiny), [])  # a phase shift more: another tape
+    u = reck_decompose(np.diag([1.0, -1.0, 1j]))
+    assert u.rotations == () and u.phases[0] == 0.0
+    check(mesh_run(u), mesh_run(reck_decompose(np.diag([complex(1.0, -0.0), 1j, -1j]))), [True])
+
+
+def test_free_parameters_that_are_one_object_or_a_constant_replay_bit_for_bit():
+    """A free parameter enters the tape as a fresh copy, so a float object that two
+    parameters share, or that also stands in the tape as a constant (fock.PRUNE_EPS,
+    which every step passes its kernel), is never read from the wrong slot."""
+    x, y = 0.7, 1.2  # rotation angles lie in [0, pi/2]
+    shared = ReckDecomposition(((0, 1, x, x), (1, 2, x, x)), (x, x, x))
+    other = ReckDecomposition(((0, 1, y, y), (1, 2, y, y)), (y, y, y))
+    check(mesh_run(shared), mesh_run(other), [True])
+    check(mesh_run(other), mesh_run(shared), [True])
+    eps = ReckDecomposition(((0, 1, 0.4, fock.PRUNE_EPS), (1, 2, 1.3, fock.PROB_EPS)),
+                            (fock.PRUNE_EPS, 0.2, -0.3))
+    check(mesh_run(eps), mesh_run(other), [True])
+    check(mesh_run(other), mesh_run(eps), [True])
+
+
+def test_a_non_finite_mesh_angle_raises_on_every_call():
+    good = ReckDecomposition(((0, 1, 0.4, 1.1),), (0.0, 0.3, -1.2))
+    for angles, screen in (((0.4, math.nan), (0.0, 0.3, -1.2)),
+                           ((math.nan, 1.1), (0.0, 0.3, -1.2)),
+                           ((0.4, 1.1), (0.0, math.inf, -1.2))):
+        bad = mesh_run(ReckDecomposition(((0, 1, *angles),), screen))
+        expected, _ = step_path(bad)
+        assert expected[0] is InvalidInput
+        fock._MEMO.clear()
+        mesh_run(good)()
+        for _ in range(2):
+            got, tries = tracked(bad)
+            assert got == expected and tries in ([], [False])
+
+
+# ---------------------------------------------------------------------------
+# the entangler scheme and the composed gates, off the working point
+
+
+@given(c=coefficients, t=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=6, deadline=None)
+def test_off_working_point_t_and_the_entangler_replay_the_step_path(c, t, seed):
+    u = haar_unitary(np.random.default_rng(seed))
+    runs = {
+        "kerr-forward": lambda c: schemes.scheme_kerr_forward(c, t),
+        "u3-kerr": lambda c: schemes.u3_biphotonic(c, u, "kerr", t),
+        "u3-linear": lambda c: schemes.u3_biphotonic(c, u, "linear", t),
+        "entangler": lambda c: schemes.scheme_entangler(c, "transmitted"),
+    }
+    for name, run in runs.items():
+        expected, _ = step_path(lambda: run(c))
+        got, tries = replayed(lambda: run(twin(c)), lambda: run(c))
+        assert tries or not isinstance(expected, schemes.SchemeReport), name
+        if isinstance(expected, schemes.SchemeReport):
+            expected, got = report_hex(expected), report_hex(got)
+        assert got == expected, name

@@ -71,7 +71,7 @@ def test_warmed_runs_key_plans_by_sites():
     assert len(first) < fock._RETAINED  # no drop at the bound in between
     run_all(runs)
     added = set(fock._MEMO) - first  # each tape compiles its replay on its first replay
-    assert added and all(key[0] is None and key[1].startswith("def kernel(S, K):")
+    assert added and all(key[0] is None and key[1].startswith("def kernel(S, K, F):")
                          for key in added)
     run_all(runs)
     assert set(fock._MEMO) == first | added  # the third run builds nothing
@@ -100,14 +100,16 @@ def test_the_site_walk_finds_a_shape_in_a_closure():
 
 
 def test_a_warmed_physical_qubus_run_interns_no_shape_in_a_step():
-    """A refused register drop returns the empty state on a shape interned once."""
+    """A refused register drop returns the empty state on a shape interned once.  Replay is
+    off, so every drop runs as a step."""
     c = QutritCoefficients.normalize(0.6, 0.3j, -0.5)
 
     def run():
         for alpha in (5.0, 10.0):
             kwargs = {"qubus_alpha": alpha, "theta": 0.1, "meas_mode": "physical"}
             for scheme in (scheme_kerr_forward, scheme_entangler, scheme_kerr_inverse):
-                scheme(c, **kwargs)
+                with mock.patch.object(fock, "_REPLAY", False):
+                    scheme(c, **kwargs)
 
     run()
     real_interned, real_dropped, stepped, refused = fock._interned, schemes._dropped, [], []
