@@ -274,9 +274,10 @@ def assert_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidInput(f"matrix must be square, got shape {u.shape}")
-    for i, j in np.argwhere(~np.isfinite(u))[:1]:  # a NaN passes every norm test
+    if not np.isfinite(u).all():  # a NaN passes every norm test
+        i, j = np.argwhere(~np.isfinite(u))[0]
         raise InvalidInput(f"matrix entry ({i}, {j}) = {u[i, j]} is not finite")
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-9:
+    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-9:
         raise InvalidInput("matrix is not unitary")
     return u
 
@@ -340,7 +341,7 @@ def reck_decompose(u: np.ndarray) -> ReckDecomposition:
             elim.append((p, q, theta, phi))
             w = w @ _block(n, p, q, theta, phi).conj().T
     off = w - np.diag(np.diagonal(w))
-    if np.max(np.abs(off)) > 1e-8:
+    if np.abs(off).max() > 1e-8:
         raise InvalidInput("decomposition failed to reach a diagonal")
     phases = tuple(float(x) for x in np.angle(np.diagonal(w)))
     return ReckDecomposition(tuple(reversed(elim)), phases)

@@ -1,20 +1,11 @@
 """Sparse symbolic Fock states for few-photon interferometry.
 
 A state is a sum of creation-operator monomials acting on the vacuum,
-optionally tensored with labelled coherent-state registers.  It is an
-interned :class:`Shape`, each term's occupation signature over
-``Mode(path, pol)`` slots and its complex register labels, plus a column of
-each term's exact complex amplitude, so overlaps and measurement statistics
-come out in closed form instead of from a truncated numeric Hilbert space.
-Everything derived from labels is worked out once per shape; per call only
-amplitudes move.
-
-Every operation that makes a state runs through :func:`_step`.  Its wiring
-(the paths, modes, registers and counts it acts on) is a *site*, built once
-per wiring; per state shape and site one plan holds a compiled kernel, its
-constants and the output's shape, so a call runs the kernel on the amplitudes
-and applies its prune verdict.  A fixed block of steps (a *segment*, see
-:func:`_segment` and the README) replays a guarded, compiled *tape* per input shape.
+optionally tensored with labelled coherent-state registers: an interned
+:class:`Shape` of its terms' occupations and register labels plus a column of
+exact complex amplitudes, so overlaps and measurement statistics come out in
+closed form.  The README describes how steps, sites, plans and segments make
+and replay states.
 
 Conventions:
 
@@ -151,27 +142,39 @@ class PhotonicState:
                           amplitudes=tuple(map(_amplitude, self.terms)))
 
     def __getattr__(self, name):
-        # reached for a column-built state's terms or the squared norm (frozen, with
-        # an immutable column: computed once)
-        cells = vars(self)
-        if name == "_norm_sq":
-            return self.shape.norm_sq(self)
-        if name == "terms":
-            cells[name] = _view(self)
-        else:
+        # reached for a column-built state's terms (frozen, with an immutable column:
+        # built once)
+        if name != "terms":
             raise AttributeError(name)
+        cells = vars(self)
+        cells[name] = _view(self)
         return cells[name]
 
     def __reduce__(self):  # the value: shape, column and norm are derived again
         return PhotonicState, (self.registers, self.terms, self.born_weight)
 
 
-def _columns(registers, amplitudes, born_weight, shape: Shape) -> PhotonicState:
-    """The state of ``shape`` whose amplitude column is ``amplitudes``."""
+def _columns(registers, amplitudes, born_weight, shape: Shape, norm=None) -> PhotonicState:
+    """The state of ``shape`` whose amplitude column is ``amplitudes`` (and squared norm
+    ``norm``, if given)."""
     state = object.__new__(PhotonicState)
-    vars(state).update(registers=registers, amplitudes=amplitudes, born_weight=born_weight,
-                       shape=shape)
+    cells = vars(state)
+    cells.update(registers=registers, amplitudes=amplitudes, born_weight=born_weight, shape=shape)
+    if norm is not None:
+        cells["_norm_sq"] = norm
     return state
+
+
+def _parts(state: PhotonicState) -> tuple:
+    """``(column, born weight, squared norm)``: ``state`` as a :func:`_run` function that
+    ``reads`` takes it."""
+    return state.amplitudes, state.born_weight, norm_sq(state)
+
+
+def _reweighted(state: PhotonicState, born_weight: float) -> PhotonicState:
+    """``state`` with born weight ``born_weight``, carrying its norm: a merge's output.  A
+    compiled replay keeps it as the parts of ``state``, with ``born_weight``."""
+    return _columns(state.registers, state.amplitudes, born_weight, state.shape, norm_sq(state))
 
 
 def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
@@ -180,13 +183,9 @@ def _view(state: PhotonicState) -> tuple[FockTerm, ...]:
     return tuple(map(tuple.__new__, itertools.repeat(FockTerm), rows))
 
 
-# What an operation derives from a state's keys alone, keyed by (Shape, site) or
-# (Shape, constant); a plan of two shapes, or the subset a prune keeps, by (that
-# pair, constant); interned keys by (None, (keys, label bits)), compiled kernels and
-# replays by (None, source), sites by (None, (kind, their arguments)) and a segment's
-# tape, with its replay and constants, by (its input's Shape, its site).  Reaching the
-# bound drops every entry, and an entry holds at most two shapes, so at most
-# 2 * _RETAINED shapes outlive the states that carry them (sizes: see the README).
+# Keyed by (Shape, site or constant), by (two shapes, constant) or, for interned keys,
+# kernels and replays by source, and sites, by (None, key).  An entry holds at most two
+# shapes, so at most 2 * _RETAINED shapes outlive the states that carry them.
 _RETAINED = 2048
 _MEMO: dict[tuple, object] = {}
 
@@ -252,16 +251,13 @@ def _step(state, site, *values, registers=None, weight=1.0):
 
 
 def _run(fn, *args, decided=False):
-    """``fn(*args)``, a function of states' columns, plan pieces and numbers only, whose
-    first result is a decision if ``decided`` (a pivot, which branches are live): where an
-    argument is a value of a recording :func:`_segment`, the call joins its tape.  Per
-    ``(position, plan position)`` of ``fn.reads``, ``fn`` gets that state's column (plan
-    position None) or its norm by the norm plan there."""
+    """``fn(*args)``, a function of plan pieces, numbers and, if ``fn.reads``, states, which
+    it takes as their :func:`_parts`; its first result is a decision if ``decided`` (a pivot,
+    which branches are live).  Where an argument is a value of a recording :func:`_segment`,
+    the call joins its tape."""
     given = args
-    if reads := getattr(fn, "reads", None):
-        given = list(args)
-        for at, plan in reads:
-            given[at] = args[at].amplitudes if plan is None else _norm(args[at], args[plan])
+    if getattr(fn, "reads", False):
+        given = [_parts(a) if type(a) is PhotonicState else a for a in args]
     out = fn(*given)
     if _tape is not None and any(id(a) in _tape.slot_of for a in args):  # else a constant
         out = _tape.join(fn, args, out, decided)
@@ -298,7 +294,11 @@ class _Recording:
                          self.slot_of else v for v in made)
             out = (*out[:decided], *made) if type(out) is tuple else made[0]
         arity = len(made) if type(out) is tuple else None
-        self.entries.append((fn, *self.specs(args), decided, arity, out[0] if decided else None))
+        kept, refs = self.specs(args)
+        if getattr(fn, "reads", False):  # a state as its shape's norm plan (a value) or parts
+            kept = tuple(k if type(a) is not PhotonicState else _parts(a) if k is a else
+                         _norms(a.shape) for a, k in zip(args, kept))
+        self.entries.append((fn, kept, refs, decided, arity, out[0] if decided else None))
         for value in made:
             slot = -1 if cut else len(self.held)
             self.slot_of[id(value)] = slot if self.slot_of.get(id(value), slot) == slot else None
@@ -362,12 +362,13 @@ def _compiled(entries, values, slot, shape, free):
     """``(replay, consts)``: a tape as one straight-line kernel ``replay(S, K, F)`` of the
     input state S, the constants K (kernels, plan pieces, decisions, registers) and the
     ``free`` parameters F, which returns :func:`_segment`'s result, or nothing where a call
-    decides otherwise.  Each entry is one call and its guard.  A step's output stays its
-    column and born weight (and norm, once read: ``fn.reads``), and becomes a state only
-    where a :func:`_run` call, a value or the output reads it whole."""
+    decides otherwise.  Each entry is one call and its guard.  A step's or a merge's output
+    (:func:`_reweighted`) stays its column and born weight, and its norm once a call that
+    ``reads`` it computes that; it becomes a state, carrying the norm, only where a value,
+    the output or a call that does not read parts takes it whole."""
     consts, index, lines = [], {}, ["def kernel(S, K, F):"]
     made = {k: f"F[{k - 1}]" if k else "S" for k in range(free + 1)}  # per slot its value's name
-    cols, norms = {}, {}  # per step's state its parts, and its norm once read
+    cols, norms = {}, {}  # per step's or merge's state its parts, and its norm once computed
 
     def const(x):
         if id(x) not in index:
@@ -375,29 +376,42 @@ def _compiled(entries, values, slot, shape, free):
             consts.append(x)
         return f"K[{index[id(x)]}]"
 
-    def read(s):  # the value in slot s; a step's state is built on its first read
+    def norm(s):
+        return f", {norms[s]}" if s in norms else ""
+
+    def read(s):  # the value in slot s; a step's or merge's state is built on its first read
         if s not in made:
-            lines.append(f"    v{s} = columns({', '.join(cols[s])}, {const(None)})")
+            lines.append(f"    v{s} = columns({', '.join(cols[s])}, {const(None)}{norm(s)})")
             made[s] = f"v{s}"
         return made[s]
 
-    def part(s, plan):  # the state in slot s as its column, or its norm by the norm plan
-        column = cols[s][1] if s in cols else f"{read(s)}.amplitudes"
-        if plan is not None and s not in norms:
+    def whole(s):  # the registers, column and born weight of the state in slot s
+        return cols.get(s) or tuple(f"{read(s)}.{a}" for a in ("registers", "amplitudes",
+                                                                "born_weight"))
+
+    def part(s, plan):  # the state in slot s as its parts, its norm by ``plan`` once per slot
+        _, column, born = whole(s)
+        if s not in norms:
             lines.append(f"    n{s} = {const(plan[0])}({column}, {const(plan[1])})")
             norms[s] = f"n{s}"
-        return column if plan is None else norms[s]
+        return f"({column}, {born}, {norms[s]})"
 
-    def filled(args, refs, start=0, reads=()):
-        reads = {at: None if plan is None else args[plan] for at, plan in reads}
-        return [(part(refs[at], reads[at]) if at in reads else read(refs[at])) if at in refs
+    def filled(args, refs, start=0, reads=False):  # a read state's recorded arg is its plan
+        return [(part(refs[at], a) if reads and a is not None else read(refs[at])) if at in refs
                 else const(a) for at, a in enumerate(args, start)]
 
     n = 1 + free  # the entry's first slot
     for fn, args, refs, decided, arity, decision in entries:
         refs = dict(refs)
+        if fn is _reweighted and 0 in refs:
+            s, (born,) = refs[0], filled(args[1:], refs, 1)
+            cols[n] = *whole(s)[:2], born
+            if s in norms:
+                norms[n] = norms[s]
+            n += 1
+            continue
         if fn is not _step:
-            call = f"{const(fn)}({', '.join(filled(args, refs, 0, getattr(fn, 'reads', ())))})"
+            call = f"{const(fn)}({', '.join(filled(args, refs, 0, getattr(fn, 'reads', False)))})"
             names = [f"v{k}" for k in range(n, n + (1 if arity is None else arity))]
             made.update(zip(range(n, n + len(names)), names))
             target = names[0] if arity is None else "".join(f"{v}, " for v in names)
@@ -426,10 +440,8 @@ def _compiled(entries, values, slot, shape, free):
             lines.append(f"    b{n + 1} = {weight} * {born} * {p}")
             made[n], cols[n + 1] = p, (registers, c, f"b{n + 1}")
         n += 2
-    parts = cols.get(slot) or [f"{read(slot)}.{a}" for a in ("registers", "amplitudes",
-                                                              "born_weight")]
-    returned = "({}), columns({}, {})".format("".join(x + ", " for x in filled(
-        values[0], dict(values[1]))), ", ".join(parts), const(shape))
+    returned = "({}), columns({}, {}{})".format("".join(x + ", " for x in filled(
+        values[0], dict(values[1]))), ", ".join(whole(slot)), const(shape), norm(slot))
     return _kernel(lines, returned), tuple(consts)
 
 
@@ -489,7 +501,8 @@ class Shape:
 
     def norm_sq(self, state: PhotonicState) -> float:
         """``inner_product(state, state).real``, bit for bit, for a ``state`` of this shape."""
-        return _norm(state, _norms_of(state))
+        kernel, overlaps = _norms(self)
+        return kernel(state.amplitudes, overlaps)
 
     def _norm_plan(self):
         """``(kernel, overlaps)``: :func:`_norm_lines` as a kernel of the amplitudes."""
@@ -504,21 +517,6 @@ _VOID = Shape((), b"")  # the empty state's shape, which outlives memo drops
 def _norms(shape: Shape):
     """The norm plan ``(kernel, overlaps)`` of ``shape``'s states."""
     return _recall(shape, "norm", shape._norm_plan)
-
-
-def _norms_of(state: PhotonicState):
-    """:func:`_norms` of ``state``'s shape, or None where its norm is cached and no segment
-    records (a replay makes its states anew, so a tape keeps the plan)."""
-    return None if _tape is None and "_norm_sq" in vars(state) else _norms(state.shape)
-
-
-def _norm(state: PhotonicState, norms) -> float:
-    """``inner_product(state, state).real``, bit for bit, by the norm plan ``norms`` of its
-    shape (None where it is computed); computed once per state."""
-    cells = vars(state)
-    if "_norm_sq" not in cells:
-        cells["_norm_sq"] = norms[0](state.amplitudes, norms[1])
-    return cells["_norm_sq"]
 
 
 def _norm_lines(keys, amps: list[str], lines: list[str], o: str = "o"):
@@ -691,21 +689,25 @@ def _pairs(bra: Shape, ket: Shape):
 
 def inner_product(bra: PhotonicState, ket: PhotonicState) -> complex:
     """<bra|ket> including register overlaps; born weights are ignored."""
-    return _inner(bra, ket, _pairs(bra.shape, ket.shape))
-
-
-def _inner(bra: PhotonicState, ket: PhotonicState, pairs) -> complex:
-    """:func:`inner_product` by the plan ``pairs`` of the two shapes."""
-    if bra.registers != ket.registers:
-        raise InvalidInput(
-            f"register mismatch: {bra.registers} vs {ket.registers}"
-        )
-    kernel, overlaps = pairs
+    kernel, overlaps = _paired(bra, ket)
     return kernel(bra.amplitudes, ket.amplitudes, overlaps)
 
 
+def _paired(bra: PhotonicState, ket: PhotonicState):
+    """:func:`inner_product`'s plan of the shapes of ``bra`` and ``ket``, whose registers
+    must agree (a replay skips the check: a tape's registers are constants)."""
+    if bra.registers != ket.registers:
+        raise InvalidInput(f"register mismatch: {bra.registers} vs {ket.registers}")
+    return _pairs(bra.shape, ket.shape)
+
+
 def norm_sq(state: PhotonicState) -> float:
-    return state._norm_sq
+    """``inner_product(state, state).real``, bit for bit, computed once per state (frozen,
+    with an immutable column)."""
+    cells = vars(state)
+    if "_norm_sq" not in cells:
+        cells["_norm_sq"] = state.shape.norm_sq(state)
+    return cells["_norm_sq"]
 
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
@@ -722,21 +724,25 @@ def normalized(state: PhotonicState) -> PhotonicState:
 
 def fidelity(state: PhotonicState, target: PhotonicState) -> float:
     """|<target|state>|^2 for normalized views of both arguments."""
-    return _run(_fidelity, state, target, _pairs(target.shape, state.shape), _norms_of(state),
-                _norms_of(target))
+    return _run(_fidelity, state, target, _paired(target, state))
 
 
-def _fidelity(state, target, pairs, norms_state, norms_target, traced=False) -> float:
-    """:func:`fidelity` by the plans of its shapes: ``pairs`` of target and state (if
-    ``traced``, :func:`traced_fidelity`'s plan of the two) and each one's norm plan."""
-    denom = _norm(state, norms_state) * _norm(target, norms_target)
+def _fidelity(state, target, pairs, traced=False) -> float:
+    """:func:`fidelity` of two states' :func:`_parts` by the pair plan ``pairs`` of target and
+    state (if ``traced``, :func:`traced_fidelity`'s plan of the two)."""
+    (column, _, n2), (target_column, _, n2_target) = state, target
+    denom = n2 * n2_target
     if denom <= 0.0:
         raise InvalidInput("fidelity of a zero state is undefined")
+    kernel, consts = pairs
     if traced:
-        val = pairs[0](state.amplitudes, target.amplitudes, pairs[1]).real / denom
+        val = kernel(column, target_column, consts).real / denom
     else:
-        val = abs(_inner(target, state, pairs)) ** 2 / denom
+        val = abs(kernel(target_column, column, consts)) ** 2 / denom
     return min(max(val, 0.0), 1.0)
+
+
+_fidelity.reads = True  # _run hands it each state's parts
 
 
 def _traced_plan(shape: Shape, target: Shape):
@@ -773,7 +779,7 @@ def traced_fidelity(state: PhotonicState, target: PhotonicState) -> float:
         return fidelity(state, target)
     shapes = state.shape, target.shape
     traced = _recall(shapes, "traced", lambda: _traced_plan(*shapes))
-    return _run(_fidelity, state, target, traced, _norms_of(state), _norms_of(target), True)
+    return _run(_fidelity, state, target, traced, True)
 
 
 def amplitude_of(state: PhotonicState, occupations: Mapping[Mode, int]) -> complex:

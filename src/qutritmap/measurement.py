@@ -29,14 +29,13 @@ from .fock import (
     PhotonicState,
     WiringError,
     _Site,
-    _columns,
     _fidelity,
     _kernel,
     _merge_plan,
-    _norms_of,
-    _pairs,
+    _paired,
     _photons,
     _recall,
+    _reweighted,
     _run,
     _segment,
     _site,
@@ -93,11 +92,12 @@ class BranchDistribution:
 def _norm_in(state: PhotonicState, action: str) -> float:
     """Squared norm of a state about to be measured; refuses a zero state and a norm
     that is not finite (a NaN passes every comparison with a bound)."""
-    return _run(_measurable, state, _norms_of(state), action)
+    return _run(_measurable, state, action)
 
 
-def _measurable(n2: float, norms, action: str) -> float:
-    """:func:`_norm_in` of a state of squared norm ``n2`` (by its shape's norm plan ``norms``)."""
+def _measurable(state, action: str) -> float:
+    """:func:`_norm_in` of a state's parts: its squared norm, checked."""
+    n2 = state[2]
     if n2 <= PROB_EPS:
         raise InvalidInput(f"cannot {action} a zero state")
     if not n2 < math.inf:
@@ -185,25 +185,21 @@ def _stripped(state: PhotonicState, site: _Site) -> PhotonicState:
     factored, stripped = _step(state, pivots[h], entries, pivot)
     if not factored:
         raise WiringError("watched modes are entangled with the rest; cannot strip")
-    return scaled(stripped, _run(_rescale, stripped, state, _norms_of(stripped), _norms_of(state)))
+    return scaled(stripped, _run(_rescale, stripped, state))
 
 
-def _split(amplitudes, kernel):
-    """A strip's split ``kernel`` on a state's ``amplitudes``: its heaviest row, entries, pivot."""
-    entries, pivot, h = kernel(amplitudes, 1e-9, 1.0)  # the rank-1 tolerance factors
+def _split(state, kernel):
+    """A strip's split ``kernel`` on a state's parts: its heaviest row, entries, pivot."""
+    entries, pivot, h = kernel(state[0], 1e-9, 1.0)  # the rank-1 tolerance factors
     return h, entries, pivot
 
 
-def _rescale(n2: float, n2_state: float, *norms) -> float:
-    """The factor that takes a stripped state's squared norm ``n2`` to its source's."""
+def _rescale(stripped, state) -> float:
+    """The factor that takes a stripped state's squared norm to its source's (their parts)."""
+    n2 = stripped[2]
     if n2 <= PROB_EPS:
         raise InvalidInput("stripped state vanished")
-    return (n2_state / n2) ** 0.5
-
-
-# what fock._run hands each in place of a state: its norm, by the norm plan at the position
-# given, or (None) its column
-_measurable.reads, _split.reads, _rescale.reads = ((0, 1),), ((0, None),), ((0, 2), (1, 3))
+    return (state[2] / n2) ** 0.5
 
 
 def _strip_plan(shape, watched: frozenset):
@@ -303,8 +299,9 @@ def merge_branches(
     if not live:
         raise InvalidInput("all branches have zero probability")
     first = live[0][1]
-    plans = [(_pairs(first.shape, s.shape), _norms_of(s)) for _, s in live[1:]]
-    return _run(_merged, tol, _norms_of(first), plans, *itertools.chain.from_iterable(live))
+    pairs = [_paired(first, s) for _, s in live[1:]]
+    total, born_weight, min_fid = _run(_merged, tol, pairs, *itertools.chain.from_iterable(live))
+    return total, _run(_reweighted, first, born_weight), min_fid
 
 
 def _alive(*ps) -> tuple[tuple[bool, ...]]:
@@ -312,24 +309,24 @@ def _alive(*ps) -> tuple[tuple[bool, ...]]:
     return (tuple(p > PROB_EPS for p in ps),)
 
 
-def _merged(tol: float, norms, plans, *live):
-    """:func:`merge_branches` of its live branches, ``p0, s0, p1, s1, ...``, by the norm
-    plan ``norms`` of the first's shape and, per later branch, ``plans``: the pair plan of
-    the first's shape and its own, and its norm plan."""
+def _merged(tol: float, pairs, *live):
+    """:func:`merge_branches` of its live branches, ``p0, s0, p1, s1, ...`` (each state's
+    parts), by ``pairs``, per later branch the pair plan of the first's shape and its own.
+    Returns P, the merged state's born weight and the minimum fidelity."""
     states = live[1::2]
     total = _summed(live[::2])
     first = states[0]
     min_fid = 1.0
-    for s, (pairs, norms_s) in zip(states[1:], plans):
-        f = _fidelity(s, first, pairs, norms_s, norms)
+    for s, plan in zip(states[1:], pairs):
+        f = _fidelity(s, first, plan)
         min_fid = min(min_fid, f)
         if f < 1.0 - tol:
             raise WiringError(f"branches disagree: fidelity {f} below 1 - {tol}")
-    born_weight = _summed(s.born_weight for s in states)
-    merged = _columns(first.registers, first.amplitudes, born_weight, first.shape)
-    if "_norm_sq" in vars(first):  # computed for the same terms
-        vars(merged)["_norm_sq"] = first._norm_sq
-    return total, merged, min_fid
+    return total, _summed(s[1] for s in states), min_fid
+
+
+# fock._run hands each its states' parts
+_measurable.reads = _split.reads = _rescale.reads = _merged.reads = True
 
 
 def erase_and_merge(

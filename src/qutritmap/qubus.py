@@ -196,14 +196,14 @@ def _measured(state, register: str, kind: str, table, *args) -> BranchDistributi
     return BranchDistribution(tuple(o for o in outcomes if o.probability > PROB_EPS))
 
 
-def _mixed(amplitudes, norm_in: float, kernel, consts):
+def _mixed(state, norm_in: float, kernel, consts):
     """Which mixed classes occur (p above PROB_EPS), then each one's p, from their kernel on a
-    state's ``amplitudes``."""
-    ps = kernel(amplitudes, norm_in, consts)
+    state's parts."""
+    ps = kernel(state[0], norm_in, consts)
     return (tuple(p > PROB_EPS for p in ps), *ps)
 
 
-_mixed.reads = ((0, None),)  # fock._run: the state's column
+_mixed.reads = True  # fock._run hands it the state's parts
 
 
 def _readout_table(shape, idx: int, mode: str):

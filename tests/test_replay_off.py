@@ -44,7 +44,9 @@ def scheme_calls():
         yield "u3-linear", lambda c, u, t=t: schemes.u3_biphotonic(c, u, "linear", t, t1=t)
     for ts in ((None, None, None), (0.6, 0.7, 0.5)):
         yield "linear-inverse", lambda c, u, ts=ts: schemes.scheme_linear_inverse(c, *ts)
-    for mode, alpha, theta in (("ideal", 2.0, 0.3), ("physical", 5.0, 0.1)):
+    # the smallest probes, and the widest merges the benchmark workloads run
+    for mode, alpha, theta in (("ideal", 2.0, 0.3), ("physical", 5.0, 0.1),
+                               ("ideal", 20.0, 0.3), ("physical", 40.0, 0.1)):
         kw = {"qubus_alpha": alpha, "theta": theta, "meas_mode": mode}
         for variant in ("double-xpm", "separate-qnd"):
             yield "kerr-forward", lambda c, u, v=variant, kw=kw: schemes.scheme_kerr_forward(

@@ -24,6 +24,7 @@ and its errors by type and message.
 import cmath
 import gc
 import math
+import re
 import weakref
 from unittest import mock
 
@@ -611,6 +612,27 @@ def test_every_tape_of_every_scheme_holds_two_shapes():
         assert not holds_shape(key[1], set()) and not holds_shape(value[0], set())
         assert not holds_shape(value[-1][0], set())  # the replay: all it holds is in consts
         assert shapes_in((key, value)) <= 2
+
+
+def test_a_replay_builds_states_only_for_its_output_and_its_state_values():
+    """A compiled replay keeps each step's and merge's state as its column locals: it calls
+    ``columns(`` for its output, in its return line, and otherwise only for a segment value
+    that is a state, which no line but the return line reads."""
+    fock._MEMO.clear()
+    runs = list(scheme_runs())
+    run_all(runs)
+    run_all(runs)  # each tape's first replay compiles it
+    assert len(compiled()) == len(tapes())
+    source_of = {id(value): key[1] for key, value in fock._MEMO.items()
+                 if key[0] is None and type(key[1]) is str}
+    for replay, _ in compiled():
+        *body, returned = source_of[id(replay)].splitlines()
+        assert returned.startswith("    return (") and returned.count("columns(") == 1
+        for k, line in enumerate(body):
+            if "columns(" in line:
+                name = re.fullmatch(r"    (v\d+) = columns\(.*\)", line)[1]
+                assert not any(re.search(rf"\b{name}\b", other)
+                               for other in body[:k] + body[k + 1:]), (name, line)
 
 
 # ---------------------------------------------------------------------------
