@@ -246,7 +246,7 @@ def _step(state, site, *values, registers=None, weight=1.0):
         output = _columns(registers, column, weight * float(state.born_weight) * p, out)
     if _tape is not None and id(state) in _tape.slot_of:
         args = kernel, weight, registers, state, *values, consts, PRUNE_EPS, PROB_EPS
-        _tape.join(_step, args, (mask, p, output), True)
+        _, p, output = _tape.join(_step, args, (mask, p, output), True)
     return p, output
 
 
@@ -287,11 +287,11 @@ class _Recording:
         Its results after its decision take the next slots (arity: their count, None for
         one result that is no tuple); where the decision is False (a step's cut, which
         fixes its p and empty state), they are constants of the tape.  Returns ``out``, each
-        float result that another entry gave (a cached norm, a literal 1.0) a fresh copy."""
+        float result a fresh copy: another entry may give the same object (a cached norm), or
+        a constant be it (a clamped fidelity's literal 1.0 is also the default step weight)."""
         cut, made = decided and out[0] is False, out[decided:] if type(out) is tuple else (out,)
-        if not cut and any(id(v) in self.slot_of for v in made):
-            made = tuple(struct.unpack("d", _bits(v))[0] if type(v) is float and id(v) in
-                         self.slot_of else v for v in made)
+        if not cut and float in map(type, made):
+            made = tuple(struct.unpack("d", _bits(v))[0] if type(v) is float else v for v in made)
             out = (*out[:decided], *made) if type(out) is tuple else made[0]
         arity = len(made) if type(out) is tuple else None
         kept, refs = self.specs(args)
@@ -418,7 +418,8 @@ def _compiled(entries, values, slot, shape, free):
             if decided:
                 lines += [f"    o = {call}", f"    if o[0] != {const(decision)}: return"]
                 target, call = "_, " + target, "o"
-            lines.append(f"    {(target or '_').rstrip()} = {call}")
+            if names or not decided:  # a call that returns only its decision is done
+                lines.append(f"    {(target or '_').rstrip()} = {call}")
             n += len(names)
             continue
         s = refs.pop(3, None)  # the input state: a slot, or a constant
@@ -437,7 +438,8 @@ def _compiled(entries, values, slot, shape, free):
                 lines += [f"    if m != {const(decision)}: return", f"    {c} = [{kept}]"]
             else:
                 lines.append("    if m: return")
-            lines.append(f"    b{n + 1} = {weight} * {born} * {p}")
+            one = type(args[1]) is float and args[1] == 1.0  # 1.0 * x is x
+            lines.append(f"    b{n + 1} = {'' if one else weight + ' * '}{born} * {p}")
             made[n], cols[n + 1] = p, (registers, c, f"b{n + 1}")
         n += 2
     returned = "({}), columns({}, {}{})".format("".join(x + ", " for x in filled(
@@ -453,12 +455,13 @@ def _kernel(lines: list[str], returned: str):
 
     def build():
         namespace = {"sqrt": math.sqrt, "exp": cmath.exp, "columns": _columns}
-        exec(compile(source, "<kernel>", "exec"), namespace)
+        exec(compile(source, f"<kernel {next(_COMPILED)}>", "exec"), namespace)
         return namespace["kernel"]
 
     return _recall(None, source, build)
 
 
+_COMPILED = itertools.count()  # numbers each source's file name, so profiles tell them apart
 _CHUNK = 256  # parts per expression: the compiler recurses once per operator
 
 
@@ -512,6 +515,7 @@ class Shape:
 
 
 _VOID = Shape((), b"")  # the empty state's shape, which outlives memo drops
+_EMPTY = _columns((), (), 1.0, _VOID)
 
 
 def _norms(shape: Shape):
@@ -529,8 +533,13 @@ def _norm_lines(keys, amps: list[str], lines: list[str], o: str = "o"):
         return "t.real", _pair_lines(keys, keys, amps, amps, lines, o)
     for k, (occ, a) in enumerate(zip(occs, amps)):
         lines += [f"    x = {a}", f"    t {'+=' if k else '='} "
-                  f"(x.real * x.real + x.imag * x.imag) * {_occ_norm(occ)}"]
+                  f"(x.real * x.real + x.imag * x.imag){_times(_occ_norm(occ))}"]
     return "t", None
+
+
+def _times(weight: int) -> str:
+    """`` * weight`` in a sum kernel's term, or nothing for 1 (it only flips signs of zeros)."""
+    return "" if weight == 1 else f" * {weight}"
 
 
 def _photons(occ: tuple, watched: frozenset) -> int:
@@ -579,11 +588,32 @@ def build_state(registers: Iterable[str], terms: Iterable[FockTerm],
     return _step(PhotonicState(regs, terms, born_weight), _MERGE)[1]
 
 
-def _built(key: tuple, occs, amplitudes) -> PhotonicState:
-    """``build_state((), terms)`` of register-free terms: ``occs()``, checked and interned
-    once per ``key``, carrying ``amplitudes``."""
-    shape = _recall(None, key, lambda: _interned(tuple((_capped(occ), ()) for occ in occs())))
-    return _step(_columns((), amplitudes, 1.0, shape), _MERGE)[1]
+def _built(key: tuple, *parts, source=None) -> PhotonicState:
+    """The register-free state of the terms :func:`_occupations` of ``key``, checked once per
+    key, of amplitudes complex(parts[2k], parts[2k + 1]) over the root of the occupation weight
+    where not 1: one step whose values are ``parts``, from ``source`` (a segment's value: it
+    joins the tape, its prune a guard; by default the empty state), whose column it ignores."""
+
+    def plan(_):
+        keys = [(_capped(occ), ()) for occ in _occupations(*key)]
+        amps = [f"complex(x{2 * k}, x{2 * k + 1})" + (f" / sqrt({w})" if w != 1 else "")
+                for k, w in enumerate(_occ_norm(occ) for occ, _ in keys)]
+        xs = "".join(f"x{k}, " for k in range(2 * len(keys)))
+        return _merge_plan(keys, amps, [f"def kernel(A, {xs}C, E, P):"])
+
+    return _step(source or _EMPTY, _site("built", key, plan), *parts, registers=())[1]
+
+
+def _occupations(kind: str, where) -> list:
+    """The occupations of the terms of the ``kind`` state on ``where``, in order."""
+    if kind == "biphotonic":
+        h, v = path_modes(where)
+        return [((h, 2),), ((h, 1), (v, 1)), ((v, 2),)]
+    if kind == "spatial":  # one photon per path, horizontally polarized
+        return [((path_modes(p)[0], 1),) for p in where]
+    if kind == "plus":
+        return [((mode, 1),) for mode in path_modes(where)]
+    return [((where, 1),)] if kind == "photon" else [()]
 
 
 def _group_lines(keys, parts, lines: list[str]):
@@ -670,7 +700,7 @@ def _pair_lines(bra, ket, bras: list[str], kets: list[str], lines: list[str], o:
     lines.append("    t = 0j")
     for (i, j), cell in zip(pairs, cells):
         slots = "".join(f" * {o}[{s}]" for s in combos[cell])
-        lines.append(f"    t += c{i} * {kets[j]} * {_occ_norm(bra[i][0])}{slots}")
+        lines.append(f"    t += c{i} * {kets[j]}{_times(_occ_norm(bra[i][0]))}{slots}")
     return overlaps
 
 
@@ -761,7 +791,7 @@ def _traced_plan(shape: Shape, target: Shape):
     lines = ["def kernel(A, T, G):"]
     for k, (i, targets, w) in enumerate(matched):
         summed = "".join(f" + T[{j}]" for j in targets)
-        lines.append(f"    w{k} = (0j{summed}).conjugate() * A[{i}] * {w}")
+        lines.append(f"    w{k} = (0j{summed}).conjugate() * A[{i}]{_times(w)}")
     lines += [f"    v{k} = w{k}.conjugate()" for k in range(n)] + ["    t = 0j"]
     lines += [f"    t += w{a} * v{b} * G[{a * n + b}]" for a in range(n) for b in range(n)]
     return _kernel(lines, "t"), tuple(products[c] for c in cells)
@@ -824,6 +854,11 @@ class QutritCoefficients:
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (complex(self.alpha), complex(self.beta), complex(self.gamma))
 
+    def parts(self) -> list[float]:
+        """The real and imaginary parts of the coefficients, in order."""
+        a, b, g = self.as_tuple()
+        return [a.real, a.imag, b.real, b.imag, g.real, g.imag]
+
 
 def _squares(alpha: complex, beta: complex, gamma: complex) -> float:
     """|alpha|^2 + |beta|^2 + |gamma|^2 of the coefficients as Python complex (so numpy
@@ -849,33 +884,29 @@ def make_biphotonic_qutrit(coeffs: QutritCoefficients, path: str = "in") -> Phot
     The double-occupation levels carry 1/sqrt(2) so that the monomial norm
     (2! per doubly occupied slot) works out to |alpha|^2+|beta|^2+|gamma|^2.
     """
-    h, v = path_modes(path)
-    a, b, g = coeffs.as_tuple()
-    return _built(("biphotonic", path), lambda: (((h, 2),), ((h, 1), (v, 1)), ((v, 2),)),
-                  [a / math.sqrt(2), b, g / math.sqrt(2)])
+    return _built(("biphotonic", path), *coeffs.parts())
 
 
 def make_spatial_qutrit(coeffs: QutritCoefficients, paths: tuple[str, str, str]) -> PhotonicState:
     """One photon spread over three paths, horizontally polarized."""
     if len(set(paths)) != 3:
         raise WiringError(f"spatial qutrit needs three distinct paths, got {paths}")
-    return _built(("spatial", tuple(paths)), lambda: [((path_modes(p)[0], 1),) for p in paths],
-                  list(coeffs.as_tuple()))
+    return _built(("spatial", tuple(paths)), *coeffs.parts())
 
 
 def single_photon(path: str, pol: str = H) -> PhotonicState:
     mode = path_modes(path)[POLS.index(pol)] if pol in POLS else Mode(path, pol)  # refuses
-    return _built(("photon", mode), lambda: [((mode, 1),)], [1 + 0j])
+    return _built(("photon", mode), 1.0, 0.0)
 
 
 def ancilla_plus(path: str) -> PhotonicState:
     """One photon in (|H> + |V>)/sqrt(2) on the given path."""
-    s = complex(1.0 / math.sqrt(2))
-    return _built(("plus", path), lambda: [((mode, 1),) for mode in path_modes(path)], [s, s])
+    s = 1.0 / math.sqrt(2)
+    return _built(("plus", path), s, 0.0, s, 0.0)
 
 
 def vacuum_state() -> PhotonicState:
-    return _built(("vacuum",), lambda: [()], [1 + 0j])
+    return _built(("vacuum", None), 1.0, 0.0)
 
 
 def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:

@@ -24,6 +24,7 @@ typed in as decimals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -42,6 +43,7 @@ from .fock import (
     QutritCoefficients,
     UnsupportedMode,
     WiringError,
+    _built,
     _merge_plan,
     _run,
     _segment,
@@ -58,6 +60,7 @@ from .fock import (
 )
 from .elements import (
     BeamSplitterSpec,
+    ReckDecomposition,
     apply_beam_splitter,
     apply_lomi,
     apply_phase_shift,
@@ -115,6 +118,8 @@ _PHASE_RESOLUTION = 1e-6
 # above this amplitude that error exceeds 1e-9 (alpha ~ 1500).
 _MAX_PROBE_ALPHA = math.sqrt(1e-9 / (2.0 * sys.float_info.epsilon))
 _ENTANGLER_PATHS = ("0", "1", "2")  # the entangler scheme's qutrit
+_SPATIAL = ("s0", "s1", "s2")  # the inverse maps' input qutrit
+_FORWARD_OUT, _KERR_OUT = ("6", "3", "7"), ("5", "6", "7")  # the forward maps' outputs
 
 
 @dataclass(frozen=True)
@@ -147,13 +152,18 @@ class SchemeReport:
         return math.prod(e.probability for e in self.branch_log)
 
 
-def _report(scheme: str, state, target, log, parameters, checks, output_fidelity=None):
-    """The :class:`SchemeReport` of ``scheme``'s output ``state``: ``checks`` gains its
-    born weight, and its fidelity, unless given, is its traced fidelity to ``target``."""
+def _report(scheme: str, state, output_fidelity, parameters, log, checks):
+    """The report of ``scheme``'s output ``state``; ``checks`` gains its born weight."""
     checks["output_born_weight"] = state.born_weight
-    if output_fidelity is None:
-        output_fidelity = traced_fidelity(state, target)
     return SchemeReport(scheme, output_fidelity, state, log, parameters, checks)
+
+
+def _targeted(run, kind, where, s, *args):
+    """``run(s, *params)``, a map returning ``(values, output)``, and the output's traced
+    fidelity to the ``kind`` qutrit on ``where`` of coefficients' parts the last six of
+    ``args``, built from ``s`` (:func:`fock._built`): ``((*values, fidelity), output)``."""
+    values, out = run(s, *args[:-6])
+    return (*values, traced_fidelity(out, _built((kind, where), *args[-6:], source=s))), out
 
 
 def _coeffs(c) -> QutritCoefficients:
@@ -249,17 +259,6 @@ def _linear_forward_premeasure(s: PhotonicState, t: float) -> PhotonicState:
     return s
 
 
-def _linear_forward_heralded(s: PhotonicState, t: float) -> PhotonicState:
-    """The forward map's segment: the network, the pi phase shifts on 6 and 7, the D1&D2
-    heralding coincidence and the QFT on the eraser inputs."""
-    s = apply_phase_shift(_linear_forward_premeasure(s, t), "6", math.pi)
-    s = apply_phase_shift(s, "7", math.pi)
-    p_herald, s = post_select_coincidence(s, _HERALD)
-    if p_herald == 0.0:
-        raise WiringError("heralding coincidence has zero probability")
-    return (p_herald,), apply_qft(s, ("P1", "P3", "P2"))
-
-
 _HERALD = ((path_modes("D1"), "click"), (path_modes("D2"), "click"))
 _FORWARD_KEEP = path_modes("6") + path_modes("3") + path_modes("7")
 _FORWARD_STRIP = path_modes("D1") + path_modes("D2")
@@ -290,28 +289,43 @@ def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
     order.  ``t`` is the first splitter's transmissivity; the default is the
     balanced working point.
     """
-    return _report("linear-forward", *_linear_forward(_coeffs(c), t))
+    c, t = _coeffs(c), _linear_forward_t(t)
+    (*values, fid), s = _segment("linear-forward", functools.partial(
+        _targeted, _linear_forward_run, "spatial", _FORWARD_OUT), make_biphotonic_qutrit(c, "in"),
+        t, free=c.parts())
+    return _report("linear-forward", s, fid, {"t": t, "t_squared": t * t},
+                   *_linear_forward_read(values))
 
 
-def _linear_forward(c: QutritCoefficients, t):
-    """:func:`scheme_linear_forward` up to its report, as :func:`_report` takes it."""
+def _linear_forward_t(t) -> float:
+    """The forward map's first transmissivity, checked; None is the working point."""
     t = math.sqrt(T2_LINEAR_FORWARD) if t is None else float(t)
     _check_unit_interval("t", t)
+    return t
 
-    (p_herald,), s = _segment("linear-forward", _linear_forward_heralded,
-                              make_biphotonic_qutrit(c, "in"), t)
+
+def _linear_forward_run(s, t):
+    """The forward map on its input ``s``: the network, the pi phase shifts on 6 and 7, the
+    D1&D2 heralding coincidence, the QFT on the eraser inputs and the eraser.  Its values are
+    the herald's P, the eraser's P and minimum branch fidelity, then its P per port."""
+    s = apply_phase_shift(_linear_forward_premeasure(s, t), "6", math.pi)
+    p_herald, s = post_select_coincidence(apply_phase_shift(s, "7", math.pi), _HERALD)
+    if p_herald == 0.0:
+        raise WiringError("heralding coincidence has zero probability")
     p_eraser, merged, min_fid, p_ports = erase_and_merge(
-        s, _FORWARD_ERASER_PORTS, _FORWARD_ERASER_RULE, keep=_FORWARD_KEEP, strip=_FORWARD_STRIP
-    )
+        apply_qft(s, ("P1", "P3", "P2")), _FORWARD_ERASER_PORTS, _FORWARD_ERASER_RULE,
+        keep=_FORWARD_KEEP, strip=_FORWARD_STRIP)
+    return (p_herald, p_eraser, min_fid, *p_ports.values()), merged
 
-    target = make_spatial_qutrit(c, ("6", "3", "7"))
-    log = (
-        BranchLogEntry("heralding-coincidence", "D1&D2", p_herald),
-        BranchLogEntry("which-path-eraser", "D3|D4|D5", p_eraser),
-    )
-    checks = {f"eraser_{k}_probability": p for k, p in p_ports.items()}
+
+def _linear_forward_read(values):
+    """The forward map's branch log and checks from the values of its run."""
+    p_herald, p_eraser, min_fid, *p_ports = values
+    log = (BranchLogEntry("heralding-coincidence", "D1&D2", p_herald),
+           BranchLogEntry("which-path-eraser", "D3|D4|D5", p_eraser))
+    checks = {f"eraser_{k}_probability": p for k, p in zip(_FORWARD_ERASER_PORTS, p_ports)}
     checks["eraser_min_branch_fidelity"] = min_fid
-    return merged, target, log, {"t": t, "t_squared": t * t}, checks
+    return log, checks
 
 
 # ---------------------------------------------------------------------------
@@ -354,43 +368,36 @@ _INVERSE_ERASER = {a: ((path_modes(a), "click"), (path_modes(b), "no-click"))
 _OUT1 = path_modes("out1")
 
 
-def _linear_inverse_branch(pre: PhotonicState, fired: str):
-    """One eraser outcome, as a segment from ``pre``: ``fired`` clicks, the other detector
+def _linear_inverse_branch(s: PhotonicState, fired: str):
+    """One eraser outcome of the network's output ``s``: ``fired`` clicks, the other detector
     does not, and two photons then bunch on path ``out``.  Returns ``(p_eraser, p_two,
     state)``; ``state`` is None when either probability is zero."""
-
-    def body(s):
-        p_eraser, s = post_select_coincidence(s, _INVERSE_ERASER[fired])
-        if p_eraser == 0.0:
-            return (0.0, 0.0), s
-        s = apply_beam_splitter(s, "4", "7", "out1", "out2", _FIFTY)
-        p_two, s = project_total_photons(s, _OUT1, 2)
-        if p_two == 0.0:
-            return (p_eraser, 0.0), s
-        s = strip_modes(s, _INVERSE_ERASER[fired][0][0])
-        return (p_eraser, p_two), relabel_paths(s, {"out1": "out"})
-
-    (p_eraser, p_two), s = _segment(("linear-inverse-eraser", fired), body, pre)
-    return p_eraser, p_two, s if p_two else None
+    p_eraser, s = post_select_coincidence(s, _INVERSE_ERASER[fired])
+    if p_eraser == 0.0:
+        return 0.0, 0.0, None
+    s = apply_beam_splitter(s, "4", "7", "out1", "out2", _FIFTY)
+    p_two, s = project_total_photons(s, _OUT1, 2)
+    if p_two == 0.0:
+        return p_eraser, 0.0, None
+    s = strip_modes(s, _INVERSE_ERASER[fired][0][0])
+    return p_eraser, p_two, relabel_paths(s, {"out1": "out"})
 
 
-def _linear_inverse_run(
-    state: PhotonicState,
-    paths: tuple[str, str, str],
-    t1: float,
-    t2: float,
-    t3: float,
-):
-    pre = _segment(("linear-inverse", paths), lambda s, *ts: ((), _linear_inverse_premeasure(
-        s, paths, *ts)), state, t1, t2, t3)[1]
-    p_eraser, p_two, s = _linear_inverse_branch(pre, "eD1")
-    if s is None:
+def _linear_inverse_run(s, t1: float, t2: float, t3: float, discarded: bool = False):
+    """The inverse map on its input ``s`` on the spatial paths: the network and the kept
+    eraser outcome.  Its values are that outcome's P and its P of two photons on ``out``,
+    then, if ``discarded``, the other outcome's two and its state (or None)."""
+    pre = _linear_inverse_premeasure(s, _SPATIAL, t1, t2, t3)
+    p_eraser, p_two, out = _linear_inverse_branch(pre, "eD1")
+    if out is None:
         raise InvalidInput("the heralded eraser outcome has zero probability")
-    log = (
-        BranchLogEntry("two-path-eraser", "D1&not-D2", p_eraser),
-        BranchLogEntry("output-coincidence", "2 photons on out", p_two),
-    )
-    return pre, log, s
+    return (p_eraser, p_two, *(_linear_inverse_branch(pre, "eD2") if discarded else ())), out
+
+
+def _linear_inverse_read(values):
+    """The inverse map's branch log, and no checks, from the values of its run."""
+    return (BranchLogEntry("two-path-eraser", "D1&not-D2", values[0]),
+            BranchLogEntry("output-coincidence", "2 photons on out", values[1])), {}
 
 
 def default_linear_inverse_params(
@@ -408,12 +415,8 @@ def default_linear_inverse_params(
     return {k: defaults[k] if v is None else float(v) for k, v in given.items()}
 
 
-def scheme_linear_inverse(
-    c,
-    t1: float | None = None,
-    t2: float | None = None,
-    t3: float | None = None,
-) -> SchemeReport:
+def scheme_linear_inverse(c, t1: float | None = None, t2: float | None = None,
+                          t3: float | None = None) -> SchemeReport:
     """Convert a spatial qutrit back to the two-photon polarization encoding.
 
     The spatial photon enters on paths s0/s1/s2 in coefficient order; the
@@ -427,18 +430,24 @@ def scheme_linear_inverse(
     for name, val in params.items():
         _check_unit_interval(name, val)
 
-    paths = ("s0", "s1", "s2")
-    state = make_spatial_qutrit(c, paths)
-    pre, log, s = _linear_inverse_run(state, paths, **params)
-    target = make_biphotonic_qutrit(c, "out")
-
-    p_d2, q_d2, s_d2 = _linear_inverse_branch(pre, "eD2")
-    checks = {}
+    (*values, p_d2, q_d2, fid_d2, fid), s = _segment(
+        "linear-inverse", _linear_inverse_checked, make_spatial_qutrit(c, _SPATIAL),
+        *params.values(), free=c.parts())
+    log, checks = _linear_inverse_read(values)
     if p_d2 > 0.0:
         checks["discarded_d2_probability"] = p_d2 * q_d2
-    if s_d2 is not None:
-        checks["discarded_d2_fidelity"] = fidelity(s_d2, target)
-    return _report("linear-inverse", s, target, log, params, checks)
+    if fid_d2 is not None:
+        checks["discarded_d2_fidelity"] = fid_d2
+    return _report("linear-inverse", s, fid, params, log, checks)
+
+
+def _linear_inverse_checked(s, t1, t2, t3, *parts):
+    """scheme_linear_inverse's segment: :func:`_linear_inverse_run` with the discarded outcome,
+    whose fidelity to the target (None where it has no state) comes before the output's."""
+    target = _built(("biphotonic", "out"), *parts, source=s)
+    (*values, s_d2), out = _linear_inverse_run(s, t1, t2, t3, True)
+    return (*values, None if s_d2 is None else fidelity(s_d2, target),
+            traced_fidelity(out, target)), out
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +516,9 @@ _PAIR_ERASER_RULE = FeedForwardRule(
 )
 
 
-def scheme_kerr_forward(
-    c,
-    t: float | None = None,
-    variant: str = "double-xpm",
-    meas_mode: str = "ideal",
-    qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
-    theta: float = DEFAULT_THETA,
-) -> SchemeReport:
+def scheme_kerr_forward(c, t: float | None = None, variant: str = "double-xpm",
+                        meas_mode: str = "ideal", qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
+                        theta: float = DEFAULT_THETA) -> SchemeReport:
     """Convert a two-photon polarization qutrit to a spatial one via probes.
 
     ``variant`` selects how the unwanted components are heralded away:
@@ -530,25 +534,32 @@ def scheme_kerr_forward(
     mu = sqrt(2) alpha sin(theta); the output fidelity then falls below one
     by the leaked weight and improves as alpha theta grows.
     """
-    return _report("kerr-forward", *_kerr_forward(_coeffs(c), t, variant, meas_mode, qubus_alpha,
-                                                  theta))
+    c = _coeffs(c)
+    params = _kerr_forward_args(t, variant, meas_mode, qubus_alpha, theta)
+    (*values, fid), s = _segment(("kerr-forward", variant, meas_mode), functools.partial(
+        _targeted, lambda s, *ps: _kerr_forward_run(s, *ps, variant, meas_mode), "spatial",
+        _KERR_OUT), make_biphotonic_qutrit(c, "in"), *params, free=c.parts())
+    t, alpha, theta, _ = params
+    return _report("kerr-forward", s, fid, {"t": t, "t_squared": t * t, "qubus_alpha": alpha,
+                                            "theta": theta}, *_kerr_forward_read(values, variant))
 
 
-def _kerr_forward(c: QutritCoefficients, t, variant, meas_mode, qubus_alpha, theta):
-    """:func:`scheme_kerr_forward` up to its report, as :func:`_linear_forward`."""
+def _kerr_forward_args(t, variant, meas_mode, qubus_alpha, theta):
+    """The Kerr forward map's t, probe amplitude, cross-phase angle and merge tolerance."""
     t = T_KERR_FORWARD if t is None else float(t)
     _check_unit_interval("t", t)
     alpha, theta = _check_probe(qubus_alpha, theta)
     tol = _merge_tol(meas_mode)
     if variant not in ("separate-qnd", "double-xpm"):
         raise InvalidInput(f"unknown variant {variant!r}")
+    return t, alpha, theta, tol
 
-    checks: dict[str, float] = {}
-    (p_det, min_fid, *p_ports), merged = _segment(
-        ("kerr-forward", variant, meas_mode),
-        lambda s, *ps: _kerr_forward_run(s, *ps, variant, meas_mode),
-        make_biphotonic_qutrit(c, "in"), t, alpha, theta, tol)
+
+def _kerr_forward_read(values, variant="double-xpm"):
+    """The Kerr forward map's branch log and checks from the values of its run."""
+    p_det, min_fid, *p_ports = values
     p_ports, read = p_ports[:2], p_ports[2:]
+    checks: dict[str, float] = {}
     if variant == "separate-qnd":
         p_meas_log = tuple(BranchLogEntry(f"quadrature-{reg}", label, p) for reg, label, p
                            in zip(("probe-1", "probe-2"), read[::2], read[1::2]))
@@ -557,11 +568,7 @@ def _kerr_forward(c: QutritCoefficients, t, variant, meas_mode, qubus_alpha, the
         p_meas_log = (BranchLogEntry("probe-number", "n=0", read[0]),)
     checks.update({f"eraser_{k}_probability": p for k, p in zip(_PAIR_ERASER_PORTS, p_ports)})
     checks["eraser_min_branch_fidelity"] = min_fid
-
-    target = make_spatial_qutrit(c, ("5", "6", "7"))
-    log = p_meas_log + (BranchLogEntry("pair-eraser", "dp|dm", p_det),)
-    return merged, target, log, {"t": t, "t_squared": t * t, "qubus_alpha": alpha,
-                                 "theta": theta}, checks
+    return p_meas_log + (BranchLogEntry("pair-eraser", "dp|dm", p_det),), checks
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +687,8 @@ def scheme_entangler(
         mean_fid += p * f
     checks["merge_min_fidelity"] = min_fid
     log = (BranchLogEntry("probe-number", "all n merged", p_all),)
-    return _report("entangler", merged, None, log, {"qubus_alpha": alpha, "theta": theta}, checks,
-                   mean_fid / p_all)
+    return _report("entangler", merged, mean_fid / p_all, {"qubus_alpha": alpha, "theta": theta},
+                   log, checks)
 
 
 def _entangler_run(s, alpha, theta, flips, pattern, meas_mode):
@@ -795,17 +802,9 @@ def _kerr_inverse_blocks(s, alpha, theta, tol, paths, meas_mode):
     return (*values, *erased, *rebalanced), s
 
 
-def _kerr_inverse_run(
-    state: PhotonicState,
-    paths: tuple[str, str, str],
-    alpha: float,
-    theta: float,
-    meas_mode: str,
-):
-    tol = _merge_tol(meas_mode)
-    (p1, fid1, p2, fid2, p_eraser, fid_eraser, *ps), s = _segment(
-        ("kerr-inverse", paths, meas_mode),
-        lambda s, *ps: _kerr_inverse_blocks(s, *ps, paths, meas_mode), state, alpha, theta, tol)
+def _kerr_inverse_read(values):
+    """The Kerr inverse map's branch log and checks from the values of its run."""
+    p1, fid1, p2, fid2, p_eraser, fid_eraser, *ps = values
     ps, (p_tap, p_bunch, fid_bunch, *ps_bunch) = ps[:4], ps[4:]
     checks = {"entangler1_merge_fidelity": fid1, "entangler2_merge_fidelity": fid2}
     checks.update({f"eraser_{k}_probability": p for k, p in zip(_PATH_ERASER_PORTS, ps)})
@@ -818,15 +817,11 @@ def _kerr_inverse_run(
         ("entangler-1", "all n merged", p1), ("entangler-2", "all n merged", p2),
         ("path-eraser", "5|6|7|8", p_eraser), ("rebalance-taps", "vacuum", p_tap),
         ("bunched-merge", "m1|m2", p_bunch)))
-    return log, s, checks
+    return log, checks
 
 
-def scheme_kerr_inverse(
-    c,
-    qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
-    theta: float = DEFAULT_THETA,
-    meas_mode: str = "ideal",
-) -> SchemeReport:
+def scheme_kerr_inverse(c, qubus_alpha: float = DEFAULT_QUBUS_ALPHA, theta: float = DEFAULT_THETA,
+                        meas_mode: str = "ideal") -> SchemeReport:
     """Convert a spatial qutrit to the two-photon encoding via two
     entangling blocks.
 
@@ -837,29 +832,22 @@ def scheme_kerr_inverse(
     """
     c = _coeffs(c)
     alpha, theta = _check_merge_probe(qubus_alpha, theta)
-    paths = ("s0", "s1", "s2")
-    state = make_spatial_qutrit(c, paths)
-    log, s, checks = _kerr_inverse_run(state, paths, alpha, theta, meas_mode)
-    target = make_biphotonic_qutrit(c, "out")
-    return _report("kerr-inverse", s, target, log, {"qubus_alpha": alpha, "theta": theta}, checks)
+    (*values, fid), s = _segment(("kerr-inverse", meas_mode), functools.partial(
+        _targeted, lambda s, *ps: _kerr_inverse_blocks(s, *ps, _SPATIAL, meas_mode), "biphotonic",
+        "out"), make_spatial_qutrit(c, _SPATIAL), alpha, theta, _merge_tol(meas_mode),
+        free=c.parts())
+    return _report("kerr-inverse", s, fid, {"qubus_alpha": alpha, "theta": theta},
+                   *_kerr_inverse_read(values))
 
 
 # ---------------------------------------------------------------------------
 # arbitrary unitary on the two-photon encoding
 
 
-def u3_biphotonic(
-    c,
-    u,
-    backend: str = "linear",
-    t: float | None = None,
-    t1: float | None = None,
-    t2: float | None = None,
-    t3: float | None = None,
-    qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
-    theta: float = DEFAULT_THETA,
-    meas_mode: str = "ideal",
-) -> SchemeReport:
+def u3_biphotonic(c, u, backend: str = "linear", t: float | None = None, t1: float | None = None,
+                  t2: float | None = None, t3: float | None = None,
+                  qubus_alpha: float = DEFAULT_QUBUS_ALPHA, theta: float = DEFAULT_THETA,
+                  meas_mode: str = "ideal") -> SchemeReport:
     """Apply a 3x3 unitary to a two-photon qutrit by round-tripping through
     the spatial encoding.
 
@@ -874,33 +862,43 @@ def u3_biphotonic(
     if u.shape != (3, 3):
         raise InvalidInput(f"expected a 3x3 matrix, got shape {u.shape}")
     mesh = reck_decompose(u)  # checks that u is unitary before any optics run
-    spatial = ("s0", "s1", "s2")
     if backend == "linear":
-        fwd, outputs = _linear_forward(c, t), ("6", "3", "7")
-        params = default_linear_inverse_params(t1, t2, t3)
-
-        def inverse(s):  # its log and output, and no checks, as _kerr_inverse_run's
-            return (*_linear_inverse_run(s, spatial, **params)[1:], {})
+        keyed, params = (_linear_forward_t(t),), default_linear_inverse_params(t1, t2, t3)
+        keyed += tuple(params.values())
+        forward = lambda s, t, *_: _linear_forward_run(s, t)  # noqa: E731
+        inverse, outputs = _linear_inverse_run, _FORWARD_OUT
+        reads = _linear_forward_read, _linear_inverse_read
     elif backend == "kerr":
         alpha, theta = _check_merge_probe(qubus_alpha, theta)
-        fwd = _kerr_forward(c, t, "double-xpm", meas_mode, alpha, theta)
-        outputs, params = ("5", "6", "7"), {"qubus_alpha": alpha, "theta": theta}
-
-        def inverse(s):
-            return _kerr_inverse_run(s, spatial, alpha, theta, meas_mode)
+        keyed = _kerr_forward_args(t, "double-xpm", meas_mode, alpha, theta)
+        params = {"qubus_alpha": alpha, "theta": theta}
+        forward = lambda s, *ps: _kerr_forward_run(s, *ps, "double-xpm", meas_mode)  # noqa: E731
+        inverse = lambda s, *ps: _kerr_inverse_blocks(s, *ps, _SPATIAL, meas_mode)  # noqa: E731
+        outputs, reads = _KERR_OUT, (_kerr_forward_read, _kerr_inverse_read)
     else:
         raise InvalidInput(f"unknown backend {backend!r}")
+    n, pairs = len(keyed), tuple((p, q) for p, q, _, _ in mesh.rotations)
 
-    s, target, fwd_log, fwd_params, fwd_checks = fwd  # the forward map's, with no report
-    fwd_checks.update(output_born_weight=s.born_weight, fidelity=traced_fidelity(s, target))
-    checks = {f"forward_{k}": v for k, v in fwd_checks.items()}
-    s = relabel_paths(s, dict(zip(outputs, spatial)))
-    inv_log, s, inv_checks = inverse(apply_lomi(s, mesh, spatial))
-    checks.update({f"inverse_{k}": v for k, v in inv_checks.items()})
-    vec = u @ np.array(c.as_tuple())
-    target = make_biphotonic_qutrit(QutritCoefficients.normalize(*vec), "out")
-    return _report(f"u3-{backend}", s, target, fwd_log + inv_log,
-                   {"t": fwd_params["t"], **params}, checks)
+    def run(s, *args):  # the keyed parameters, c's parts, the target's and the mesh angles
+        (*fwd, fid), out = _targeted(forward, "spatial", outputs, s, *args[:n + 6])
+        s, angles = relabel_paths(out, dict(zip(outputs, _SPATIAL))), args[n + 12:]
+        rotations = tuple((*pq, a, b) for pq, a, b in zip(pairs, angles[::2], angles[1::2]))
+        s = apply_lomi(s, ReckDecomposition(rotations, angles[2 * len(pairs):]), _SPATIAL)
+        inverted, s = _targeted(inverse, "biphotonic", "out", s, *args[1:n], *args[n + 6:n + 12])
+        return (len(fwd), *fwd, out, fid, *inverted), s  # the forward map's state: its weight
+
+    aim = QutritCoefficients.normalize(*(u @ np.array(c.as_tuple())))
+    angles = [x for *_, a, b in mesh.rotations for x in (a, b)] + list(mesh.phases)
+    wiring = pairs, tuple(phi == 0.0 for phi in mesh.phases)  # which are left out
+    (k, *values), s = _segment((f"u3-{backend}", meas_mode, wiring), run,
+                               make_biphotonic_qutrit(c, "in"), *keyed,
+                               free=(*c.parts(), *aim.parts(), *angles))
+    (out, fwd_fid, *inverted, fid), (log, fwd_checks) = values[k:], reads[0](values[:k])
+    fwd_checks.update(output_born_weight=out.born_weight, fidelity=fwd_fid)
+    checks = {f"forward_{key}": v for key, v in fwd_checks.items()}
+    inv_log, inv_checks = reads[1](inverted)
+    checks.update({f"inverse_{key}": v for key, v in inv_checks.items()})
+    return _report(f"u3-{backend}", s, fid, {"t": keyed[0], **params}, log + inv_log, checks)
 
 
 def _u3_linear(c, u, t=None, t1=None, t2=None, t3=None) -> SchemeReport:

@@ -11,7 +11,9 @@ single photons, whose occupation weight is 1.
 
 import ast
 import collections
+import cProfile
 import math
+import pstats
 from unittest import mock
 
 import numpy as np
@@ -179,6 +181,33 @@ def test_kernel_sources_hold_integers_only():
             if isinstance(node, ast.Constant):
                 # integer indices and weights, and the 0j a pair sum starts from
                 assert type(node.value) is int or (type(node.value) is complex and node.value == 0j)
+
+
+# the headers of norm, pair and traced-fidelity kernels, which sum their terms from 0 or 0j
+SUMS = ("def kernel(A, o):", "def kernel(b, a, o):", "def kernel(A, T, G):")
+
+
+def test_sum_kernels_leave_out_weights_of_one():
+    fock._MEMO.clear()
+    sources = compiled_sources(lambda: [report_bits(name, 4, **params) for name, params in RUNS])
+    sums = [source for source in sources if source.startswith(SUMS)]
+    assert {source.split("\n")[0] for source in sums} == set(SUMS)
+    for source in sums:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                assert not any(isinstance(side, ast.Constant) and side.value == 1
+                               for side in (node.left, node.right)), source
+
+
+def test_a_profile_tells_kernels_apart():
+    """Each source compiles under a file name of its own, so a profile keeps one entry per
+    kernel and replay instead of merging them into one."""
+    for _ in range(2):  # record, then compile each tape
+        report_bits("kerr-forward", 0)
+    profile = cProfile.Profile()
+    profile.runcall(report_bits, "kerr-forward", 0)
+    kernels = [key for key in pstats.Stats(profile).stats if key[2] == "kernel"]
+    assert len(kernels) > 1 and len({filename for filename, _, _ in kernels}) == len(kernels)
 
 
 def test_shapes_of_one_structure_share_a_kernel():

@@ -44,6 +44,7 @@ from qutritmap.elements import (
 from qutritmap.fock import (
     FockTerm,
     InvalidInput,
+    UnsupportedMode,
     Mode,
     QutritCoefficients,
     build_state,
@@ -118,14 +119,14 @@ def report_hex(report):
 
 
 def segment_hex(result):
-    """A segment's ``(ps, state)``, or a linear-inverse run's ``(pre, log, state)``."""
+    """A segment's ``(values, state)`` as comparable values; anything else as it is."""
     if isinstance(result, tuple) and isinstance(result[-1], fock.PhotonicState):
         return [bits(x) if isinstance(x, fock.PhotonicState) else repr(x) for x in result]
     return result
 
 
 def forward_segment(state, t=T_FORWARD):
-    return fock._segment("linear-forward", schemes._linear_forward_heralded, state, t)
+    return fock._segment("linear-forward", schemes._linear_forward_run, state, t)
 
 
 part = st.one_of(st.just(0.0), st.floats(0.01, 10.0), st.floats(-10.0, -0.01))
@@ -167,8 +168,8 @@ def test_segments_on_scaled_states_replay_the_step_path(c, k, t, ts):
     """Unnormalized inputs: the measured norms and prunes move with the scale."""
     runs = (
         lambda c: forward_segment(scaled(make_biphotonic_qutrit(c, "in"), k), t),
-        lambda c: schemes._linear_inverse_run(scaled(make_spatial_qutrit(c, PATHS), k),
-                                              PATHS, *ts),
+        lambda c: fock._segment("linear-inverse", schemes._linear_inverse_run,
+                                scaled(make_spatial_qutrit(c, PATHS), k), *ts),
     )
     for run in runs:
         expected, _ = step_path(lambda: run(c))
@@ -290,6 +291,8 @@ def hexed(value):
     """``value`` with every float by ``float.hex`` and every state by its bits."""
     if isinstance(value, fock.PhotonicState):
         return bits(value)
+    if isinstance(value, schemes.SchemeReport):
+        return report_hex(value)
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, (tuple, list)):
@@ -487,6 +490,22 @@ def test_a_correlated_register_drop_in_physical_mode_replays_the_step_path():
     assert not tapes()
 
 
+def test_a_fidelity_clamped_to_one_is_a_value_of_the_tape():
+    """A fidelity above 1 by rounding returns fock's literal 1.0, which is also every step's
+    default weight: the recording copies the result, so the step after it keeps weight 1
+    where a replay's fidelity is below 1."""
+    target = pair(0.7 * 0.27, 0.7 * 0.27)
+
+    def body(s):
+        return (fock.fidelity(s, target),), apply_phase_shift(s, "a", 0.5)
+
+    def run(x, y):
+        return lambda: fock._segment("clamped", body, pair(x, y))
+
+    assert step_path(run(0.27, 0.27))[0][0] == (1.0,)
+    check(run(0.27, 0.27), run(0.6, 0.8), [True])
+
+
 def nested(state):
     """An outer segment around an eraser's: a phase on o, then the eraser."""
     total, merged, fid, ps = eraser(apply_phase_shift(state, "o", 0.25))
@@ -586,8 +605,7 @@ def test_segment_sites_hold_no_shape_and_tapes_two_shapes():
     schemes.u3_biphotonic(c, haar_unitary(np.random.default_rng(5)), "linear")
     schemes.scheme_linear_inverse(c)
     found = tapes()
-    # linear-forward, its eraser, the mesh, linear-inverse's network and its two outcomes
-    assert len(found) == 6
+    assert len(found) == 2  # one per scheme: the inner segments joined their tapes
     for key, value in found:
         assert not holds_shape(key[1], set())
         assert shapes_in((key, value)) <= 2
@@ -607,7 +625,7 @@ def test_every_tape_of_every_scheme_holds_two_shapes():
     run_all(runs)  # each tape's first replay compiles it
     assert len(tapes()) >= 12 and len(compiled()) == len(tapes())
     kinds = {name[0] for name in segment_names() if type(name) is tuple}
-    assert {"entangler", "mesh", "kerr-inverse"} <= kinds
+    assert {"entangler", "kerr-inverse", "u3-linear", "u3-kerr"} <= kinds
     for key, value in tapes():
         assert not holds_shape(key[1], set()) and not holds_shape(value[0], set())
         assert not holds_shape(value[-1][0], set())  # the replay: all it holds is in consts
@@ -736,3 +754,48 @@ def test_off_working_point_t_and_the_entangler_replay_the_step_path(c, t, seed):
         if isinstance(expected, schemes.SchemeReport):
             expected, got = report_hex(expected), report_hex(got)
         assert got == expected, name
+
+
+# ---------------------------------------------------------------------------
+# scheme tapes: one tape per scheme call, from its input to its report values
+
+
+def test_every_warmed_scheme_call_replays_exactly_one_tape():
+    runs = list(scheme_runs())
+    run_all(runs)
+    run_all(runs)
+    for name, run in runs:
+        got, tries = tracked(run)
+        assert tries == [True] or got[0] is UnsupportedMode, name
+
+
+def u3(c, u, backend):
+    return lambda: schemes.u3_biphotonic(c, u, backend)
+
+
+def test_one_u3_tape_per_wiring_replays_haar_unitaries_bit_for_bit():
+    """The mesh angles and both targets' coefficients are free parameters of the gate's one
+    tape, so a second unitary of the wiring replays it; another wiring keys another tape."""
+    rng = np.random.default_rng(29)
+    c = QutritCoefficients.normalize(0.6, 0.3j, -0.5)
+    for backend in ("linear", "kerr"):
+        warm, run = haar_unitary(rng), haar_unitary(rng)
+        check(u3(c, warm, backend), u3(c, run, backend), [True])
+        assert len(tapes()) == 1
+        skipped = near_block(1e-15)  # two rotations skipped: another wiring
+        check(u3(c, warm, backend), u3(c, skipped, backend), [])
+        assert len(tapes()) == 2
+        check(u3(c, near_block(1e-16), backend), u3(c, skipped, backend), [True])
+        check(u3(c, warm, backend), u3(c, np.diag([1.0, -1.0, 1j]), backend), [])  # phase 0
+
+
+def test_a_u3_target_with_a_zero_coefficient_replays_the_step_path():
+    """The target is built in the tape, so its prune is a guard."""
+    perm = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
+    zero = QutritCoefficients.normalize(0.6, 0.8j, 0)  # the target is (0.8j, 0, 0.6)
+    rotation = np.array([[1, -1, 0], [1, 1, 0], [0, 0, math.sqrt(2)]]) / math.sqrt(2)
+    cancel = QutritCoefficients.normalize(0.5, 0.5, 0.7)  # the target's first is 0
+    for backend in ("linear", "kerr"):
+        check(u3(twin(zero), perm, backend), u3(zero, perm, backend), [True])
+        warm = QutritCoefficients.normalize(0.5, 0.3, 0.7)  # a target with no zero
+        check(u3(warm, rotation, backend), u3(cancel, rotation, backend), [False])

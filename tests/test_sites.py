@@ -82,7 +82,7 @@ def test_warmed_runs_key_plans_by_sites():
             op = key[1]
             assert isinstance(op, (fock._Site, str)), op
             kinds.add(op.kind if isinstance(op, fock._Site) else op)
-    assert {"merge", "paths", "pbs", "sigma_x", "shift", "tensor", "kept", "strip",
+    assert {"built", "paths", "pbs", "sigma_x", "shift", "tensor", "kept", "strip",
             "rank1", "readout", "quadrature", "drop", "reference", "probes", "norm"} <= kinds
 
     sites = sites_in(list(fock._MEMO.items()), {})
