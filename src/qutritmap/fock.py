@@ -516,6 +516,7 @@ class Shape:
 
 _VOID = Shape((), b"")  # the empty state's shape, which outlives memo drops
 _EMPTY = _columns((), (), 1.0, _VOID)
+_SOURCE = _columns((), (), 1.0, _VOID)  # a segment's input that builds its own (_built uses _EMPTY)
 
 
 def _norms(shape: Shape):
@@ -832,9 +833,7 @@ class QutritCoefficients:
     gamma: complex
 
     def __post_init__(self):
-        n = _squares(self.alpha, self.beta, self.gamma)
-        if abs(n - 1.0) > NORM_EPS:
-            raise InvalidInput(f"coefficients are not normalized: |c|^2 = {n}")
+        _unit((self.alpha, self.beta, self.gamma))
 
     @classmethod
     def normalize(cls, alpha: complex, beta: complex, gamma: complex) -> "QutritCoefficients":
@@ -858,6 +857,18 @@ class QutritCoefficients:
         """The real and imaginary parts of the coefficients, in order."""
         a, b, g = self.as_tuple()
         return [a.real, a.imag, b.real, b.imag, g.real, g.imag]
+
+
+def _unit(c) -> tuple[complex, complex, complex]:
+    """``c``, three numbers, as Python complex, refused as QutritCoefficients refuses them."""
+    try:
+        alpha, beta, gamma = c
+        n = _squares(alpha, beta, gamma)
+    except (TypeError, ValueError, OverflowError):  # no three numbers
+        raise InvalidInput(f"expected three complex coefficients, got {c!r}") from None
+    if abs(n - 1.0) > NORM_EPS:
+        raise InvalidInput(f"coefficients are not normalized: |c|^2 = {n}")
+    return complex(alpha), complex(beta), complex(gamma)
 
 
 def _squares(alpha: complex, beta: complex, gamma: complex) -> float:

@@ -25,7 +25,6 @@ typed in as decimals.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import sys
@@ -36,6 +35,7 @@ import numpy as np
 
 from .fock import (
     H,
+    PRUNE_EPS,
     V,
     InvalidInput,
     Mode,
@@ -43,16 +43,16 @@ from .fock import (
     QutritCoefficients,
     UnsupportedMode,
     WiringError,
+    _SOURCE,
     _built,
     _merge_plan,
     _run,
     _segment,
     _site,
     _step,
+    _unit,
     ancilla_plus,
     fidelity,
-    make_biphotonic_qutrit,
-    make_spatial_qutrit,
     relabel_paths,
     single_photon,
     tensor,
@@ -120,6 +120,11 @@ _MAX_PROBE_ALPHA = math.sqrt(1e-9 / (2.0 * sys.float_info.epsilon))
 _ENTANGLER_PATHS = ("0", "1", "2")  # the entangler scheme's qutrit
 _SPATIAL = ("s0", "s1", "s2")  # the inverse maps' input qutrit
 _FORWARD_OUT, _KERR_OUT = ("6", "3", "7"), ("5", "6", "7")  # the forward maps' outputs
+# fock._built keys: the maps' two-photon input and output, and the inverse maps' input
+_IN, _OUT_PAIR, _SPATIAL_IN = ("biphotonic", "in"), ("biphotonic", "out"), ("spatial", _SPATIAL)
+# A segment body or map with its configuration bound, built once per configuration; callers
+# check the configuration first, so the cache holds only the few valid ones.
+_bound = functools.cache(functools.partial)
 
 
 @dataclass(frozen=True)
@@ -152,24 +157,33 @@ class SchemeReport:
         return math.prod(e.probability for e in self.branch_log)
 
 
-def _report(scheme: str, state, output_fidelity, parameters, log, checks):
-    """The report of ``scheme``'s output ``state``; ``checks`` gains its born weight."""
+def _report(scheme: str, state, output_fidelity, parameters, template, ps, values):
+    """The report of ``scheme``'s output ``state``: ``template``, its log's (step, outcome) pairs
+    and its check keys, filled with ``ps`` and ``values``, the checks ended by the born weight."""
+    checks = dict(zip(template[1], values))
     checks["output_born_weight"] = state.born_weight
+    log = tuple([BranchLogEntry(step, outcome, p) for (step, outcome), p in zip(template[0], ps)])
     return SchemeReport(scheme, output_fidelity, state, log, parameters, checks)
 
 
-def _targeted(run, kind, where, s, *args):
+def _targeted(run, target, source, s, *args):
     """``run(s, *params)``, a map returning ``(values, output)``, and the output's traced
-    fidelity to the ``kind`` qutrit on ``where`` of coefficients' parts the last six of
-    ``args``, built from ``s`` (:func:`fock._built`): ``((*values, fidelity), output)``."""
+    fidelity to the ``target`` qutrit (a :func:`fock._built` key) of coefficients' parts the
+    last six of ``args``, built from ``s``: ``((*values, fidelity), output)``.  Given a key
+    ``source``, ``s`` is a segment's input (fock._SOURCE): the map runs on that qutrit."""
+    s = _built(source, *args[-6:], source=s) if source else s
     values, out = run(s, *args[:-6])
-    return (*values, traced_fidelity(out, _built((kind, where), *args[-6:], source=s))), out
+    return (*values, traced_fidelity(out, _built(target, *args[-6:], source=s))), out
 
 
-def _coeffs(c) -> QutritCoefficients:
-    if isinstance(c, QutritCoefficients):
-        return c
-    return QutritCoefficients(*c)
+def _coeffs(c, kind: str):
+    """The parts of ``c``, a QutritCoefficients or three coefficients it would take, and which
+    terms of the ``kind`` qutrit of them the prune of :func:`fock._built` keeps, worked out as
+    its kernel does: a segment that builds its input keys its tape by them."""
+    a, b, g = c.as_tuple() if isinstance(c, QutritCoefficients) else _unit(c)
+    r = math.sqrt(2.0) if kind == "biphotonic" else 1.0  # the root of 2! for HH and VV
+    return [a.real, a.imag, b.real, b.imag, g.real, g.imag], (
+        abs(a / r) > PRUNE_EPS, abs(b) > PRUNE_EPS, abs(g / r) > PRUNE_EPS)
 
 
 def _check_unit_interval(name: str, value: float):
@@ -179,29 +193,28 @@ def _check_unit_interval(name: str, value: float):
 
 def _check_probe(alpha, theta) -> tuple[float, float]:
     """Convert the probe amplitude and cross-phase angle to floats and check them."""
-    alpha, theta = float(alpha), float(theta)
+    try:
+        alpha, theta = float(alpha), float(theta)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"non-real qubus amplitude or angle: {alpha!r}, {theta!r}") from None
     if not 0.0 < alpha < math.inf:
         raise InvalidInput(f"qubus amplitude must be positive and finite, got {alpha!r}")
     if alpha > _MAX_PROBE_ALPHA:
-        raise InvalidInput(
-            f"qubus amplitude {alpha!r} exceeds {_MAX_PROBE_ALPHA:.0f}: coherent-state "
-            "overlaps would lose more than 1e-9 to rounding"
-        )
+        raise InvalidInput(f"qubus amplitude {alpha!r} exceeds {_MAX_PROBE_ALPHA:.0f}: "
+                           "coherent-state overlaps would lose more than 1e-9 to rounding")
     if not 0.0 < theta < math.inf:
         raise InvalidInput(f"cross-phase angle must be positive and finite, got {theta!r}")
     if alpha * (1.0 - math.cos(theta)) < _PHASE_RESOLUTION:
-        raise InvalidInput(
-            "qubus amplitude times (1 - cos theta) is too small to resolve "
-            "the probe outcome groups"
-        )
+        raise InvalidInput("qubus amplitude times (1 - cos theta) is too small to resolve "
+                           "the probe outcome groups")
     return alpha, theta
 
 
 def _check_merge_probe(alpha, theta) -> tuple[float, float]:
     """:func:`_check_probe`, and that the merge probe resolves 0, 1 and 2 photons on m1."""
     alpha, theta = _check_probe(alpha, theta)
-    centres = (alpha, alpha * math.cos(theta), alpha * math.cos(2.0 * theta))
-    if any(abs(a - b) < _PHASE_RESOLUTION for a, b in itertools.combinations(centres, 2)):
+    a, b, c = alpha, alpha * math.cos(theta), alpha * math.cos(2.0 * theta)  # the centres
+    if min(abs(a - b), abs(a - c), abs(b - c)) < _PHASE_RESOLUTION:
         raise InvalidInput("qubus amplitude cannot resolve the merge-probe groups")
     return alpha, theta
 
@@ -279,6 +292,8 @@ _FORWARD_ERASER_RULE = FeedForwardRule(
         ),
     }
 )
+_FORWARD_REPORT = ((("heralding-coincidence", "D1&D2"), ("which-path-eraser", "D3|D4|D5")), (
+    *(f"eraser_{k}_probability" for k in _FORWARD_ERASER_PORTS), "eraser_min_branch_fidelity"))
 
 
 def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
@@ -289,10 +304,9 @@ def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
     order.  ``t`` is the first splitter's transmissivity; the default is the
     balanced working point.
     """
-    c, t = _coeffs(c), _linear_forward_t(t)
-    (*values, fid), s = _segment("linear-forward", functools.partial(
-        _targeted, _linear_forward_run, "spatial", _FORWARD_OUT), make_biphotonic_qutrit(c, "in"),
-        t, free=c.parts())
+    (parts, kept), t = _coeffs(c, "biphotonic"), _linear_forward_t(t)
+    run = _bound(_targeted, _linear_forward_run, ("spatial", _FORWARD_OUT), _IN)
+    (*values, fid), s = _segment(("linear-forward", kept), run, _SOURCE, t, free=parts)
     return _report("linear-forward", s, fid, {"t": t, "t_squared": t * t},
                    *_linear_forward_read(values))
 
@@ -304,7 +318,7 @@ def _linear_forward_t(t) -> float:
     return t
 
 
-def _linear_forward_run(s, t):
+def _linear_forward_run(s, t, *_):  # in a u3 gate, the inverse map's parameters follow t
     """The forward map on its input ``s``: the network, the pi phase shifts on 6 and 7, the
     D1&D2 heralding coincidence, the QFT on the eraser inputs and the eraser.  Its values are
     the herald's P, the eraser's P and minimum branch fidelity, then its P per port."""
@@ -319,13 +333,9 @@ def _linear_forward_run(s, t):
 
 
 def _linear_forward_read(values):
-    """The forward map's branch log and checks from the values of its run."""
+    """The forward map's report template, log probabilities and check values from its run's."""
     p_herald, p_eraser, min_fid, *p_ports = values
-    log = (BranchLogEntry("heralding-coincidence", "D1&D2", p_herald),
-           BranchLogEntry("which-path-eraser", "D3|D4|D5", p_eraser))
-    checks = {f"eraser_{k}_probability": p for k, p in zip(_FORWARD_ERASER_PORTS, p_ports)}
-    checks["eraser_min_branch_fidelity"] = min_fid
-    return log, checks
+    return _FORWARD_REPORT, (p_herald, p_eraser), (*p_ports, min_fid)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +376,11 @@ def _linear_inverse_premeasure(
 _INVERSE_ERASER = {a: ((path_modes(a), "click"), (path_modes(b), "no-click"))
                    for a, b in (("eD1", "eD2"), ("eD2", "eD1"))}
 _OUT1 = path_modes("out1")
+_INVERSE_STEPS = (("two-path-eraser", "D1&not-D2"), ("output-coincidence", "2 photons on out"))
+_DISCARDED = ("discarded_d2_probability", "discarded_d2_fidelity")
+_T1 = math.sqrt(T1_SQ_LINEAR_INVERSE)  # the inverse map's balanced working point
+_LINEAR_INVERSE_DEFAULTS = {"t1": _T1, "t2": math.sqrt(R1_SQ_LINEAR_INVERSE) / _T1,
+                            "t3": math.sqrt(T3_SQ_LINEAR_INVERSE)}
 
 
 def _linear_inverse_branch(s: PhotonicState, fired: str):
@@ -394,25 +409,16 @@ def _linear_inverse_run(s, t1: float, t2: float, t3: float, discarded: bool = Fa
     return (p_eraser, p_two, *(_linear_inverse_branch(pre, "eD2") if discarded else ())), out
 
 
-def _linear_inverse_read(values):
-    """The inverse map's branch log, and no checks, from the values of its run."""
-    return (BranchLogEntry("two-path-eraser", "D1&not-D2", values[0]),
-            BranchLogEntry("output-coincidence", "2 photons on out", values[1])), {}
-
-
-def default_linear_inverse_params(
-    t1: float | None = None, t2: float | None = None, t3: float | None = None
-) -> dict[str, float]:
+def default_linear_inverse_params(t1: float | None = None, t2: float | None = None,
+                                  t3: float | None = None) -> dict[str, float]:
     """Splitter transmissivities of the inverse map: each given value as a
-    float, each omitted one at the balanced working point."""
-    t1_0 = math.sqrt(T1_SQ_LINEAR_INVERSE)
-    defaults = {
-        "t1": t1_0,
-        "t2": math.sqrt(R1_SQ_LINEAR_INVERSE) / t1_0,
-        "t3": math.sqrt(T3_SQ_LINEAR_INVERSE),
-    }
-    given = {"t1": t1, "t2": t2, "t3": t3}
-    return {k: defaults[k] if v is None else float(v) for k, v in given.items()}
+    float, each omitted one at the balanced working point; each must lie
+    strictly between 0 and 1."""
+    params = {k: _LINEAR_INVERSE_DEFAULTS[k] if v is None else float(v)
+              for k, v in (("t1", t1), ("t2", t2), ("t3", t3))}
+    for name, val in params.items():
+        _check_unit_interval(name, val)
+    return params
 
 
 def scheme_linear_inverse(c, t1: float | None = None, t2: float | None = None,
@@ -425,26 +431,19 @@ def scheme_linear_inverse(c, t1: float | None = None, t2: float | None = None,
     it occurs with the same probability but carries an uncorrectable sign
     pattern, hence its lower output fidelity.
     """
-    c = _coeffs(c)
-    params = default_linear_inverse_params(t1, t2, t3)
-    for name, val in params.items():
-        _check_unit_interval(name, val)
-
+    (parts, kept), params = _coeffs(c, "spatial"), default_linear_inverse_params(t1, t2, t3)
     (*values, p_d2, q_d2, fid_d2, fid), s = _segment(
-        "linear-inverse", _linear_inverse_checked, make_spatial_qutrit(c, _SPATIAL),
-        *params.values(), free=c.parts())
-    log, checks = _linear_inverse_read(values)
-    if p_d2 > 0.0:
-        checks["discarded_d2_probability"] = p_d2 * q_d2
-    if fid_d2 is not None:
-        checks["discarded_d2_fidelity"] = fid_d2
-    return _report("linear-inverse", s, fid, params, log, checks)
+        ("linear-inverse", kept), _linear_inverse_checked, _SOURCE, *params.values(), free=parts)
+    n = (p_d2 > 0.0) + (fid_d2 is not None)  # the discarded outcome's checks: none where p is 0
+    return _report("linear-inverse", s, fid, params, (_INVERSE_STEPS, _DISCARDED[:n]), values,
+                   (p_d2 * q_d2, fid_d2)[:n])
 
 
 def _linear_inverse_checked(s, t1, t2, t3, *parts):
-    """scheme_linear_inverse's segment: :func:`_linear_inverse_run` with the discarded outcome,
-    whose fidelity to the target (None where it has no state) comes before the output's."""
-    target = _built(("biphotonic", "out"), *parts, source=s)
+    """scheme_linear_inverse's segment from fock._SOURCE: :func:`_linear_inverse_run` on the input
+    and the discarded outcome, whose fidelity (None without a state) precedes the output's."""
+    s = _built(_SPATIAL_IN, *parts, source=s)
+    target = _built(_OUT_PAIR, *parts, source=s)
     (*values, s_d2), out = _linear_inverse_run(s, t1, t2, t3, True)
     return (*values, None if s_d2 is None else fidelity(s_d2, target),
             traced_fidelity(out, target)), out
@@ -467,8 +466,8 @@ def _kerr_forward_routed(s: PhotonicState, t: float) -> PhotonicState:
     return s
 
 
-def _kerr_forward_run(s, t, alpha, theta, tol, variant, meas_mode):
-    """The Kerr forward map from its input, as one segment: the routed network, the probes,
+def _kerr_forward_run(variant, meas_mode, s, t, alpha, theta, tol):
+    """The Kerr forward map from its input ``s``: the routed network, the probes,
     the kept readout outcome, the rebalance, the pair eraser and the flips.  Its values are
     the eraser's P, minimum branch fidelity and P per port, then each quadrature readout's
     kept label and p (separate-qnd), or the kept p and every outcome's p (double-xpm)."""
@@ -514,6 +513,11 @@ _KERR_KEEP = path_modes("5") + path_modes("6") + path_modes("7")
 _PAIR_ERASER_RULE = FeedForwardRule(
     {"dp": (), "dm": (Correction("phase", "7", math.pi),)}
 )
+_KERR_TARGET, _PAIR_ERASER = ("spatial", _KERR_OUT), ("pair-eraser", "dp|dm")
+_KERR_FORWARD_KEYS = ("eraser_dp_probability", "eraser_dm_probability",
+                      "eraser_min_branch_fidelity")
+_PROBE_NUMBER_REPORT = ((("probe-number", "n=0"), _PAIR_ERASER),
+                        ("probe_total_probability", *_KERR_FORWARD_KEYS))
 
 
 def scheme_kerr_forward(c, t: float | None = None, variant: str = "double-xpm",
@@ -534,21 +538,21 @@ def scheme_kerr_forward(c, t: float | None = None, variant: str = "double-xpm",
     mu = sqrt(2) alpha sin(theta); the output fidelity then falls below one
     by the leaked weight and improves as alpha theta grows.
     """
-    c = _coeffs(c)
+    parts, kept = _coeffs(c, "biphotonic")
     params = _kerr_forward_args(t, variant, meas_mode, qubus_alpha, theta)
-    (*values, fid), s = _segment(("kerr-forward", variant, meas_mode), functools.partial(
-        _targeted, lambda s, *ps: _kerr_forward_run(s, *ps, variant, meas_mode), "spatial",
-        _KERR_OUT), make_biphotonic_qutrit(c, "in"), *params, free=c.parts())
+    run = _bound(_targeted, _bound(_kerr_forward_run, variant, meas_mode), _KERR_TARGET, _IN)
+    (*values, fid), s = _segment(("kerr-forward", variant, meas_mode, kept), run, _SOURCE, *params,
+                                 free=parts)
     t, alpha, theta, _ = params
     return _report("kerr-forward", s, fid, {"t": t, "t_squared": t * t, "qubus_alpha": alpha,
                                             "theta": theta}, *_kerr_forward_read(values, variant))
 
 
-def _kerr_forward_args(t, variant, meas_mode, qubus_alpha, theta):
-    """The Kerr forward map's t, probe amplitude, cross-phase angle and merge tolerance."""
+def _kerr_forward_args(t, variant, meas_mode, qubus_alpha, theta, probe=_check_probe):
+    """The Kerr forward map's t, probe amplitude and angle (``probe`` checks them) and tolerance."""
     t = T_KERR_FORWARD if t is None else float(t)
     _check_unit_interval("t", t)
-    alpha, theta = _check_probe(qubus_alpha, theta)
+    alpha, theta = probe(qubus_alpha, theta)
     tol = _merge_tol(meas_mode)
     if variant not in ("separate-qnd", "double-xpm"):
         raise InvalidInput(f"unknown variant {variant!r}")
@@ -556,19 +560,12 @@ def _kerr_forward_args(t, variant, meas_mode, qubus_alpha, theta):
 
 
 def _kerr_forward_read(values, variant="double-xpm"):
-    """The Kerr forward map's branch log and checks from the values of its run."""
-    p_det, min_fid, *p_ports = values
-    p_ports, read = p_ports[:2], p_ports[2:]
-    checks: dict[str, float] = {}
-    if variant == "separate-qnd":
-        p_meas_log = tuple(BranchLogEntry(f"quadrature-{reg}", label, p) for reg, label, p
-                           in zip(("probe-1", "probe-2"), read[::2], read[1::2]))
-    else:
-        checks["probe_total_probability"] = _summed(read[1:])  # the distribution's total
-        p_meas_log = (BranchLogEntry("probe-number", "n=0", read[0]),)
-    checks.update({f"eraser_{k}_probability": p for k, p in zip(_PAIR_ERASER_PORTS, p_ports)})
-    checks["eraser_min_branch_fidelity"] = min_fid
-    return p_meas_log + (BranchLogEntry("pair-eraser", "dp|dm", p_det),), checks
+    """The Kerr forward map's report template, log probabilities and check values from its run's."""
+    p_det, min_fid, p_dp, p_dm, *read = values
+    if variant == "separate-qnd":  # each probe's kept label and p; else the kept p, every p
+        steps = ("quadrature-probe-1", read[0]), ("quadrature-probe-2", read[2]), _PAIR_ERASER
+        return (steps, _KERR_FORWARD_KEYS), (read[1], read[3], p_det), (p_dp, p_dm, min_fid)
+    return _PROBE_NUMBER_REPORT, (read[0], p_det), (_summed(read[1:]), p_dp, p_dm, min_fid)
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +653,8 @@ def entangler_branches(
     return dropped
 
 
-def scheme_entangler(
-    c,
-    pattern: str = "reflected",
-    qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
-    theta: float = DEFAULT_THETA,
-    meas_mode: str = "ideal",
-) -> SchemeReport:
+def scheme_entangler(c, pattern: str = "reflected", qubus_alpha: float = DEFAULT_QUBUS_ALPHA,
+                     theta: float = DEFAULT_THETA, meas_mode: str = "ideal") -> SchemeReport:
     """Entangling block on a freshly prepared spatial qutrit and |+> ancilla.
 
     Prepares the polarization pattern the block expects: paths carrying H
@@ -672,37 +664,33 @@ def scheme_entangler(
     full-probability log entry.  Per-branch probabilities and fidelities
     land in ``checks``.
     """
-    c = _coeffs(c)
-    flips = _entangler_paths(_ENTANGLER_PATHS, pattern)[1]
+    (parts, kept), flips = _coeffs(c, "spatial"), _entangler_paths(_ENTANGLER_PATHS, pattern)[1]
     alpha, theta = _check_probe(qubus_alpha, theta)
-    (p_all, min_fid, *branches), merged = _segment(
-        ("entangler", pattern, meas_mode), lambda s, *ps: _entangler_run(s, *ps, flips, pattern,
-                                                                         meas_mode),
-        make_spatial_qutrit(c, _ENTANGLER_PATHS), alpha, theta)
-    checks: dict[str, float] = {}
+    tol = _merge_tol(meas_mode)
+    (template, p_all, *values), merged = _segment(
+        ("entangler", pattern, meas_mode, kept), _bound(_entangler_run, flips, pattern, meas_mode),
+        _SOURCE, alpha, theta, tol, free=parts)
     mean_fid = 0.0
-    for label, p, f in zip(branches[::3], branches[1::3], branches[2::3]):
-        checks[f"branch_n{label}_probability"] = p
-        checks[f"branch_n{label}_fidelity"] = f
+    for p, f in zip(values[::2], values[1::2]):  # each branch's p and fidelity
         mean_fid += p * f
-    checks["merge_min_fidelity"] = min_fid
-    log = (BranchLogEntry("probe-number", "all n merged", p_all),)
     return _report("entangler", merged, mean_fid / p_all, {"qubus_alpha": alpha, "theta": theta},
-                   log, checks)
+                   template, (p_all,), values)
 
 
-def _entangler_run(s, alpha, theta, flips, pattern, meas_mode):
-    """The entangler scheme from its spatial qutrit, as one segment; its values are the merged
-    P and fidelity, then each branch's label, p and fidelity to the ideal output."""
+def _entangler_run(flips, pattern, meas_mode, s, alpha, theta, tol, *parts):
+    """The entangler scheme from fock._SOURCE; its values are its report template (branches
+    named by label), the merged P, each branch's p and fidelity, then the merged fidelity."""
+    s = _built(("spatial", _ENTANGLER_PATHS), *parts, source=s)
     for path in flips:
         s = apply_sigma_x(s, path)
     s = tensor(s, ancilla_plus("a"))
     reference = _entangler_reference(s, _ENTANGLER_PATHS, "a")
     branches = entangler_branches(s, _ENTANGLER_PATHS, "a", pattern, alpha, theta, meas_mode)
-    values = [x for label, p, st in branches for x in (label, p, traced_fidelity(st, reference))]
-    p_all, merged, min_fid = merge_branches([(p, st) for _, p, st in branches],
-                                            tol=_merge_tol(meas_mode))
-    return (p_all, min_fid, *values), merged
+    values = [x for _, p, st in branches for x in (p, traced_fidelity(st, reference))]
+    keys = [f"branch_n{label}_{x}" for label, _, _ in branches for x in ("probability", "fidelity")]
+    p_all, merged, min_fid = merge_branches([(p, st) for _, p, st in branches], tol=tol)
+    template = (("probe-number", "all n merged"),), (*keys, "merge_min_fidelity")
+    return (template, p_all, *values, min_fid), merged
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +727,13 @@ _PATH_ERASER_RULE = FeedForwardRule(
         ),
     }
 )
+_KERR_INVERSE_REPORT = (
+    (("entangler-1", "all n merged"), ("entangler-2", "all n merged"), ("path-eraser", "5|6|7|8"),
+     ("rebalance-taps", "vacuum"), ("bunched-merge", "m1|m2")),
+    ("entangler1_merge_fidelity", "entangler2_merge_fidelity",
+     *(f"eraser_{k}_probability" for k in _PATH_ERASER_PORTS), "eraser_merge_fidelity",
+     "bunched_m1_probability", "bunched_m2_probability", "split_discard_probability",
+     "bunched_merge_fidelity"))
 
 
 def _entangling_block(s, alpha, theta, tol, paths, ancilla, pattern, flips, meas_mode, prefix):
@@ -787,37 +782,28 @@ def _rebalanced(s, alpha, theta, tol):
     return (p_tap, p_bunch, fid_bunch, *ps, *(o.probability for o in dist.outcomes)), s
 
 
-def _kerr_inverse_blocks(s, alpha, theta, tol, paths, meas_mode):
-    """The Kerr inverse map from its spatial qutrit, as one segment; its values are each
-    entangling block's, the path eraser's and the rebalance's, in that order."""
+def _kerr_inverse_blocks(meas_mode, s, alpha, theta, tol):
+    """The Kerr inverse map from its spatial qutrit ``s``; its values are each entangling
+    block's, the path eraser's and the rebalance's, in that order."""
     s = tensor(tensor(s, ancilla_plus("a")), ancilla_plus("b"))
     values = ()
-    for k, ancilla, pattern, flips in ((1, "a", "reflected", paths[1:]),
-                                       (2, "b", "transmitted", paths[1:2])):
-        block, s = _entangling_block(s, alpha, theta, tol, paths, ancilla, pattern, flips,
+    for k, ancilla, pattern, flips in ((1, "a", "reflected", _SPATIAL[1:]),
+                                       (2, "b", "transmitted", _SPATIAL[1:2])):
+        block, s = _entangling_block(s, alpha, theta, tol, _SPATIAL, ancilla, pattern, flips,
                                      meas_mode, f"ent{k}")
         values += block
-    erased, s = _path_eraser(s, tol, paths)
+    erased, s = _path_eraser(s, tol, _SPATIAL)
     rebalanced, s = _rebalanced(s, alpha, theta, tol)
     return (*values, *erased, *rebalanced), s
 
 
 def _kerr_inverse_read(values):
-    """The Kerr inverse map's branch log and checks from the values of its run."""
+    """The Kerr inverse map's report template, log probabilities and check values from its run's."""
     p1, fid1, p2, fid2, p_eraser, fid_eraser, *ps = values
     ps, (p_tap, p_bunch, fid_bunch, *ps_bunch) = ps[:4], ps[4:]
-    checks = {"entangler1_merge_fidelity": fid1, "entangler2_merge_fidelity": fid2}
-    checks.update({f"eraser_{k}_probability": p for k, p in zip(_PATH_ERASER_PORTS, ps)})
-    checks["eraser_merge_fidelity"] = fid_eraser
-    checks.update({f"bunched_{p}_probability": q for p, q in zip(("m1", "m2"), ps_bunch)})
-    # the readout's total less what bunched
-    checks["split_discard_probability"] = _summed(ps_bunch[2:]) - _summed(ps_bunch[:2])
-    checks["bunched_merge_fidelity"] = fid_bunch
-    log = tuple(BranchLogEntry(*e) for e in (
-        ("entangler-1", "all n merged", p1), ("entangler-2", "all n merged", p2),
-        ("path-eraser", "5|6|7|8", p_eraser), ("rebalance-taps", "vacuum", p_tap),
-        ("bunched-merge", "m1|m2", p_bunch)))
-    return log, checks
+    split = _summed(ps_bunch[2:]) - _summed(ps_bunch[:2])  # the readout's total less what bunched
+    return _KERR_INVERSE_REPORT, (p1, p2, p_eraser, p_tap, p_bunch), (
+        fid1, fid2, *ps, fid_eraser, *ps_bunch[:2], split, fid_bunch)
 
 
 def scheme_kerr_inverse(c, qubus_alpha: float = DEFAULT_QUBUS_ALPHA, theta: float = DEFAULT_THETA,
@@ -830,12 +816,12 @@ def scheme_kerr_inverse(c, qubus_alpha: float = DEFAULT_QUBUS_ALPHA, theta: floa
     rebalance the outer components, and a probe-heralded 50:50 merge bunches
     the ancilla pair onto path ``out``.  Succeeds with probability 1/2.
     """
-    c = _coeffs(c)
+    parts, kept = _coeffs(c, "spatial")
     alpha, theta = _check_merge_probe(qubus_alpha, theta)
-    (*values, fid), s = _segment(("kerr-inverse", meas_mode), functools.partial(
-        _targeted, lambda s, *ps: _kerr_inverse_blocks(s, *ps, _SPATIAL, meas_mode), "biphotonic",
-        "out"), make_spatial_qutrit(c, _SPATIAL), alpha, theta, _merge_tol(meas_mode),
-        free=c.parts())
+    tol = _merge_tol(meas_mode)
+    run = _bound(_targeted, _bound(_kerr_inverse_blocks, meas_mode), _OUT_PAIR, _SPATIAL_IN)
+    (*values, fid), s = _segment(("kerr-inverse", meas_mode, kept), run, _SOURCE, alpha, theta,
+                                 tol, free=parts)
     return _report("kerr-inverse", s, fid, {"qubus_alpha": alpha, "theta": theta},
                    *_kerr_inverse_read(values))
 
@@ -857,60 +843,71 @@ def u3_biphotonic(c, u, backend: str = "linear", t: float | None = None, t1: flo
     ``backend`` picks the linear-optics pair (success 1.17e-4) or the
     probe-based pair (success 1/12).
     """
-    c = _coeffs(c)
-    u = np.asarray(u, dtype=complex)
+    parts, kept = _coeffs(c, "biphotonic")
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"expected a 3x3 complex matrix, got {u!r}") from None
     if u.shape != (3, 3):
         raise InvalidInput(f"expected a 3x3 matrix, got shape {u.shape}")
     mesh = reck_decompose(u)  # checks that u is unitary before any optics run
     if backend == "linear":
         keyed, params = (_linear_forward_t(t),), default_linear_inverse_params(t1, t2, t3)
         keyed += tuple(params.values())
-        forward = lambda s, t, *_: _linear_forward_run(s, t)  # noqa: E731
-        inverse, outputs = _linear_inverse_run, _FORWARD_OUT
-        reads = _linear_forward_read, _linear_inverse_read
+        maps = _linear_forward_run, _linear_inverse_run
     elif backend == "kerr":
-        alpha, theta = _check_merge_probe(qubus_alpha, theta)
-        keyed = _kerr_forward_args(t, "double-xpm", meas_mode, alpha, theta)
-        params = {"qubus_alpha": alpha, "theta": theta}
-        forward = lambda s, *ps: _kerr_forward_run(s, *ps, "double-xpm", meas_mode)  # noqa: E731
-        inverse = lambda s, *ps: _kerr_inverse_blocks(s, *ps, _SPATIAL, meas_mode)  # noqa: E731
-        outputs, reads = _KERR_OUT, (_kerr_forward_read, _kerr_inverse_read)
+        keyed = _kerr_forward_args(t, "double-xpm", meas_mode, qubus_alpha, theta,
+                                   _check_merge_probe)
+        params = {"qubus_alpha": keyed[1], "theta": keyed[2]}
+        maps = (_bound(_kerr_forward_run, "double-xpm", meas_mode),
+                _bound(_kerr_inverse_blocks, meas_mode))
     else:
         raise InvalidInput(f"unknown backend {backend!r}")
-    n, pairs = len(keyed), tuple((p, q) for p, q, _, _ in mesh.rotations)
-
-    def run(s, *args):  # the keyed parameters, c's parts, the target's and the mesh angles
-        (*fwd, fid), out = _targeted(forward, "spatial", outputs, s, *args[:n + 6])
-        s, angles = relabel_paths(out, dict(zip(outputs, _SPATIAL))), args[n + 12:]
-        rotations = tuple((*pq, a, b) for pq, a, b in zip(pairs, angles[::2], angles[1::2]))
-        s = apply_lomi(s, ReckDecomposition(rotations, angles[2 * len(pairs):]), _SPATIAL)
-        inverted, s = _targeted(inverse, "biphotonic", "out", s, *args[1:n], *args[n + 6:n + 12])
-        return (len(fwd), *fwd, out, fid, *inverted), s  # the forward map's state: its weight
-
-    aim = QutritCoefficients.normalize(*(u @ np.array(c.as_tuple())))
+    name, outputs, reads, template = _U3[backend]
+    pairs = tuple((p, q) for p, q, _, _ in mesh.rotations)
+    aim = QutritCoefficients.normalize(*(u @ np.array(parts).view(complex)))
     angles = [x for *_, a, b in mesh.rotations for x in (a, b)] + list(mesh.phases)
     wiring = pairs, tuple(phi == 0.0 for phi in mesh.phases)  # which are left out
-    (k, *values), s = _segment((f"u3-{backend}", meas_mode, wiring), run,
-                               make_biphotonic_qutrit(c, "in"), *keyed,
-                               free=(*c.parts(), *aim.parts(), *angles))
-    (out, fwd_fid, *inverted, fid), (log, fwd_checks) = values[k:], reads[0](values[:k])
-    fwd_checks.update(output_born_weight=out.born_weight, fidelity=fwd_fid)
-    checks = {f"forward_{key}": v for key, v in fwd_checks.items()}
-    inv_log, inv_checks = reads[1](inverted)
-    checks.update({f"inverse_{key}": v for key, v in inv_checks.items()})
-    return _report(f"u3-{backend}", s, fid, {"t": keyed[0], **params}, log + inv_log, checks)
+    (k, *values), s = _segment((name, meas_mode, wiring, kept),
+                               _bound(_u3_run, *maps, outputs, pairs), _SOURCE, *keyed,
+                               free=(*parts, *aim.parts(), *angles))
+    (out, fwd_fid, *inverted, fid), (_, ps, checks) = values[k:], reads[0](values[:k])
+    _, inverse_ps, inverse_checks = reads[1](inverted)
+    return _report(name, s, fid, {"t": keyed[0], **params}, template, (*ps, *inverse_ps),
+                   (*checks, out.born_weight, fwd_fid, *inverse_checks))
+
+
+def _u3_run(forward, inverse, outputs, pairs, s, *args):
+    """u3_biphotonic's segment from fock._SOURCE: the ``forward`` map onto ``outputs``, the mesh
+    on ``pairs``, the ``inverse`` map; ``args``: 4 keyed parameters, c's parts, aim's, angles."""
+    (*fwd, fid), out = _targeted(forward, ("spatial", outputs), _IN, s, *args[:10])
+    s, angles = relabel_paths(out, dict(zip(outputs, _SPATIAL))), args[16:]
+    rotations = tuple((*pq, a, b) for pq, a, b in zip(pairs, angles[::2], angles[1::2]))
+    s = apply_lomi(s, ReckDecomposition(rotations, angles[2 * len(pairs):]), _SPATIAL)
+    inverted, s = _targeted(inverse, _OUT_PAIR, None, s, *args[1:4], *args[10:16])
+    return (len(fwd), *fwd, out, fid, *inverted), s  # the forward map's state: its weight
+
+
+def _u3_template(forward, inverse):
+    """A u3 gate's report template from its forward and inverse maps', its checks prefixed."""
+    return forward[0] + inverse[0], (*(f"forward_{k}" for k in (
+        *forward[1], "output_born_weight", "fidelity")), *(f"inverse_{k}" for k in inverse[1]))
+
+
+# per backend: its name, the forward map's outputs, the maps' reads and the report template
+_U3 = {"linear": ("u3-linear", _FORWARD_OUT, (_linear_forward_read, lambda v: (None, v, ())),
+                  _u3_template(_FORWARD_REPORT, (_INVERSE_STEPS, ()))),
+       "kerr": ("u3-kerr", _KERR_OUT, (_kerr_forward_read, _kerr_inverse_read),
+                _u3_template(_PROBE_NUMBER_REPORT, _KERR_INVERSE_REPORT))}
 
 
 def _u3_linear(c, u, t=None, t1=None, t2=None, t3=None) -> SchemeReport:
     return u3_biphotonic(c, u, "linear", t, t1, t2, t3)
 
 
-def _u3_kerr(
-    c, u, t=None, qubus_alpha=DEFAULT_QUBUS_ALPHA, theta=DEFAULT_THETA, meas_mode="ideal"
-) -> SchemeReport:
-    return u3_biphotonic(
-        c, u, "kerr", t, qubus_alpha=qubus_alpha, theta=theta, meas_mode=meas_mode
-    )
+def _u3_kerr(c, u, t=None, qubus_alpha=DEFAULT_QUBUS_ALPHA, theta=DEFAULT_THETA,
+             meas_mode="ideal") -> SchemeReport:
+    return u3_biphotonic(c, u, "kerr", t, qubus_alpha=qubus_alpha, theta=theta, meas_mode=meas_mode)
 
 
 # Every scheme by name.  Each takes the input qutrit first and, for the u3

@@ -551,7 +551,7 @@ def test_u3_checks_unitarity_once_and_before_any_optics(monkeypatch, backend):
     skewed = np.eye(3, dtype=complex)
     skewed[0, 1] = 0.1
     with monkeypatch.context() as m:
-        for name in ("scheme_linear_forward", "scheme_kerr_forward", "make_biphotonic_qutrit"):
+        for name in ("scheme_linear_forward", "scheme_kerr_forward", "_segment"):
             m.setattr(schemes, name, optics)
         with pytest.raises(InvalidInput, match="not unitary"):
             u3_biphotonic(COEFFS, skewed, backend=backend)
