@@ -93,6 +93,5 @@ from .schemes import (
     scheme_linear_inverse,
     u3_biphotonic,
 )
-from .acceptance import CriterionResult, run_all
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,14 +58,13 @@ ROUNDED_P_LINEAR_INVERSE = 6.85e-3
 ROUNDED_P_U3_LINEAR = 1.17e-4
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool
     expected: str
     measured: str
-    details: tuple[str, ...] = field(default=())
+    details: tuple[str, ...] = ()
 
 
 def _worst(reports, p_target: float) -> tuple[float, float]:

@@ -27,7 +27,7 @@ import numpy as np
 from .acceptance import run_all
 from .fock import InvalidInput, QutritCoefficients, SimulationError
 from .sampling import haar_unitary, random_qutrit
-from .schemes import SCHEMES, SchemeReport
+from .schemes import SCHEMES, SchemeReport, _real
 
 _FLOAT_PARAMS = ("t", "t1", "t2", "t3", "theta", "qubus_alpha")
 _STR_PARAMS = ("variant", "meas_mode", "pattern")
@@ -123,7 +123,7 @@ def _parse_params(items) -> dict:
         key = key.strip()
         raw = raw.strip()
         if key in _FLOAT_PARAMS:
-            params[key] = float(raw)
+            params[key] = _real(key, raw)
         elif key in _STR_PARAMS:
             params[key] = raw
         else:
@@ -269,7 +269,7 @@ def cmd_sweep(args) -> int:
     raw_values = [v for v in str(args.values).split(",") if v.strip()]
     if not raw_values:
         raise InvalidInput("--values must list at least one value")
-    values = [float(v) for v in raw_values]
+    values = [_real(axis, v) for v in raw_values]
 
     seed = 0 if args.seed is None else int(args.seed)
     rng = np.random.default_rng(seed)

@@ -13,7 +13,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -292,8 +292,7 @@ def apply_path_unitary(
     return _paths_substituted(state, paths, paths, u.tolist())
 
 
-@dataclass(frozen=True)
-class ReckDecomposition:
+class ReckDecomposition(NamedTuple):
     """Triangular mesh: ``u = D * T_K * ... * T_1``.
 
     ``rotations`` stores ``(p, q, theta, phi)`` for the two-path blocks

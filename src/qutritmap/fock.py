@@ -837,18 +837,16 @@ class QutritCoefficients:
 
     @classmethod
     def normalize(cls, alpha: complex, beta: complex, gamma: complex) -> "QutritCoefficients":
-        n2 = _squares(alpha, beta, gamma)
+        n2 = _squares(parts := _complexes((alpha, beta, gamma)))
         if not sys.float_info.min <= n2 < math.inf:  # a square under- or overflowed
-            parts = [complex(x) for x in (alpha, beta, gamma)]
             top = max(abs(x) for c in parts for x in (c.real, c.imag))
             if top == 0.0:
                 raise InvalidInput("cannot normalize the zero vector")
             e = -math.frexp(top)[1]  # scaled by a power of two, the largest part in [0.5, 1)
-            alpha, beta, gamma = (complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
-                                  for c in parts)
-            n2 = _squares(alpha, beta, gamma)
+            parts = [complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in parts]
+            n2 = _squares(parts)
         n = math.sqrt(n2)
-        return cls(complex(alpha) / n, complex(beta) / n, complex(gamma) / n)
+        return cls(*(c / n for c in parts))
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (complex(self.alpha), complex(self.beta), complex(self.gamma))
@@ -859,27 +857,30 @@ class QutritCoefficients:
         return [a.real, a.imag, b.real, b.imag, g.real, g.imag]
 
 
-def _unit(c) -> tuple[complex, complex, complex]:
+def _unit(c) -> list[complex]:
     """``c``, three numbers, as Python complex, refused as QutritCoefficients refuses them."""
+    if abs((n := _squares(parts := _complexes(c))) - 1.0) > NORM_EPS:
+        raise InvalidInput(f"coefficients are not normalized: |c|^2 = {n}")
+    return parts
+
+
+def _complexes(c) -> list[complex]:
+    """``c``, three numbers, as Python complex, whose squares overflow silently where numpy
+    scalars' warn; refuses a NaN or infinite one by name, as a NaN passes the norm test."""
     try:
         alpha, beta, gamma = c
-        n = _squares(alpha, beta, gamma)
+        for name, value in zip(("alpha", "beta", "gamma"), (alpha, beta, gamma)):
+            if not cmath.isfinite(value):
+                raise InvalidInput(f"coefficient {name} = {value!r} is not finite")
+        return [complex(alpha), complex(beta), complex(gamma)]
     except (TypeError, ValueError, OverflowError):  # no three numbers
         raise InvalidInput(f"expected three complex coefficients, got {c!r}") from None
-    if abs(n - 1.0) > NORM_EPS:
-        raise InvalidInput(f"coefficients are not normalized: |c|^2 = {n}")
-    return complex(alpha), complex(beta), complex(gamma)
 
 
-def _squares(alpha: complex, beta: complex, gamma: complex) -> float:
-    """|alpha|^2 + |beta|^2 + |gamma|^2 of the coefficients as Python complex (so numpy
-    scalars overflow silently too), inf where a square overflows; refuses a NaN or
-    infinite coefficient by name, as a NaN passes the norm test."""
-    for name, value in zip(("alpha", "beta", "gamma"), (alpha, beta, gamma)):
-        if not cmath.isfinite(value):
-            raise InvalidInput(f"coefficient {name} = {value!r} is not finite")
+def _squares(parts) -> float:
+    """|alpha|^2 + |beta|^2 + |gamma|^2 of three Python complex, inf where a square overflows."""
     try:
-        return abs(complex(alpha)) ** 2 + abs(complex(beta)) ** 2 + abs(complex(gamma)) ** 2
+        return abs(parts[0]) ** 2 + abs(parts[1]) ** 2 + abs(parts[2]) ** 2
     except OverflowError:
         return math.inf
 

@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .elements import apply_phase_shift, apply_sigma_x
 from .fock import (
@@ -54,8 +54,7 @@ def _summed(values) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """One result and its renormalized branch; ``state`` is None where that
     branch is a mixture, which is not modelled (its probability is exact)."""
 
@@ -65,8 +64,7 @@ class Outcome:
     state: PhotonicState | None
 
 
-@dataclass(frozen=True)
-class BranchDistribution:
+class BranchDistribution(NamedTuple):
     outcomes: tuple[Outcome, ...]
 
     @property
@@ -267,8 +265,7 @@ class Correction:
             raise InvalidInput(f"unknown correction kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class FeedForwardRule:
+class FeedForwardRule(NamedTuple):
     """Outcome label -> correction chain; every observed label needs an entry."""
 
     corrections: Mapping[str, tuple[Correction, ...]]

@@ -28,8 +28,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -127,8 +126,7 @@ _IN, _OUT_PAIR, _SPATIAL_IN = ("biphotonic", "in"), ("biphotonic", "out"), ("spa
 _bound = functools.cache(functools.partial)
 
 
-@dataclass(frozen=True)
-class BranchLogEntry:
+class BranchLogEntry(NamedTuple):
     """One conditioning step: which outcome was kept and with what probability."""
 
     step: str
@@ -136,8 +134,7 @@ class BranchLogEntry:
     probability: float
 
 
-@dataclass(frozen=True)
-class SchemeReport:
+class SchemeReport(NamedTuple):
     """Outcome summary of one scheme run.
 
     ``checks`` carries auxiliary scalars (branch fidelities, discarded-outcome
@@ -149,7 +146,7 @@ class SchemeReport:
     output_state: PhotonicState
     branch_log: tuple[BranchLogEntry, ...]
     parameters: Mapping[str, float]
-    checks: Mapping[str, float] = field(default_factory=dict)
+    checks: Mapping[str, float]
 
     @property
     def success_probability(self) -> float:
@@ -186,17 +183,26 @@ def _coeffs(c, kind: str):
         abs(a / r) > PRUNE_EPS, abs(b) > PRUNE_EPS, abs(g / r) > PRUNE_EPS)
 
 
-def _check_unit_interval(name: str, value: float):
-    if not 0.0 < value < 1.0:
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool, or what float() refuses, raises InvalidInput naming it."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInput(f"{name} must be a real number, got {value!r}")
+
+
+def _unit_interval(name: str, value) -> float:
+    """:func:`_real` of ``value``, which must lie strictly between 0 and 1."""
+    if not 0.0 < (value := _real(name, value)) < 1.0:
         raise InvalidInput(f"{name} must lie strictly between 0 and 1, got {value!r}")
+    return value
 
 
 def _check_probe(alpha, theta) -> tuple[float, float]:
     """Convert the probe amplitude and cross-phase angle to floats and check them."""
-    try:
-        alpha, theta = float(alpha), float(theta)
-    except (TypeError, ValueError):
-        raise InvalidInput(f"non-real qubus amplitude or angle: {alpha!r}, {theta!r}") from None
+    alpha, theta = _real("qubus_alpha", alpha), _real("theta", theta)
     if not 0.0 < alpha < math.inf:
         raise InvalidInput(f"qubus amplitude must be positive and finite, got {alpha!r}")
     if alpha > _MAX_PROBE_ALPHA:
@@ -313,9 +319,7 @@ def scheme_linear_forward(c, t: float | None = None) -> SchemeReport:
 
 def _linear_forward_t(t) -> float:
     """The forward map's first transmissivity, checked; None is the working point."""
-    t = math.sqrt(T2_LINEAR_FORWARD) if t is None else float(t)
-    _check_unit_interval("t", t)
-    return t
+    return _unit_interval("t", math.sqrt(T2_LINEAR_FORWARD) if t is None else t)
 
 
 def _linear_forward_run(s, t, *_):  # in a u3 gate, the inverse map's parameters follow t
@@ -414,11 +418,8 @@ def default_linear_inverse_params(t1: float | None = None, t2: float | None = No
     """Splitter transmissivities of the inverse map: each given value as a
     float, each omitted one at the balanced working point; each must lie
     strictly between 0 and 1."""
-    params = {k: _LINEAR_INVERSE_DEFAULTS[k] if v is None else float(v)
-              for k, v in (("t1", t1), ("t2", t2), ("t3", t3))}
-    for name, val in params.items():
-        _check_unit_interval(name, val)
-    return params
+    return {k: _unit_interval(k, _LINEAR_INVERSE_DEFAULTS[k] if v is None else v)
+            for k, v in (("t1", t1), ("t2", t2), ("t3", t3))}
 
 
 def scheme_linear_inverse(c, t1: float | None = None, t2: float | None = None,
@@ -550,8 +551,7 @@ def scheme_kerr_forward(c, t: float | None = None, variant: str = "double-xpm",
 
 def _kerr_forward_args(t, variant, meas_mode, qubus_alpha, theta, probe=_check_probe):
     """The Kerr forward map's t, probe amplitude and angle (``probe`` checks them) and tolerance."""
-    t = T_KERR_FORWARD if t is None else float(t)
-    _check_unit_interval("t", t)
+    t = _unit_interval("t", T_KERR_FORWARD if t is None else t)
     alpha, theta = probe(qubus_alpha, theta)
     tol = _merge_tol(meas_mode)
     if variant not in ("separate-qnd", "double-xpm"):

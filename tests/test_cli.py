@@ -290,6 +290,15 @@ def test_errors_exit_nonzero_with_diagnostics(capsys, tmp_path):
     assert code == 2 and "at least one" in err
 
 
+def test_a_param_that_is_no_number_exits_2_naming_the_parameter(capsys):
+    code, out, err = run_cli(["run", "--scheme", "linear-forward", "--param", "t=abc"], capsys)
+    assert (code, out, err) == (2, "", "error: t must be a real number, got 'abc'\n")
+    code, out, err = run_cli(
+        ["sweep", "--scheme", "kerr-forward", "--axis", "theta", "--values", "0.3,x"], capsys
+    )
+    assert (code, out, err) == (2, "", "error: theta must be a real number, got 'x'\n")
+
+
 def test_unused_param_is_rejected_before_the_scheme_runs(capsys, monkeypatch):
     original = SCHEMES["u3-linear"]
 

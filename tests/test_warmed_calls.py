@@ -132,10 +132,13 @@ def test_a_coefficient_tuple_of_the_wrong_length_is_invalid_input(c):
         assert "expected three complex coefficients" in refusal(lambda: call(c))
 
 
-@pytest.mark.parametrize("c", [("0.6", 0.8, 0.0), (0.6, None, 0.8), (0.6, 0.8, 10**400)])
+@pytest.mark.parametrize("c", [("0.6", 0.8, 0.0), (0.6, None, 0.8), (0.6, 0.8, 10**400),
+                               ("x", 1, 0), (None, 1, 0)])
 def test_a_coefficient_that_is_no_number_is_invalid_input(c):
     for call in CALLS.values():
         assert "expected three complex coefficients" in refusal(lambda: call(c))
+    want = f"expected three complex coefficients, got {c!r}"
+    assert refusal(lambda: QutritCoefficients.normalize(*c)) == want
 
 
 @pytest.mark.parametrize("u", [[[1, 0, 0], [0, 1], [0, 0, 1]], "eye", [["a"] * 3] * 3])
@@ -145,10 +148,28 @@ def test_a_ragged_or_string_matrix_is_invalid_input(u):
         assert "3x3 complex matrix" in refusal(lambda: schemes.u3_biphotonic(c, u, backend))
 
 
-@pytest.mark.parametrize("alpha", [2.0 + 0.5j, "two", None])
-def test_a_complex_or_string_probe_amplitude_is_invalid_input(alpha):
+@pytest.mark.parametrize("alpha", [2.0 + 0.5j, "two", None, True, np.True_, 10**400])
+@pytest.mark.parametrize("name", ["qubus_alpha", "theta"])
+def test_a_complex_or_string_probe_amplitude_is_invalid_input(name, alpha):
+    """A bool is refused too, and each of these values given as the cross-phase angle."""
     c = QutritCoefficients.normalize(0.6, 0.3j, -0.5)
     for call in (schemes.scheme_kerr_forward, schemes.scheme_entangler,
                  schemes.scheme_kerr_inverse, lambda c, **kw: schemes.u3_biphotonic(
                      c, np.eye(3), "kerr", **kw)):
-        assert "non-real qubus amplitude or angle" in refusal(lambda: call(c, qubus_alpha=alpha))
+        want = f"{name} must be a real number, got {alpha!r}"
+        assert refusal(lambda: call(c, **{name: alpha})) == want
+
+
+@pytest.mark.parametrize("call, name, bad", [
+    (schemes.scheme_linear_forward, "t", "a"),
+    (schemes.scheme_linear_inverse, "t1", "a"),
+    (schemes.scheme_linear_forward, "t", 1j),
+    (schemes.scheme_kerr_forward, "t", [1]),
+    (lambda c, **kw: schemes.u3_biphotonic(c, np.eye(3), "linear", **kw), "t", "x"),
+    (lambda c, **kw: schemes.u3_biphotonic(c, np.eye(3), "kerr", **kw), "t", 1j),
+    (schemes.scheme_linear_inverse, "t2", True),
+    (schemes.scheme_linear_inverse, "t3", 10**400),
+])
+def test_a_transmissivity_that_is_no_real_number_is_invalid_input(call, name, bad):
+    c = QutritCoefficients.normalize(0.6, 0.3j, -0.5)
+    assert refusal(lambda: call(c, **{name: bad})) == f"{name} must be a real number, got {bad!r}"
